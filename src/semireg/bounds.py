@@ -28,9 +28,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .exact import SystemShape
-from .intervals import Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
+from .intervals import DyadicBracket, Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
 
 __all__ = [
     "BoundKind",
@@ -263,23 +264,22 @@ class QuarticClosedForm:
 
 
 def _quartic_positive_root(a: Fraction, b: Fraction, width: Fraction) -> Enclosure:
-    """Unique positive root of w^4 - a w + b (a > 0 > b) by exact bisection."""
-    def q(w: Fraction) -> Fraction:
-        return w ** 4 - a * w + b
+    """Unique positive root of w^4 - a w + b (a > 0 > b) by exact bisection.
 
-    lo, hi = Fraction(0), Fraction(2)
-    while q(hi) <= 0:
-        hi *= 2
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = q(mid)
-        if v == 0:
-            return Enclosure.point(mid)
-        if v < 0:
-            lo = mid
-        else:
-            hi = mid
-    return Enclosure(lo, hi)
+    With a = A/Da and b = B/Db, the sign of q(p/2^e) is the sign of the
+    integer q(p/2^e) 2^(4e) Da Db = p^4 Da Db - A Db p 2^(3e) + B Da 2^(4e).
+    """
+    A, Da, B, Db = a.numerator, a.denominator, b.numerator, b.denominator
+
+    def q_scaled(p: int, e: int) -> int:
+        return p ** 4 * Da * Db - (A * Db * p << 3 * e) + (B * Da << 4 * e)
+
+    num_hi = 2
+    while q_scaled(num_hi, 0) <= 0:
+        num_hi *= 2
+    bracket = DyadicBracket(q_scaled, 0, num_hi, 0)
+    bracket.refine(width)
+    return bracket.enclosure()
 
 
 def _ls_accepts_degree(shape: SystemShape, k: int, airy: AiryConstant) -> ThresholdDecision:
@@ -474,78 +474,17 @@ class SexticForm:
         N, n = self.shape.N, self.shape.n
         return 4 * x * (x - 1) ** 2 * (N - x ** 3) - n * n
 
-    @staticmethod
-    def s_derivative_coefficients(N: int) -> list[int]:
-        """Coefficients of s'(x), ascending degree."""
-        return [N, -4 * N, 3 * N, -4, 10, -6]
 
-    @staticmethod
-    def one_minus_x_times_r_coefficients(N: int) -> list[int]:
-        """Coefficients of (1 - x) r(x), ascending degree: must equal s'(x)."""
-        r = [N, -3 * N, 0, -4, 6]
-        out = [0] * 6
-        for i, c in enumerate(r):
-            out[i] += c
-            out[i + 1] -= c
-        return out
-
-
-def _r_sign_dyadic(N: int, p: int, e: int) -> int:
+def _r_value_dyadic(N: int, p: int, e: int) -> int:
+    # r(p/2^e) * 2^(4e), sign-exact
     two_e = 1 << e
-    v = 6 * p ** 4 - 4 * p ** 3 * two_e - 3 * N * p * two_e ** 3 + N * two_e ** 4
-    return (v > 0) - (v < 0)
+    return 6 * p ** 4 - 4 * p ** 3 * two_e - 3 * N * p * two_e ** 3 + N * two_e ** 4
 
 
 def _s4_value_dyadic(N: int, n: int, p: int, e: int) -> int:
     # 4 s(p/2^e) * 2^(6e), sign-exact
     two_e = 1 << e
     return 4 * p * (p - two_e) ** 2 * (N * two_e ** 3 - p ** 3) - n * n * two_e ** 6
-
-
-class _DyadicBisection:
-    """Sign-change bracket [lo, hi] for an exact integer-sign function."""
-
-    def __init__(self, sign_at, num_lo: int, num_hi: int, e: int):
-        self._sign_at = sign_at
-        self.num_lo, self.num_hi, self.e = num_lo, num_hi, e
-        self.exact = False
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.num_lo, 1 << self.e)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.num_hi, 1 << self.e)
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.num_hi - self.num_lo, 1 << self.e)
-
-    def enclosure(self) -> Enclosure:
-        return Enclosure(self.lo, self.hi)
-
-    def step(self) -> None:
-        if self.exact:
-            return
-        mid = self.num_lo + self.num_hi
-        sign = self._sign_at(mid, self.e + 1)
-        if sign == 0:
-            self.num_lo = self.num_hi = mid
-            self.e += 1
-            self.exact = True
-            return
-        self.num_lo *= 2
-        self.num_hi *= 2
-        self.e += 1
-        if sign < 0:
-            self.num_lo = mid
-        else:
-            self.num_hi = mid
-
-    def refine(self, width: Fraction) -> None:
-        while not self.exact and self.width > width:
-            self.step()
 
 
 def l_smallest_accepted_degree(shape: SystemShape) -> int | None:
@@ -596,14 +535,11 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
     N, n = shape.N, shape.n
     bound_cap = N // 2
 
-    def r_sign(p: int, e: int) -> int:
-        return _r_sign_dyadic(N, p, e)
-
     hi0 = iroot(N, 3) + 1  # above the largest root of r
-    if _r_sign_dyadic(N, hi0, 0) <= 0:
+    if _r_value_dyadic(N, hi0, 0) <= 0:
         raise AssertionError("quartic factor must be positive beyond its top root")
-    # r(1) = 2 - 2N < 0; sign convention of _DyadicBisection: negative at lo.
-    x4 = _DyadicBisection(r_sign, 1, hi0, 0)
+    # r(1) = 2 - 2N < 0 and r(hi0) > 0: negative at lo, as DyadicBracket wants.
+    x4 = DyadicBracket(partial(_r_value_dyadic, N), 1, hi0, 0)
     x4.refine(Fraction(1, 1 << 16))
 
     applicable, witness = _certify_max_sign(shape, x4)
@@ -641,7 +577,7 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
         x5.step()
 
 
-def _certify_max_sign(shape: SystemShape, x4: _DyadicBisection):
+def _certify_max_sign(shape: SystemShape, x4: DyadicBracket):
     """Sign of s at its interior maximum: (True, witness) / (False, None) / (None, None).
 
     True comes with a dyadic witness point where s >= 0 exactly; False is
@@ -677,29 +613,21 @@ def _certify_max_sign(shape: SystemShape, x4: _DyadicBisection):
         x4.step()
 
 
-def _locate_x5(shape: SystemShape, witness: tuple[int, int]) -> _DyadicBisection | None:
+def _locate_x5(shape: SystemShape, witness: tuple[int, int]) -> DyadicBracket | None:
     """Bracket the increasing-side root of s below the positive witness."""
-    N, n = shape.N, shape.n
+    s4 = partial(_s4_value_dyadic, shape.N, shape.n)
     p, e = witness
-
-    def s_sign(q: int, f: int) -> int:
-        v = _s4_value_dyadic(N, n, q, f)
-        return (v > 0) - (v < 0)
-
-    v = _s4_value_dyadic(N, n, p, e)
-    if v == 0:
+    if s4(p, e) == 0:
         # witness is itself a root; decide which side of the hump it is on
         left_num, left_e = 2 * p - 1, e + 1  # p - 2^-(e+1), still > 1 for p/2^e > 1
-        lv = _s4_value_dyadic(N, n, left_num, left_e)
+        lv = s4(left_num, left_e)
         if lv < 0:
-            x5 = _DyadicBisection(s_sign, p, p, e)
-            x5.exact = True
-            return x5
+            return DyadicBracket(s4, p, p, e, exact=True)
         if lv == 0:
             return None  # two roots within one dyadic step: degenerate tie
         p, e = left_num, left_e  # witness was the decreasing-side root
     # s(1) = -n^2/4 < 0 and s(witness) > 0: unique crossing in between.
-    x5 = _DyadicBisection(s_sign, 1 << e, p, e)
+    x5 = DyadicBracket(s4, 1 << e, p, e)
     x5.refine(Fraction(1, 1 << 16))
     return x5
 
@@ -724,7 +652,7 @@ def _l_value(shape, x4, x5, ceil_cube: int) -> BoundOutcome:
     )
 
 
-def _l_upper_from_predicate(shape: SystemShape, x4: _DyadicBisection) -> BoundOutcome:
+def _l_upper_from_predicate(shape: SystemShape, x4: DyadicBracket) -> BoundOutcome:
     # Exact fallback for algebraically degenerate localizations.
     k = l_smallest_accepted_degree(shape)
     if k is not None:

@@ -303,7 +303,12 @@ def cmd_table(args: argparse.Namespace) -> int:
             if not chunk:
                 continue
             m_str, _, n_str = chunk.partition(":")
-            pairs.append((int(m_str), int(n_str)))
+            try:
+                pairs.append((int(m_str), int(n_str)))
+            except ValueError:
+                raise ValueError(
+                    f"bad --pairs entry {chunk!r}; expected M:N, e.g. 356:256"
+                ) from None
     n_values = [int(x) for x in args.n_values.split(",") if x.strip()] \
         if args.n_values else []
     columns = [c.strip() for c in args.columns.split(",")] if args.columns \
@@ -317,12 +322,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     ceiling = args.ceiling
     if args.max_N > ceiling:
-        print(
-            f"error: MAX_N={args.max_N} exceeds the cross-validation ceiling "
-            f"{ceiling} (raise with --ceiling)",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"MAX_N={args.max_N} exceeds the cross-validation "
+                         f"ceiling {ceiling} (raise with --ceiling)")
+    if args.max_N < 3:
+        # below 3 some suite has no case to check, and an empty suite passes
+        raise ValueError(f"MAX_N={args.max_N} is below 3, the smallest size "
+                         f"at which every suite checks a case")
     results = run_all(args.max_N, ceiling=ceiling, width=args.precision)
     for res in results:
         print(res.summary())

@@ -42,7 +42,8 @@ class SystemShape:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or not isinstance(self.n, int):
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (self.m, self.n)):
             raise ValueError("shape parameters m, n must be integers")
         if self.n < 1:
             raise ValueError(f"requires n >= 1 (at least one variable); got n={self.n}")

@@ -2,7 +2,8 @@
 
 Everything here manipulates pairs of exact rationals [lo, hi] guaranteed to
 contain the target real number.  Widths shrink as the `bits` argument grows;
-nothing is ever rounded in an uncontrolled direction.
+nothing is ever rounded in an uncontrolled direction.  DyadicBracket is the
+one bisection loop of the package: every certified root is located by it.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-__all__ = ["iroot", "Enclosure", "sqrt_enclosure", "nth_root_enclosure"]
+__all__ = ["iroot", "Enclosure", "DyadicBracket", "sqrt_enclosure", "nth_root_enclosure"]
 
 
 def iroot(x: int, r: int) -> int:
@@ -102,6 +104,63 @@ class Enclosure:
         if self.lo <= 0 <= self.hi:
             raise ValueError("reciprocal of an enclosure containing 0")
         return Enclosure(1 / self.hi, 1 / self.lo)
+
+
+class DyadicBracket:
+    """Sign-change bracket [num_lo, num_hi] / 2^e of an exact integer sign.
+
+    sign_at(p, e) returns an integer with the exact sign of the target
+    function at p / 2^e (only its sign is read); the target must be negative
+    at lo and positive at hi.  Each step evaluates the midpoint and keeps the
+    half that still changes sign.  A zero sign at a midpoint is an exact
+    root: the bracket collapses to that point and `exact` is set.
+    """
+
+    __slots__ = ("sign_at", "num_lo", "num_hi", "e", "exact")
+
+    def __init__(self, sign_at: Callable[[int, int], int], num_lo: int,
+                 num_hi: int, e: int, exact: bool = False):
+        self.sign_at = sign_at
+        self.num_lo = num_lo
+        self.num_hi = num_hi
+        self.e = e
+        self.exact = exact
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.num_lo, 1 << self.e)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.num_hi, 1 << self.e)
+
+    @property
+    def width(self) -> Fraction:
+        return Fraction(self.num_hi - self.num_lo, 1 << self.e)
+
+    def enclosure(self) -> Enclosure:
+        return Enclosure(self.lo, self.hi)
+
+    def step(self) -> None:
+        if self.exact:
+            return
+        mid = self.num_lo + self.num_hi  # numerator at exponent e + 1
+        sign = self.sign_at(mid, self.e + 1)
+        self.e += 1
+        if sign == 0:
+            self.num_lo = self.num_hi = mid
+            self.exact = True
+        elif sign < 0:
+            self.num_lo = mid
+            self.num_hi *= 2
+        else:
+            self.num_lo *= 2
+            self.num_hi = mid
+
+    def refine(self, width: Fraction) -> None:
+        """Step until the width is at most `width` or the root is hit."""
+        while not self.exact and self.width > width:
+            self.step()
 
 
 def sqrt_enclosure(x: Fraction | int, bits: int) -> Enclosure:

@@ -73,19 +73,6 @@ def eval_real(params: KrawtchoukParams, t: float) -> float:
     return cur
 
 
-def _eval_general_r(N: int, k: int, r: int, t: Fraction | int) -> Fraction:
-    # General-alphabet recurrence; exists so tests can pin the r = 2
-    # specialisation against it.  Not part of the public surface.
-    t = Fraction(t)
-    prev, cur = Fraction(1), N * (r - 1) - r * t
-    if k == 0:
-        return prev
-    for j in range(1, k):
-        prev, cur = cur, ((N * (r - 1) - j * (r - 2) - r * t) * cur
-                          - (r - 1) * (N - j + 1) * prev) / (j + 1)
-    return cur
-
-
 def integer_values(N: int, t: int, k_max: int) -> list[int]:
     """[K_0^N(t), ..., K_{k_max}^N(t)] for integer t, pure integer arithmetic.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import SystemShape
-from .intervals import Enclosure
+from .intervals import DyadicBracket, Enclosure
 from .krawtchouk import KrawtchoukParams, eval_integer
 
 __all__ = [
@@ -59,69 +59,31 @@ def _sign_at_dyadic(N: int, k: int, p: int, e: int) -> int:
     return (b_cur > 0) - (b_cur < 0)
 
 
-class _Bracket:
-    """Dyadic bracket around d_k(1): sign + at lo, sign - at hi, or an exact hit.
+def _root_sign(N: int, k: int):
+    # K_k is positive left of d_k(1); the bracket wants negative at lo.
+    return lambda p, e: -_sign_at_dyadic(N, k, p, e)
 
-    The right endpoint is certified to lie below d_k(2) at construction time
-    and bisection only ever moves it left, so the enclosed sign change is the
-    smallest root and no other.
-    """
 
-    __slots__ = ("num_lo", "num_hi", "e", "exact")
-
-    def __init__(self, num_lo: int, num_hi: int, e: int, exact: bool = False):
-        self.num_lo = num_lo
-        self.num_hi = num_hi
-        self.e = e
-        self.exact = exact
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.num_lo, 1 << self.e)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.num_hi, 1 << self.e)
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.num_hi - self.num_lo, 1 << self.e)
-
-    def _set_exact(self, num: int, e: int) -> None:
-        self.num_lo = self.num_hi = num
-        self.e = e
-        self.exact = True
-
-    def bisect_step(self, N: int, k: int) -> None:
-        if self.exact:
-            return
-        mid = self.num_lo + self.num_hi  # numerator at exponent e + 1
-        sign = _sign_at_dyadic(N, k, mid, self.e + 1)
-        if sign == 0:
-            self._set_exact(mid, self.e + 1)
-            return
-        self.num_lo *= 2
-        self.num_hi *= 2
-        self.e += 1
-        if sign > 0:
-            self.num_lo = mid
-        else:
-            self.num_hi = mid
-
-    def refine(self, N: int, k: int, width: Fraction) -> None:
-        # lo must end up strictly positive so the interval certifies 0 < root
-        while not self.exact and (self.width > width or self.num_lo == 0):
-            self.bisect_step(N, k)
+def _refine_root(br: DyadicBracket, width: Fraction) -> None:
+    """Refine a root bracket to `width`, then until lo > 0 certifies 0 < root."""
+    br.refine(width)
+    while not br.exact and br.num_lo == 0:
+        br.step()
 
 
 class _RootChain:
-    """Enclosures of d_k^N(1) for k = 1, 2, ... built through interlacing."""
+    """Enclosures of d_k^N(1) for k = 1, 2, ... built through interlacing.
+
+    Each bracket's right endpoint is certified below d_k(2) when it is made,
+    and bisection only moves it left, so the enclosed sign change is the
+    smallest root and no other.
+    """
 
     def __init__(self, N: int):
         self.N = N
-        self._brackets: list[_Bracket] = []
+        self._brackets: list[DyadicBracket] = []
 
-    def bracket(self, k: int) -> _Bracket:
+    def bracket(self, k: int) -> DyadicBracket:
         if not 1 <= k <= self.N:
             raise ValueError(f"requires 1 <= k <= N={self.N}; got k={k}")
         while len(self._brackets) < k:
@@ -133,27 +95,25 @@ class _RootChain:
         k = len(self._brackets) + 1
         if k == 1:
             # K_1(0) = N > 0 and K_1(N) = -N < 0; the single root is inside.
-            self._brackets.append(_Bracket(0, N, 0))
+            self._brackets.append(DyadicBracket(_root_sign(N, 1), 0, N, 0))
             return
         prev = self._brackets[-1]
         while True:
             sign = _sign_at_dyadic(N, k, prev.num_lo, prev.e)
-            if sign < 0:
-                # prev.lo <= d_{k-1}(1) < d_k(2), and K_k < 0 there, so the
-                # bracket (0, prev.lo) isolates d_k(1).
-                self._brackets.append(_Bracket(0, prev.num_lo, prev.e))
-                return
-            if sign == 0:
-                # A root of K_k at or below d_{k-1}(1) can only be d_k(1).
-                self._brackets.append(
-                    _Bracket(prev.num_lo, prev.num_lo, prev.e, exact=True)
-                )
+            if sign <= 0:
+                # prev.lo <= d_{k-1}(1) < d_k(2).  If K_k < 0 there, the
+                # bracket (0, prev.lo) isolates d_k(1); a root of K_k at or
+                # below d_{k-1}(1) can only be d_k(1) itself.
+                lo = 0 if sign < 0 else prev.num_lo
+                self._brackets.append(DyadicBracket(
+                    _root_sign(N, k), lo, prev.num_lo, prev.e, exact=sign == 0
+                ))
                 return
             if prev.exact:
                 raise AssertionError(
                     "K_k must be negative at the exact previous smallest root"
                 )
-            prev.bisect_step(N, k - 1)
+            prev.step()
 
     def interval(self, k: int) -> "RootInterval":
         br = self.bracket(k)
@@ -204,7 +164,7 @@ def smallest_root(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootInterv
     if k < 1:
         raise ValueError(f"requires k >= 1; got k={k}")
     chain = _RootChain(N)
-    chain.bracket(k).refine(N, k, Fraction(width))
+    _refine_root(chain.bracket(k), Fraction(width))
     return chain.interval(k)
 
 
@@ -216,7 +176,7 @@ def smallest_root_chain(
     chain.bracket(k_max)
     out = []
     for k in range(1, k_max + 1):
-        chain.bracket(k).refine(N, k, Fraction(width))
+        _refine_root(chain.bracket(k), Fraction(width))
         out.append(chain.interval(k))
     return out
 
@@ -246,7 +206,7 @@ def dreg_via_roots(
         if sign_at_t == 0:
             return k
         br = chain.bracket(k)
-        br.refine(N, k, width)
+        _refine_root(br, width)
         if not _decided_above(br, N, k, t, sign_at_t):
             return k
         k += 1
@@ -254,7 +214,7 @@ def dreg_via_roots(
             raise AssertionError("accept set cannot extend past degree N")
 
 
-def _decided_above(br: _Bracket, N: int, k: int, t: int, sign_at_t: int) -> bool:
+def _decided_above(br: DyadicBracket, N: int, k: int, t: int, sign_at_t: int) -> bool:
     """Certified comparison of the enclosed root against the integer t."""
     if br.exact:
         return br.lo > t
@@ -352,37 +312,26 @@ def largest_eigenvalue(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> Enclo
         raise ValueError(f"requires 1 <= k <= N={N}; got k={k}")
     if k == 1:
         return Enclosure.point(0)
-    width = Fraction(width)
-    num_lo, num_hi, e = 0, N, 0
-    while Fraction(num_hi - num_lo, 1 << e) > width:
-        mid = num_lo + num_hi  # numerator at exponent e + 1
-        count, singular = _sturm_count_below(N, k, mid, e + 1)
-        if singular and count == k - 1:
-            exact = Fraction(mid, 1 << (e + 1))
-            return Enclosure.point(exact)
-        num_lo *= 2
-        num_hi *= 2
-        e += 1
+
+    def sign_at(p: int, e: int) -> int:
+        # positive above lambda_k (all k eigenvalues lie below), zero at it
+        count, singular = _sturm_count_below(N, k, p, e)
         if count == k:
-            num_hi = mid
-        else:
-            num_lo = mid
-    return Enclosure(Fraction(num_lo, 1 << e), Fraction(num_hi, 1 << e))
+            return 1
+        return 0 if singular and count == k - 1 else -1
+
+    bracket = DyadicBracket(sign_at, 0, N, 0)
+    bracket.refine(Fraction(width))
+    return bracket.enclosure()
 
 
-def dreg_via_eigenvalues(
-    shape: SystemShape,
-    width: Fraction = DEFAULT_WIDTH,
-    ceiling: int = CROSS_VALIDATION_CEILING,
-) -> int:
+def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:
     """Degree of regularity recovered from the Golub-Kahan eigenvalue test.
 
     For each k the Sturm count at the integer threshold n decides exactly
     whether lambda_k < n (count == k).  A singular hit with count k - 1 means
     lambda_k = n, the tie case: it corresponds to K_k(m-n) = 0, is confirmed
-    through that sign, and the strict inequality excludes k.  The width
-    argument only controls enclosures materialized elsewhere; the decision
-    itself is exact integer arithmetic at every k.
+    through that sign, and the strict inequality excludes k.
     """
     N, n = shape.N, shape.n
     if N > ceiling:

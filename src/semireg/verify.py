@@ -15,6 +15,7 @@ from .bounds import kz_lower, l_upper, ls_lower, ls_upper
 from .exact import SystemShape, binomial, degree_of_regularity_exact
 from .krawtchouk import gf_identity_check, integer_values
 from .roots import (
+    _refine_root,
     _RootChain,
     dreg_via_eigenvalues,
     dreg_via_roots,
@@ -71,14 +72,14 @@ def check_interlacing(max_N: int, width: Fraction = Fraction(1, 1024)) -> CheckR
         prev = None
         for k in range(1, N + 1):
             br = chain.bracket(k)
-            br.refine(N, k, width)
+            _refine_root(br, width)
             if prev is not None:
                 w = width
                 while br.hi >= prev.lo:
                     # overlap: sharpen both until the strict order is visible
                     w /= 2
-                    prev.refine(N, k - 1, w)
-                    br.refine(N, k, w)
+                    _refine_root(prev, w)
+                    _refine_root(br, w)
                     if w < Fraction(1, 1 << 128):
                         return CheckResult(
                             "interlacing", checked, False,
@@ -133,7 +134,7 @@ def check_three_way_agreement(
     for shape in enumerate_shapes(max_N):
         d_exact = degree_of_regularity_exact(shape)
         d_roots = dreg_via_roots(shape, width=width, ceiling=ceiling)
-        d_eigen = dreg_via_eigenvalues(shape, width=width, ceiling=ceiling)
+        d_eigen = dreg_via_eigenvalues(shape, ceiling=ceiling)
         if not d_exact == d_roots == d_eigen:
             return CheckResult(
                 "three_way_agreement", checked, False,
@@ -154,11 +155,10 @@ def check_eigenvalue_root_duality(
         chain.bracket(N)
         for k in range(1, N + 1):
             br = chain.bracket(k)
-            br.refine(N, k, width)
-            root_mid = (br.lo + br.hi) / 2
-            root_width = br.hi - br.lo
+            _refine_root(br, width)
+            root = br.enclosure()
             lam = largest_eigenvalue(N, k, width)
-            if abs((N - 2 * root_mid) - lam.mid) > 2 * root_width + lam.width:
+            if abs((N - 2 * root.mid) - lam.mid) > 2 * root.width + lam.width:
                 return CheckResult(
                     "eigenvalue_root_duality", checked, False,
                     f"duality gap at N={N}, k={k}",

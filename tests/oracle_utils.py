@@ -2,8 +2,9 @@
 
 Each function here recomputes a quantity by a different route than the
 production code: brute-force polynomial expansion, Pascal's triangle,
-the explicit alternating sum.  They exist so expected values in tests are
-never produced by the code under test.
+the explicit alternating sum, the general-alphabet recurrence, rational
+bisection.  They exist so expected values in tests are never produced by the
+code under test.
 """
 
 from __future__ import annotations
@@ -68,3 +69,54 @@ def alternating_sum_value(N: int, k: int, t: Fraction, r: int = 2) -> Fraction:
                 * generalized_binomial(N - t, k - j))
         total += -term if j & 1 else term
     return total
+
+
+def eval_general_r(N: int, k: int, r: int, t: Fraction | int) -> Fraction:
+    """Degree-k polynomial at rational t for alphabet size r, by recurrence."""
+    t = Fraction(t)
+    prev, cur = Fraction(1), N * (r - 1) - r * t
+    if k == 0:
+        return prev
+    for j in range(1, k):
+        prev, cur = cur, ((N * (r - 1) - j * (r - 2) - r * t) * cur
+                          - (r - 1) * (N - j + 1) * prev) / (j + 1)
+    return cur
+
+
+def s_derivative_coefficients(N: int) -> list[int]:
+    """Coefficients of s'(x) for s(x) = x(x-1)^2(N - x^3) - n^2/4, ascending."""
+    return [N, -4 * N, 3 * N, -4, 10, -6]
+
+
+def one_minus_x_times_r_coefficients(N: int) -> list[int]:
+    """Coefficients of (1 - x) r(x), r(x) = 6x^4 - 4x^3 - 3Nx + N, ascending."""
+    r = [N, -3 * N, 0, -4, 6]
+    out = [0] * 6
+    for i, c in enumerate(r):
+        out[i] += c
+        out[i + 1] -= c
+    return out
+
+
+def fraction_quartic_positive_root(a: Fraction, b: Fraction, width: Fraction):
+    """(lo, hi) around the positive root of w^4 - a w + b by Fraction bisection.
+
+    Starts from [0, 2], doubling hi until q(hi) > 0; lo == hi marks an exact
+    dyadic root hit by a midpoint.
+    """
+    def q(w: Fraction) -> Fraction:
+        return w ** 4 - a * w + b
+
+    lo, hi = Fraction(0), Fraction(2)
+    while q(hi) <= 0:
+        hi *= 2
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = q(mid)
+        if v == 0:
+            return mid, mid
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

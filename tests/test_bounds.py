@@ -31,6 +31,14 @@ from semireg.bounds import (
     ls_upper,
     ls_upper_root_bound,
 )
+from semireg.bounds import _LS_BITS_SCHEDULE, _quartic_positive_root
+from semireg.intervals import sqrt_enclosure
+
+from oracle_utils import (
+    fraction_quartic_positive_root,
+    one_minus_x_times_r_coefficients,
+    s_derivative_coefficients,
+)
 
 
 def _grid_shapes():
@@ -137,6 +145,30 @@ def test_quartic_discriminant_closed_form_matches_sympy():
     w, a, b = sympy.symbols("w a b")
     disc = sympy.discriminant(w**4 - a * w + b, w)
     assert sympy.simplify(disc - (256 * b**3 - 27 * a**4)) == 0
+
+
+def test_integer_quartic_bisection_matches_fraction_reference():
+    # the corner quartics ls_lower bisects, at every width of its schedule
+    shapes = [SystemShape(24, 12), SystemShape(512, 256), SystemShape(32868, 32768),
+              SystemShape(65536, 32768), SystemShape(7, 6), *_grid_shapes()]
+    for shape in shapes:
+        a_sq = Fraction(shape.n * shape.n, 2 * shape.N)
+        for bits in _LS_BITS_SCHEDULE:
+            a_enc = sqrt_enclosure(a_sq, bits)
+            b_enc = -DEFAULT_AIRY.c_enclosure(bits)
+            width = Fraction(1, 1 << (bits // 2))
+            for a, b in ((a_enc.lo, b_enc.hi), (a_enc.hi, b_enc.lo)):
+                enc = _quartic_positive_root(a, b, width)
+                assert (enc.lo, enc.hi) == fraction_quartic_positive_root(a, b, width)
+
+
+def test_integer_quartic_bisection_exact_dyadic_root():
+    # w^4 - w/2 - 1/2 vanishes at w = 1, the first midpoint of [0, 2]
+    a, b = Fraction(1, 2), Fraction(-1, 2)
+    width = Fraction(1, 1 << 20)
+    assert fraction_quartic_positive_root(a, b, width) == (1, 1)
+    assert _quartic_positive_root(a, b, width).is_point
+    assert _quartic_positive_root(a, b, width).lo == 1
 
 
 def test_ls_lower_certified_interval_tightness():
@@ -285,8 +317,7 @@ def test_l_upper_root_bound_range():
 
 def test_sextic_derivative_factorization_identity():
     for N in (3, 36, 456, 1000):
-        assert SexticForm.s_derivative_coefficients(N) == \
-            SexticForm.one_minus_x_times_r_coefficients(N)
+        assert s_derivative_coefficients(N) == one_minus_x_times_r_coefficients(N)
     # cross-check the coefficient lists symbolically once
     x = sympy.Symbol("x")
     N_sym = sympy.Symbol("N", positive=True)

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from semireg.cli import build_table_spec, floor_n_log2_n, main
 
 
@@ -155,6 +157,15 @@ def test_table_rejects_invalid_generated_shape(capsys):
     assert "m > n" in err
 
 
+@pytest.mark.parametrize("pairs", ["5", "5:x,24:12", "24:12:3"])
+def test_table_rejects_malformed_pairs(capsys, pairs):
+    code, out, err = run_cli(capsys, "table", "--family", "explicit", "--pairs", pairs)
+    assert code == 2
+    assert out == ""
+    assert "--pairs" in err and "M:N" in err
+    assert "invalid literal" not in err
+
+
 def test_table_rejects_unknown_column(capsys):
     code, _, err = run_cli(capsys, "table", "--family", "2n",
                            "--n-values", "16", "--columns", "bogus")
@@ -188,9 +199,13 @@ def test_verify_small_passes(capsys):
     assert "6/6 suites passed" in out
 
 
-def test_verify_trivial_max_n(capsys):
-    code, out, _ = run_cli(capsys, "verify", "1")
-    assert code == 0
+@pytest.mark.parametrize("max_n", ["0", "-3", "1", "2"])
+def test_verify_trivial_max_n(capsys, max_n):
+    # below 3 some suite would check no case, so nothing may read as PASS
+    code, out, err = run_cli(capsys, "verify", max_n)
+    assert code == 2
+    assert "PASS" not in out
+    assert f"MAX_N={max_n}" in err
 
 
 def test_verify_ceiling_exceeded(capsys):

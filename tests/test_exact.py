@@ -26,7 +26,7 @@ def test_shape_derived_quantities():
     assert (s.N, s.t) == (36, 12)
 
 
-@pytest.mark.parametrize("m,n", [(12, 24), (5, 5), (1, 1), (3, 0), (2, -1)])
+@pytest.mark.parametrize("m,n", [(12, 24), (5, 5), (1, 1), (3, 0), (2, -1), (3, True)])
 def test_shape_rejects_non_overdetermined(m, n):
     with pytest.raises(ValueError):
         SystemShape(m, n)

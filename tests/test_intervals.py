@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semireg.intervals import Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
+from semireg.intervals import (
+    DyadicBracket,
+    Enclosure,
+    iroot,
+    nth_root_enclosure,
+    sqrt_enclosure,
+)
 
 
 # ---------------------------------------------------------------- iroot
@@ -97,3 +103,56 @@ def test_reciprocal_soundness_and_zero_guard():
     assert r.lo == 2 and r.hi == 4
     with pytest.raises(ValueError):
         Enclosure(Fraction(-1), Fraction(1)).reciprocal()
+
+
+# ---------------------------------------------------------------- dyadic bracket
+
+
+def _poly_sign(coeffs):
+    """Sign callback of the integer polynomial sum c_i w^i (ascending) at p/2^e."""
+    deg = len(coeffs) - 1
+
+    def sign_at(p, e):
+        v = sum(c * p ** i << (deg - i) * e for i, c in enumerate(coeffs))
+        return (v > 0) - (v < 0)
+
+    return sign_at
+
+
+def test_dyadic_bracket_hits_exact_root():
+    # w^4 + w - 2 vanishes at w = 1, the first midpoint of [0, 2]
+    br = DyadicBracket(_poly_sign([-2, 1, 0, 0, 1]), 0, 2, 0)
+    br.refine(Fraction(1, 1 << 30))
+    assert br.exact
+    assert (br.num_lo, br.num_hi, br.e) == (2, 2, 1)
+    assert br.lo == br.hi == 1
+    assert br.enclosure() == Enclosure.point(1)
+    br.step()  # an exact bracket no longer moves
+    assert br.enclosure() == Enclosure.point(1)
+
+
+@pytest.mark.parametrize("coeffs,root", [
+    ([-2, 0, 1], 2 ** 0.5),      # w^2 - 2 on [0, 2]
+    ([3, 0, -1], -(3 ** 0.5)),  # 3 - w^2 on [-2, 0]: negative numerators
+], ids=["sqrt2", "minus_sqrt3"])
+def test_dyadic_bracket_keeps_sign_orientation(coeffs, root):
+    sign_at = _poly_sign(coeffs)
+    lo = -2 if root < 0 else 0
+    br = DyadicBracket(sign_at, lo, lo + 2, 0)
+    for _ in range(40):
+        br.step()
+        assert not br.exact
+        assert sign_at(br.num_lo, br.e) < 0 < sign_at(br.num_hi, br.e)
+        assert br.lo < root < br.hi
+    assert br.width == Fraction(2, 1 << 40)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 7, 33])
+def test_dyadic_bracket_refine_stops_at_width(bits):
+    br = DyadicBracket(_poly_sign([-2, 0, 1]), 0, 3, 0)
+    width = Fraction(1, 1 << bits)
+    br.refine(width)
+    assert br.width <= width < 2 * br.width
+    e = br.e
+    br.refine(width)  # already narrow enough: no further step
+    assert br.e == e

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from semireg.exact import SystemShape, CoefficientSeries
 from semireg.krawtchouk import (
     KrawtchoukParams,
-    _eval_general_r,
     eval_exact,
     eval_integer,
     eval_real,
@@ -17,7 +16,7 @@ from semireg.krawtchouk import (
     orthogonality_check,
 )
 
-from oracle_utils import alternating_sum_value
+from oracle_utils import alternating_sum_value, eval_general_r
 
 
 def test_params_validation():
@@ -83,7 +82,7 @@ def test_eval_exact_matches_alternating_sum(N, data):
 def test_general_r_recurrence_specializes_to_binary(N, data):
     k = data.draw(st.integers(0, N))
     t = Fraction(data.draw(st.integers(0, 3 * N)), data.draw(st.integers(1, 5)))
-    assert _eval_general_r(N, k, 2, t) == eval_exact(KrawtchoukParams(N, k), t)
+    assert eval_general_r(N, k, 2, t) == eval_exact(KrawtchoukParams(N, k), t)
 
 
 @settings(max_examples=40, deadline=None)
