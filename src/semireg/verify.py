@@ -44,6 +44,12 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
+    def __post_init__(self) -> None:
+        # a suite that checked nothing has shown nothing
+        if self.passed and self.checked == 0:
+            object.__setattr__(self, "passed", False)
+            object.__setattr__(self, "detail", "no cases checked")
+
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f"  {self.detail}" if self.detail else ""
@@ -91,7 +97,7 @@ def check_interlacing(max_N: int, width: Fraction = Fraction(1, 1024)) -> CheckR
 
 
 def check_gf_identity(max_N: int) -> CheckResult:
-    """Coefficient stream equals the Krawtchouk value stream, exactly."""
+    """Krawtchouk value stream equals the generating-function product, exactly."""
     checked = 0
     for shape in enumerate_shapes(max_N):
         if not gf_identity_check(shape.m, shape.n, shape.N):
@@ -198,6 +204,9 @@ def run_all(
     width: Fraction = Fraction(1, 1024),
 ) -> list[CheckResult]:
     """The verification battery behind `semireg verify`."""
+    if max_N < 3:
+        raise ValueError(f"MAX_N={max_N} is below 3, the smallest size "
+                         f"at which every suite checks a case")
     return [
         check_interlacing(max_N, width=width),
         check_gf_identity(max_N),

@@ -95,13 +95,26 @@ def test_table_not_applicable_renders_dash(capsys):
     assert rows[1][5] == "-"  # LS_upper column
 
 
-def test_table_empty_n_values_header_only(capsys):
-    code, out, _ = run_cli(capsys, "table", "--family", "2n",
-                           "--n-values", "", "--format", "csv")
-    assert code == 0
-    rows = [r for r in csv.reader(io.StringIO(out)) if r]
-    assert len(rows) == 1
-    assert rows[0][0] == "n"
+@pytest.mark.parametrize("argv", [
+    ("--family", "2n", "--n-values", ""),
+    ("--family", "2n"),
+    ("--family", "n+100", "--n-values", " , "),
+], ids=["empty", "absent", "blank-chunks"])
+def test_table_empty_n_values_refused(capsys, argv):
+    # a sweep with no rows is a usage error, not an empty table
+    code, out, err = run_cli(capsys, "table", *argv, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "--n-values" in err
+
+
+@pytest.mark.parametrize("argv", [("--pairs", ""), ("--pairs", ","), ()],
+                         ids=["empty", "blank-chunks", "absent"])
+def test_table_explicit_without_pairs_refused(capsys, argv):
+    code, out, err = run_cli(capsys, "table", "--family", "explicit", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--pairs" in err
 
 
 def test_table_output_deterministic_all_formats(capsys):
@@ -163,6 +176,16 @@ def test_table_rejects_malformed_pairs(capsys, pairs):
     assert code == 2
     assert out == ""
     assert "--pairs" in err and "M:N" in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("n_values", ["8,x", "256;512", "2.5"])
+def test_table_rejects_malformed_n_values(capsys, n_values):
+    code, out, err = run_cli(capsys, "table", "--family", "2n", "--n-values", n_values)
+    assert code == 2
+    assert out == ""
+    bad = n_values.split(",")[-1]
+    assert f"bad --n-values entry {bad!r}" in err and "integer" in err
     assert "invalid literal" not in err
 
 

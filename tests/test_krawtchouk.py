@@ -1,13 +1,15 @@
 """Tests for binary Krawtchouk evaluation and the classical identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semireg.exact import SystemShape, CoefficientSeries
+from semireg.exact import SystemShape, CoefficientSeries, krawtchouk_stream
 from semireg.krawtchouk import (
     KrawtchoukParams,
+    cleared_values,
     eval_exact,
     eval_integer,
     eval_real,
@@ -93,6 +95,32 @@ def test_integer_argument_yields_integer(N, data):
     v = eval_exact(KrawtchoukParams(N, k), t)
     assert v.denominator == 1
     assert eval_integer(N, k, t) == v
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_cleared_kernel_matches_alternating_sum(N, data):
+    # B_j = j! d^j K_j(x) at rational x = num/d, s = d (N - 2x), d2 = d^2
+    k = data.draw(st.integers(0, N))
+    x = Fraction(data.draw(st.integers(-3 * N, 3 * N)), data.draw(st.integers(1, 12)))
+    d = x.denominator
+    row = cleared_values(N, d * N - 2 * x.numerator, d * d, k)
+    assert len(row) == k + 1
+    for j, b in enumerate(row):
+        assert b == math.factorial(j) * d ** j * alternating_sum_value(N, j, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_stream_matches_alternating_sum(N, data):
+    x = data.draw(st.integers(-N, 2 * N))
+    row = list(krawtchouk_stream(N, N - 2 * x))
+    assert row == [alternating_sum_value(N, k, x) for k in range(N + 1)]
+
+
+def test_stream_requires_integer_point():
+    with pytest.raises(ValueError):
+        next(krawtchouk_stream(36, 11))
 
 
 def test_degree_one_linearity_in_rational_argument():
