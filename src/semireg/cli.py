@@ -127,9 +127,13 @@ def build_table_spec(
             raise ValueError(
                 f"unknown family {family!r}; expected n+<int>, <int>n, nlog2n or explicit"
             )
+    read, unread, ignored = (("--pairs", "--n-values", n_values) if family == "explicit"
+                             else ("--n-values", "--pairs", pairs))
+    if ignored:
+        raise ValueError(f"family {family!r} does not read {unread}; "
+                         f"its rows come from {read}")
     if not rows:
-        missing = "--pairs" if family == "explicit" else "--n-values"
-        raise ValueError(f"family {family!r} requires at least one entry in {missing}")
+        raise ValueError(f"family {family!r} requires at least one entry in {read}")
     for m, n in rows:
         SystemShape(m, n)  # raises on m <= n, surfacing bad family parameters
     return TableSpec(family=label, pairs=tuple(rows), columns=tuple(columns),
@@ -331,7 +335,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_N > ceiling:
         raise ValueError(f"MAX_N={args.max_N} exceeds the cross-validation "
                          f"ceiling {ceiling} (raise with --ceiling)")
-    results = run_all(args.max_N, ceiling=ceiling, width=args.precision)
+    results = run_all(args.max_N, width=args.precision)
     for res in results:
         print(res.summary())
     failed = [r for r in results if not r.passed]
@@ -411,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cross-validation size ceiling (default %(default)s)")
     p_verify.add_argument("--precision", type=_fraction_arg,
                           default=Fraction(1, 10 ** 6), metavar="RATIONAL",
-                          help="enclosure width target (default %(default)s)")
+                          help="enclosure width of the interlacing and duality "
+                               "suites (default %(default)s)")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

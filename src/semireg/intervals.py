@@ -141,26 +141,51 @@ class DyadicBracket:
     def enclosure(self) -> Enclosure:
         return Enclosure(self.lo, self.hi)
 
+    def _cut(self, num: int, sign: int) -> None:
+        """Move an endpoint to num / 2^e, a point where the target has `sign`."""
+        if sign == 0:
+            self.num_lo = self.num_hi = num
+            self.exact = True
+        elif sign < 0:
+            self.num_lo = num
+        else:
+            self.num_hi = num
+
     def step(self) -> None:
         if self.exact:
             return
         mid = self.num_lo + self.num_hi  # numerator at exponent e + 1
         sign = self.sign_at(mid, self.e + 1)
+        self.num_lo *= 2
+        self.num_hi *= 2
         self.e += 1
-        if sign == 0:
-            self.num_lo = self.num_hi = mid
-            self.exact = True
-        elif sign < 0:
-            self.num_lo = mid
-            self.num_hi *= 2
-        else:
-            self.num_lo *= 2
-            self.num_hi = mid
+        self._cut(mid, sign)
 
     def refine(self, width: Fraction) -> None:
         """Step until the width is at most `width` or the root is hit."""
         while not self.exact and self.width > width:
             self.step()
+
+    def compare(self, x: int, width: Fraction) -> int:
+        """Sign of (root - x) for an integer x, certified by the bracket.
+
+        Bisects while x lies strictly inside a bracket wider than `width`.
+        If x is still inside after that, x itself becomes the bisection
+        point: its exact sign moves an endpoint onto x, and a zero is the
+        tie root == x.  sign_at is only ever called inside the bracket.
+        """
+        while not self.exact:
+            x_num = x << self.e
+            if x_num <= self.num_lo:
+                return 1
+            if x_num >= self.num_hi:
+                return -1
+            if self.width > width:
+                self.step()
+            else:
+                self._cut(x_num, self.sign_at(x, 0))
+        root = self.num_lo - (x << self.e)
+        return (root > 0) - (root < 0)
 
 
 def sqrt_enclosure(x: Fraction | int, bits: int) -> Enclosure:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .exact import SystemShape
 from .intervals import DyadicBracket, Enclosure
-from .krawtchouk import KrawtchoukParams, cleared_values, eval_integer
+from .krawtchouk import KrawtchoukParams, cleared_values
 
 __all__ = [
     "DEFAULT_WIDTH",
@@ -170,55 +170,24 @@ def smallest_root_chain(
     return out
 
 
-def dreg_via_roots(
-    shape: SystemShape,
-    width: Fraction = DEFAULT_WIDTH,
-    ceiling: int = CROSS_VALIDATION_CEILING,
-) -> int:
+def dreg_via_roots(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:
     """Degree of regularity recovered from certified smallest-root enclosures.
 
-    Walks k = 1, 2, ... while the enclosure of d_k(1) lies strictly above
-    t = m - n.  When an enclosure straddles t it is refined with t itself as
-    the pivot, whose exact sign settles the side; K_k(t) = 0 is the tie
-    d_k(1) = t, which the strict comparison excludes.
+    Walks k = 1, 2, ... while the bracket of d_k(1) certifies d_k(1) > t,
+    t = m - n.  The bracket decides by bisection; only when t stays inside it
+    at DEFAULT_WIDTH does the exact sign at t settle the side, and a zero
+    there is the tie d_k(1) = t, which the strict comparison excludes.
     """
     N, t = shape.N, shape.t
     if N > ceiling:
         raise ValueError(
             f"N={N} exceeds the cross-validation ceiling {ceiling}"
         )
-    width = Fraction(width)
     chain = _RootChain(N)
-    k = 1
-    while True:
-        sign_at_t = _sign_at_dyadic(N, k, t, 0)
-        if sign_at_t == 0:
+    for k in range(1, N + 1):
+        if chain.bracket(k).compare(t, DEFAULT_WIDTH) <= 0:
             return k
-        br = chain.bracket(k)
-        _refine_root(br, width)
-        if not _decided_above(br, N, k, t, sign_at_t):
-            return k
-        k += 1
-        if k > N:
-            raise AssertionError("accept set cannot extend past degree N")
-
-
-def _decided_above(br: DyadicBracket, N: int, k: int, t: int, sign_at_t: int) -> bool:
-    """Certified comparison of the enclosed root against the integer t."""
-    if br.exact:
-        return br.lo > t
-    if br.lo >= t:
-        return True
-    if br.hi <= t:
-        return False
-    # t lies inside the bracket; adopt it as a bisection point.  Inside the
-    # bracket t < d_k(2), so a positive sign certifies t < d_k(1).
-    t_num = t << br.e
-    if sign_at_t > 0:
-        br.num_lo = t_num
-        return True
-    br.num_hi = t_num
-    return False
+    raise AssertionError("accept set cannot extend past degree N")
 
 
 def _sturm_count_below(N: int, k: int, p: int, e: int) -> tuple[int, bool]:
@@ -285,17 +254,11 @@ class GolubKahanSpectrum:
         )
 
 
-def largest_eigenvalue(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> Enclosure:
-    """Certified enclosure of the largest eigenvalue lambda_k, width <= width.
+def _eigen_bracket(N: int, k: int) -> DyadicBracket:
+    """Bracket [0, N] of lambda_k (k >= 2), signed by Sturm counts.
 
-    Bisection on [0, N]: the matrix has zero trace so lambda_k >= 0, and
-    lambda_k = N - 2 d_k(1) < N.  An exact rational eigenvalue hit collapses
-    to a point enclosure.
+    The matrix has zero trace, so lambda_k > 0, and lambda_k = N - 2 d_k(1) < N.
     """
-    if not 1 <= k <= N:
-        raise ValueError(f"requires 1 <= k <= N={N}; got k={k}")
-    if k == 1:
-        return Enclosure.point(0)
 
     def sign_at(p: int, e: int) -> int:
         # positive above lambda_k (all k eigenvalues lie below), zero at it
@@ -304,7 +267,19 @@ def largest_eigenvalue(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> Enclo
             return 1
         return 0 if singular and count == k - 1 else -1
 
-    bracket = DyadicBracket(sign_at, 0, N, 0)
+    return DyadicBracket(sign_at, 0, N, 0)
+
+
+def largest_eigenvalue(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> Enclosure:
+    """Certified enclosure of the largest eigenvalue lambda_k, width <= width.
+
+    An exact rational eigenvalue hit collapses to a point enclosure.
+    """
+    if not 1 <= k <= N:
+        raise ValueError(f"requires 1 <= k <= N={N}; got k={k}")
+    if k == 1:
+        return Enclosure.point(0)
+    bracket = _eigen_bracket(N, k)
     bracket.refine(Fraction(width))
     return bracket.enclosure()
 
@@ -312,27 +287,17 @@ def largest_eigenvalue(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> Enclo
 def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:
     """Degree of regularity recovered from the Golub-Kahan eigenvalue test.
 
-    For each k the Sturm count at the integer threshold n decides exactly
-    whether lambda_k < n (count == k).  A singular hit with count k - 1 means
-    lambda_k = n, the tie case: it corresponds to K_k(m-n) = 0, is confirmed
-    through that sign, and the strict inequality excludes k.
+    lambda_1 = 0 < n always; for k >= 2 the bracket of lambda_k decides
+    lambda_k < n by bisection, and only when n stays inside it at
+    DEFAULT_WIDTH does the Sturm count at n settle the side.  A singular hit
+    there is the tie lambda_k = n, which the strict inequality excludes.
     """
     N, n = shape.N, shape.n
     if N > ceiling:
         raise ValueError(
             f"N={N} exceeds the cross-validation ceiling {ceiling}"
         )
-    k = 1
-    while True:
-        count, singular = _sturm_count_below(N, k, n, 0)
-        if count == k:
-            k += 1
-            if k > N:
-                raise AssertionError("accept set cannot extend past degree N")
-            continue
-        if singular and count == k - 1:
-            if eval_integer(N, k, shape.t) != 0:
-                raise AssertionError(
-                    "lambda_k = n must coincide with a vanishing Krawtchouk value"
-                )
-        return k
+    for k in range(2, N + 1):
+        if _eigen_bracket(N, k).compare(n, DEFAULT_WIDTH) >= 0:
+            return k
+    raise AssertionError("accept set cannot extend past degree N")

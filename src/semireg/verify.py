@@ -129,18 +129,13 @@ def check_orthogonality(max_N: int) -> CheckResult:
     return CheckResult("orthogonality", checked, True)
 
 
-def check_three_way_agreement(
-    max_N: int,
-    ceiling: int | None = None,
-    width: Fraction = Fraction(1, 1024),
-) -> CheckResult:
+def check_three_way_agreement(max_N: int) -> CheckResult:
     """degree_of_regularity_exact == dreg_via_roots == dreg_via_eigenvalues."""
     checked = 0
-    ceiling = ceiling if ceiling is not None else max(max_N, 1)
     for shape in enumerate_shapes(max_N):
         d_exact = degree_of_regularity_exact(shape)
-        d_roots = dreg_via_roots(shape, width=width, ceiling=ceiling)
-        d_eigen = dreg_via_eigenvalues(shape, ceiling=ceiling)
+        d_roots = dreg_via_roots(shape, ceiling=max_N)
+        d_eigen = dreg_via_eigenvalues(shape, ceiling=max_N)
         if not d_exact == d_roots == d_eigen:
             return CheckResult(
                 "three_way_agreement", checked, False,
@@ -198,12 +193,11 @@ def check_sandwich(shapes: Iterable[SystemShape]) -> CheckResult:
     return CheckResult("sandwich", checked, True)
 
 
-def run_all(
-    max_N: int,
-    ceiling: int | None = None,
-    width: Fraction = Fraction(1, 1024),
-) -> list[CheckResult]:
-    """The verification battery behind `semireg verify`."""
+def run_all(max_N: int, width: Fraction = Fraction(1, 1024)) -> list[CheckResult]:
+    """The verification battery behind `semireg verify`.
+
+    `width` is the enclosure width of the interlacing and duality suites.
+    """
     if max_N < 3:
         raise ValueError(f"MAX_N={max_N} is below 3, the smallest size "
                          f"at which every suite checks a case")
@@ -211,7 +205,7 @@ def run_all(
         check_interlacing(max_N, width=width),
         check_gf_identity(max_N),
         check_orthogonality(max_N),
-        check_three_way_agreement(max_N, ceiling=ceiling, width=width),
+        check_three_way_agreement(max_N),
         check_eigenvalue_root_duality(max_N, width=width),
         check_sandwich(enumerate_shapes(max_N)),
     ]

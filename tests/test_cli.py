@@ -117,6 +117,18 @@ def test_table_explicit_without_pairs_refused(capsys, argv):
     assert "--pairs" in err
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (("--family", "explicit", "--pairs", "24:12", "--n-values", "5"), "--n-values"),
+    (("--family", "2n", "--n-values", "64", "--pairs", "24:12"), "--pairs"),
+], ids=["explicit-n-values", "generated-pairs"])
+def test_table_refuses_unread_option(capsys, argv, unread):
+    # an option the family does not read is an error, not silently dropped
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"does not read {unread}" in err
+
+
 def test_table_output_deterministic_all_formats(capsys):
     for fmt in ("md", "csv", "json"):
         args = ("table", "--family", "8n", "--n-values", "256,512", "--format", fmt)
@@ -241,7 +253,7 @@ def test_verify_reports_failure_exit_code(capsys, monkeypatch):
     from semireg import cli as cli_mod
     from semireg.verify import CheckResult
 
-    def fake_run_all(max_N, ceiling=None, width=None):
+    def fake_run_all(max_N, width=None):  # run_all's signature: a stale keyword fails
         return [CheckResult("interlacing", 3, True),
                 CheckResult("sandwich", 7, False, "violated at m=9, n=4")]
 

@@ -156,3 +156,69 @@ def test_dyadic_bracket_refine_stops_at_width(bits):
     e = br.e
     br.refine(width)  # already narrow enough: no further step
     assert br.e == e
+
+
+# ---------------------------------------------------------------- compare
+
+
+def _recording(sign_at):
+    """The callback, and the list of points p / 2^e it is evaluated at."""
+    points = []
+
+    def recorded(p, e):
+        points.append(Fraction(p, 1 << e))
+        return sign_at(p, e)
+
+    return recorded, points
+
+
+@pytest.mark.parametrize("x,expected", [(-1, 1), (0, 1), (2, -1), (5, -1)])
+def test_compare_outside_the_bracket_evaluates_nothing(x, expected):
+    # sqrt(2) in [0, 2]: x at or beyond an endpoint is decided at once
+    sign_at, points = _recording(_poly_sign([-2, 0, 1]))
+    br = DyadicBracket(sign_at, 0, 2, 0)
+    assert br.compare(x, Fraction(1, 1 << 20)) == expected
+    assert points == []
+
+
+def test_compare_decided_by_bisection_alone():
+    # sqrt(2) in [0, 3]: midpoints 3/2, 3/4, 9/8 leave 1 below the bracket
+    sign_at, points = _recording(_poly_sign([-2, 0, 1]))
+    br = DyadicBracket(sign_at, 0, 3, 0)
+    assert br.compare(1, Fraction(1, 1 << 20)) == 1
+    assert points == [Fraction(3, 2), Fraction(3, 4), Fraction(9, 8)]
+    assert br.lo == Fraction(9, 8) and not br.exact
+
+
+def test_compare_x_hit_as_midpoint():
+    # sqrt(2) in [0, 2]: the first midpoint is x = 1 itself
+    sign_at, points = _recording(_poly_sign([-2, 0, 1]))
+    br = DyadicBracket(sign_at, 0, 2, 0)
+    assert br.compare(1, Fraction(1, 1 << 20)) == 1
+    assert points == [1]
+    assert (br.num_lo, br.e) == (2, 1)
+
+
+@pytest.mark.parametrize("x,expected,lo,hi", [(1, 1, 1, 3), (2, -1, 0, 2)])
+def test_compare_pivot_moves_an_endpoint(x, expected, lo, hi):
+    # the bracket [0, 3] is already narrow enough: x itself is the pivot
+    sign_at, points = _recording(_poly_sign([-2, 0, 1]))
+    br = DyadicBracket(sign_at, 0, 3, 0)
+    assert br.compare(x, Fraction(3)) == expected
+    assert points == [x]
+    assert (br.lo, br.hi, br.exact) == (lo, hi, False)
+
+
+def test_compare_tie_settled_by_pivot():
+    # root 1 in [0, 3]: the midpoints 3/2, 3/4, 9/8, ... never reach 1, so
+    # bisection runs to the width and the pivot at 1 finds the zero
+    sign_at, points = _recording(_poly_sign([-1, 1]))
+    br = DyadicBracket(sign_at, 0, 3, 0)
+    width = Fraction(1, 1 << 10)
+    assert br.compare(1, width) == 0
+    assert 1 not in points[:-1] and points[-1] == 1
+    assert len(points) == 12 + 1  # 3 / 2^12 <= width < 3 / 2^11, then the pivot
+    assert br.exact and br.lo == br.hi == 1
+    # the collapsed bracket answers every later comparison without evaluating
+    assert [br.compare(x, width) for x in (0, 1, 2)] == [1, 0, -1]
+    assert len(points) == 13

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semireg.roots as roots_mod
 from semireg.exact import SystemShape, degree_of_regularity_exact
-from semireg.krawtchouk import KrawtchoukParams, eval_exact
+from semireg.krawtchouk import KrawtchoukParams, eval_exact, eval_integer
 from semireg.roots import (
     GolubKahanSpectrum,
     RootInterval,
@@ -19,6 +20,7 @@ from semireg.roots import (
     smallest_root,
     smallest_root_chain,
 )
+from semireg.verify import enumerate_shapes
 
 WIDTH = Fraction(1, 10**6)
 
@@ -175,3 +177,33 @@ def test_tie_shapes_where_threshold_is_hit_exactly():
         assert eval_exact(KrawtchoukParams(s.N, d), s.t) == 0
         assert dreg_via_roots(s) == d
         assert dreg_via_eigenvalues(s) == d
+
+
+def test_routes_decide_from_their_brackets_not_the_threshold(monkeypatch):
+    # The cleared values at (s, d2) = (n, 1) are the evaluations at the integer
+    # threshold (t for the roots, n for the eigenvalues): j! c_j, the integers
+    # the exact route reads.  Negated, they would mislead a route that decides
+    # from them; away from a tie neither route may read them at all.
+    real = roots_mod.cleared_values
+    current = {}
+    threshold_reads = []
+
+    def misleading(N, s, d2, k):
+        out = real(N, s, d2, k)
+        if (s, d2) == (current["shape"].n, 1):
+            threshold_reads.append(current["shape"])
+            return [-v for v in out]
+        return out
+
+    monkeypatch.setattr(roots_mod, "cleared_values", misleading)
+    checked = 0
+    for shape in enumerate_shapes(30):
+        d = degree_of_regularity_exact(shape)
+        if eval_integer(shape.N, d, shape.t) == 0:
+            continue  # a tie: the pivot must read the threshold
+        current["shape"] = shape
+        assert dreg_via_roots(shape) == d, shape
+        assert dreg_via_eigenvalues(shape) == d, shape
+        checked += 1
+    assert checked == 186
+    assert threshold_reads == []
