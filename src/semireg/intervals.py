@@ -166,6 +166,40 @@ class DyadicBracket:
         while not self.exact and self.width > width:
             self.step()
 
+    def narrow(self, guess: float, width: Fraction) -> bool:
+        """Jump to the dyadic window of width <= `width` holding a float guess.
+
+        The window [a, a + 1] / 2^f, a = floor(guess 2^f), is accepted only
+        when it lies inside the bracket and sign_at is exactly negative at its
+        lo and positive at its hi; a zero at either end is an exact root and
+        collapses the bracket onto it.  Otherwise the bracket is left
+        untouched and False is returned, so the caller falls back to `step`:
+        the float only seeds the bracket, the two exact signs decide it.  A
+        non-finite guess, or a window outside the bracket, is rejected
+        without evaluating.
+        """
+        if self.exact or not math.isfinite(guess):
+            return False
+        # the smallest f >= e with 2^-f <= width
+        e = max(self.e, ((width.denominator - 1) // width.numerator).bit_length())
+        num, den = guess.as_integer_ratio()
+        lo = (num << e) // den
+        shift = e - self.e
+        if not self.num_lo << shift <= lo < lo + 1 <= self.num_hi << shift:
+            return False
+        sign_lo = self.sign_at(lo, e)
+        if sign_lo > 0:
+            return False
+        sign_hi = 0 if sign_lo == 0 else self.sign_at(lo + 1, e)
+        if sign_hi < 0:
+            return False
+        self.num_lo, self.num_hi, self.e = lo, lo + 1, e
+        if sign_lo == 0:
+            self._cut(lo, 0)
+        elif sign_hi == 0:
+            self._cut(lo + 1, 0)
+        return True
+
     def compare(self, x: int, width: Fraction) -> int:
         """Sign of (root - x) for an integer x, certified by the bracket.
 

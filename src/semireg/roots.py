@@ -10,15 +10,20 @@ Two independent re-derivations of the degree of regularity live here:
   off-diagonal entries sqrt((i+1)(N-i)).  Eigenvalues are counted by Sturm
   sequences of the leading principal minors.
 
-All bisection points are dyadic rationals, so every sign and every count is
-an exact integer computation; no comparison is ever made in floating point.
+All evaluation points are dyadic rationals, so every sign and every count is
+an exact integer computation.  Floats only seed: a Newton estimate of d_k(1)
+picks a short dyadic window (`DyadicBracket.narrow`), which is used only when
+two exact signs, or two Sturm counts, certify it, and bisection takes over
+when they do not; no decision reads a float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import kz_root_bound
 from .exact import SystemShape
 from .intervals import DyadicBracket, Enclosure
 from .krawtchouk import KrawtchoukParams, cleared_values
@@ -53,19 +58,57 @@ def _root_sign(N: int, k: int):
     return lambda p, e: -_sign_at_dyadic(N, k, p, e)
 
 
-def _refine_root(br: DyadicBracket, width: Fraction) -> None:
-    """Refine a root bracket to `width`, then until lo > 0 certifies 0 < root."""
-    br.refine(width)
-    while not br.exact and br.num_lo == 0:
-        br.step()
+def _krawtchouk_slope(N: int, k: int, x: float) -> tuple[float, float]:
+    """Float K_k^N(x) / C(N, k) and its derivative.
+
+    Dividing K_j by C(N, j) gives the recurrence
+    (N - j) k_{j+1} = (N - 2x) k_j - j k_{j-1}, whose values stay within
+    [-1, 1] on [0, N], so it cannot overflow at any N.
+    """
+    a = N - 2.0 * x
+    prev, cur, dprev, dcur = 1.0, a / N, 0.0, -2.0 / N
+    for j in range(1, k):
+        prev, cur, dprev, dcur = (
+            cur, (a * cur - j * prev) / (N - j),
+            dcur, (a * dcur - 2.0 * cur - j * dprev) / (N - j),
+        )
+    return cur, dcur
+
+
+def _root_seed(N: int, k: int, lo: float, hi: float) -> float:
+    """Float estimate of d_k^N(1) in [lo, hi] by Newton's method.
+
+    It starts at kz_root_bound, which is below d_k(1), when 2k < N and the
+    bound lies inside, else at lo.  K_k has k real roots, so from any x left
+    of the smallest one the Newton steps 1 / sum(1 / (r_i - x)) are positive
+    and shrink as the iterates climb to it; iteration stops at the first
+    step that is not positive or does not shrink, where rounding has taken
+    over.  Only a seed: nothing is decided from this value.
+    """
+    x = kz_root_bound(N, k) if 2 * k < N else lo
+    if not lo < x < hi:
+        x = lo
+    step = math.inf
+    while True:
+        value, slope = _krawtchouk_slope(N, k, x)
+        if not slope or not 0 < -value / slope < step:
+            return x
+        step = -value / slope
+        x += step
+
+
+def _guess_in(N: int, k: int, br: DyadicBracket) -> float:
+    """Newton seed for d_k(1) from the float endpoints of its bracket."""
+    scale = 1 << br.e
+    return _root_seed(N, k, br.num_lo / scale, br.num_hi / scale)
 
 
 class _RootChain:
     """Enclosures of d_k^N(1) for k = 1, 2, ... built through interlacing.
 
     Each bracket's right endpoint is certified below d_k(2) when it is made,
-    and bisection only moves it left, so the enclosed sign change is the
-    smallest root and no other.
+    and bisection or a seeded window only moves it left, so the enclosed
+    sign change is the smallest root and no other.
     """
 
     def __init__(self, N: int):
@@ -79,6 +122,16 @@ class _RootChain:
             self._extend()
         return self._brackets[k - 1]
 
+    def refine(self, k: int, width: Fraction) -> DyadicBracket:
+        """Bracket k refined to `width`, then until lo > 0 certifies 0 < root."""
+        N, br = self.N, self.bracket(k)
+        if not br.exact and br.width > width \
+                and not br.narrow(_guess_in(N, k, br), width):
+            br.refine(width)
+        while not br.exact and br.num_lo == 0:
+            br.step()
+        return br
+
     def _extend(self) -> None:
         N = self.N
         k = len(self._brackets) + 1
@@ -87,12 +140,18 @@ class _RootChain:
             self._brackets.append(DyadicBracket(_root_sign(N, 1), 0, N, 0))
             return
         prev = self._brackets[-1]
+        # prev.lo <= d_{k-1}(1) < d_k(2), so a window below prev.lo where K_k
+        # changes sign isolates d_k(1); the seeded window is tried first.
+        br = DyadicBracket(_root_sign(N, k), 0, prev.num_lo, prev.e)
+        if br.narrow(_guess_in(N, k, br), DEFAULT_WIDTH):
+            self._brackets.append(br)
+            return
         while True:
             sign = _sign_at_dyadic(N, k, prev.num_lo, prev.e)
             if sign <= 0:
-                # prev.lo <= d_{k-1}(1) < d_k(2).  If K_k < 0 there, the
-                # bracket (0, prev.lo) isolates d_k(1); a root of K_k at or
-                # below d_{k-1}(1) can only be d_k(1) itself.
+                # If K_k < 0 at prev.lo, the bracket (0, prev.lo) isolates
+                # d_k(1); a root of K_k at or below d_{k-1}(1) can only be
+                # d_k(1) itself.
                 lo = 0 if sign < 0 else prev.num_lo
                 self._brackets.append(DyadicBracket(
                     _root_sign(N, k), lo, prev.num_lo, prev.e, exact=sign == 0
@@ -113,8 +172,8 @@ class _RootChain:
 class RootInterval:
     """Certified rational enclosure of the smallest root d_k^N(1).
 
-    lo == hi marks an exact rational root (bisection landed on it); otherwise
-    K_k is positive at lo and negative at hi.
+    lo == hi marks an exact rational root (an evaluation point landed on
+    it); otherwise K_k is positive at lo and negative at hi.
     """
 
     params: KrawtchoukParams
@@ -153,7 +212,7 @@ def smallest_root(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootInterv
     if k < 1:
         raise ValueError(f"requires k >= 1; got k={k}")
     chain = _RootChain(N)
-    _refine_root(chain.bracket(k), Fraction(width))
+    chain.refine(k, Fraction(width))
     return chain.interval(k)
 
 
@@ -162,10 +221,9 @@ def smallest_root_chain(
 ) -> list[RootInterval]:
     """Enclosures of d_k^N(1) for all k = 1..k_max off one shared chain."""
     chain = _RootChain(N)
-    chain.bracket(k_max)
     out = []
     for k in range(1, k_max + 1):
-        _refine_root(chain.bracket(k), Fraction(width))
+        chain.refine(k, Fraction(width))
         out.append(chain.interval(k))
     return out
 
@@ -279,8 +337,13 @@ def largest_eigenvalue(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> Enclo
         raise ValueError(f"requires 1 <= k <= N={N}; got k={k}")
     if k == 1:
         return Enclosure.point(0)
+    width = Fraction(width)
     bracket = _eigen_bracket(N, k)
-    bracket.refine(Fraction(width))
+    # lambda_k = N - 2 d_k(1) < N: the root's float seed seeds the
+    # eigenvalue, kept below N where a tiny root would round it onto N
+    guess = min(N - 2 * _root_seed(N, k, 0.0, N / 2), math.nextafter(N, 0))
+    if not bracket.narrow(guess, width):
+        bracket.refine(width)
     return bracket.enclosure()
 
 

@@ -15,7 +15,6 @@ from .bounds import kz_lower, l_upper, ls_lower, ls_upper
 from .exact import SystemShape, binomial, degree_of_regularity_exact
 from .krawtchouk import gf_identity_check, integer_values
 from .roots import (
-    _refine_root,
     _RootChain,
     dreg_via_eigenvalues,
     dreg_via_roots,
@@ -56,13 +55,65 @@ class CheckResult:
         return f"{self.name}: {status} ({self.checked} cases){extra}"
 
 
-def enumerate_shapes(max_N: int, min_n: int = 1) -> Iterator[SystemShape]:
+def enumerate_shapes(max_N: int) -> Iterator[SystemShape]:
     """All valid shapes (m, n) with 2m - n <= max_N, ordered by (n, m)."""
-    for n in range(min_n, max_N):
+    for n in range(1, max_N):
         m = n + 1
         while 2 * m - n <= max_N:
             yield SystemShape(m, n)
             m += 1
+
+
+def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:
+    """Run chain suites side by side off one root chain per N = 2..max_N.
+
+    Each suite is (name, check) with check(chain, width) -> (cases passed,
+    failure detail or "").  Every bracket of a chain is refined to `width`
+    once and read by all suites; a suite stops at its first failure, and
+    only one N's chain is alive at a time.
+    """
+    checked = [0] * len(suites)
+    failure = [""] * len(suites)
+    for N in range(2, max_N + 1):
+        chain = _RootChain(N)
+        for k in range(1, N + 1):
+            chain.refine(k, width)
+        for i, (_, check) in enumerate(suites):
+            if not failure[i]:
+                passed, failure[i] = check(chain, width)
+                checked[i] += passed
+        if all(failure):
+            break
+    return [CheckResult(name, n, not fail, fail)
+            for (name, _), n, fail in zip(suites, checked, failure)]
+
+
+def _interlacing(chain: _RootChain, width: Fraction) -> tuple[int, str]:
+    N = chain.N
+    for k in range(2, N + 1):
+        w = width
+        while chain.bracket(k).hi >= chain.bracket(k - 1).lo:
+            # overlap: sharpen both until the strict order is visible
+            w /= 2
+            chain.refine(k - 1, w)
+            chain.refine(k, w)
+            if w < Fraction(1, 1 << 128):
+                return k - 2, f"could not separate roots at N={N}, k={k}"
+    return N - 1, ""
+
+
+def _duality(chain: _RootChain, width: Fraction) -> tuple[int, str]:
+    N = chain.N
+    for k in range(1, N + 1):
+        root = chain.bracket(k).enclosure()
+        lam = largest_eigenvalue(N, k, width)
+        if abs((N - 2 * root.mid) - lam.mid) > 2 * root.width + lam.width:
+            return k - 1, f"duality gap at N={N}, k={k}"
+    return N, ""
+
+
+_INTERLACING = ("interlacing", _interlacing)
+_DUALITY = ("eigenvalue_root_duality", _duality)
 
 
 def check_interlacing(max_N: int, width: Fraction = Fraction(1, 1024)) -> CheckResult:
@@ -71,29 +122,7 @@ def check_interlacing(max_N: int, width: Fraction = Fraction(1, 1024)) -> CheckR
     Adjacent enclosures are refined until disjoint, so the comparison is
     certified, not approximate.
     """
-    checked = 0
-    for N in range(2, max_N + 1):
-        chain = _RootChain(N)
-        chain.bracket(N)
-        prev = None
-        for k in range(1, N + 1):
-            br = chain.bracket(k)
-            _refine_root(br, width)
-            if prev is not None:
-                w = width
-                while br.hi >= prev.lo:
-                    # overlap: sharpen both until the strict order is visible
-                    w /= 2
-                    _refine_root(prev, w)
-                    _refine_root(br, w)
-                    if w < Fraction(1, 1 << 128):
-                        return CheckResult(
-                            "interlacing", checked, False,
-                            f"could not separate roots at N={N}, k={k}",
-                        )
-                checked += 1
-            prev = br
-    return CheckResult("interlacing", checked, True)
+    return _chain_suites(max_N, width, _INTERLACING)[0]
 
 
 def check_gf_identity(max_N: int) -> CheckResult:
@@ -149,23 +178,15 @@ def check_three_way_agreement(max_N: int) -> CheckResult:
 def check_eigenvalue_root_duality(
     max_N: int, width: Fraction = Fraction(1, 1024)
 ) -> CheckResult:
-    """|(N - 2 mid(d_k(1))) - mid(lambda_k)| <= sum of enclosure widths."""
-    checked = 0
-    for N in range(2, max_N + 1):
-        chain = _RootChain(N)
-        chain.bracket(N)
-        for k in range(1, N + 1):
-            br = chain.bracket(k)
-            _refine_root(br, width)
-            root = br.enclosure()
-            lam = largest_eigenvalue(N, k, width)
-            if abs((N - 2 * root.mid) - lam.mid) > 2 * root.width + lam.width:
-                return CheckResult(
-                    "eigenvalue_root_duality", checked, False,
-                    f"duality gap at N={N}, k={k}",
-                )
-            checked += 1
-    return CheckResult("eigenvalue_root_duality", checked, True)
+    """lambda_k = N - 2 d_k(1), checked on enclosures of width <= `width`.
+
+    Passes when |(N - 2 mid(d_k(1))) - mid(lambda_k)| <= 2 width(d_k(1)) +
+    width(lambda_k): the sum of the widths of the two enclosures of
+    lambda_k, where N - 2 d_k(1) doubles the width of the root's enclosure
+    (hence the factor 2).  Two enclosures of one value have midpoints at
+    most half that sum apart, so a pass is certain when both enclosures hold.
+    """
+    return _chain_suites(max_N, width, _DUALITY)[0]
 
 
 def check_sandwich(shapes: Iterable[SystemShape]) -> CheckResult:
@@ -201,11 +222,13 @@ def run_all(max_N: int, width: Fraction = Fraction(1, 1024)) -> list[CheckResult
     if max_N < 3:
         raise ValueError(f"MAX_N={max_N} is below 3, the smallest size "
                          f"at which every suite checks a case")
+    # interlacing and duality read the same chains, built once per N
+    interlacing, duality = _chain_suites(max_N, width, _INTERLACING, _DUALITY)
     return [
-        check_interlacing(max_N, width=width),
+        interlacing,
         check_gf_identity(max_N),
         check_orthogonality(max_N),
         check_three_way_agreement(max_N),
-        check_eigenvalue_root_duality(max_N, width=width),
+        duality,
         check_sandwich(enumerate_shapes(max_N)),
     ]

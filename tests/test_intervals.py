@@ -222,3 +222,90 @@ def test_compare_tie_settled_by_pivot():
     # the collapsed bracket answers every later comparison without evaluating
     assert [br.compare(x, width) for x in (0, 1, 2)] == [1, 0, -1]
     assert len(points) == 13
+
+
+# ---------------------------------------------------------------- narrow
+
+
+def _square_sign(num, den):
+    """Sign callback of w^2 - num/den at p/2^e, in integers: root sqrt(num/den)."""
+
+    def sign_at(p, e):
+        v = den * p * p - (num << 2 * e)
+        return (v > 0) - (v < 0)
+
+    return sign_at
+
+
+def _encloses(br, num, den):
+    # 0 <= lo <= sqrt(num/den) <= hi, compared through squares
+    return 0 <= br.lo and den * br.lo ** 2 <= num <= den * br.hi ** 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (9, 4), (9, 1)]),  # sqrt 2, 3/2, 3 in [0, 4]
+    st.integers(0, 12),
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(-1, 5),
+        st.tuples(st.just("near"), st.floats(-1e-4, 1e-4)),
+        st.tuples(st.just("near"), st.floats(-1e-12, 1e-12)),
+    ),
+    st.integers(0, 60),
+)
+def test_narrow_keeps_the_root_and_evaluates_twice_at_most(root, steps, guess, bits):
+    num, den = root
+    if isinstance(guess, tuple):  # an offset from the float root
+        guess = (num / den) ** 0.5 + guess[1]
+    sign_at, points = _recording(_square_sign(num, den))
+    br = DyadicBracket(sign_at, 0, 4, 0)
+    for _ in range(steps):
+        br.step()
+    before = (br.num_lo, br.num_hi, br.e, br.exact)
+    del points[:]
+    width = Fraction(1, 1 << bits)
+    accepted = br.narrow(guess, width)
+    assert _encloses(br, num, den)
+    assert len(points) <= 2
+    if accepted:
+        assert br.width <= width
+        assert br.exact == (br.lo == br.hi)
+    else:
+        assert (br.num_lo, br.num_hi, br.e, br.exact) == before
+
+
+@pytest.mark.parametrize("guess", [float("nan"), float("inf"), -float("inf"), -0.5, 4.5])
+def test_narrow_rejects_unusable_guess_without_evaluating(guess):
+    sign_at, points = _recording(_square_sign(2, 1))
+    br = DyadicBracket(sign_at, 0, 4, 0)
+    assert not br.narrow(guess, Fraction(1, 1 << 20))
+    assert points == []
+    assert (br.num_lo, br.num_hi, br.e) == (0, 4, 0)
+
+
+def test_narrow_window_from_a_good_guess():
+    sign_at, points = _recording(_square_sign(2, 1))
+    br = DyadicBracket(sign_at, 0, 4, 0)
+    assert br.narrow(2 ** 0.5, Fraction(1, 10 ** 6))
+    assert len(points) == 2 and not br.exact
+    assert br.e == 20 and br.num_hi - br.num_lo == 1  # 2^-20 <= 1e-6 < 2^-19
+    assert br.lo ** 2 < 2 < br.hi ** 2
+
+
+def test_narrow_wrong_guess_leaves_bracket():
+    # w^2 - 2 is already positive at 1.5, the window's lo: one sign rejects it
+    sign_at, points = _recording(_square_sign(2, 1))
+    br = DyadicBracket(sign_at, 0, 4, 0)
+    assert not br.narrow(1.5, Fraction(1, 1 << 20))
+    assert points == [Fraction(3, 2)]
+    assert (br.num_lo, br.num_hi, br.e) == (0, 4, 0)
+
+
+def test_narrow_collapses_onto_an_exact_root():
+    # 3/2 is dyadic: the window's lo lands on it and its zero collapses
+    sign_at, points = _recording(_square_sign(9, 4))
+    br = DyadicBracket(sign_at, 0, 4, 0)
+    assert br.narrow(1.5, Fraction(1, 1 << 20))
+    assert points == [Fraction(3, 2)]
+    assert br.exact and br.lo == br.hi == Fraction(3, 2)

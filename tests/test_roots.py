@@ -20,7 +20,7 @@ from semireg.roots import (
     smallest_root,
     smallest_root_chain,
 )
-from semireg.verify import enumerate_shapes
+from semireg.verify import enumerate_shapes, run_all
 
 WIDTH = Fraction(1, 10**6)
 
@@ -207,3 +207,79 @@ def test_routes_decide_from_their_brackets_not_the_threshold(monkeypatch):
         checked += 1
     assert checked == 186
     assert threshold_reads == []
+
+
+# ---------------------------------------------------------------- float seeds
+
+SEED_WIDTH = Fraction(1, 1 << 20)
+# (suite, cases, passed) of run_all(20); bisection alone gives the same
+RUN_ALL_20 = [("interlacing", 190, True), ("gf_identity", 90, True),
+              ("orthogonality", 1770, True), ("three_way_agreement", 90, True),
+              ("eigenvalue_root_duality", 209, True), ("sandwich", 90, True)]
+
+
+def _overlap(a, b):
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
+def _refuse_windows(mp):
+    mp.setattr(roots_mod.DyadicBracket, "narrow", lambda self, guess, width: False)
+
+
+@pytest.fixture(scope="module")
+def bisected():
+    """Root and eigenvalue enclosures at N = 36 by bisection alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_windows(mp)
+        chain = smallest_root_chain(36, 36, SEED_WIDTH)
+        eigen = [largest_eigenvalue(36, k, SEED_WIDTH) for k in range(1, 37)]
+        assert [(r.name, r.checked, r.passed) for r in run_all(20)] == RUN_ALL_20
+    return chain, eigen
+
+
+@pytest.mark.parametrize("seed", [
+    lambda N, k, lo, hi: lo + 0.375,  # wrong: a window away from the root
+    lambda N, k, lo, hi: math.nan,
+    lambda N, k, lo, hi: math.inf,
+    lambda N, k, lo, hi: -1.0,        # outside every root and eigenvalue bracket
+], ids=["wrong", "nan", "inf", "outside"])
+def test_bad_float_seed_falls_back_to_bisection(monkeypatch, bisected, seed):
+    accepted = []
+    narrow = roots_mod.DyadicBracket.narrow
+
+    def recorded(self, guess, width):
+        accepted.append(narrow(self, guess, width))
+        return accepted[-1]
+
+    monkeypatch.setattr(roots_mod, "_root_seed", seed)
+    monkeypatch.setattr(roots_mod.DyadicBracket, "narrow", recorded)
+    chain_ref, eigen_ref = bisected
+    chain = smallest_root_chain(36, 36, SEED_WIDTH)
+    for ri, ref in zip(chain, chain_ref):
+        assert ri.width <= SEED_WIDTH and _overlap(ri, ref)
+    for k, ref in enumerate(eigen_ref, 1):
+        enc = largest_eigenvalue(36, k, SEED_WIDTH)
+        assert enc.width <= SEED_WIDTH and _overlap(enc, ref)
+    assert False in accepted  # the fallback path ran
+    assert [(r.name, r.checked, r.passed) for r in run_all(20)] == RUN_ALL_20
+
+
+def test_float_seed_settles_most_brackets(monkeypatch):
+    # the real seed's windows are accepted: two signs per bracket instead of
+    # about twenty bisection steps
+    evaluations = []
+    real = roots_mod.cleared_values
+
+    def counted(*args):
+        evaluations.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(roots_mod, "cleared_values", counted)
+    assert [(r.name, r.checked, r.passed) for r in run_all(20)] == RUN_ALL_20
+    del evaluations[:]
+    smallest_root_chain(36, 36, SEED_WIDTH)
+    seeded = len(evaluations)
+    _refuse_windows(monkeypatch)
+    del evaluations[:]
+    smallest_root_chain(36, 36, SEED_WIDTH)
+    assert 3 * seeded < len(evaluations)

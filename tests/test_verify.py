@@ -1,9 +1,12 @@
 """The verify battery refuses to pass on nothing and catches a faulty stream."""
 
+from collections import Counter
+
 import pytest
 
 import semireg.exact
 import semireg.krawtchouk
+import semireg.verify
 from semireg.verify import CheckResult, check_gf_identity, check_orthogonality, \
     check_sandwich, run_all
 
@@ -42,3 +45,19 @@ def test_gf_identity_catches_corrupted_stream(monkeypatch):
     assert not res.passed
     assert res.detail == "mismatch at m=10, n=4"
     assert check_gf_identity(15).passed  # below the corrupted shape
+
+
+def test_chain_suites_share_one_chain_per_n(monkeypatch):
+    # interlacing and duality read the same root chain: one per N, not two
+    built = Counter()
+    chain_class = semireg.verify._RootChain
+
+    class Counted(chain_class):
+        def __init__(self, N):
+            built[N] += 1
+            super().__init__(N)
+
+    monkeypatch.setattr(semireg.verify, "_RootChain", Counted)
+    results = run_all(30)
+    assert all(r.passed for r in results)
+    assert built == Counter(range(2, 31))
