@@ -572,7 +572,7 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
             c_lo, c_hi = math.ceil(lo3), math.ceil(hi3)
             if c_lo == c_hi:
                 return _l_value(shape, x4, x5, c_lo)
-        if x5.width < _L_WIDTH_CAP:
+        if x5._width_sign(_L_WIDTH_CAP) < 0:
             return _l_upper_from_predicate(shape, x4)
         x5.step()
 
@@ -608,7 +608,7 @@ def _certify_max_sign(shape: SystemShape, x4: DyadicBracket):
         scale = Fraction(1 << 6 * (x4.e + 1))
         if Fraction(v) + 4 * m_total * x4.width * scale < 0:
             return False, None
-        if x4.width < _L_WIDTH_CAP:
+        if x4._width_sign(_L_WIDTH_CAP) < 0:
             return None, None
         x4.step()
 

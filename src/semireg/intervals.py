@@ -141,6 +141,12 @@ class DyadicBracket:
     def enclosure(self) -> Enclosure:
         return Enclosure(self.lo, self.hi)
 
+    def _width_sign(self, width: Fraction) -> int:
+        """Sign of (self.width - width), compared in integers."""
+        a = (self.num_hi - self.num_lo) * width.denominator
+        b = width.numerator << self.e
+        return (a > b) - (a < b)
+
     def _cut(self, num: int, sign: int) -> None:
         """Move an endpoint to num / 2^e, a point where the target has `sign`."""
         if sign == 0:
@@ -163,7 +169,7 @@ class DyadicBracket:
 
     def refine(self, width: Fraction) -> None:
         """Step until the width is at most `width` or the root is hit."""
-        while not self.exact and self.width > width:
+        while not self.exact and self._width_sign(width) > 0:
             self.step()
 
     def narrow(self, guess: float, width: Fraction) -> bool:
@@ -214,7 +220,7 @@ class DyadicBracket:
                 return 1
             if x_num >= self.num_hi:
                 return -1
-            if self.width > width:
+            if self._width_sign(width) > 0:
                 self.step()
             else:
                 self._cut(x_num, self.sign_at(x, 0))

@@ -125,7 +125,7 @@ class _RootChain:
     def refine(self, k: int, width: Fraction) -> DyadicBracket:
         """Bracket k refined to `width`, then until lo > 0 certifies 0 < root."""
         N, br = self.N, self.bracket(k)
-        if not br.exact and br.width > width \
+        if not br.exact and br._width_sign(width) > 0 \
                 and not br.narrow(_guess_in(N, k, br), width):
             br.refine(width)
         while not br.exact and br.num_lo == 0:
@@ -236,13 +236,16 @@ def dreg_via_roots(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) 
     at DEFAULT_WIDTH does the exact sign at t settle the side, and a zero
     there is the tie d_k(1) = t, which the strict comparison excludes.
     """
-    N, t = shape.N, shape.t
-    if N > ceiling:
+    if shape.N > ceiling:
         raise ValueError(
-            f"N={N} exceeds the cross-validation ceiling {ceiling}"
+            f"N={shape.N} exceeds the cross-validation ceiling {ceiling}"
         )
-    chain = _RootChain(N)
-    for k in range(1, N + 1):
+    return _dreg_from_chain(_RootChain(shape.N), shape.t)
+
+
+def _dreg_from_chain(chain: _RootChain, t: int) -> int:
+    """The first k whose bracket certifies d_k(1) <= t."""
+    for k in range(1, chain.N + 1):
         if chain.bracket(k).compare(t, DEFAULT_WIDTH) <= 0:
             return k
     raise AssertionError("accept set cannot extend past degree N")
@@ -328,6 +331,21 @@ def _eigen_bracket(N: int, k: int) -> DyadicBracket:
     return DyadicBracket(sign_at, 0, N, 0)
 
 
+def _eigen_brackets(N: int) -> dict[int, DyadicBracket]:
+    """The brackets of lambda_k for k = 2..N, keyed by k."""
+    return {k: _eigen_bracket(N, k) for k in range(2, N + 1)}
+
+
+def _refine_eigen(N: int, k: int, bracket: DyadicBracket, width: Fraction) -> Enclosure:
+    """Enclosure of lambda_k (k >= 2) from its bracket refined to `width`."""
+    # lambda_k = N - 2 d_k(1) < N: the root's float seed seeds the
+    # eigenvalue, kept below N where a tiny root would round it onto N
+    guess = min(N - 2 * _root_seed(N, k, 0.0, N / 2), math.nextafter(N, 0))
+    if not bracket.narrow(guess, width):
+        bracket.refine(width)
+    return bracket.enclosure()
+
+
 def largest_eigenvalue(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> Enclosure:
     """Certified enclosure of the largest eigenvalue lambda_k, width <= width.
 
@@ -337,14 +355,7 @@ def largest_eigenvalue(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> Enclo
         raise ValueError(f"requires 1 <= k <= N={N}; got k={k}")
     if k == 1:
         return Enclosure.point(0)
-    width = Fraction(width)
-    bracket = _eigen_bracket(N, k)
-    # lambda_k = N - 2 d_k(1) < N: the root's float seed seeds the
-    # eigenvalue, kept below N where a tiny root would round it onto N
-    guess = min(N - 2 * _root_seed(N, k, 0.0, N / 2), math.nextafter(N, 0))
-    if not bracket.narrow(guess, width):
-        bracket.refine(width)
-    return bracket.enclosure()
+    return _refine_eigen(N, k, _eigen_bracket(N, k), Fraction(width))
 
 
 def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:
@@ -355,12 +366,16 @@ def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEI
     DEFAULT_WIDTH does the Sturm count at n settle the side.  A singular hit
     there is the tie lambda_k = n, which the strict inequality excludes.
     """
-    N, n = shape.N, shape.n
-    if N > ceiling:
+    if shape.N > ceiling:
         raise ValueError(
-            f"N={N} exceeds the cross-validation ceiling {ceiling}"
+            f"N={shape.N} exceeds the cross-validation ceiling {ceiling}"
         )
-    for k in range(2, N + 1):
-        if _eigen_bracket(N, k).compare(n, DEFAULT_WIDTH) >= 0:
+    return _dreg_from_eigen(_eigen_brackets(shape.N), shape.n)
+
+
+def _dreg_from_eigen(brackets: dict[int, DyadicBracket], n: int) -> int:
+    """The first k >= 2 whose bracket certifies lambda_k >= n."""
+    for k, bracket in brackets.items():
+        if bracket.compare(n, DEFAULT_WIDTH) >= 0:
             return k
     raise AssertionError("accept set cannot extend past degree N")

@@ -13,13 +13,10 @@ from typing import Iterable, Iterator
 
 from .bounds import kz_lower, l_upper, ls_lower, ls_upper
 from .exact import SystemShape, binomial, degree_of_regularity_exact
+from .intervals import Enclosure
 from .krawtchouk import gf_identity_check, integer_values
-from .roots import (
-    _RootChain,
-    dreg_via_eigenvalues,
-    dreg_via_roots,
-    largest_eigenvalue,
-)
+from .roots import (DEFAULT_WIDTH, _RootChain, _dreg_from_chain, _dreg_from_eigen,
+                    _eigen_brackets, _refine_eigen)
 
 __all__ = [
     "CheckResult",
@@ -65,22 +62,21 @@ def enumerate_shapes(max_N: int) -> Iterator[SystemShape]:
 
 
 def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:
-    """Run chain suites side by side off one root chain per N = 2..max_N.
+    """Run chain suites side by side off one pass per N = 2..max_N.
 
-    Each suite is (name, check) with check(chain, width) -> (cases passed,
-    failure detail or "").  Every bracket of a chain is refined to `width`
-    once and read by all suites; a suite stops at its first failure, and
-    only one N's chain is alive at a time.
+    The pass for N builds one root chain and one bracket of lambda_k per
+    k >= 2; every suite reads the same ones, and only one N's brackets are
+    alive at a time.  Each suite is (name, check) with check(chain, eigen,
+    width) -> (cases passed, failure detail or ""), and stops at its first
+    failure.
     """
     checked = [0] * len(suites)
     failure = [""] * len(suites)
     for N in range(2, max_N + 1):
-        chain = _RootChain(N)
-        for k in range(1, N + 1):
-            chain.refine(k, width)
+        chain, eigen = _RootChain(N), _eigen_brackets(N)
         for i, (_, check) in enumerate(suites):
             if not failure[i]:
-                passed, failure[i] = check(chain, width)
+                passed, failure[i] = check(chain, eigen, width)
                 checked[i] += passed
         if all(failure):
             break
@@ -88,8 +84,10 @@ def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:
             for (name, _), n, fail in zip(suites, checked, failure)]
 
 
-def _interlacing(chain: _RootChain, width: Fraction) -> tuple[int, str]:
+def _interlacing(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
     N = chain.N
+    for k in range(1, N + 1):
+        chain.refine(k, width)
     for k in range(2, N + 1):
         w = width
         while chain.bracket(k).hi >= chain.bracket(k - 1).lo:
@@ -102,14 +100,44 @@ def _interlacing(chain: _RootChain, width: Fraction) -> tuple[int, str]:
     return N - 1, ""
 
 
-def _duality(chain: _RootChain, width: Fraction) -> tuple[int, str]:
+def _duality(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
     N = chain.N
     for k in range(1, N + 1):
-        root = chain.bracket(k).enclosure()
-        lam = largest_eigenvalue(N, k, width)
+        root = chain.refine(k, width).enclosure()
+        # lambda_1 = 0, the only eigenvalue of the 1 x 1 zero matrix
+        lam = _refine_eigen(N, k, eigen[k], width) if k > 1 else Enclosure.point(0)
         if abs((N - 2 * root.mid) - lam.mid) > 2 * root.width + lam.width:
             return k - 1, f"duality gap at N={N}, k={k}"
     return N, ""
+
+
+def _three_way(max_N: int):
+    """The three-way suite on the shared pass, as (name, check).
+
+    A shape of smaller n can sit at a larger N, so the first failure in
+    enumerate_shapes' (n, m) order is known only at N = max_N: the check
+    reports nothing before then, and after a failure it checks only the
+    shapes of smaller n.
+    """
+    first = (max_N, 0, "")  # n, m, detail of the first failure; n = max_N is past every shape
+
+    def check(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
+        nonlocal first
+        N = chain.N
+        for n in range(2 - N % 2, min(N, first[0]), 2):
+            shape = SystemShape((N + n) // 2, n)
+            d_exact = degree_of_regularity_exact(shape)
+            d_roots = _dreg_from_chain(chain, shape.t)
+            d_eigen = _dreg_from_eigen(eigen, n)
+            if not d_exact == d_roots == d_eigen:
+                first = (n, shape.m, f"m={shape.m}, n={n}: exact={d_exact}, "
+                                     f"roots={d_roots}, eigenvalues={d_eigen}")
+                break
+        if N < max_N:
+            return 0, ""
+        return sum((s.n, s.m) < first[:2] for s in enumerate_shapes(max_N)), first[2]
+
+    return "three_way_agreement", check
 
 
 _INTERLACING = ("interlacing", _interlacing)
@@ -160,19 +188,7 @@ def check_orthogonality(max_N: int) -> CheckResult:
 
 def check_three_way_agreement(max_N: int) -> CheckResult:
     """degree_of_regularity_exact == dreg_via_roots == dreg_via_eigenvalues."""
-    checked = 0
-    for shape in enumerate_shapes(max_N):
-        d_exact = degree_of_regularity_exact(shape)
-        d_roots = dreg_via_roots(shape, ceiling=max_N)
-        d_eigen = dreg_via_eigenvalues(shape, ceiling=max_N)
-        if not d_exact == d_roots == d_eigen:
-            return CheckResult(
-                "three_way_agreement", checked, False,
-                f"m={shape.m}, n={shape.n}: exact={d_exact}, "
-                f"roots={d_roots}, eigenvalues={d_eigen}",
-            )
-        checked += 1
-    return CheckResult("three_way_agreement", checked, True)
+    return _chain_suites(max_N, DEFAULT_WIDTH, _three_way(max_N))[0]
 
 
 def check_eigenvalue_root_duality(
@@ -222,13 +238,14 @@ def run_all(max_N: int, width: Fraction = Fraction(1, 1024)) -> list[CheckResult
     if max_N < 3:
         raise ValueError(f"MAX_N={max_N} is below 3, the smallest size "
                          f"at which every suite checks a case")
-    # interlacing and duality read the same chains, built once per N
-    interlacing, duality = _chain_suites(max_N, width, _INTERLACING, _DUALITY)
+    # duality refines the eigen brackets before three-way compares on them
+    interlacing, duality, three_way = _chain_suites(
+        max_N, width, _INTERLACING, _DUALITY, _three_way(max_N))
     return [
         interlacing,
         check_gf_identity(max_N),
         check_orthogonality(max_N),
-        check_three_way_agreement(max_N),
+        three_way,
         duality,
         check_sandwich(enumerate_shapes(max_N)),
     ]

@@ -12,6 +12,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import semireg.verify
+from semireg.roots import dreg_via_eigenvalues, dreg_via_roots
+from semireg.verify import CheckResult, enumerate_shapes
+
 
 def pascal_binomial(a: int, b: int) -> int:
     """C(a, b) from Pascal's triangle, no multiplication."""
@@ -120,3 +124,24 @@ def fraction_quartic_positive_root(a: Fraction, b: Fraction, width: Fraction):
         else:
             hi = mid
     return lo, hi
+
+
+def three_way_reference(max_N: int) -> CheckResult:
+    """The three-way suite shape by shape in (n, m) order, each route from scratch.
+
+    The exact route is read through `semireg.verify`, so a test that patches
+    it there patches this reference too.
+    """
+    checked = 0
+    for shape in enumerate_shapes(max_N):
+        d_exact = semireg.verify.degree_of_regularity_exact(shape)
+        d_roots = dreg_via_roots(shape, ceiling=max_N)
+        d_eigen = dreg_via_eigenvalues(shape, ceiling=max_N)
+        if not d_exact == d_roots == d_eigen:
+            return CheckResult(
+                "three_way_agreement", checked, False,
+                f"m={shape.m}, n={shape.n}: exact={d_exact}, "
+                f"roots={d_roots}, eigenvalues={d_eigen}",
+            )
+        checked += 1
+    return CheckResult("three_way_agreement", checked, True)

@@ -158,6 +158,28 @@ def test_dyadic_bracket_refine_stops_at_width(bits):
     assert br.e == e
 
 
+def _width_target(data, width: Fraction, e: int) -> Fraction:
+    kind = data.draw(st.sampled_from(["millionth", "random", "equal", "near"]))
+    if kind == "millionth":
+        return Fraction(1, 10**6)
+    if kind == "random":
+        return data.draw(st.fractions(min_value=0, max_value=1 << 72,
+                                      max_denominator=10**30))
+    if kind == "equal":
+        return width
+    # a non-dyadic target a hair off the width, on either side
+    return width + data.draw(st.sampled_from([-1, 1])) * Fraction(1, 3 << (e + 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 1 << 80),
+       st.integers(0, 300), st.data())
+def test_width_sign_matches_the_fraction_comparison(num_lo, span, e, data):
+    br = DyadicBracket(lambda p, e: 1, num_lo, num_lo + span, e)
+    width = _width_target(data, br.width, e)
+    assert br._width_sign(width) == (br.width > width) - (br.width < width)
+
+
 # ---------------------------------------------------------------- compare
 
 

@@ -20,7 +20,7 @@ from semireg.roots import (
     smallest_root,
     smallest_root_chain,
 )
-from semireg.verify import enumerate_shapes, run_all
+from semireg.verify import check_three_way_agreement, enumerate_shapes, run_all
 
 WIDTH = Fraction(1, 10**6)
 
@@ -206,6 +206,31 @@ def test_routes_decide_from_their_brackets_not_the_threshold(monkeypatch):
         assert dreg_via_eigenvalues(shape) == d, shape
         checked += 1
     assert checked == 186
+    assert threshold_reads == []
+
+
+def test_shared_pass_decides_from_its_brackets_not_the_threshold(monkeypatch):
+    # The suite path of the test above: every shape of one N reads that N's
+    # shared brackets.  The threshold evaluations of the non-tie shapes are
+    # negated; the tie shapes keep theirs, which their pivots must read.
+    real = roots_mod.cleared_values
+    shapes = list(enumerate_shapes(30))
+    non_tie = {(s.N, s.n) for s in shapes
+               if eval_integer(s.N, degree_of_regularity_exact(s), s.t) != 0}
+    assert len(non_tie) == 186
+    threshold_reads = []
+
+    def misleading(N, s, d2, k):
+        out = real(N, s, d2, k)
+        if d2 == 1 and (N, s) in non_tie:
+            threshold_reads.append((N, s))
+            return [-v for v in out]
+        return out
+
+    monkeypatch.setattr(roots_mod, "cleared_values", misleading)
+    res = check_three_way_agreement(30)
+    assert (res.checked, res.passed) == (len(shapes), True)
+    assert run_all(30)[3] == res
     assert threshold_reads == []
 
 
