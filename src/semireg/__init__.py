@@ -21,11 +21,9 @@ from .krawtchouk import (
     eval_real,
     eval_integer,
     gf_identity_check,
-    orthogonality_check,
 )
 from .roots import (
     RootInterval,
-    GolubKahanSpectrum,
     smallest_root,
     smallest_root_chain,
     dreg_via_roots,
@@ -64,9 +62,7 @@ __all__ = [
     "eval_real",
     "eval_integer",
     "gf_identity_check",
-    "orthogonality_check",
     "RootInterval",
-    "GolubKahanSpectrum",
     "smallest_root",
     "smallest_root_chain",
     "dreg_via_roots",

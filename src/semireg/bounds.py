@@ -11,7 +11,12 @@ the smallest Krawtchouk root d_k^N(1) against the threshold t = m - n:
 * ls_upper  : ceiling formula from a quadratic discriminant condition,
   certified by an exact integer predicate; may be structurally inapplicable.
 * l_upper   : ceiling of x5^3 where x5 is a root of a sextic located by
-  exact-sign bisection; two structural inapplicability reasons.
+  exact-sign bisection below a stationary point x4 of it; two structural
+  inapplicability reasons.
+
+The quartic root of ls_lower and the stationary point x4 of l_upper are
+bracketed from float Newton seeds, kept only when two exact signs certify
+the seeded dyadic window, and bisected otherwise; no float decides.
 
 Because the localizations in the literature are strict inequalities, a bound
 is allowed to attain the threshold exactly (accept sets use >= / <=).
@@ -28,7 +33,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .exact import SystemShape
 from .intervals import DyadicBracket, Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
@@ -147,6 +152,7 @@ class AiryConstant:
     def i1_enclosure(self) -> Enclosure:
         return Enclosure(self.i1 - self.precision_radius, self.i1 + self.precision_radius)
 
+    @lru_cache(maxsize=64)  # every shape asks for the same few (airy, bits)
     def c_enclosure(self, bits: int) -> Enclosure:
         return nth_root_enclosure(Fraction(1, 6), 3, bits) * self.i1_enclosure()
 
@@ -263,23 +269,55 @@ class QuarticClosedForm:
         return (self.w4 ** 6 - 1) / 2
 
 
+def _convex_seed(f, x: float) -> float:
+    """Float Newton descent from x onto the root below it of a convex f.
+
+    f(x) returns (value, slope).  Right of the root of a convex function the
+    iterates descend monotonically; iteration stops at the first step that
+    is not positive or does not shrink, where rounding has taken over.
+    Only a seed: nothing is decided from this value.
+    """
+    step = math.inf
+    while True:
+        value, slope = f(x)
+        if not slope or not 0 < value / slope < step:
+            return x
+        step = value / slope
+        x -= step
+
+
 def _quartic_positive_root(a: Fraction, b: Fraction, width: Fraction) -> Enclosure:
-    """Unique positive root of w^4 - a w + b (a > 0 > b) by exact bisection.
+    """Unique positive root of w^4 - a w + b (a > 0 > b), exactly certified.
 
     With a = A/Da and b = B/Db, the sign of q(p/2^e) is the sign of the
     integer q(p/2^e) 2^(4e) Da Db = p^4 Da Db - A Db p 2^(3e) + B Da 2^(4e).
+    The root w satisfies w^3 <= a - b when w >= 1, so w < 2^j for the first
+    power of two 2^j >= 2 above a - b; the bracket [0, 2^j] is aligned, so a
+    seeded window is the one bisection would reach.
     """
     A, Da, B, Db = a.numerator, a.denominator, b.numerator, b.denominator
 
     def q_scaled(p: int, e: int) -> int:
         return p ** 4 * Da * Db - (A * Db * p << 3 * e) + (B * Da << 4 * e)
 
-    num_hi = 2
-    while q_scaled(num_hi, 0) <= 0:
-        num_hi *= 2
+    def seed() -> float:
+        fa, fb = float(a), float(b)
+        return _convex_seed(lambda w: (w ** 4 - fa * w + fb, 4 * w ** 3 - fa),
+                            float(num_hi))
+
+    num_hi = 1 << max(1, math.floor(a - b).bit_length())
     bracket = DyadicBracket(q_scaled, 0, num_hi, 0)
-    bracket.refine(width)
+    bracket.refine(width, seed)
     return bracket.enclosure()
+
+
+def _quartic_detail(shape: SystemShape, airy: AiryConstant) -> QuarticClosedForm | None:
+    # float diagnostics only: a huge i1 override overflows or cancels them,
+    # which must not abort the certified bound
+    try:
+        return QuarticClosedForm.from_shape(shape, airy)
+    except (ArithmeticError, ValueError):
+        return None
 
 
 def _ls_accepts_degree(shape: SystemShape, k: int, airy: AiryConstant) -> ThresholdDecision:
@@ -330,11 +368,11 @@ def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutc
                 value=1 + f_lo,
                 not_applicable_reason=None,
                 certification=Certification(CertificationMethod.INTERVAL_CERTIFIED),
-                detail=QuarticClosedForm.from_shape(shape, airy),
+                detail=_quartic_detail(shape, airy),
             )
     # The enclosure straddles an integer: ask the per-degree predicate, which
     # pins the floor exactly when only one integer is in doubt.
-    detail = QuarticClosedForm.from_shape(shape, airy)
+    detail = _quartic_detail(shape, airy)
     decision = (_ls_accepts_degree(shape, f_hi, airy)
                 if f_hi == f_lo + 1 else ThresholdDecision.UNDECIDED)
     if decision is ThresholdDecision.ABOVE:
@@ -525,11 +563,11 @@ _L_WIDTH_CAP = Fraction(1, 1 << 128)
 def l_upper(shape: SystemShape) -> BoundOutcome:
     """Upper bound 1 + ceil(x5^3) from the sextic localization, or not applicable.
 
-    Pipeline: bisect the quartic factor r for the local-maximum location x4'
-    in (1, N^(1/3)); certify the sign of s at that maximum (negative means no
-    bound); bisect s on the increasing side for x5; certify the range
-    condition x5^3 <= floor(N/2) and the ceiling of x5^3 by refining the
-    enclosure.  Algebraically degenerate ties fall back to the exact
+    Pipeline: bracket the local-maximum location x4' in (1, N^(1/3)), the
+    top root of the quartic factor r, from a float Newton seed; certify the
+    sign of s at that maximum (negative means no bound); bisect s on the
+    increasing side for x5; certify the range condition x5^3 <= floor(N/2)
+    and the ceiling of x5^3 by refining the enclosure.  Algebraically degenerate ties fall back to the exact
     per-degree predicate, which is always decidable.
     """
     N, n = shape.N, shape.n
@@ -539,8 +577,11 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
     if _r_value_dyadic(N, hi0, 0) <= 0:
         raise AssertionError("quartic factor must be positive beyond its top root")
     # r(1) = 2 - 2N < 0 and r(hi0) > 0: negative at lo, as DyadicBracket wants.
+    # r is convex for x > 1/3, so Newton from hi0 descends onto x4'.
     x4 = DyadicBracket(partial(_r_value_dyadic, N), 1, hi0, 0)
-    x4.refine(Fraction(1, 1 << 16))
+    x4.refine(Fraction(1, 1 << 16), lambda: _convex_seed(
+        lambda x: (6 * x ** 4 - 4 * x ** 3 - 3 * N * x + N,
+                   24 * x ** 3 - 12 * x * x - 3 * N), float(hi0)))
 
     applicable, witness = _certify_max_sign(shape, x4)
     if applicable is False:
@@ -582,8 +623,9 @@ def _certify_max_sign(shape: SystemShape, x4: DyadicBracket):
 
     True comes with a dyadic witness point where s >= 0 exactly; False is
     certified through a mean-value bound |s(x4') - s(p)| <= M * width with M
-    an interval bound on |s'| over the bracket; None signals the degenerate
-    s(x4') = 0 tie left to the exact per-degree fallback.
+    an interval bound on |s'| over the bracket (`_max_sign_margin`); None
+    signals the degenerate s(x4') = 0 tie left to the exact per-degree
+    fallback.
     """
     N, n = shape.N, shape.n
     while True:
@@ -599,18 +641,25 @@ def _certify_max_sign(shape: SystemShape, x4: DyadicBracket):
             return True, (mid_num, x4.e + 1)
         # s is negative at the midpoint; negative everywhere on the bracket
         # once M * width cannot lift it back to zero.
-        enc = x4.enclosure()
-        r_enc = (6 * enc * enc * enc * enc - 4 * enc * enc * enc
-                 - (3 * N) * enc + N)
-        m_r = max(abs(r_enc.lo), abs(r_enc.hi))
-        m_total = (enc.hi - 1) * m_r
-        # v is 4 s(mid) 2^(6e); compare in the same scaling
-        scale = Fraction(1 << 6 * (x4.e + 1))
-        if Fraction(v) + 4 * m_total * x4.width * scale < 0:
+        if _max_sign_margin(N, v, x4.num_lo, x4.num_hi, x4.e) < 0:
             return False, None
         if x4._width_sign(_L_WIDTH_CAP) < 0:
             return None, None
         x4.step()
+
+
+def _max_sign_margin(N: int, v: int, lo: int, hi: int, e: int) -> int:
+    """v + 4 M w 2^(6e + 6) on the bracket [lo, hi] / 2^e of width w, lo >= 2^e.
+
+    v is 4 s(mid) 2^(6e + 6); M = (x_hi - 1) max(|r_lo|, |r_hi|) bounds
+    |s'| = (x - 1)|r(x)|, with r = 6x^4 - 4x^3 - 3Nx + N bounded term by
+    term over the bracket.  With r_lo, r_hi scaled by 2^(4e), the 2^(6e)
+    cancels and the margin is an integer.
+    """
+    two_e = 1 << e
+    r_lo = 6 * lo ** 4 - 4 * hi ** 3 * two_e - 3 * N * hi * two_e ** 3 + N * two_e ** 4
+    r_hi = 6 * hi ** 4 - 4 * lo ** 3 * two_e - 3 * N * lo * two_e ** 3 + N * two_e ** 4
+    return v + 256 * (hi - two_e) * max(abs(r_lo), abs(r_hi)) * (hi - lo)
 
 
 def _locate_x5(shape: SystemShape, witness: tuple[int, int]) -> DyadicBracket | None:
@@ -627,6 +676,8 @@ def _locate_x5(shape: SystemShape, witness: tuple[int, int]) -> DyadicBracket | 
             return None  # two roots within one dyadic step: degenerate tie
         p, e = left_num, left_e  # witness was the decreasing-side root
     # s(1) = -n^2/4 < 0 and s(witness) > 0: unique crossing in between.
+    # Not seeded: an aligned window would land on integer roots x5 that
+    # bisection of [1, witness] misses, changing the certification method.
     x5 = DyadicBracket(s4, 1 << e, p, e)
     x5.refine(Fraction(1, 1 << 16))
     return x5

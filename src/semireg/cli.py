@@ -360,7 +360,7 @@ def _fraction_arg(text: str) -> Fraction:
 
 def _add_airy_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--airy-i1", type=Fraction, default=DEFAULT_AIRY.i1, metavar="DECIMAL",
+        "--airy-i1", type=_fraction_arg, default=DEFAULT_AIRY.i1, metavar="DECIMAL",
         help="override the Airy-type constant i1 (default %(default)s)",
     )
     parser.add_argument(
@@ -433,7 +433,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

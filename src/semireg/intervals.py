@@ -167,8 +167,19 @@ class DyadicBracket:
         self.e += 1
         self._cut(mid, sign)
 
-    def refine(self, width: Fraction) -> None:
-        """Step until the width is at most `width` or the root is hit."""
+    def refine(self, width: Fraction, seed: Callable[[], float] | None = None) -> None:
+        """Narrow until the width is at most `width` or the root is hit.
+
+        While the bracket is wider than `width`, the float guess of `seed()`
+        is tried first through `narrow`; a refused guess, or a seed that
+        overflows, leaves the work to bisection.
+        """
+        if seed is not None and not self.exact and self._width_sign(width) > 0:
+            try:
+                guess = seed()
+            except OverflowError:
+                guess = math.nan
+            self.narrow(guess, width)
         while not self.exact and self._width_sign(width) > 0:
             self.step()
 

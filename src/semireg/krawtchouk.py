@@ -33,7 +33,6 @@ __all__ = [
     "eval_integer",
     "integer_values",
     "gf_identity_check",
-    "orthogonality_check",
 ]
 
 
@@ -119,15 +118,3 @@ def gf_identity_check(m: int, n: int, up_to: int) -> bool:
     series = [sum(map(mul, even, plain[k::-2])) for k in range(up_to + 1)]
     return series == integer_values(shape.N, t, up_to)
 
-
-def orthogonality_check(N: int, l: int, k: int) -> bool:
-    """Exact check of sum_i K_l(i) K_k(i) C(N,i) == 2^N C(N,l) [l == k]."""
-    if not (0 <= l <= N and 0 <= k <= N):
-        raise ValueError(f"requires 0 <= l, k <= N; got l={l}, k={k}, N={N}")
-    top = max(l, k)
-    total = 0
-    for i in range(N + 1):
-        vals = integer_values(N, i, top)
-        total += vals[l] * vals[k] * binomial(N, i)
-    expected = (1 << N) * binomial(N, l) if l == k else 0
-    return total == expected

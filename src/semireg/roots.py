@@ -32,12 +32,10 @@ __all__ = [
     "DEFAULT_WIDTH",
     "CROSS_VALIDATION_CEILING",
     "RootInterval",
-    "GolubKahanSpectrum",
     "smallest_root",
     "smallest_root_chain",
     "dreg_via_roots",
     "largest_eigenvalue",
-    "eigenvalue_count_below",
     "dreg_via_eigenvalues",
 ]
 
@@ -125,9 +123,7 @@ class _RootChain:
     def refine(self, k: int, width: Fraction) -> DyadicBracket:
         """Bracket k refined to `width`, then until lo > 0 certifies 0 < root."""
         N, br = self.N, self.bracket(k)
-        if not br.exact and br._width_sign(width) > 0 \
-                and not br.narrow(_guess_in(N, k, br), width):
-            br.refine(width)
+        br.refine(width, lambda: _guess_in(N, k, br))
         while not br.exact and br.num_lo == 0:
             br.step()
         return br
@@ -276,45 +272,6 @@ def _sturm_count_below(N: int, k: int, p: int, e: int) -> tuple[int, bool]:
     return count, q[-1] == 0
 
 
-def eigenvalue_count_below(N: int, k: int, x: Fraction | int) -> int:
-    """Number of eigenvalues of the k x k matrix strictly below rational x.
-
-    x must have a power-of-two denominator (every bisection point does).
-    """
-    x = Fraction(x)
-    den = x.denominator
-    e = den.bit_length() - 1
-    if 1 << e != den:
-        raise ValueError(f"requires a dyadic rational; got denominator {den}")
-    count, _ = _sturm_count_below(N, k, x.numerator, e)
-    return count
-
-
-@dataclass(frozen=True)
-class GolubKahanSpectrum:
-    """The k x k zero-diagonal tridiagonal matrix and its top eigenvalue.
-
-    Off-diagonal entries are sqrt of the stored integers (i+1)(N-i); only the
-    squares are ever touched, which keeps Sturm counts exact.
-    """
-
-    N: int
-    k: int
-    squared_offdiagonals: tuple[int, ...]
-    lambda_max: Enclosure
-
-    @classmethod
-    def compute(
-        cls, N: int, k: int, width: Fraction = DEFAULT_WIDTH
-    ) -> "GolubKahanSpectrum":
-        return cls(
-            N=N,
-            k=k,
-            squared_offdiagonals=tuple((i + 1) * (N - i) for i in range(k - 1)),
-            lambda_max=largest_eigenvalue(N, k, width),
-        )
-
-
 def _eigen_bracket(N: int, k: int) -> DyadicBracket:
     """Bracket [0, N] of lambda_k (k >= 2), signed by Sturm counts.
 
@@ -340,9 +297,8 @@ def _refine_eigen(N: int, k: int, bracket: DyadicBracket, width: Fraction) -> En
     """Enclosure of lambda_k (k >= 2) from its bracket refined to `width`."""
     # lambda_k = N - 2 d_k(1) < N: the root's float seed seeds the
     # eigenvalue, kept below N where a tiny root would round it onto N
-    guess = min(N - 2 * _root_seed(N, k, 0.0, N / 2), math.nextafter(N, 0))
-    if not bracket.narrow(guess, width):
-        bracket.refine(width)
+    bracket.refine(width, lambda: min(N - 2 * _root_seed(N, k, 0.0, N / 2),
+                                      math.nextafter(N, 0)))
     return bracket.enclosure()
 
 

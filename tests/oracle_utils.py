@@ -12,8 +12,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from dataclasses import dataclass
+
 import semireg.verify
-from semireg.roots import dreg_via_eigenvalues, dreg_via_roots
+from semireg.exact import binomial
+from semireg.intervals import Enclosure
+from semireg.krawtchouk import integer_values
+from semireg.roots import (DEFAULT_WIDTH, _sturm_count_below, dreg_via_eigenvalues,
+                           dreg_via_roots, largest_eigenvalue)
 from semireg.verify import CheckResult, enumerate_shapes
 
 
@@ -126,6 +132,19 @@ def fraction_quartic_positive_root(a: Fraction, b: Fraction, width: Fraction):
     return lo, hi
 
 
+def enclosure_max_sign_margin(N: int, v: int, num_lo: int, num_hi: int, e: int) -> Fraction:
+    """The max-sign margin of l_upper in Fraction interval arithmetic.
+
+    v + 4 M width 2^(6e + 6) on [num_lo, num_hi] / 2^e, where M = (hi - 1)
+    max |r| bounds |s'| = (x - 1)|r(x)| and r = 6x^4 - 4x^3 - 3Nx + N is
+    bounded by Enclosure products over the bracket.
+    """
+    enc = Enclosure(Fraction(num_lo, 1 << e), Fraction(num_hi, 1 << e))
+    r_enc = 6 * enc * enc * enc * enc - 4 * enc * enc * enc - (3 * N) * enc + N
+    m_total = (enc.hi - 1) * max(abs(r_enc.lo), abs(r_enc.hi))
+    return v + 4 * m_total * enc.width * (1 << 6 * (e + 1))
+
+
 def three_way_reference(max_N: int) -> CheckResult:
     """The three-way suite shape by shape in (n, m) order, each route from scratch.
 
@@ -145,3 +164,55 @@ def three_way_reference(max_N: int) -> CheckResult:
             )
         checked += 1
     return CheckResult("three_way_agreement", checked, True)
+
+
+def orthogonality_check(N: int, l: int, k: int) -> bool:
+    """Exact check of sum_i K_l(i) K_k(i) C(N,i) == 2^N C(N,l) [l == k]."""
+    if not (0 <= l <= N and 0 <= k <= N):
+        raise ValueError(f"requires 0 <= l, k <= N; got l={l}, k={k}, N={N}")
+    top = max(l, k)
+    total = 0
+    for i in range(N + 1):
+        vals = integer_values(N, i, top)
+        total += vals[l] * vals[k] * binomial(N, i)
+    expected = (1 << N) * binomial(N, l) if l == k else 0
+    return total == expected
+
+
+def eigenvalue_count_below(N: int, k: int, x: Fraction | int) -> int:
+    """Number of eigenvalues of the k x k Golub-Kahan matrix strictly below x.
+
+    x must have a power-of-two denominator (every bisection point does).
+    """
+    x = Fraction(x)
+    den = x.denominator
+    e = den.bit_length() - 1
+    if 1 << e != den:
+        raise ValueError(f"requires a dyadic rational; got denominator {den}")
+    count, _ = _sturm_count_below(N, k, x.numerator, e)
+    return count
+
+
+@dataclass(frozen=True)
+class GolubKahanSpectrum:
+    """The k x k zero-diagonal tridiagonal matrix and its top eigenvalue.
+
+    Off-diagonal entries are sqrt of the stored integers (i+1)(N-i); only the
+    squares are ever touched, which keeps Sturm counts exact.
+    """
+
+    N: int
+    k: int
+    squared_offdiagonals: tuple[int, ...]
+    lambda_max: Enclosure
+
+    @classmethod
+    def compute(
+        cls, N: int, k: int, width: Fraction = DEFAULT_WIDTH
+    ) -> "GolubKahanSpectrum":
+        return cls(
+            N=N,
+            k=k,
+            squared_offdiagonals=tuple((i + 1) * (N - i) for i in range(k - 1)),
+            lambda_max=largest_eigenvalue(N, k, width),
+        )

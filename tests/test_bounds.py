@@ -31,10 +31,13 @@ from semireg.bounds import (
     ls_upper,
     ls_upper_root_bound,
 )
-from semireg.bounds import _LS_BITS_SCHEDULE, _quartic_positive_root
-from semireg.intervals import sqrt_enclosure
+import semireg.bounds as bounds_mod
+from semireg.bounds import _LS_BITS_SCHEDULE, _max_sign_margin, _quartic_positive_root
+from semireg.intervals import DyadicBracket, iroot, sqrt_enclosure
+from semireg.verify import enumerate_shapes
 
 from oracle_utils import (
+    enclosure_max_sign_margin,
     fraction_quartic_positive_root,
     one_minus_x_times_r_coefficients,
     s_derivative_coefficients,
@@ -171,6 +174,34 @@ def test_integer_quartic_bisection_exact_dyadic_root():
     assert _quartic_positive_root(a, b, width).lo == 1
 
 
+class _CountingBracket(DyadicBracket):
+    """A DyadicBracket that counts the exact evaluations of its sign_at."""
+
+    calls = 0
+
+    def __init__(self, sign_at, *args, **kwargs):
+        def counted(p, e):
+            _CountingBracket.calls += 1
+            return sign_at(p, e)
+
+        super().__init__(counted, *args, **kwargs)
+
+
+def test_seeded_quartic_root_costs_two_exact_evaluations(monkeypatch):
+    monkeypatch.setattr(bounds_mod, "DyadicBracket", _CountingBracket)
+    bits = _LS_BITS_SCHEDULE[0]  # the first width of the ls_lower schedule
+    width = Fraction(1, 1 << (bits // 2))
+    shapes = [SystemShape(24, 12), SystemShape(512, 256), SystemShape(32868, 32768),
+              *_grid_shapes()]
+    for shape in shapes:
+        a_enc = sqrt_enclosure(Fraction(shape.n * shape.n, 2 * shape.N), bits)
+        b_enc = -DEFAULT_AIRY.c_enclosure(bits)
+        for a, b in ((a_enc.lo, b_enc.hi), (a_enc.hi, b_enc.lo)):
+            _CountingBracket.calls = 0
+            _quartic_positive_root(a, b, width)
+            assert 0 < _CountingBracket.calls <= 2, (shape, a, b)
+
+
 def test_ls_lower_certified_interval_tightness():
     # the certified floor agrees with the float closed form away from integers
     for shape in _grid_shapes():
@@ -304,6 +335,46 @@ def test_l_upper_agrees_with_exact_per_degree_predicate():
             assert k == out.value - 1
         else:
             assert k is None
+
+
+def test_l_upper_integer_x5_shapes():
+    # x5 is an integer here; bisection of [1, witness] never lands on it, so
+    # the ceiling falls to the exact per-degree predicate
+    for (m, n), value in {(12, 8): 9, (19, 12): 9, (28, 16): 9, (39, 20): 9,
+                          (45, 36): 28}.items():
+        out = l_upper(SystemShape(m, n))
+        assert out.value == value
+        assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 10**6), st.integers(0, 40), st.data())
+def test_max_sign_margin_matches_enclosure_formula(N, e, data):
+    lo = data.draw(st.integers(1 << e, (iroot(N, 3) + 2) << e))
+    hi = data.draw(st.integers(lo + 1, lo + (3 << e)))
+    v = -data.draw(st.integers(0, 1 << (6 * e + 40)))
+    assert _max_sign_margin(N, v, lo, hi, e) == enclosure_max_sign_margin(N, v, lo, hi, e)
+
+
+def _bound_keys(shape):
+    keys = []
+    for out in (ls_lower(shape), l_upper(shape)):
+        cert = out.certification
+        keys.append((out.value, out.not_applicable_reason, cert.method,
+                     cert.near_boundary, cert.candidates))
+    return keys
+
+
+@pytest.mark.parametrize("refuse", ["narrow", math.nan, math.inf, 1.5])
+def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
+    # a refused or wrong seed costs bisection steps, never a different outcome
+    shapes = list(enumerate_shapes(40))
+    expected = [_bound_keys(shape) for shape in shapes]
+    if refuse == "narrow":
+        monkeypatch.setattr(DyadicBracket, "narrow", lambda self, guess, width: False)
+    else:
+        monkeypatch.setattr(bounds_mod, "_convex_seed", lambda f, x: refuse)
+    assert [_bound_keys(shape) for shape in shapes] == expected
 
 
 def test_l_upper_root_bound_figure_value():

@@ -269,3 +269,29 @@ def test_airy_override_flag(capsys):
                            "--airy-i1", "3.3721341", "--airy-radius", "1e-6")
     assert code == 0
     assert "LS lower >= 28" in out
+
+
+@pytest.mark.parametrize("i1", ["1/0", "x", "0", "-3"])
+def test_airy_i1_rejects_non_positive_rationals(capsys, i1):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "24", "12", "--airy-i1", i1])
+    assert exc.value.code == 2
+    assert "--airy-i1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("i1", ["1e50", "1e120", "1e400"])
+def test_airy_i1_huge_still_certifies_ls_lower(capsys, i1):
+    # the float diagnostics of the quartic overflow or cancel at such i1;
+    # the certified bound is still reported, and the sandwich breaks loudly
+    code, out, err = run_cli(capsys, "bounds", "24", "12", "--airy-i1", i1)
+    assert code == 1
+    assert "LS lower >= " in out
+    assert "sandwich" in out and "VIOLATED" in out
+    assert err == ""
+
+
+def test_airy_i1_overflowing_curve_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "bounds", "24", "12", "--curve", "--airy-i1", "1e400")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

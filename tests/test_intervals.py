@@ -331,3 +331,27 @@ def test_narrow_collapses_onto_an_exact_root():
     assert br.narrow(1.5, Fraction(1, 1 << 20))
     assert points == [Fraction(3, 2)]
     assert br.exact and br.lo == br.hi == Fraction(3, 2)
+
+
+def _overflowing_seed():
+    return 1e300 ** 2
+
+
+@pytest.mark.parametrize("seed, evaluations", [
+    (lambda: 2 ** 0.5, 2),  # accepted window: two exact signs
+    (lambda: 1.5, 1 + 22),  # refused by one sign, then bisection of [0, 4]
+    (_overflowing_seed, 22),  # refused without evaluating
+])
+def test_refine_tries_the_seed_then_bisects(seed, evaluations):
+    sign_at, points = _recording(_square_sign(2, 1))
+    br = DyadicBracket(sign_at, 0, 4, 0)
+    width = Fraction(1, 1 << 20)
+    br.refine(width, seed)
+    assert len(points) == evaluations
+    assert br.width == width and br.lo ** 2 < 2 < br.hi ** 2
+
+
+def test_refine_calls_no_seed_on_a_narrow_bracket():
+    br = DyadicBracket(_square_sign(2, 1), 0, 4, 0)
+    br.refine(Fraction(4), lambda: pytest.fail("seed called"))
+    assert (br.num_lo, br.num_hi, br.e) == (0, 4, 0)

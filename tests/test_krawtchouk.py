@@ -15,10 +15,9 @@ from semireg.krawtchouk import (
     eval_real,
     gf_identity_check,
     integer_values,
-    orthogonality_check,
 )
 
-from oracle_utils import alternating_sum_value, eval_general_r
+from oracle_utils import alternating_sum_value, eval_general_r, orthogonality_check
 
 
 def test_params_validation():

@@ -11,16 +11,16 @@ import semireg.roots as roots_mod
 from semireg.exact import SystemShape, degree_of_regularity_exact
 from semireg.krawtchouk import KrawtchoukParams, eval_exact, eval_integer
 from semireg.roots import (
-    GolubKahanSpectrum,
     RootInterval,
     dreg_via_eigenvalues,
     dreg_via_roots,
-    eigenvalue_count_below,
     largest_eigenvalue,
     smallest_root,
     smallest_root_chain,
 )
 from semireg.verify import check_three_way_agreement, enumerate_shapes, run_all
+
+from oracle_utils import GolubKahanSpectrum, eigenvalue_count_below
 
 WIDTH = Fraction(1, 10**6)
 
