@@ -8,7 +8,6 @@ integer or interval arithmetic.
 
 from .exact import (
     SystemShape,
-    CoefficientSeries,
     binomial,
     coefficient,
     hilbert_truncation,
@@ -18,12 +17,10 @@ from .exact import (
 from .krawtchouk import (
     KrawtchoukParams,
     eval_exact,
-    eval_real,
     eval_integer,
     gf_identity_check,
 )
 from .roots import (
-    RootInterval,
     smallest_root,
     smallest_root_chain,
     dreg_via_roots,
@@ -51,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemShape",
-    "CoefficientSeries",
     "binomial",
     "coefficient",
     "hilbert_truncation",
@@ -59,10 +55,8 @@ __all__ = [
     "f5_cost_log2",
     "KrawtchoukParams",
     "eval_exact",
-    "eval_real",
     "eval_integer",
     "gf_identity_check",
-    "RootInterval",
     "smallest_root",
     "smallest_root_chain",
     "dreg_via_roots",

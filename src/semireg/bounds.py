@@ -36,7 +36,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .exact import SystemShape
-from .intervals import DyadicBracket, Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
+from .intervals import (DyadicBracket, Enclosure, iroot, newton_seed, nth_root_enclosure,
+                        sqrt_enclosure)
 
 __all__ = [
     "BoundKind",
@@ -269,23 +270,6 @@ class QuarticClosedForm:
         return (self.w4 ** 6 - 1) / 2
 
 
-def _convex_seed(f, x: float) -> float:
-    """Float Newton descent from x onto the root below it of a convex f.
-
-    f(x) returns (value, slope).  Right of the root of a convex function the
-    iterates descend monotonically; iteration stops at the first step that
-    is not positive or does not shrink, where rounding has taken over.
-    Only a seed: nothing is decided from this value.
-    """
-    step = math.inf
-    while True:
-        value, slope = f(x)
-        if not slope or not 0 < value / slope < step:
-            return x
-        step = value / slope
-        x -= step
-
-
 def _quartic_positive_root(a: Fraction, b: Fraction, width: Fraction) -> Enclosure:
     """Unique positive root of w^4 - a w + b (a > 0 > b), exactly certified.
 
@@ -302,8 +286,8 @@ def _quartic_positive_root(a: Fraction, b: Fraction, width: Fraction) -> Enclosu
 
     def seed() -> float:
         fa, fb = float(a), float(b)
-        return _convex_seed(lambda w: (w ** 4 - fa * w + fb, 4 * w ** 3 - fa),
-                            float(num_hi))
+        return newton_seed(lambda w: (w ** 4 - fa * w + fb, 4 * w ** 3 - fa),
+                           float(num_hi), -1)
 
     num_hi = 1 << max(1, math.floor(a - b).bit_length())
     bracket = DyadicBracket(q_scaled, 0, num_hi, 0)
@@ -504,14 +488,6 @@ class SexticForm:
     x4_prime: Enclosure
     x5: Enclosure | None
 
-    def r_value(self, x: Fraction) -> Fraction:
-        N = self.shape.N
-        return 6 * x ** 4 - 4 * x ** 3 - 3 * N * x + N
-
-    def s_value_times4(self, x: Fraction) -> Fraction:
-        N, n = self.shape.N, self.shape.n
-        return 4 * x * (x - 1) ** 2 * (N - x ** 3) - n * n
-
 
 def _r_value_dyadic(N: int, p: int, e: int) -> int:
     # r(p/2^e) * 2^(4e), sign-exact
@@ -579,9 +555,9 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
     # r(1) = 2 - 2N < 0 and r(hi0) > 0: negative at lo, as DyadicBracket wants.
     # r is convex for x > 1/3, so Newton from hi0 descends onto x4'.
     x4 = DyadicBracket(partial(_r_value_dyadic, N), 1, hi0, 0)
-    x4.refine(Fraction(1, 1 << 16), lambda: _convex_seed(
+    x4.refine(Fraction(1, 1 << 16), lambda: newton_seed(
         lambda x: (6 * x ** 4 - 4 * x ** 3 - 3 * N * x + N,
-                   24 * x ** 3 - 12 * x * x - 3 * N), float(hi0)))
+                   24 * x ** 3 - 12 * x * x - 3 * N), float(hi0), -1))
 
     applicable, witness = _certify_max_sign(shape, x4)
     if applicable is False:

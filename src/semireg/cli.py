@@ -101,7 +101,7 @@ def build_table_spec(
             raise ValueError(f"unknown column {c!r}; choose from {ALL_COLUMNS}")
     rounding = None
     if family == "explicit":
-        rows = sorted(pairs or (), key=lambda p: (p[1], p[0]))
+        rows = sorted(set(pairs or ()), key=lambda p: (p[1], p[0]))
         label = "explicit"
     else:
         ns = sorted(set(n_values))

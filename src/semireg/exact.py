@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 __all__ = [
     "SystemShape",
-    "CoefficientSeries",
     "krawtchouk_stream",
     "binomial",
     "coefficient",
@@ -107,49 +107,25 @@ def krawtchouk_stream(N: int, s: int) -> Iterator[int]:
     yield cur
 
 
-class CoefficientSeries:
-    """Lazily extended coefficients c_k = [z^k] (1-z)^(m-n) (1+z)^m.
-
-    The cache is filled from `krawtchouk_stream(N, n)`: the coefficients are
-    the Krawtchouk values K_k^N(m - n).
-
-    The internal cache is not synchronized: share an instance across threads
-    only with external locking.  The module-level functions build a fresh
-    series per call and are therefore safe to call concurrently.
-    """
-
-    def __init__(self, shape: SystemShape):
-        self.shape = shape
-        self._stream = krawtchouk_stream(shape.N, shape.n)
-        self._c: list[int] = []
-
-    def coefficient(self, k: int) -> int:
-        if k < 0 or k > self.shape.N:
-            raise ValueError(
-                f"coefficient index k={k} outside [0, N={self.shape.N}]"
-            )
-        while len(self._c) <= k:
-            self._c.append(next(self._stream))
-        return self._c[k]
-
-    def positive_prefix(self) -> list[int]:
-        """The maximal prefix c_0, ..., c_d with every entry strictly > 0."""
-        for k in range(self.shape.N + 1):
-            if self.coefficient(k) <= 0:
-                return self._c[:k]
-        # The coefficients sum to (1-1)^t (1+1)^m = 0 with c_0 = 1 > 0, so a
-        # non-positive entry exists among k <= N.
-        raise AssertionError("no non-positive coefficient found up to degree N")
-
-
 def coefficient(shape: SystemShape, k: int) -> int:
-    """k-th coefficient of (1-z)^(m-n) (1+z)^m, exact."""
-    return CoefficientSeries(shape).coefficient(k)
+    """k-th coefficient of (1-z)^(m-n) (1+z)^m, exact: K_k^N(m - n) off the stream."""
+    if not 0 <= k <= shape.N:
+        raise ValueError(f"coefficient index k={k} outside [0, N={shape.N}]")
+    return next(islice(krawtchouk_stream(shape.N, shape.n), k, None))
 
 
 def hilbert_truncation(shape: SystemShape) -> list[int]:
-    """Coefficients of the truncated Hilbert series (all strictly positive)."""
-    return CoefficientSeries(shape).positive_prefix()
+    """Coefficients of the truncated Hilbert series (all strictly positive).
+
+    The maximal positive prefix of the stream.  The coefficients sum to
+    (1-1)^t (1+1)^m = 0 with c_0 = 1 > 0, so a non-positive one exists.
+    """
+    prefix = []
+    for c in krawtchouk_stream(shape.N, shape.n):
+        if c <= 0:
+            return prefix
+        prefix.append(c)
+    raise AssertionError("no non-positive coefficient found up to degree N")
 
 
 def degree_of_regularity_exact(shape: SystemShape) -> int:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-__all__ = ["iroot", "Enclosure", "DyadicBracket", "sqrt_enclosure", "nth_root_enclosure"]
+__all__ = ["iroot", "Enclosure", "DyadicBracket", "newton_seed", "sqrt_enclosure",
+           "nth_root_enclosure"]
 
 
 def iroot(x: int, r: int) -> int:
@@ -167,13 +168,19 @@ class DyadicBracket:
         self.e += 1
         self._cut(mid, sign)
 
-    def refine(self, width: Fraction, seed: Callable[[], float] | None = None) -> None:
+    def refine(self, width: Fraction | float,
+               seed: Callable[[], float] | None = None) -> None:
         """Narrow until the width is at most `width` or the root is hit.
 
-        While the bracket is wider than `width`, the float guess of `seed()`
-        is tried first through `narrow`; a refused guess, or a seed that
+        `width` is taken exactly as a Fraction and must be positive.  While
+        the bracket is wider than `width`, the float guess of `seed()` is
+        tried first through `narrow`; a refused guess, or a seed that
         overflows, leaves the work to bisection.
         """
+        if not isinstance(width, Fraction):
+            width = Fraction(width)
+        if width.numerator <= 0:
+            raise ValueError(f"requires a positive width; got {width}")
         if seed is not None and not self.exact and self._width_sign(width) > 0:
             try:
                 guess = seed()
@@ -237,6 +244,28 @@ class DyadicBracket:
                 self._cut(x_num, self.sign_at(x, 0))
         root = self.num_lo - (x << self.e)
         return (root > 0) - (root < 0)
+
+
+def newton_seed(f: Callable[[float], tuple[float, float]], x: float,
+                direction: int) -> float:
+    """Float Newton iterates of f from x, moving in `direction` (+1 up, -1 down).
+
+    f(x) returns (value, slope).  Started on the side of a root where the
+    iterates approach it monotonically, each step -value/slope moves x toward
+    the root and shrinks; iteration stops at the first step that does not
+    move in `direction` or does not shrink, where rounding has taken over.
+    Only a seed: nothing is decided from this value.
+    """
+    size = math.inf
+    while True:
+        value, slope = f(x)
+        if not slope:
+            return x
+        step = -value / slope
+        if not 0 < direction * step < size:
+            return x
+        size = direction * step
+        x += step
 
 
 def sqrt_enclosure(x: Fraction | int, bits: int) -> Enclosure:

@@ -9,9 +9,10 @@ goes through the three-term recurrence
 seeded with K_0 = 1 and K_1 = N - 2t.  Exact evaluation has two integer
 kernels: `exact.krawtchouk_stream` divides as it goes and serves integer
 points; `cleared_values` clears factorials and denominators and serves
-rational points, root signs and Sturm counts.  `eval_real` is the float copy.
-The explicit alternating sum is kept out of production on purpose (it
-cancels catastrophically); tests use it as an oracle.
+rational points, root signs and Sturm counts.  The one float recurrence is
+`roots._krawtchouk_slope`, which only seeds.  The explicit alternating sum
+is kept out of production on purpose (it cancels catastrophically); tests
+use it as an oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import ClassVar
 
 from .exact import SystemShape, binomial, krawtchouk_stream
 
@@ -29,7 +29,6 @@ __all__ = [
     "KrawtchoukParams",
     "cleared_values",
     "eval_exact",
-    "eval_real",
     "eval_integer",
     "integer_values",
     "gf_identity_check",
@@ -42,7 +41,6 @@ class KrawtchoukParams:
 
     N: int
     k: int
-    r: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -72,22 +70,6 @@ def eval_exact(params: KrawtchoukParams, t: Fraction | int) -> Fraction:
     d, k = t.denominator, params.k
     b_k = cleared_values(params.N, d * params.N - 2 * t.numerator, d * d, k)[k]
     return Fraction(b_k, math.factorial(k) * d ** k)
-
-
-def eval_real(params: KrawtchoukParams, t: float) -> float:
-    """Floating-point K_k^N(t); diagnostics and plotting only, never certification.
-
-    The forward recurrence keeps the absolute error within a few ulps of the
-    largest intermediate value, so the relative error degrades near roots and
-    in the alternating tail where the value is tiny against its neighbours.
-    """
-    N = params.N
-    prev, cur = 1.0, float(N) - 2.0 * t
-    if params.k == 0:
-        return prev
-    for j in range(1, params.k):
-        prev, cur = cur, ((N - 2 * t) * cur - (N - j + 1) * prev) / (j + 1)
-    return cur
 
 
 def integer_values(N: int, t: int, k_max: int) -> list[int]:

@@ -12,26 +12,26 @@ Two independent re-derivations of the degree of regularity live here:
 
 All evaluation points are dyadic rationals, so every sign and every count is
 an exact integer computation.  Floats only seed: a Newton estimate of d_k(1)
-picks a short dyadic window (`DyadicBracket.narrow`), which is used only when
-two exact signs, or two Sturm counts, certify it, and bisection takes over
-when they do not; no decision reads a float.
+on the package's one float recurrence, `_krawtchouk_slope`, picks a short
+dyadic window (`DyadicBracket.narrow`), which is used only when two exact
+signs, or two Sturm counts, certify it, and bisection takes over when they
+do not; no decision reads a float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .bounds import kz_root_bound
 from .exact import SystemShape
-from .intervals import DyadicBracket, Enclosure
-from .krawtchouk import KrawtchoukParams, cleared_values
+from .intervals import DyadicBracket, Enclosure, newton_seed
+from .krawtchouk import cleared_values
 
 __all__ = [
     "DEFAULT_WIDTH",
     "CROSS_VALIDATION_CEILING",
-    "RootInterval",
     "smallest_root",
     "smallest_root_chain",
     "dreg_via_roots",
@@ -57,11 +57,15 @@ def _root_sign(N: int, k: int):
 
 
 def _krawtchouk_slope(N: int, k: int, x: float) -> tuple[float, float]:
-    """Float K_k^N(x) / C(N, k) and its derivative.
+    """Float K_k^N(x) / C(N, k) and its derivative, for k >= 1.
 
     Dividing K_j by C(N, j) gives the recurrence
-    (N - j) k_{j+1} = (N - 2x) k_j - j k_{j-1}, whose values stay within
-    [-1, 1] on [0, N], so it cannot overflow at any N.
+    (N - j) k_{j+1} = (N - 2x) k_j - j k_{j-1}.  For 0 <= x < d_k(1), where
+    the seeds evaluate it, every k_j lies in (0, 1], so the value cannot
+    overflow at any N; the slope, about -1/d_k(1), can once d_k(1) underflows
+    (N = k = 2048), and a non-finite slope stops the Newton seed at its start.
+    Right of d_k(1) it is no oracle: K_j can far exceed C(N, j) between
+    integers, and past k = N/2 the recurrence can lose all accuracy.
     """
     a = N - 2.0 * x
     prev, cur, dprev, dcur = 1.0, a / N, 0.0, -2.0 / N
@@ -79,20 +83,13 @@ def _root_seed(N: int, k: int, lo: float, hi: float) -> float:
     It starts at kz_root_bound, which is below d_k(1), when 2k < N and the
     bound lies inside, else at lo.  K_k has k real roots, so from any x left
     of the smallest one the Newton steps 1 / sum(1 / (r_i - x)) are positive
-    and shrink as the iterates climb to it; iteration stops at the first
-    step that is not positive or does not shrink, where rounding has taken
-    over.  Only a seed: nothing is decided from this value.
+    and shrink as the iterates climb to it.  Only a seed: nothing is decided
+    from this value.
     """
     x = kz_root_bound(N, k) if 2 * k < N else lo
     if not lo < x < hi:
         x = lo
-    step = math.inf
-    while True:
-        value, slope = _krawtchouk_slope(N, k, x)
-        if not slope or not 0 < -value / slope < step:
-            return x
-        step = -value / slope
-        x += step
+    return newton_seed(partial(_krawtchouk_slope, N, k), x, 1)
 
 
 def _guess_in(N: int, k: int, br: DyadicBracket) -> float:
@@ -120,7 +117,7 @@ class _RootChain:
             self._extend()
         return self._brackets[k - 1]
 
-    def refine(self, k: int, width: Fraction) -> DyadicBracket:
+    def refine(self, k: int, width: Fraction | float) -> DyadicBracket:
         """Bracket k refined to `width`, then until lo > 0 certifies 0 < root."""
         N, br = self.N, self.bracket(k)
         br.refine(width, lambda: _guess_in(N, k, br))
@@ -159,69 +156,22 @@ class _RootChain:
                 )
             prev.step()
 
-    def interval(self, k: int) -> "RootInterval":
-        br = self.bracket(k)
-        return RootInterval(KrawtchoukParams(self.N, k), br.lo, br.hi)
 
+def smallest_root(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) -> Enclosure:
+    """Certified enclosure of d_k^N(1), 1 <= k <= N, with 0 < lo and hi - lo <= width.
 
-@dataclass(frozen=True)
-class RootInterval:
-    """Certified rational enclosure of the smallest root d_k^N(1).
-
-    lo == hi marks an exact rational root (an evaluation point landed on
-    it); otherwise K_k is positive at lo and negative at hi.
+    K_k is positive at lo and negative at hi; an exact rational hit (for
+    instance d_1 = N/2) collapses to a point enclosure instead of failing.
     """
-
-    params: KrawtchoukParams
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if not 0 < self.lo <= self.hi < self.params.N:
-            raise ValueError("root enclosure must satisfy 0 < lo <= hi < N")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    def strictly_above(self, q: Fraction | int) -> bool:
-        return self.lo > q
-
-    def strictly_below(self, q: Fraction | int) -> bool:
-        return self.hi < q
-
-
-def smallest_root(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> RootInterval:
-    """Certified enclosure of d_k^N(1) with hi - lo <= width.
-
-    An exact rational hit (for instance d_1 = N/2) collapses to a zero-width
-    interval instead of failing.
-    """
-    if k < 1:
-        raise ValueError(f"requires k >= 1; got k={k}")
-    chain = _RootChain(N)
-    chain.refine(k, Fraction(width))
-    return chain.interval(k)
+    return _RootChain(N).refine(k, width).enclosure()
 
 
 def smallest_root_chain(
-    N: int, k_max: int, width: Fraction = DEFAULT_WIDTH
-) -> list[RootInterval]:
+    N: int, k_max: int, width: Fraction | float = DEFAULT_WIDTH
+) -> list[Enclosure]:
     """Enclosures of d_k^N(1) for all k = 1..k_max off one shared chain."""
     chain = _RootChain(N)
-    out = []
-    for k in range(1, k_max + 1):
-        chain.refine(k, Fraction(width))
-        out.append(chain.interval(k))
-    return out
+    return [chain.refine(k, width).enclosure() for k in range(1, k_max + 1)]
 
 
 def dreg_via_roots(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:
@@ -293,7 +243,8 @@ def _eigen_brackets(N: int) -> dict[int, DyadicBracket]:
     return {k: _eigen_bracket(N, k) for k in range(2, N + 1)}
 
 
-def _refine_eigen(N: int, k: int, bracket: DyadicBracket, width: Fraction) -> Enclosure:
+def _refine_eigen(N: int, k: int, bracket: DyadicBracket,
+                  width: Fraction | float) -> Enclosure:
     """Enclosure of lambda_k (k >= 2) from its bracket refined to `width`."""
     # lambda_k = N - 2 d_k(1) < N: the root's float seed seeds the
     # eigenvalue, kept below N where a tiny root would round it onto N
@@ -302,7 +253,7 @@ def _refine_eigen(N: int, k: int, bracket: DyadicBracket, width: Fraction) -> En
     return bracket.enclosure()
 
 
-def largest_eigenvalue(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> Enclosure:
+def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) -> Enclosure:
     """Certified enclosure of the largest eigenvalue lambda_k, width <= width.
 
     An exact rational eigenvalue hit collapses to a point enclosure.
@@ -311,7 +262,7 @@ def largest_eigenvalue(N: int, k: int, width: Fraction = DEFAULT_WIDTH) -> Enclo
         raise ValueError(f"requires 1 <= k <= N={N}; got k={k}")
     if k == 1:
         return Enclosure.point(0)
-    return _refine_eigen(N, k, _eigen_bracket(N, k), Fraction(width))
+    return _refine_eigen(N, k, _eigen_bracket(N, k), width)
 
 
 def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:

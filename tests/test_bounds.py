@@ -32,7 +32,8 @@ from semireg.bounds import (
     ls_upper_root_bound,
 )
 import semireg.bounds as bounds_mod
-from semireg.bounds import _LS_BITS_SCHEDULE, _max_sign_margin, _quartic_positive_root
+from semireg.bounds import (_LS_BITS_SCHEDULE, _max_sign_margin, _quartic_positive_root,
+                            _r_value_dyadic)
 from semireg.intervals import DyadicBracket, iroot, sqrt_enclosure
 from semireg.verify import enumerate_shapes
 
@@ -373,7 +374,7 @@ def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
     if refuse == "narrow":
         monkeypatch.setattr(DyadicBracket, "narrow", lambda self, guess, width: False)
     else:
-        monkeypatch.setattr(bounds_mod, "_convex_seed", lambda f, x: refuse)
+        monkeypatch.setattr(bounds_mod, "newton_seed", lambda f, x, direction: refuse)
     assert [_bound_keys(shape) for shape in shapes] == expected
 
 
@@ -410,7 +411,10 @@ def test_quartic_factor_discriminant_closed_form():
 def test_sextic_form_x4_bracket_signs():
     out = l_upper(SystemShape(24, 12))
     form = out.detail
-    assert form.r_value(form.x4_prime.lo) < 0 < form.r_value(form.x4_prime.hi)
+    lo, hi = form.x4_prime.lo, form.x4_prime.hi
+    # the endpoints are dyadic: p / 2^e with e read off the denominator
+    assert _r_value_dyadic(36, lo.numerator, lo.denominator.bit_length() - 1) < 0
+    assert _r_value_dyadic(36, hi.numerator, hi.denominator.bit_length() - 1) > 0
 
 
 # ------------------------------------------------------------ sandwich et al

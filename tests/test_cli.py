@@ -169,6 +169,16 @@ def test_table_explicit_pairs_and_extra_columns(capsys):
     assert rows[1] == ["12", "24", "4", "31.30", "1.00"]
 
 
+def test_table_repeated_rows_printed_once(capsys):
+    # a repeated --pairs entry is one row, as a repeated --n-values entry is
+    _, once, _ = run_cli(capsys, "table", "--family", "explicit", "--pairs", "8:4")
+    code, out, _ = run_cli(capsys, "table", "--family", "explicit", "--pairs", "8:4,8:4")
+    assert code == 0 and out == once
+    _, once, _ = run_cli(capsys, "table", "--family", "2n", "--n-values", "4")
+    code, out, _ = run_cli(capsys, "table", "--family", "2n", "--n-values", "4,4")
+    assert code == 0 and out == once
+
+
 def test_table_rejects_bad_family(capsys):
     code, _, err = run_cli(capsys, "table", "--family", "kn", "--n-values", "16")
     assert code == 2

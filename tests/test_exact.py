@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semireg.exact import (
-    CoefficientSeries,
     SystemShape,
     binomial,
     coefficient,
@@ -74,9 +73,8 @@ def test_coefficient_matches_brute_force_expansion():
         s = SystemShape(m, n)
         expansion = expand_product(s.t, m)
         assert len(expansion) == s.N + 1
-        series = CoefficientSeries(s)
         for k in range(s.N + 1):
-            assert series.coefficient(k) == expansion[k]
+            assert coefficient(s, k) == expansion[k]
 
 
 def test_coefficient_index_errors():
@@ -93,9 +91,8 @@ def test_recurrence_equals_convolution_exhaustive_small():
         m = n + 1
         while 2 * m - n <= 30:
             s = SystemShape(m, n)
-            series = CoefficientSeries(s)
             for k in range(s.N + 1):
-                assert series.coefficient(k) == convolution_coefficient(m, n, k)
+                assert coefficient(s, k) == convolution_coefficient(m, n, k)
             m += 1
 
 
@@ -154,9 +151,8 @@ def test_zero_coefficient_counts_as_truncation():
     for n in range(1, 40):
         for m in range(n + 1, 42):
             s = SystemShape(m, n)
-            series = CoefficientSeries(s)
             d = degree_of_regularity_exact(s)
-            if series.coefficient(d) == 0:
+            if coefficient(s, d) == 0:
                 assert len(hilbert_truncation(s)) == d
                 return
     pytest.skip("no zero-coefficient shape in the scanned range")

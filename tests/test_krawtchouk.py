@@ -1,21 +1,23 @@
 """Tests for binary Krawtchouk evaluation and the classical identities."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semireg.exact import SystemShape, CoefficientSeries, krawtchouk_stream
+from semireg.exact import SystemShape, coefficient, krawtchouk_stream
 from semireg.krawtchouk import (
     KrawtchoukParams,
     cleared_values,
     eval_exact,
     eval_integer,
-    eval_real,
     gf_identity_check,
     integer_values,
 )
+from semireg.bounds import kz_root_bound
+from semireg.roots import _krawtchouk_slope
 
 from oracle_utils import alternating_sum_value, eval_general_r, orthogonality_check
 
@@ -27,7 +29,6 @@ def test_params_validation():
         KrawtchoukParams(5, 6)
     with pytest.raises(ValueError):
         KrawtchoukParams(5, -1)
-    assert KrawtchoukParams(5, 5).r == 2
 
 
 # ---------------------------------------------------------------- evaluation
@@ -130,45 +131,92 @@ def test_degree_one_linearity_in_rational_argument():
 
 def test_integer_values_row_matches_coefficient_series():
     shape = SystemShape(24, 12)
-    series = CoefficientSeries(shape)
     row = integer_values(shape.N, shape.t, shape.N)
-    assert [series.coefficient(k) for k in range(shape.N + 1)] == row
+    assert [coefficient(shape, k) for k in range(shape.N + 1)] == row
 
 
-# ---------------------------------------------------------------- eval_real
+# ---------------------------------------------------------------- float kernel
+#
+# _krawtchouk_slope(N, k, x) is the package's one float recurrence: it
+# returns K_k(x) / C(N, k) and its derivative, and only ever seeds Newton.
 
 
 def _exact_sequence(N, k, t):
-    vals = [Fraction(1)]
-    if k >= 1:
-        vals.append(Fraction(N - 2 * t))
+    """K_0..K_k(t) and their derivatives by the exact differentiated recurrence."""
+    vals, slopes = [Fraction(1), Fraction(N - 2 * t)], [Fraction(0), Fraction(-2)]
     for j in range(1, k):
         vals.append(((N - 2 * t) * vals[j] - (N - j + 1) * vals[j - 1]) / (j + 1))
-    return vals
+        slopes.append(((N - 2 * t) * slopes[j] - 2 * vals[j]
+                       - (N - j + 1) * slopes[j - 1]) / (j + 1))
+    return vals[:k + 1], slopes[:k + 1]
 
 
-def test_eval_real_examples():
-    assert eval_real(KrawtchoukParams(36, 1), 18.0) == 0.0
-    assert abs(eval_real(KrawtchoukParams(36, 3), 12.85)) < 0.2
-    assert eval_real(KrawtchoukParams(36, 4), 12.0) == pytest.approx(-231.0, rel=1e-12)
+def _cleared_slope(N, k, x):
+    """k! d^k K_k'(x) in integers, x = num/d: the cleared recurrence differentiated."""
+    d = x.denominator
+    s, d2 = d * N - 2 * x.numerator, d * d
+    b = cleared_values(N, s, d2, k)
+    prev, cur = 0, -2 * d
+    for j in range(1, k):
+        prev, cur = cur, s * cur - j * (N - j + 1) * d2 * prev - 2 * d * b[j]
+    return cur
 
 
-def test_eval_real_stability_envelope():
+def test_float_kernel_examples():
+    assert _krawtchouk_slope(36, 1, 18.0) == (0.0, -2 / 36)
+    value, _ = _krawtchouk_slope(36, 3, 12.85)
+    assert abs(value * math.comb(36, 3)) < 0.2
+    value, _ = _krawtchouk_slope(36, 4, 12.0)
+    assert value * math.comb(36, 4) == pytest.approx(-231.0, rel=1e-12)
+
+
+def test_float_kernel_stability_envelope():
     # Forward-recurrence envelope at documented scales: the absolute error
-    # stays far below the largest intermediate value, and the pointwise
-    # relative error is <= 1e-9 away from the cancellation regime.
+    # stays far below the largest intermediate value of the scaled sequence,
+    # and the pointwise relative error is <= 1e-9 away from the cancellation
+    # regime; the slope obeys the same absolute envelope.
     for N in (10, 36, 60, 100):
-        for k in range(0, N + 1, max(1, N // 7)):
+        for k in range(1, N + 1, max(1, N // 7)):
             for num in range(0, 2 * N + 1, max(1, N // 4)):
                 t = Fraction(num, 2)
-                seq = _exact_sequence(N, k, t)
-                exact = seq[-1]
-                approx = eval_real(KrawtchoukParams(N, k), float(t))
-                path_max = max(1.0, max(abs(float(v)) for v in seq))
-                err = abs(approx - float(exact))
+                vals, slopes = _exact_sequence(N, k, t)
+                scaled = [v / math.comb(N, j) for j, v in enumerate(vals)]
+                d_scaled = [v / math.comb(N, j) for j, v in enumerate(slopes)]
+                value, slope = _krawtchouk_slope(N, k, float(t))
+                path_max = max(1.0, max(abs(float(v)) for v in scaled))
+                err = abs(value - float(scaled[-1]))
                 assert err <= 1e-12 * path_max
-                if abs(float(exact)) >= 1e-6 * path_max and exact != 0:
-                    assert err / abs(float(exact)) <= 1e-9
+                if abs(float(scaled[-1])) >= 1e-6 * path_max and scaled[-1] != 0:
+                    assert err / abs(float(scaled[-1])) <= 1e-9
+                d_max = max(1.0, max(abs(float(v)) for v in d_scaled))
+                assert abs(slope - float(d_scaled[-1])) <= 1e-12 * d_max
+
+
+@pytest.mark.parametrize("N", [512, 2048])
+def test_float_kernel_left_of_smallest_root_at_large_N(N):
+    # K_k(0) = C(N, k) passes 1e308 at N = 2048 (C(2048, 1024) ~ 1e615), so
+    # the unscaled recurrence overflows there.  Left of the smallest root,
+    # where the Newton seed evaluates the kernel, the scaled value lies in
+    # (0, 1]; kz_root_bound is below d_k(1) when 2k < N.  Only the slope
+    # can leave the float range, at N = 2048 for k = N.
+    for k in (1, N // 8, N // 4, 3 * N // 8, N // 2, 3 * N // 4, N):
+        points = [Fraction(0)]
+        if 2 * k < N:
+            bound = Fraction(kz_root_bound(N, k))
+            points += [bound / 2, bound]
+        for x in points:
+            value, slope = _krawtchouk_slope(N, k, float(x))
+            scale = math.comb(N, k)
+            exact = eval_exact(KrawtchoukParams(N, k), x) / scale
+            d_exact = Fraction(_cleared_slope(N, k, x),
+                               math.factorial(k) * x.denominator ** k * scale)
+            assert 0 < exact <= 1 and 0 < value <= 1
+            assert abs(value - float(exact)) <= 1e-9 * float(exact)
+            if abs(d_exact) < sys.float_info.max:
+                assert abs(slope - float(d_exact)) <= 1e-9 * abs(float(d_exact))
+            else:
+                # the slope, about -1/d_k(1), leaves the float range with d_k(1)
+                assert not math.isfinite(slope)
 
 
 # ---------------------------------------------------------------- identities

@@ -1,6 +1,8 @@
 """Tests for certified root enclosures and Golub-Kahan eigenvalue counting."""
 
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,6 @@ import semireg.roots as roots_mod
 from semireg.exact import SystemShape, degree_of_regularity_exact
 from semireg.krawtchouk import KrawtchoukParams, eval_exact, eval_integer
 from semireg.roots import (
-    RootInterval,
     dreg_via_eigenvalues,
     dreg_via_roots,
     largest_eigenvalue,
@@ -30,7 +31,7 @@ WIDTH = Fraction(1, 10**6)
 
 def test_smallest_root_k1_is_exact_half():
     ri = smallest_root(36, 1, WIDTH)
-    assert ri.is_exact
+    assert ri.is_point
     assert ri.lo == 18
 
 
@@ -52,7 +53,7 @@ def test_smallest_root_width_and_signs():
     for N, k in [(20, 2), (36, 5), (47, 11), (61, 30)]:
         ri = smallest_root(N, k, WIDTH)
         assert ri.width <= WIDTH
-        if not ri.is_exact:
+        if not ri.is_point:
             assert eval_exact(KrawtchoukParams(N, k), ri.lo) > 0
             assert eval_exact(KrawtchoukParams(N, k), ri.hi) < 0
         else:
@@ -66,18 +67,47 @@ def test_smallest_root_validates_k():
         smallest_root(36, 37)
 
 
-def test_root_interval_invariants():
-    with pytest.raises(ValueError):
-        RootInterval(KrawtchoukParams(36, 2), Fraction(3), Fraction(2))
-    with pytest.raises(ValueError):
-        RootInterval(KrawtchoukParams(36, 2), Fraction(0), Fraction(2))
+@contextmanager
+def _deadline(seconds):
+    # a call that never returns fails the test instead of stalling the suite
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("width", [0, Fraction(-1, 2), -1e-3],
+                         ids=["zero", "negative", "negative-float"])
+def test_non_positive_width_refused(width):
+    with _deadline(30):
+        with pytest.raises(ValueError, match="positive width"):
+            smallest_root(36, 3, width)
+        with pytest.raises(ValueError, match="positive width"):
+            largest_eigenvalue(36, 3, width)
+        with pytest.raises(ValueError, match="positive width"):
+            run_all(5, width)
+
+
+def test_float_width_taken_exactly():
+    with _deadline(60):
+        assert smallest_root(36, 3, 1e-3) == smallest_root(36, 3, Fraction(1e-3))
+        assert largest_eigenvalue(36, 3, 1e-3) == largest_eigenvalue(36, 3, Fraction(1e-3))
+        assert run_all(12, 1e-3) == run_all(12, Fraction(1e-3)) == run_all(12, Fraction(1, 1000))
 
 
 def test_chain_is_strictly_decreasing():
     for N in (12, 36, 53):
         chain = smallest_root_chain(N, N, Fraction(1, 4096))
         for prev, cur in zip(chain, chain[1:]):
-            assert cur.hi < prev.lo or (cur.is_exact and prev.is_exact and cur.lo < prev.lo)
+            assert cur.hi < prev.lo or (cur.is_point and prev.is_point and cur.lo < prev.lo)
+        # every root lies in (0, N): the chain certifies lo > 0 at its smallest
+        assert 0 < chain[-1].lo and chain[0].hi < N
 
 
 def test_dreg_via_roots_examples():
