@@ -35,7 +35,6 @@ from .bounds import (
     QuarticClosedForm,
     SexticForm,
     kz_lower,
-    kz_predicate_full,
     ls_lower,
     ls_lower_asymptotic,
     ls_lower_asymptotic_case,
@@ -69,7 +68,6 @@ __all__ = [
     "QuarticClosedForm",
     "SexticForm",
     "kz_lower",
-    "kz_predicate_full",
     "ls_lower",
     "ls_lower_asymptotic",
     "ls_lower_asymptotic_case",

@@ -7,12 +7,14 @@ the smallest Krawtchouk root d_k^N(1) against the threshold t = m - n:
   certified by an exact integer predicate.
 * ls_lower  : floor of (w4^6 - 1)/2 where w4 is the unique positive root of
   the quartic w^4 - a w + b built from the first zero of an Airy-type
-  function; certified by interval arithmetic around that constant.
+  function; certified by interval arithmetic around that constant, and
+  flagged near-boundary when its precision schedule cannot pin the floor.
 * ls_upper  : ceiling formula from a quadratic discriminant condition,
   certified by an exact integer predicate; may be structurally inapplicable.
 * l_upper   : ceiling of x5^3 where x5 is a root of a sextic located by
   exact-sign bisection below a stationary point x4 of it; two structural
-  inapplicability reasons.
+  inapplicability reasons.  Degenerate ties fall back to the per-degree
+  test, decided by the sign of one integer (a field norm in Q(k^(1/3))).
 
 The quartic root of ls_lower and the stationary point x4 of l_upper are
 bracketed from float Newton seeds, kept only when two exact signs certify
@@ -23,8 +25,9 @@ is allowed to attain the threshold exactly (accept sets use >= / <=).
 
 Floors and ceilings are never taken on floats: either the comparison reduces
 to integers, or a rational enclosure is refined until the integer part is
-unambiguous.  The raw per-degree bound values are also exposed (as floats)
-for diagnostics and plotting.
+unambiguous (ls_lower flags what its schedule leaves ambiguous).  The raw
+per-degree bound values are also exposed (as floats) for diagnostics and
+plotting.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "BoundKind",
     "NotApplicableReason",
     "CertificationMethod",
-    "ThresholdDecision",
     "Certification",
     "BoundOutcome",
     "AiryConstant",
@@ -52,7 +54,6 @@ __all__ = [
     "SexticForm",
     "kz_lower",
     "kz_root_bound",
-    "kz_predicate_full",
     "ls_lower",
     "ls_lower_root_bound",
     "ls_lower_asymptotic",
@@ -81,12 +82,6 @@ class NotApplicableReason(enum.Enum):
 class CertificationMethod(enum.Enum):
     EXACT_INTEGER_PREDICATE = "exact_integer_predicate"
     INTERVAL_CERTIFIED = "interval_certified"
-
-
-class ThresholdDecision(enum.Enum):
-    ABOVE = "above"
-    BELOW = "below"
-    UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -201,33 +196,6 @@ def kz_root_bound(N: int, k: int) -> float:
     return N / 2 - math.sqrt(k * (N - k)) * (1 - 1.5 * rho ** (2.0 / 3.0))
 
 
-_PREDICATE_BITS = (32, 64, 128, 256)
-
-
-def kz_predicate_full(shape: SystemShape, k: int) -> ThresholdDecision:
-    """Interval-certified comparison of the full correction-term bound vs t.
-
-    ABOVE means the per-degree lower bound clears the threshold (degree k is
-    accepted, giving a bound at least as sharp as the floor formula), BELOW
-    means it certifiably does not, UNDECIDED that maximum precision could not
-    separate the two (the bound value sits on the threshold).
-    """
-    N, t = shape.N, shape.t
-    if not (1 <= k and 2 * k < N):
-        raise ValueError(f"requires 1 <= k < N/2; got k={k}, N={N}")
-    rho = Fraction(N - 2 * k, 2 * k * (N - k))
-    rho_sq = rho * rho
-    for bits in _PREDICATE_BITS:
-        sqrt_term = sqrt_enclosure(k * (N - k), bits)
-        corr = nth_root_enclosure(rho_sq, 3, bits)  # rho^(2/3)
-        rhs = Fraction(N, 2) - sqrt_term * (1 - Fraction(3, 2) * corr)
-        if rhs.lo >= t:
-            return ThresholdDecision.ABOVE
-        if rhs.hi < t:
-            return ThresholdDecision.BELOW
-    return ThresholdDecision.UNDECIDED
-
-
 # --------------------------------------------------------------------------
 # LS lower bound (quartic / Airy constant)
 # --------------------------------------------------------------------------
@@ -304,22 +272,6 @@ def _quartic_detail(shape: SystemShape, airy: AiryConstant) -> QuarticClosedForm
         return None
 
 
-def _ls_accepts_degree(shape: SystemShape, k: int, airy: AiryConstant) -> ThresholdDecision:
-    # Eq.-level acceptance: a >= sqrt(2k+1) - c (2k+1)^(-1/6), interval-certified.
-    a_sq = Fraction(shape.n * shape.n, 2 * shape.N)
-    for bits in _PREDICATE_BITS:
-        a_enc = sqrt_enclosure(a_sq, bits)
-        c_enc = airy.c_enclosure(bits)
-        root = sqrt_enclosure(2 * k + 1, bits)
-        inv_sixth = nth_root_enclosure(Fraction(2 * k + 1), 6, bits).reciprocal()
-        rhs = root - c_enc * inv_sixth
-        if a_enc.lo >= rhs.hi:
-            return ThresholdDecision.ABOVE
-        if a_enc.hi < rhs.lo:
-            return ThresholdDecision.BELOW
-    return ThresholdDecision.UNDECIDED
-
-
 _LS_BITS_SCHEDULE = (48, 96, 192)
 
 
@@ -329,12 +281,11 @@ def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutc
     The positive quartic root is monotone increasing in a and decreasing in b,
     so bisecting the two corner quartics (a_lo, b_hi) and (a_hi, b_lo) with
     exact rational coefficients traps (w4^6 - 1)/2 in a rational interval that
-    accounts for the uncertainty radius of i1.  If the interval straddles an
-    integer at maximum precision, the per-degree acceptance test is consulted;
-    only if that is also undecided is the near-boundary flag raised.
+    accounts for the uncertainty radius of i1.  If the interval still straddles
+    an integer after the last step of the schedule, the conservative floor is
+    reported with the near-boundary flag and both candidates.
     """
     a_sq = Fraction(shape.n * shape.n, 2 * shape.N)
-    f_lo = f_hi = None
     for bits in _LS_BITS_SCHEDULE:
         a_enc = sqrt_enclosure(a_sq, bits)
         b_enc = -airy.c_enclosure(bits)
@@ -347,34 +298,18 @@ def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutc
         # a clamped floor of 0 keeps the (vacuous) bound value 1 valid
         f_lo, f_hi = max(math.floor(val_lo), 0), max(math.floor(val_hi), 0)
         if f_lo == f_hi:
-            return BoundOutcome(
-                kind=BoundKind.LS_LOWER,
-                value=1 + f_lo,
-                not_applicable_reason=None,
-                certification=Certification(CertificationMethod.INTERVAL_CERTIFIED),
-                detail=_quartic_detail(shape, airy),
-            )
-    # The enclosure straddles an integer: ask the per-degree predicate, which
-    # pins the floor exactly when only one integer is in doubt.
-    detail = _quartic_detail(shape, airy)
-    decision = (_ls_accepts_degree(shape, f_hi, airy)
-                if f_hi == f_lo + 1 else ThresholdDecision.UNDECIDED)
-    if decision is ThresholdDecision.ABOVE:
-        value, flag = 1 + f_hi, False
-    elif decision is ThresholdDecision.BELOW:
-        value, flag = 1 + f_lo, False
-    else:
-        value, flag = 1 + f_lo, True  # conservative side stays a valid lower bound
+            break
+    flag = f_lo != f_hi  # the lower candidate stays a valid lower bound
     return BoundOutcome(
         kind=BoundKind.LS_LOWER,
-        value=value,
+        value=1 + f_lo,
         not_applicable_reason=None,
         certification=Certification(
             CertificationMethod.INTERVAL_CERTIFIED,
             near_boundary=flag,
             candidates=(1 + f_lo, 1 + f_hi) if flag else None,
         ),
-        detail=detail,
+        detail=_quartic_detail(shape, airy),
     )
 
 
@@ -504,33 +439,31 @@ def _s4_value_dyadic(N: int, n: int, p: int, e: int) -> int:
 def l_smallest_accepted_degree(shape: SystemShape) -> int | None:
     """Smallest degree k in [1, floor(N/2)] passing the per-degree upper test.
 
-    Acceptance of k means n/2 <= (sqrt(k) - k^(1/6)) sqrt(N - k), decided by
-    squaring to n^2/4 <= (k - 2 k^(2/3) + k^(1/3)) (N - k) and refining a
-    rational enclosure of k^(1/3); perfect cubes compare exactly.  Fully
-    decidable: for non-cube k the two sides can never be equal.
+    Acceptance of k means n/2 <= (sqrt(k) - k^(1/6)) sqrt(N - k), squared to
+    n^2/4 <= (k - 2 k^(2/3) + k^(1/3)) (N - k) and decided by the sign of one
+    integer (`_l_accepts_degree`); ties, which only perfect cubes k can
+    reach, are accepted.
     """
     N, n = shape.N, shape.n
-    lhs = Fraction(n * n, 4)
     for k in range(1, N // 2 + 1):
-        if _l_accepts_degree(N, lhs, k):
+        if _l_accepts_degree(N, n, k):
             return k
     return None
 
 
-def _l_accepts_degree(N: int, lhs: Fraction, k: int) -> bool:
-    c = iroot(k, 3)
-    if c ** 3 == k:
-        rhs = Fraction((k + c - 2 * c * c) * (N - k))
-        return lhs <= rhs
-    bits = 32
-    while True:
-        u = nth_root_enclosure(k, 3, bits)
-        rhs = (k + u - 2 * u * u) * (N - k)
-        if rhs.lo >= lhs:
-            return True
-        if rhs.hi < lhs:
-            return False
-        bits *= 2
+def _l_accepts_degree(N: int, n: int, k: int) -> bool:
+    """Whether alpha = A + B u + C u^2 >= 0, u = k^(1/3), by its field norm.
+
+    With Q = 4 (N - k): A = Q k - n^2, B = Q, C = -2 Q, and acceptance of k
+    is alpha >= 0.  Since u^3 = k, alpha times its two conjugates over the
+    cube roots of unity w, w^2 (u -> w u, w^2 u) is the integer
+    A^3 + k B^3 + k^2 C^3 - 3 k A B C.  The conjugates multiply to
+    |alpha'|^2, and alpha' = A + B w u + C w^2 u^2 has imaginary part
+    (sqrt(3)/2) u (B - C u) > 0, so the norm has the sign of alpha.
+    """
+    Q = 4 * (N - k)
+    A, B, C = Q * k - n * n, Q, -2 * Q
+    return A ** 3 + k * B ** 3 + k * k * C ** 3 - 3 * k * A * B * C >= 0
 
 
 _L_WIDTH_CAP = Fraction(1, 1 << 128)
@@ -543,8 +476,11 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
     top root of the quartic factor r, from a float Newton seed; certify the
     sign of s at that maximum (negative means no bound); bisect s on the
     increasing side for x5; certify the range condition x5^3 <= floor(N/2)
-    and the ceiling of x5^3 by refining the enclosure.  Algebraically degenerate ties fall back to the exact
-    per-degree predicate, which is always decidable.
+    and the ceiling of x5^3 by refining the enclosure.  Algebraically
+    degenerate ties (s(x4') = 0, or an x5 whose cube the refinement cannot
+    separate from an integer, such as an integer x5) fall back to the
+    per-degree test of `l_smallest_accepted_degree`, one exact integer sign
+    per degree.
     """
     N, n = shape.N, shape.n
     bound_cap = N // 2

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
@@ -63,24 +62,12 @@ class SystemShape:
         return self.m - self.n
 
 
-# Cache only small arguments; table sweeps reuse those heavily while huge
-# binomials are one-shot and would bloat the cache.
-_CACHE_ARG_LIMIT = 4096
-
-
-@lru_cache(maxsize=1 << 16)
-def _comb_small(a: int, b: int) -> int:
-    return math.comb(a, b)
-
-
 def binomial(a: int, b: int) -> int:
     """Binomial coefficient C(a, b); 0 whenever b lies outside [0, a]."""
     if a < 0:
         raise ValueError(f"binomial requires a >= 0; got a={a}")
     if b < 0 or b > a:
         return 0
-    if a <= _CACHE_ARG_LIMIT:
-        return _comb_small(a, b)
     return math.comb(a, b)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-__all__ = ["iroot", "Enclosure", "DyadicBracket", "newton_seed", "sqrt_enclosure",
-           "nth_root_enclosure"]
+__all__ = ["iroot", "Enclosure", "DyadicBracket", "positive_width", "newton_seed",
+           "sqrt_enclosure", "nth_root_enclosure"]
 
 
 def iroot(x: int, r: int) -> int:
@@ -101,11 +101,6 @@ class Enclosure:
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "Enclosure":
-        if self.lo <= 0 <= self.hi:
-            raise ValueError("reciprocal of an enclosure containing 0")
-        return Enclosure(1 / self.hi, 1 / self.lo)
-
 
 class DyadicBracket:
     """Sign-change bracket [num_lo, num_hi] / 2^e of an exact integer sign.
@@ -177,10 +172,7 @@ class DyadicBracket:
         tried first through `narrow`; a refused guess, or a seed that
         overflows, leaves the work to bisection.
         """
-        if not isinstance(width, Fraction):
-            width = Fraction(width)
-        if width.numerator <= 0:
-            raise ValueError(f"requires a positive width; got {width}")
+        width = positive_width(width)
         if seed is not None and not self.exact and self._width_sign(width) > 0:
             try:
                 guess = seed()
@@ -246,6 +238,15 @@ class DyadicBracket:
         return (root > 0) - (root < 0)
 
 
+def positive_width(width: Fraction | float) -> Fraction:
+    """`width` taken exactly as a Fraction; ValueError unless it is positive."""
+    if not isinstance(width, Fraction):
+        width = Fraction(width)
+    if width.numerator <= 0:
+        raise ValueError(f"requires a positive width; got {width}")
+    return width
+
+
 def newton_seed(f: Callable[[float], tuple[float, float]], x: float,
                 direction: int) -> float:
     """Float Newton iterates of f from x, moving in `direction` (+1 up, -1 down).
@@ -276,17 +277,15 @@ def sqrt_enclosure(x: Fraction | int, bits: int) -> Enclosure:
 def nth_root_enclosure(x: Fraction | int, r: int, bits: int) -> Enclosure:
     """Dyadic enclosure of x^(1/r) of width at most 2^-bits.
 
-    Requires x >= 0 for even r; odd roots of negative x mirror through 0.
-    With scale = 2^bits and b = iroot(floor(x * scale^r), r) the bracket
-    [b/scale, (b+1)/scale] always contains the root: b^r <= x*scale^r by
-    construction, and (b+1)^r > floor(x*scale^r) forces (b+1)^r > x*scale^r
-    because both sides of the strict comparison are integers.
+    Requires x >= 0.  With scale = 2^bits and b = iroot(floor(x * scale^r), r)
+    the bracket [b/scale, (b+1)/scale] always contains the root:
+    b^r <= x*scale^r by construction, and (b+1)^r > floor(x*scale^r) forces
+    (b+1)^r > x*scale^r because both sides of the strict comparison are
+    integers.
     """
     x = Fraction(x)
     if x < 0:
-        if r % 2 == 0:
-            raise ValueError(f"even root of negative value {x}")
-        return -nth_root_enclosure(-x, r, bits)
+        raise ValueError(f"root of negative value {x}")
     scale = 1 << bits
     scaled = x * scale ** r
     b = iroot(scaled.numerator // scaled.denominator, r)

@@ -26,7 +26,7 @@ from functools import partial
 
 from .bounds import kz_root_bound
 from .exact import SystemShape
-from .intervals import DyadicBracket, Enclosure, newton_seed
+from .intervals import DyadicBracket, Enclosure, newton_seed, positive_width
 from .krawtchouk import cleared_values
 
 __all__ = [
@@ -261,6 +261,7 @@ def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) 
     if not 1 <= k <= N:
         raise ValueError(f"requires 1 <= k <= N={N}; got k={k}")
     if k == 1:
+        positive_width(width)  # refused like any k, though lambda_1 = 0 is exact
         return Enclosure.point(0)
     return _refine_eigen(N, k, _eigen_bracket(N, k), width)
 

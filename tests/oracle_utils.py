@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import semireg.verify
 from semireg.exact import binomial
-from semireg.intervals import Enclosure
+from semireg.intervals import Enclosure, iroot, nth_root_enclosure
 from semireg.krawtchouk import integer_values
 from semireg.roots import (DEFAULT_WIDTH, _sturm_count_below, dreg_via_eigenvalues,
                            dreg_via_roots, largest_eigenvalue)
@@ -143,6 +143,28 @@ def enclosure_max_sign_margin(N: int, v: int, num_lo: int, num_hi: int, e: int) 
     r_enc = 6 * enc * enc * enc * enc - 4 * enc * enc * enc - (3 * N) * enc + N
     m_total = (enc.hi - 1) * max(abs(r_enc.lo), abs(r_enc.hi))
     return v + 4 * m_total * enc.width * (1 << 6 * (e + 1))
+
+
+def interval_l_accepts_degree(N: int, n: int, k: int) -> bool:
+    """Per-degree l_upper acceptance n^2/4 <= (k + u - 2u^2)(N - k), u = k^(1/3).
+
+    Fraction interval arithmetic: a perfect cube k compares exactly, any
+    other k refines an enclosure of u, doubling its bits until one side of
+    the inequality is certain (for non-cube k the sides are never equal).
+    """
+    lhs = Fraction(n * n, 4)
+    c = iroot(k, 3)
+    if c ** 3 == k:
+        return lhs <= (k + c - 2 * c * c) * (N - k)
+    bits = 32
+    while True:
+        u = nth_root_enclosure(k, 3, bits)
+        rhs = (k + u - 2 * u * u) * (N - k)
+        if rhs.lo >= lhs:
+            return True
+        if rhs.hi < lhs:
+            return False
+        bits *= 2
 
 
 def three_way_reference(max_N: int) -> CheckResult:

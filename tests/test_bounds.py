@@ -17,9 +17,7 @@ from semireg.bounds import (
     NotApplicableReason,
     QuarticClosedForm,
     SexticForm,
-    ThresholdDecision,
     kz_lower,
-    kz_predicate_full,
     kz_root_bound,
     l_smallest_accepted_degree,
     l_upper,
@@ -32,14 +30,15 @@ from semireg.bounds import (
     ls_upper_root_bound,
 )
 import semireg.bounds as bounds_mod
-from semireg.bounds import (_LS_BITS_SCHEDULE, _max_sign_margin, _quartic_positive_root,
-                            _r_value_dyadic)
+from semireg.bounds import (_LS_BITS_SCHEDULE, _l_accepts_degree, _max_sign_margin,
+                            _quartic_positive_root, _r_value_dyadic)
 from semireg.intervals import DyadicBracket, iroot, sqrt_enclosure
 from semireg.verify import enumerate_shapes
 
 from oracle_utils import (
     enclosure_max_sign_margin,
     fraction_quartic_positive_root,
+    interval_l_accepts_degree,
     one_minus_x_times_r_coefficients,
     s_derivative_coefficients,
 )
@@ -81,32 +80,6 @@ def test_kz_lower_perfect_square_boundary():
     # m (m - n) a perfect square makes the floor argument hit exactly
     shape = SystemShape(8, 6)  # m t = 16, N = 10: theta = (10 - 8) / 2 = 1
     assert kz_lower(shape).value == 2
-
-
-def test_kz_predicate_full_examples():
-    s = SystemShape(24, 12)
-    # KZ_3 ~ 12.29 >= t = 12: degree 3 accepted by the corrected inequality
-    assert kz_predicate_full(s, 3) is ThresholdDecision.ABOVE
-    assert kz_predicate_full(s, 1) is ThresholdDecision.ABOVE
-    big = SystemShape(512, 256)
-    assert kz_predicate_full(big, 22) is not ThresholdDecision.UNDECIDED
-
-
-def test_kz_predicate_validity_range():
-    s = SystemShape(24, 12)
-    with pytest.raises(ValueError):
-        kz_predicate_full(s, 0)
-    with pytest.raises(ValueError):
-        kz_predicate_full(s, 18)  # k = N/2 out of range
-
-
-def test_kz_full_predicate_at_least_as_sharp_as_floor():
-    # the simplified inequality implies the corrected one, so the floor's
-    # accepted degree must pass the full predicate
-    for shape in _grid_shapes():
-        f = kz_lower(shape).value - 1
-        if 1 <= f and 2 * f < shape.N:
-            assert kz_predicate_full(shape, f) is ThresholdDecision.ABOVE
 
 
 def test_kz_root_bound_figure_value():
@@ -211,6 +184,11 @@ def test_ls_lower_certified_interval_tightness():
             assert ls_lower(shape).value == 1 + math.floor(v)
 
 
+def _ls_flag_key(shape, airy):
+    out = ls_lower(shape, airy)
+    return out.value, out.certification.near_boundary, out.certification.candidates
+
+
 def test_ls_lower_near_boundary_with_huge_radius():
     wide = AiryConstant(i1=Fraction("3.37213"), precision_radius=Fraction(1, 2))
     out = ls_lower(SystemShape(512, 256), wide)
@@ -218,6 +196,31 @@ def test_ls_lower_near_boundary_with_huge_radius():
     assert cert.near_boundary
     assert cert.candidates is not None and len(cert.candidates) == 2
     assert out.value == cert.candidates[0] < cert.candidates[1]
+    # (value, near_boundary, candidates); one integer in doubt or two
+    for (m, n), key in {(512, 256): (27, True, (27, 29)), (24, 12): (3, True, (3, 4)),
+                        (5, 4): (3, True, (3, 4)), (43, 35): (10, True, (10, 11)),
+                        (132, 24): (3, False, None)}.items():
+        assert _ls_flag_key(SystemShape(m, n), wide) == key, (m, n)
+
+
+# Every shape with N <= 120 whose ls_lower floor the schedule cannot pin at
+# precision radius 1/1000: (value, near_boundary, candidates).
+_LS_FLAGGED_AT_RADIUS_1E3 = {
+    (43, 35): (10, True, (10, 11)), (47, 37): (10, True, (10, 11)),
+    (51, 17): (3, True, (3, 4)), (53, 47): (14, True, (14, 15)),
+    (60, 43): (10, True, (10, 11)), (66, 43): (9, True, (9, 10)),
+    (72, 39): (7, True, (7, 8)), (73, 63): (17, True, (17, 18)),
+}
+
+
+def test_ls_lower_flagged_shapes_at_narrow_radius():
+    airy = AiryConstant(precision_radius=Fraction(1, 1000))
+    flagged = {}
+    for shape in enumerate_shapes(120):
+        key = _ls_flag_key(shape, airy)
+        if key[1]:
+            flagged[shape.m, shape.n] = key
+    assert flagged == _LS_FLAGGED_AT_RADIUS_1E3
 
 
 def test_ls_lower_root_bound_figure_value():
@@ -346,6 +349,32 @@ def test_l_upper_integer_x5_shapes():
         out = l_upper(SystemShape(m, n))
         assert out.value == value
         assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
+
+
+def test_l_accepts_degree_exact_ties():
+    # the integer-x5 shapes: alpha = 0 at k = x5^3, so k is accepted, and
+    # one more variable tips it
+    for (m, n), k in {(12, 8): 8, (19, 12): 8, (28, 16): 8, (39, 20): 8,
+                      (45, 36): 27}.items():
+        N = 2 * m - n
+        assert 4 * (N - k) * (k + iroot(k, 3) - 2 * iroot(k, 3) ** 2) == n * n
+        for v, accepted in ((n, True), (n + 1, False)):
+            assert _l_accepts_degree(N, v, k) is accepted
+            assert interval_l_accepts_degree(N, v, k) is accepted
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**6), st.data())
+def test_l_accepts_degree_norm_matches_interval_oracle(N, data):
+    top = N // 2
+    k = data.draw(st.one_of(st.just(1), st.just(top),
+                            st.integers(1, iroot(top, 3)).map(lambda c: c ** 3),
+                            st.integers(1, top)))
+    # n within two of the acceptance edge n^2 = 4 (N - k)(k + u - 2u^2)
+    u = k ** (1 / 3)
+    edge = math.isqrt(max(0, int(4 * (N - k) * (k + u - 2 * u * u))))
+    n = data.draw(st.integers(max(1, edge - 2), edge + 2))
+    assert _l_accepts_degree(N, n, k) == interval_l_accepts_degree(N, n, k)
 
 
 @settings(max_examples=200, deadline=None)

@@ -91,6 +91,8 @@ def test_non_positive_width_refused(width):
         with pytest.raises(ValueError, match="positive width"):
             largest_eigenvalue(36, 3, width)
         with pytest.raises(ValueError, match="positive width"):
+            largest_eigenvalue(36, 1, width)
+        with pytest.raises(ValueError, match="positive width"):
             run_all(5, width)
 
 
