@@ -13,8 +13,10 @@ the smallest Krawtchouk root d_k^N(1) against the threshold t = m - n:
   certified by an exact integer predicate; may be structurally inapplicable.
 * l_upper   : ceiling of x5^3 where x5 is a root of a sextic located by
   exact-sign bisection below a stationary point x4 of it; two structural
-  inapplicability reasons.  Degenerate ties fall back to the per-degree
-  test, decided by the sign of one integer (a field norm in Q(k^(1/3))).
+  inapplicability reasons.  The ceiling is the first degree left by the x5
+  bracket that passes the per-degree test, decided by the sign of one
+  integer (a field norm in Q(k^(1/3))); only a sextic maximum exactly at
+  zero falls back to scanning that test over every degree.
 
 The quartic root of ls_lower and the stationary point x4 of l_upper are
 bracketed from float Newton seeds, kept only when two exact signs certify
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -140,6 +143,9 @@ class AiryConstant:
             raise ValueError("i1 must be positive")
         if self.precision_radius < 0:
             raise ValueError("precision_radius must be non-negative")
+        if self.precision_radius >= self.i1:
+            # keeps b = -c < 0 over the whole enclosure, as ls_lower's quartic needs
+            raise ValueError("precision_radius must be smaller than i1")
 
     @property
     def c(self) -> float:
@@ -416,7 +422,8 @@ class SexticForm:
 
     x4_prime encloses the interior local maximum of s (the unique root of the
     quartic factor r(x) = 6x^4 - 4x^3 - 3Nx + N in (1, N^(1/3))); x5 encloses
-    the increasing-side root of s when it exists.
+    the increasing-side root of s, integer or not, and is None only when s
+    has no such root or its maximum is the tie s(x4') = 0.
     """
 
     shape: SystemShape
@@ -452,21 +459,23 @@ def l_smallest_accepted_degree(shape: SystemShape) -> int | None:
 
 
 def _l_accepts_degree(N: int, n: int, k: int) -> bool:
-    """Whether alpha = A + B u + C u^2 >= 0, u = k^(1/3), by its field norm.
+    return _l_degree_norm(N, n, k) >= 0
+
+
+def _l_degree_norm(N: int, n: int, k: int) -> int:
+    """Field norm of alpha = A + B u + C u^2, u = k^(1/3), k < N: sign of alpha.
 
     With Q = 4 (N - k): A = Q k - n^2, B = Q, C = -2 Q, and acceptance of k
-    is alpha >= 0.  Since u^3 = k, alpha times its two conjugates over the
-    cube roots of unity w, w^2 (u -> w u, w^2 u) is the integer
-    A^3 + k B^3 + k^2 C^3 - 3 k A B C.  The conjugates multiply to
-    |alpha'|^2, and alpha' = A + B w u + C w^2 u^2 has imaginary part
-    (sqrt(3)/2) u (B - C u) > 0, so the norm has the sign of alpha.
+    is alpha >= 0; alpha = 4 s(u) for the sextic s of `l_upper`.  Since
+    u^3 = k, alpha times its two conjugates over the cube roots of unity
+    w, w^2 (u -> w u, w^2 u) is the integer A^3 + k B^3 + k^2 C^3 - 3 k A B C.
+    The conjugates multiply to |alpha'|^2, and alpha' = A + B w u + C w^2 u^2
+    has imaginary part (sqrt(3)/2) u (B - C u) > 0, so the norm has the sign
+    of alpha and is zero exactly when alpha is.
     """
     Q = 4 * (N - k)
     A, B, C = Q * k - n * n, Q, -2 * Q
-    return A ** 3 + k * B ** 3 + k * k * C ** 3 - 3 * k * A * B * C >= 0
-
-
-_L_WIDTH_CAP = Fraction(1, 1 << 128)
+    return A ** 3 + k * B ** 3 + k * k * C ** 3 - 3 * k * A * B * C
 
 
 def l_upper(shape: SystemShape) -> BoundOutcome:
@@ -475,15 +484,15 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
     Pipeline: bracket the local-maximum location x4' in (1, N^(1/3)), the
     top root of the quartic factor r, from a float Newton seed; certify the
     sign of s at that maximum (negative means no bound); bisect s on the
-    increasing side for x5; certify the range condition x5^3 <= floor(N/2)
-    and the ceiling of x5^3 by refining the enclosure.  Algebraically
-    degenerate ties (s(x4') = 0, or an x5 whose cube the refinement cannot
-    separate from an integer, such as an integer x5) fall back to the
-    per-degree test of `l_smallest_accepted_degree`, one exact integer sign
-    per degree.
+    increasing side for x5 to width 2^-16; read ceil(x5^3) off that bracket
+    as the first degree it leaves whose per-degree test (one exact integer
+    sign, `_l_accepts_degree`) accepts; check the range condition
+    ceil(x5^3) <= floor(N/2).  The value is labelled an exact integer
+    predicate when the norm at ceil(x5^3) is zero (x5^3 is that integer),
+    and interval certified otherwise.  Only the degenerate tie s(x4') = 0
+    falls back to the per-degree scan of `l_smallest_accepted_degree`.
     """
     N, n = shape.N, shape.n
-    bound_cap = N // 2
 
     hi0 = iroot(N, 3) + 1  # above the largest root of r
     if _r_value_dyadic(N, hi0, 0) <= 0:
@@ -507,27 +516,42 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
     if applicable is None:
         return _l_upper_from_predicate(shape, x4)
 
-    x5 = _locate_x5(shape, witness)
-    if x5 is None:
-        return _l_upper_from_predicate(shape, x4)
+    # s(1) = -n^2/4 < 0 <= s(witness), and x5 is the only zero strictly
+    # inside: bisection moves lo onto s < 0 and hi onto s > 0 only, so it
+    # closes on x5 even when the witness is itself a zero of s.  Not seeded:
+    # the bracket is not aligned to a power of two.
+    p, e = witness
+    x5 = DyadicBracket(partial(_s4_value_dyadic, N, n), 1 << e, p, e)
+    x5.refine(Fraction(1, 1 << 16))
+    # On [1, witness], s >= 0 exactly on [x5, witness], and every degree c
+    # below top = ceil(hi^3) has c^(1/3) < hi <= witness: such a c is
+    # accepted exactly when c >= x5^3.  Bisection of that monotone test finds
+    # the first accepted one, ceil(x5^3); if none is, ceil(x5^3) = top.
+    first, top = math.ceil(x5.lo ** 3), math.ceil(x5.hi ** 3)
+    k = first + bisect_left(range(first, top), True, key=partial(_l_accepts_degree, N, n))
+    detail = SexticForm(shape, x4.enclosure(), x5.enclosure())
+    if k > N // 2:
+        return BoundOutcome(
+            kind=BoundKind.L_UPPER,
+            value=None,
+            not_applicable_reason=NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE,
+            certification=Certification(CertificationMethod.INTERVAL_CERTIFIED),
+            detail=detail,
+        )
+    # k <= N/2 puts k^(1/3) below x4' (r((N/2)^(1/3)) = -N < 0), where the
+    # only zero of s is x5, so a zero norm at k means x5^3 = k
+    exact = _l_degree_norm(N, n, k) == 0
+    return BoundOutcome(
+        kind=BoundKind.L_UPPER,
+        value=1 + k,
+        not_applicable_reason=None,
+        certification=Certification(CertificationMethod.EXACT_INTEGER_PREDICATE if exact
+                                    else CertificationMethod.INTERVAL_CERTIFIED),
+        detail=detail,
+    )
 
-    # Range condition and ceiling, by refinement of the x5 enclosure.
-    while True:
-        if x5.exact:
-            cube = x5.lo ** 3
-            if cube > bound_cap:
-                return _l_na_out_of_range(shape, x4, x5)
-            return _l_value(shape, x4, x5, math.ceil(cube))
-        lo3, hi3 = x5.lo ** 3, x5.hi ** 3
-        if lo3 > bound_cap:
-            return _l_na_out_of_range(shape, x4, x5)
-        if hi3 <= bound_cap:
-            c_lo, c_hi = math.ceil(lo3), math.ceil(hi3)
-            if c_lo == c_hi:
-                return _l_value(shape, x4, x5, c_lo)
-        if x5._width_sign(_L_WIDTH_CAP) < 0:
-            return _l_upper_from_predicate(shape, x4)
-        x5.step()
+
+_L_WIDTH_CAP = Fraction(1, 1 << 128)
 
 
 def _certify_max_sign(shape: SystemShape, x4: DyadicBracket):
@@ -574,49 +598,8 @@ def _max_sign_margin(N: int, v: int, lo: int, hi: int, e: int) -> int:
     return v + 256 * (hi - two_e) * max(abs(r_lo), abs(r_hi)) * (hi - lo)
 
 
-def _locate_x5(shape: SystemShape, witness: tuple[int, int]) -> DyadicBracket | None:
-    """Bracket the increasing-side root of s below the positive witness."""
-    s4 = partial(_s4_value_dyadic, shape.N, shape.n)
-    p, e = witness
-    if s4(p, e) == 0:
-        # witness is itself a root; decide which side of the hump it is on
-        left_num, left_e = 2 * p - 1, e + 1  # p - 2^-(e+1), still > 1 for p/2^e > 1
-        lv = s4(left_num, left_e)
-        if lv < 0:
-            return DyadicBracket(s4, p, p, e, exact=True)
-        if lv == 0:
-            return None  # two roots within one dyadic step: degenerate tie
-        p, e = left_num, left_e  # witness was the decreasing-side root
-    # s(1) = -n^2/4 < 0 and s(witness) > 0: unique crossing in between.
-    # Not seeded: an aligned window would land on integer roots x5 that
-    # bisection of [1, witness] misses, changing the certification method.
-    x5 = DyadicBracket(s4, 1 << e, p, e)
-    x5.refine(Fraction(1, 1 << 16))
-    return x5
-
-
-def _l_na_out_of_range(shape, x4, x5) -> BoundOutcome:
-    return BoundOutcome(
-        kind=BoundKind.L_UPPER,
-        value=None,
-        not_applicable_reason=NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE,
-        certification=Certification(CertificationMethod.INTERVAL_CERTIFIED),
-        detail=SexticForm(shape, x4.enclosure(), x5.enclosure()),
-    )
-
-
-def _l_value(shape, x4, x5, ceil_cube: int) -> BoundOutcome:
-    return BoundOutcome(
-        kind=BoundKind.L_UPPER,
-        value=1 + ceil_cube,
-        not_applicable_reason=None,
-        certification=Certification(CertificationMethod.INTERVAL_CERTIFIED),
-        detail=SexticForm(shape, x4.enclosure(), x5.enclosure()),
-    )
-
-
 def _l_upper_from_predicate(shape: SystemShape, x4: DyadicBracket) -> BoundOutcome:
-    # Exact fallback for algebraically degenerate localizations.
+    # Exact fallback for the max-sign tie s(x4') = 0.
     k = l_smallest_accepted_degree(shape)
     if k is not None:
         return BoundOutcome(

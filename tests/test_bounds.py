@@ -30,8 +30,9 @@ from semireg.bounds import (
     ls_upper_root_bound,
 )
 import semireg.bounds as bounds_mod
-from semireg.bounds import (_LS_BITS_SCHEDULE, _l_accepts_degree, _max_sign_margin,
-                            _quartic_positive_root, _r_value_dyadic)
+from semireg.bounds import (_LS_BITS_SCHEDULE, _l_accepts_degree, _l_degree_norm,
+                            _max_sign_margin, _quartic_positive_root, _r_value_dyadic,
+                            _s4_value_dyadic)
 from semireg.intervals import DyadicBracket, iroot, sqrt_enclosure
 from semireg.verify import enumerate_shapes
 
@@ -243,6 +244,11 @@ def test_airy_constant_validation():
         AiryConstant(i1=Fraction(-1))
     with pytest.raises(ValueError):
         AiryConstant(precision_radius=Fraction(-1, 10))
+    # a radius reaching i1 lets c's enclosure touch zero, where the quartic
+    # w^4 - a w + b of ls_lower loses its b < 0
+    for i1, radius in ((Fraction(1), Fraction(1)), (Fraction("3.37213"), Fraction(10))):
+        with pytest.raises(ValueError):
+            AiryConstant(i1=i1, precision_radius=radius)
 
 
 # ------------------------------------------------------------ LS asymptotics
@@ -331,24 +337,79 @@ def test_l_upper_figure_vector_x5():
     assert out.value == 7
 
 
+def _assert_l_upper_matches_predicate(shape):
+    out = l_upper(shape)
+    k = l_smallest_accepted_degree(shape)
+    assert k == (out.value - 1 if out.applicable else None)
+
+
 def test_l_upper_agrees_with_exact_per_degree_predicate():
     for shape in _grid_shapes():
-        out = l_upper(shape)
-        k = l_smallest_accepted_degree(shape)
-        if out.applicable:
-            assert k == out.value - 1
-        else:
-            assert k is None
+        _assert_l_upper_matches_predicate(shape)
 
 
-def test_l_upper_integer_x5_shapes():
-    # x5 is an integer here; bisection of [1, witness] never lands on it, so
-    # the ceiling falls to the exact per-degree predicate
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**4), st.data())
+def test_l_upper_agrees_with_exact_per_degree_predicate_on_drawn_shapes(n, data):
+    _assert_l_upper_matches_predicate(SystemShape(data.draw(st.integers(n + 1, 4 * n)), n))
+
+
+def test_l_upper_integer_x5_shapes(monkeypatch):
+    # x5 is an integer here; bisection of [1, witness] never lands on it, but
+    # once the 2^-16 bracket is reached the acceptance of k = x5^3 is decided
+    # by its norm, which is zero: the ceiling is exact, with no further steps
+    steps, step = [], DyadicBracket.step
+    monkeypatch.setattr(DyadicBracket, "step", lambda self: steps.append(1) or step(self))
     for (m, n), value in {(12, 8): 9, (19, 12): 9, (28, 16): 9, (39, 20): 9,
                           (45, 36): 28}.items():
+        steps.clear()
         out = l_upper(SystemShape(m, n))
         assert out.value == value
         assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
+        x5 = iroot(value - 1, 3)
+        assert out.detail.x5.lo <= x5 <= out.detail.x5.hi
+        assert len(steps) <= 20
+
+
+def test_l_upper_ceiling_inside_the_x5_bracket():
+    # the cube of the 2^-16 x5 bracket straddles one integer c; c is accepted
+    # for the first two shapes and refused for the last two, where the
+    # ceiling is the top of the bracket
+    for (m, n), value in {(215, 43): 7, (235, 197): 88, (167, 32): 7,
+                          (177, 153): 86}.items():
+        out = l_upper(SystemShape(m, n))
+        x5 = out.detail.x5
+        assert math.ceil(x5.lo ** 3) + 1 == math.ceil(x5.hi ** 3)
+        assert out.value == value
+        assert out.certification.method is CertificationMethod.INTERVAL_CERTIFIED
+
+
+def test_l_upper_zero_witness_closes_on_x5(monkeypatch):
+    # no natural shape hands l_upper a witness where s = 0, so force the
+    # exact root x5 = 2 of (12, 8) as the witness: N = 16, n = 8, s(2) = 0
+    assert _s4_value_dyadic(16, 8, 2, 0) == 0
+    monkeypatch.setattr(bounds_mod, "_certify_max_sign", lambda shape, x4: (True, (2, 0)))
+    out = l_upper(SystemShape(12, 8))
+    assert out.value == 9
+    assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
+    assert out.detail.x5.lo <= 2 <= out.detail.x5.hi
+
+
+def test_l_upper_method_follows_the_norm_at_its_ceiling():
+    exact_shapes = 0
+    for shape in enumerate_shapes(120):
+        out = l_upper(shape)
+        if not out.applicable:
+            continue
+        N, n, k = shape.N, shape.n, out.value - 1
+        zero = _l_degree_norm(N, n, k) == 0
+        exact = out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
+        assert exact == zero, (shape.m, shape.n)
+        # a zero norm is x5^3 = k: k is a cube u^3 with s(u) = 0
+        u = iroot(k, 3)
+        assert zero == (u ** 3 == k and 4 * (N - k) * (k + u - 2 * u * u) == n * n)
+        exact_shapes += exact
+    assert exact_shapes >= 5
 
 
 def test_l_accepts_degree_exact_ties():

@@ -300,6 +300,14 @@ def test_airy_i1_huge_still_certifies_ls_lower(capsys, i1):
     assert err == ""
 
 
+@pytest.mark.parametrize("option", [["--airy-radius", "10"], ["--airy-i1", "1e-6"]])
+def test_airy_radius_reaching_i1_is_an_error(capsys, option):
+    code, out, err = run_cli(capsys, "bounds", "24", "12", *option)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_airy_i1_overflowing_curve_is_an_error(capsys):
     code, out, err = run_cli(capsys, "bounds", "24", "12", "--curve", "--airy-i1", "1e400")
     assert code == 2
