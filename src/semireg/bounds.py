@@ -15,8 +15,8 @@ the smallest Krawtchouk root d_k^N(1) against the threshold t = m - n:
   exact-sign bisection below a stationary point x4 of it; two structural
   inapplicability reasons.  The ceiling is the first degree left by the x5
   bracket that passes the per-degree test, decided by the sign of one
-  integer (a field norm in Q(k^(1/3))); only a sextic maximum exactly at
-  zero falls back to scanning that test over every degree.
+  integer (a field norm in Q(k^(1/3))); a sextic maximum exactly at zero
+  accepts no degree up to N/2, which a proof, not a scan, settles.
 
 The quartic root of ls_lower and the stationary point x4 of l_upper are
 bracketed from float Newton seeds, kept only when two exact signs certify
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .exact import SystemShape
+from .exact import SystemShape, kz_root_bound
 from .intervals import (DyadicBracket, Enclosure, iroot, newton_seed, nth_root_enclosure,
                         sqrt_enclosure)
 
@@ -65,7 +65,6 @@ __all__ = [
     "ls_upper_root_bound",
     "l_upper",
     "l_upper_root_bound",
-    "l_smallest_accepted_degree",
 ]
 
 
@@ -189,17 +188,6 @@ def kz_lower(shape: SystemShape) -> BoundOutcome:
         not_applicable_reason=None,
         certification=Certification(CertificationMethod.EXACT_INTEGER_PREDICATE),
     )
-
-
-def kz_root_bound(N: int, k: int) -> float:
-    """Raw per-degree root lower bound with the (.)^(2/3) correction term.
-
-    Valid for 1 <= k < N/2; diagnostics only.
-    """
-    if not (1 <= k and 2 * k < N):
-        raise ValueError(f"requires 1 <= k < N/2; got k={k}, N={N}")
-    rho = (N - 2 * k) / (2 * k * (N - k))
-    return N / 2 - math.sqrt(k * (N - k)) * (1 - 1.5 * rho ** (2.0 / 3.0))
 
 
 # --------------------------------------------------------------------------
@@ -443,21 +431,6 @@ def _s4_value_dyadic(N: int, n: int, p: int, e: int) -> int:
     return 4 * p * (p - two_e) ** 2 * (N * two_e ** 3 - p ** 3) - n * n * two_e ** 6
 
 
-def l_smallest_accepted_degree(shape: SystemShape) -> int | None:
-    """Smallest degree k in [1, floor(N/2)] passing the per-degree upper test.
-
-    Acceptance of k means n/2 <= (sqrt(k) - k^(1/6)) sqrt(N - k), squared to
-    n^2/4 <= (k - 2 k^(2/3) + k^(1/3)) (N - k) and decided by the sign of one
-    integer (`_l_accepts_degree`); ties, which only perfect cubes k can
-    reach, are accepted.
-    """
-    N, n = shape.N, shape.n
-    for k in range(1, N // 2 + 1):
-        if _l_accepts_degree(N, n, k):
-            return k
-    return None
-
-
 def _l_accepts_degree(N: int, n: int, k: int) -> bool:
     return _l_degree_norm(N, n, k) >= 0
 
@@ -489,8 +462,8 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
     sign, `_l_accepts_degree`) accepts; check the range condition
     ceil(x5^3) <= floor(N/2).  The value is labelled an exact integer
     predicate when the norm at ceil(x5^3) is zero (x5^3 is that integer),
-    and interval certified otherwise.  Only the degenerate tie s(x4') = 0
-    falls back to the per-degree scan of `l_smallest_accepted_degree`.
+    and interval certified otherwise.  The degenerate tie s(x4') = 0 is
+    not applicable (root out of range) by the proof at its branch.
     """
     N, n = shape.N, shape.n
 
@@ -514,7 +487,17 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
             detail=SexticForm(shape, x4.enclosure(), None),
         )
     if applicable is None:
-        return _l_upper_from_predicate(shape, x4)
+        # The tie s(x4') = 0.  r(1) = 2 - 2N < 0, r((N/2)^(1/3)) = -N < 0 and
+        # r is convex for x > 1/3, so x4' > (N/2)^(1/3).  s increases on
+        # [1, x4'] (s' = (1 - x) r), so s < 0 on [1, x4'): no degree
+        # k <= N/2 is accepted, and the touching root x4' cubes past N/2.
+        return BoundOutcome(
+            kind=BoundKind.L_UPPER,
+            value=None,
+            not_applicable_reason=NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE,
+            certification=Certification(CertificationMethod.EXACT_INTEGER_PREDICATE),
+            detail=SexticForm(shape, x4.enclosure(), None),
+        )
 
     # s(1) = -n^2/4 < 0 <= s(witness), and x5 is the only zero strictly
     # inside: bisection moves lo onto s < 0 and hi onto s > 0 only, so it
@@ -560,8 +543,7 @@ def _certify_max_sign(shape: SystemShape, x4: DyadicBracket):
     True comes with a dyadic witness point where s >= 0 exactly; False is
     certified through a mean-value bound |s(x4') - s(p)| <= M * width with M
     an interval bound on |s'| over the bracket (`_max_sign_margin`); None
-    signals the degenerate s(x4') = 0 tie left to the exact per-degree
-    fallback.
+    signals the degenerate s(x4') = 0 tie, which `l_upper` settles by proof.
     """
     N, n = shape.N, shape.n
     while True:
@@ -596,32 +578,6 @@ def _max_sign_margin(N: int, v: int, lo: int, hi: int, e: int) -> int:
     r_lo = 6 * lo ** 4 - 4 * hi ** 3 * two_e - 3 * N * hi * two_e ** 3 + N * two_e ** 4
     r_hi = 6 * hi ** 4 - 4 * lo ** 3 * two_e - 3 * N * lo * two_e ** 3 + N * two_e ** 4
     return v + 256 * (hi - two_e) * max(abs(r_lo), abs(r_hi)) * (hi - lo)
-
-
-def _l_upper_from_predicate(shape: SystemShape, x4: DyadicBracket) -> BoundOutcome:
-    # Exact fallback for the max-sign tie s(x4') = 0.
-    k = l_smallest_accepted_degree(shape)
-    if k is not None:
-        return BoundOutcome(
-            kind=BoundKind.L_UPPER,
-            value=1 + k,
-            not_applicable_reason=None,
-            certification=Certification(CertificationMethod.EXACT_INTEGER_PREDICATE),
-            detail=SexticForm(shape, x4.enclosure(), None),
-        )
-    # No degree accepted: classify by where the (touching) maximum sits.
-    reason = (
-        NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE
-        if x4.enclosure().mid ** 3 > shape.N // 2
-        else NotApplicableReason.SEXTIC_MAX_NEGATIVE
-    )
-    return BoundOutcome(
-        kind=BoundKind.L_UPPER,
-        value=None,
-        not_applicable_reason=reason,
-        certification=Certification(CertificationMethod.EXACT_INTEGER_PREDICATE),
-        detail=SexticForm(shape, x4.enclosure(), None),
-    )
 
 
 def l_upper_root_bound(N: int, k: int) -> float:

@@ -7,17 +7,23 @@ truncation of
     (1 - z)^(m-n) * (1 + z)^m
 
 at its first non-positive coefficient, and the degree of regularity is the
-index of that coefficient.  Everything in this module is computed with exact
-integer arithmetic; there is no floating point on any code path that decides
-a truncation index.
+index of that coefficient.  Every truncation index is decided with exact
+integer arithmetic.  A float may *seed* one (`_root_seed` proposes where the
+transposed search of `degree_of_regularity_exact` looks first), but only
+exact signs decide it.  This module is the base of the package: it imports
+no other module of it but `intervals`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Iterator
+
+from .intervals import newton_seed
 
 __all__ = [
     "SystemShape",
@@ -118,13 +124,113 @@ def hilbert_truncation(shape: SystemShape) -> list[int]:
 def degree_of_regularity_exact(shape: SystemShape) -> int:
     """Index of the first non-positive coefficient, i.e. 1 + deg HS(z).
 
-    Streaming scan with O(1) memory; the big table rows keep only the two
-    live coefficients (tens of kilobits each) instead of the whole prefix.
+    Streams c_0, ..., c_t (t = m - n) with O(1) memory; if all are positive,
+    `_transposed_dreg` finds the index in O(t) steps per probe, not O(d_reg).
     """
-    for k, c in enumerate(krawtchouk_stream(shape.N, shape.n)):
+    N, t = shape.N, shape.t
+    for k, c in enumerate(islice(krawtchouk_stream(N, shape.n), t + 1)):
         if c <= 0:
             return k
-    raise AssertionError("no non-positive coefficient found up to degree N")
+    return _transposed_dreg(N, t)
+
+
+def _probe(N: int, t: int, x: int) -> tuple[bool, int]:
+    """(K_0(x), ..., K_t(x) are all positive, K_t(x)) at the integer x."""
+    positive = True
+    for value in islice(krawtchouk_stream(N, N - 2 * x), t + 1):
+        positive = positive and value > 0
+    return positive, value
+
+
+def _transposed_dreg(N: int, t: int) -> int:
+    """The first integer k with K_t(k) <= 0, given K_t(k) > 0 for k <= t.
+
+    By the reciprocity C(N, x) K_k(x) = C(N, k) K_x(k) (MacWilliams & Sloane,
+    The Theory of Error-Correcting Codes, ch. 5 §7), c_k = K_k(t) has the
+    sign of K_t(k), so this k is d_reg.  Predicate (a) at x, "K_0(x), ...,
+    K_t(x) are all positive", holds exactly when x < d_t(1), the smallest
+    root of K_t: by the Sturm property the sign agreements count the roots
+    of K_t below x.  d = 1 + the largest x where (a) holds is certified by
+    (a) at d - 1, so c_k > 0 for k < d, and (b) K_t(d) <= 0, the last term
+    of the probe at d.  A gap between mass points holds at most one zero
+    (T. S. Chihara, An Introduction to Orthogonal Polynomials, 1978, ch. I),
+    so (b) follows; AssertionError reports it failing.  The float seed only
+    picks where the search looks.
+    """
+    tail = {}
+
+    def holds(x: int) -> bool:
+        positive, tail[x] = _probe(N, t, x)
+        return positive
+
+    # c_0..c_t > 0 stands in for (a) at t; (a) fails where K_1 = N - 2x <= 0
+    lo, hi = t, (N + 1) // 2
+    x = _root_seed(N, t, 0.0, N / 2)
+    x = min(max(math.floor(x) if math.isfinite(x) else lo, lo), hi - 1)
+    # probe x and x + 1, gallop away from x in doubling steps while the
+    # answer lies further out, then bisect what is left
+    step = 1
+    if holds(x):
+        lo = x
+        while lo + step < hi and holds(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = min(hi, lo + step)
+    else:
+        hi = x
+        while hi - step > lo and not holds(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(lo, hi - step)
+    d = lo + 1 + bisect_left(range(lo + 1, hi), True, key=lambda y: not holds(y))
+    if (tail[d] if d in tail else _probe(N, t, d)[1]) > 0:
+        raise AssertionError(f"K_t must be non-positive at {d}, next to its smallest root")
+    return d
+
+
+def _krawtchouk_slope(N: int, k: int, x: float) -> tuple[float, float]:
+    """Float K_k^N(x) / C(N, k) and its derivative, for k >= 1.
+
+    Dividing K_j by C(N, j) gives the recurrence
+    (N - j) k_{j+1} = (N - 2x) k_j - j k_{j-1}.  For 0 <= x < d_k(1), where
+    the seeds evaluate it, every k_j lies in (0, 1], so the value cannot
+    overflow at any N; the slope, about -1/d_k(1), can once d_k(1) underflows
+    (N = k = 2048), and a non-finite slope stops the Newton seed at its start.
+    Right of d_k(1) it is no oracle: K_j can far exceed C(N, j) between
+    integers, and past k = N/2 the recurrence can lose all accuracy.
+    """
+    a = N - 2.0 * x
+    prev, cur, dprev, dcur = 1.0, a / N, 0.0, -2.0 / N
+    for j in range(1, k):
+        prev, cur, dprev, dcur = (
+            cur, (a * cur - j * prev) / (N - j),
+            dcur, (a * dcur - 2.0 * cur - j * dprev) / (N - j),
+        )
+    return cur, dcur
+
+
+def _root_seed(N: int, k: int, lo: float, hi: float) -> float:
+    """Float estimate of d_k^N(1) in [lo, hi] by Newton's method.
+
+    It starts at kz_root_bound, which is below d_k(1), when 2k < N and the
+    bound lies inside, else at lo.  K_k has k real roots, so from any x left
+    of the smallest one the Newton steps 1 / sum(1 / (r_i - x)) are positive
+    and shrink as the iterates climb to it.  Only a seed: nothing is decided
+    from this value.
+    """
+    x = kz_root_bound(N, k) if 2 * k < N else lo
+    if not lo < x < hi:
+        x = lo
+    return newton_seed(partial(_krawtchouk_slope, N, k), x, 1)
+
+
+def kz_root_bound(N: int, k: int) -> float:
+    """Raw per-degree root lower bound with the (.)^(2/3) correction term.
+
+    Valid for 1 <= k < N/2; it starts the Newton seeds and is never decisive.
+    """
+    if not (1 <= k and 2 * k < N):
+        raise ValueError(f"requires 1 <= k < N/2; got k={k}, N={N}")
+    rho = (N - 2 * k) / (2 * k * (N - k))
+    return N / 2 - math.sqrt(k * (N - k)) * (1 - 1.5 * rho ** (2.0 / 3.0))
 
 
 def f5_cost_log2(shape: SystemShape, dreg: int, omega: float = 2.373) -> float:

@@ -10,7 +10,7 @@ seeded with K_0 = 1 and K_1 = N - 2t.  Exact evaluation has two integer
 kernels: `exact.krawtchouk_stream` divides as it goes and serves integer
 points; `cleared_values` clears factorials and denominators and serves
 rational points, root signs and Sturm counts.  The one float recurrence is
-`roots._krawtchouk_slope`, which only seeds.  The explicit alternating sum
+`exact._krawtchouk_slope`, which only seeds.  The explicit alternating sum
 is kept out of production on purpose (it cancels catastrophically); tests
 use it as an oracle.
 """

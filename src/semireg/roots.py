@@ -12,7 +12,7 @@ Two independent re-derivations of the degree of regularity live here:
 
 All evaluation points are dyadic rationals, so every sign and every count is
 an exact integer computation.  Floats only seed: a Newton estimate of d_k(1)
-on the package's one float recurrence, `_krawtchouk_slope`, picks a short
+on the package's one float recurrence, `exact._krawtchouk_slope`, picks a short
 dyadic window (`DyadicBracket.narrow`), which is used only when two exact
 signs, or two Sturm counts, certify it, and bisection takes over when they
 do not; no decision reads a float.
@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 
-from .bounds import kz_root_bound
-from .exact import SystemShape
-from .intervals import DyadicBracket, Enclosure, newton_seed, positive_width
+from .exact import SystemShape, _root_seed
+from .intervals import DyadicBracket, Enclosure, positive_width
 from .krawtchouk import cleared_values
 
 __all__ = [
@@ -54,42 +52,6 @@ def _sign_at_dyadic(N: int, k: int, p: int, e: int) -> int:
 def _root_sign(N: int, k: int):
     # K_k is positive left of d_k(1); the bracket wants negative at lo.
     return lambda p, e: -_sign_at_dyadic(N, k, p, e)
-
-
-def _krawtchouk_slope(N: int, k: int, x: float) -> tuple[float, float]:
-    """Float K_k^N(x) / C(N, k) and its derivative, for k >= 1.
-
-    Dividing K_j by C(N, j) gives the recurrence
-    (N - j) k_{j+1} = (N - 2x) k_j - j k_{j-1}.  For 0 <= x < d_k(1), where
-    the seeds evaluate it, every k_j lies in (0, 1], so the value cannot
-    overflow at any N; the slope, about -1/d_k(1), can once d_k(1) underflows
-    (N = k = 2048), and a non-finite slope stops the Newton seed at its start.
-    Right of d_k(1) it is no oracle: K_j can far exceed C(N, j) between
-    integers, and past k = N/2 the recurrence can lose all accuracy.
-    """
-    a = N - 2.0 * x
-    prev, cur, dprev, dcur = 1.0, a / N, 0.0, -2.0 / N
-    for j in range(1, k):
-        prev, cur, dprev, dcur = (
-            cur, (a * cur - j * prev) / (N - j),
-            dcur, (a * dcur - 2.0 * cur - j * dprev) / (N - j),
-        )
-    return cur, dcur
-
-
-def _root_seed(N: int, k: int, lo: float, hi: float) -> float:
-    """Float estimate of d_k^N(1) in [lo, hi] by Newton's method.
-
-    It starts at kz_root_bound, which is below d_k(1), when 2k < N and the
-    bound lies inside, else at lo.  K_k has k real roots, so from any x left
-    of the smallest one the Newton steps 1 / sum(1 / (r_i - x)) are positive
-    and shrink as the iterates climb to it.  Only a seed: nothing is decided
-    from this value.
-    """
-    x = kz_root_bound(N, k) if 2 * k < N else lo
-    if not lo < x < hi:
-        x = lo
-    return newton_seed(partial(_krawtchouk_slope, N, k), x, 1)
 
 
 def _guess_in(N: int, k: int, br: DyadicBracket) -> float:

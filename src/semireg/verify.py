@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .bounds import kz_lower, l_upper, ls_lower, ls_upper
-from .exact import SystemShape, binomial, degree_of_regularity_exact
+from .exact import SystemShape, binomial, degree_of_regularity_exact, hilbert_truncation
 from .intervals import Enclosure
 from .krawtchouk import gf_identity_check, integer_values
 from .roots import (DEFAULT_WIDTH, _RootChain, _dreg_from_chain, _dreg_from_eigen,
@@ -127,10 +127,12 @@ def _three_way(max_N: int):
         for n in range(2 - N % 2, min(N, first[0]), 2):
             shape = SystemShape((N + n) // 2, n)
             d_exact = degree_of_regularity_exact(shape)
+            # past t the exact route searched transposed: check the direct stream
+            d_direct = len(hilbert_truncation(shape)) if shape.t < d_exact else d_exact
             d_roots = _dreg_from_chain(chain, shape.t)
             d_eigen = _dreg_from_eigen(eigen, n)
-            if not d_exact == d_roots == d_eigen:
-                first = (n, shape.m, f"m={shape.m}, n={n}: exact={d_exact}, "
+            if not d_direct == d_exact == d_roots == d_eigen:
+                first = (n, shape.m, f"m={shape.m}, n={n}: exact={d_exact}, direct={d_direct}, "
                                      f"roots={d_roots}, eigenvalues={d_eigen}")
                 break
         if N < max_N:
@@ -187,7 +189,11 @@ def check_orthogonality(max_N: int) -> CheckResult:
 
 
 def check_three_way_agreement(max_N: int) -> CheckResult:
-    """degree_of_regularity_exact == dreg_via_roots == dreg_via_eigenvalues."""
+    """degree_of_regularity_exact == dreg_via_roots == dreg_via_eigenvalues.
+
+    Where the exact route searched transposed (t < d_reg), it must also
+    equal the direct stream's index, `len(hilbert_truncation(shape))`.
+    """
     return _chain_suites(max_N, DEFAULT_WIDTH, _three_way(max_N))[0]
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from dataclasses import dataclass
 
 import semireg.verify
-from semireg.exact import binomial
+from semireg.bounds import _l_accepts_degree
+from semireg.exact import binomial, krawtchouk_stream
 from semireg.intervals import Enclosure, iroot, nth_root_enclosure
 from semireg.krawtchouk import integer_values
 from semireg.roots import (DEFAULT_WIDTH, _sturm_count_below, dreg_via_eigenvalues,
@@ -49,6 +50,18 @@ def expand_product(t: int, m: int) -> list[int]:
             nxt[i + 1] += c
         coeffs = nxt
     return coeffs
+
+
+def direct_stream_dreg(shape) -> int:
+    """Index of the first non-positive c_k, streamed directly from k = 0.
+
+    The oracle of the transposed search: it reads c_k = K_k(m - n) in index
+    order, never the transposed values K_{m-n}(k).
+    """
+    for k, c in enumerate(krawtchouk_stream(shape.N, shape.n)):
+        if c <= 0:
+            return k
+    raise AssertionError("no non-positive coefficient found up to degree N")
 
 
 def convolution_coefficient(m: int, n: int, k: int) -> int:
@@ -167,21 +180,38 @@ def interval_l_accepts_degree(N: int, n: int, k: int) -> bool:
         bits *= 2
 
 
+def l_smallest_accepted_degree(shape) -> int | None:
+    """Smallest degree k in [1, floor(N/2)] passing the per-degree l_upper test.
+
+    Acceptance of k means n/2 <= (sqrt(k) - k^(1/6)) sqrt(N - k), squared to
+    n^2/4 <= (k - 2 k^(2/3) + k^(1/3)) (N - k) and decided by the sign of one
+    integer (`bounds._l_accepts_degree`); ties, which only perfect cubes k
+    can reach, are accepted.  The scan `l_upper` replaces with x5.
+    """
+    N, n = shape.N, shape.n
+    for k in range(1, N // 2 + 1):
+        if _l_accepts_degree(N, n, k):
+            return k
+    return None
+
+
 def three_way_reference(max_N: int) -> CheckResult:
     """The three-way suite shape by shape in (n, m) order, each route from scratch.
 
     The exact route is read through `semireg.verify`, so a test that patches
-    it there patches this reference too.
+    it there patches this reference too.  Where it reads past t = m - n, the
+    direct stream's index is compared as well.
     """
     checked = 0
     for shape in enumerate_shapes(max_N):
         d_exact = semireg.verify.degree_of_regularity_exact(shape)
+        d_direct = direct_stream_dreg(shape) if shape.t < d_exact else d_exact
         d_roots = dreg_via_roots(shape, ceiling=max_N)
         d_eigen = dreg_via_eigenvalues(shape, ceiling=max_N)
-        if not d_exact == d_roots == d_eigen:
+        if not d_direct == d_exact == d_roots == d_eigen:
             return CheckResult(
                 "three_way_agreement", checked, False,
-                f"m={shape.m}, n={shape.n}: exact={d_exact}, "
+                f"m={shape.m}, n={shape.n}: exact={d_exact}, direct={d_direct}, "
                 f"roots={d_roots}, eigenvalues={d_eigen}",
             )
         checked += 1

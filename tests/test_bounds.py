@@ -19,7 +19,6 @@ from semireg.bounds import (
     SexticForm,
     kz_lower,
     kz_root_bound,
-    l_smallest_accepted_degree,
     l_upper,
     l_upper_root_bound,
     ls_lower,
@@ -40,6 +39,7 @@ from oracle_utils import (
     enclosure_max_sign_margin,
     fraction_quartic_positive_root,
     interval_l_accepts_degree,
+    l_smallest_accepted_degree,
     one_minus_x_times_r_coefficients,
     s_derivative_coefficients,
 )
@@ -393,6 +393,19 @@ def test_l_upper_zero_witness_closes_on_x5(monkeypatch):
     assert out.value == 9
     assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
     assert out.detail.x5.lo <= 2 <= out.detail.x5.hi
+
+
+@pytest.mark.parametrize("m,n", [(24, 12), (4, 2), (2148, 2048), (12, 8), (33024, 32768)])
+def test_l_upper_max_sign_tie_is_out_of_range(monkeypatch, m, n):
+    # no natural shape reaches the tie s(x4') = 0 (the 2^-128 cap), so force
+    # it.  The outcome rests on x4' > (N/2)^(1/3): at the tie s < 0 left of
+    # x4', so no degree k <= N/2 is accepted
+    monkeypatch.setattr(bounds_mod, "_certify_max_sign", lambda shape, x4: (None, None))
+    shape = SystemShape(m, n)
+    out = l_upper(shape)
+    assert out.not_applicable_reason is NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE
+    assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
+    assert out.detail.x5 is None and out.detail.x4_prime.lo ** 3 > shape.N / 2
 
 
 def test_l_upper_method_follows_the_norm_at_its_ceiling():

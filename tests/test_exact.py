@@ -3,8 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import semireg.exact as exact_mod
 from semireg.exact import (
     SystemShape,
     binomial,
@@ -14,7 +15,9 @@ from semireg.exact import (
     hilbert_truncation,
 )
 
-from oracle_utils import convolution_coefficient, expand_product, pascal_binomial
+from oracle_utils import (convolution_coefficient, direct_stream_dreg, expand_product,
+                          pascal_binomial)
+from reference_tables import FAMILIES
 
 
 # ---------------------------------------------------------------- shapes
@@ -156,6 +159,88 @@ def test_zero_coefficient_counts_as_truncation():
                 assert len(hilbert_truncation(s)) == d
                 return
     pytest.skip("no zero-coefficient shape in the scanned range")
+
+
+# ---------------------------------------------------------------- transposed route
+#
+# Once c_0..c_t (t = m - n) are all positive, degree_of_regularity_exact
+# searches the transposed values K_t(k) instead of streaming on to d_reg.
+
+
+def _counted_probes(monkeypatch):
+    probes = []
+    probe = exact_mod._probe
+
+    def counted(N, t, x):
+        probes.append(x)
+        return probe(N, t, x)
+
+    monkeypatch.setattr(exact_mod, "_probe", counted)
+    return probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 1900), st.data())
+def test_transposed_route_matches_direct_stream(n, data):
+    t = data.draw(st.integers(1, max(1, min(n // 4, (2000 - n) // 2))))
+    shape = SystemShape(n + t, n)
+    expected = direct_stream_dreg(shape)
+    assume(t < expected)
+    assert degree_of_regularity_exact(shape) == expected
+
+
+def test_transposed_route_published_rows(monkeypatch):
+    probes = _counted_probes(monkeypatch)
+    transposed = 0
+    for family in FAMILIES.values():
+        for n, d_reg, *_ in family["rows"]:
+            shape = SystemShape(family["m_of_n"](n), n)
+            assert degree_of_regularity_exact(shape) == d_reg
+            transposed += shape.t < d_reg
+    assert transposed == 12  # the m = n + 100 and m = n + 256 rows with d_reg > t
+    # the float seed lands about 12 below the root here: the search gallops
+    # out from it, then bisects
+    probes.clear()
+    assert degree_of_regularity_exact(SystemShape(33768, 32768)) == 11639
+    assert 2 < len(probes) <= 8
+
+
+@pytest.mark.parametrize("seed", [
+    lambda root, N: math.nan,
+    lambda root, N: math.inf,
+    lambda root, N: 0.0,
+    lambda root, N: N - 1.0,
+    lambda root, N: root - 5,
+    lambda root, N: root + 5,
+], ids=["nan", "inf", "zero", "N-1", "root-5", "root+5"])
+@pytest.mark.parametrize("m,n", [(612, 512), (1124, 1024), (20, 18), (101, 100), (2304, 2048)])
+def test_transposed_route_survives_a_refused_seed(monkeypatch, seed, m, n):
+    shape = SystemShape(m, n)
+    expected = direct_stream_dreg(shape)
+    assert shape.t < expected  # the transposed search runs
+    guess = seed(exact_mod._root_seed(shape.N, shape.t, 0.0, shape.N / 2), shape.N)
+    probes = _counted_probes(monkeypatch)
+    monkeypatch.setattr(exact_mod, "_root_seed", lambda N, k, lo, hi: guess)
+    assert degree_of_regularity_exact(shape) == expected
+    assert probes  # decided by exact probes, whatever the seed said
+
+
+def test_transposed_route_refuses_a_positive_tail(monkeypatch):
+    # (a) holds at d - 1, but a corrupted stream at d fails (a) with K_t(d)
+    # > 0: Chihara's one-zero-per-gap theorem rules this out, so it raises
+    shape = SystemShape(612, 512)
+    N, t, d = shape.N, shape.t, direct_stream_dreg(shape)
+    stream = exact_mod.krawtchouk_stream
+
+    def corrupted(N_, s):
+        for k, value in enumerate(stream(N_, s)):
+            if s == N - 2 * d:
+                value = 0 if k == 0 else abs(value) + 1 if k == t else value
+            yield value
+
+    monkeypatch.setattr(exact_mod, "krawtchouk_stream", corrupted)
+    with pytest.raises(AssertionError, match="non-positive"):
+        degree_of_regularity_exact(shape)
 
 
 # ---------------------------------------------------------------- F5 cost

@@ -1,4 +1,5 @@
-"""Every exported name of the package and of its modules resolves."""
+"""Every exported name of the package and of its modules resolves, and the
+modules import each other in layers: no cycle, with `exact` at the bottom."""
 
 import ast
 import importlib
@@ -35,3 +36,39 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def _internal_imports() -> dict[str, set[str]]:
+    """Module name -> the package modules it imports (relative imports)."""
+    graph = {}
+    for path in sorted(Path(semireg.__file__).parent.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported |= ({node.module} if node.module
+                             else {alias.name for alias in node.names})
+        graph[path.stem] = imported
+    return graph
+
+
+def test_exact_imports_only_intervals():
+    # the exact stream is the base every other route is checked against
+    assert _internal_imports()["exact"] <= {"intervals"}
+
+
+def test_internal_imports_have_no_cycle():
+    graph = _internal_imports()
+    del graph["__init__"]  # the package imports every module it re-exports
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, f"import cycle: {' -> '.join(path + [module])}"
+        if module not in done:
+            path.append(module)
+            for dependency in sorted(graph[module]):
+                visit(dependency)
+            path.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)

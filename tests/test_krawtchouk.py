@@ -17,7 +17,7 @@ from semireg.krawtchouk import (
     integer_values,
 )
 from semireg.bounds import kz_root_bound
-from semireg.roots import _krawtchouk_slope
+from semireg.exact import _krawtchouk_slope
 
 from oracle_utils import alternating_sum_value, eval_general_r, orthogonality_check
 
