@@ -136,7 +136,7 @@ def build_table_spec(
         raise ValueError(f"family {family!r} requires at least one entry in {read}")
     for m, n in rows:
         SystemShape(m, n)  # raises on m <= n, surfacing bad family parameters
-    return TableSpec(family=label, pairs=tuple(rows), columns=tuple(columns),
+    return TableSpec(family=label, pairs=tuple(rows), columns=tuple(dict.fromkeys(columns)),
                      m_rounding=rounding)
 
 

@@ -71,6 +71,7 @@ class _RootChain:
     def __init__(self, N: int):
         self.N = N
         self._brackets: list[DyadicBracket] = []
+        self.seeds: dict[int, float] = {}  # k >= 2: the float seed of d_k(1), for lambda_k
 
     def bracket(self, k: int) -> DyadicBracket:
         if not 1 <= k <= self.N:
@@ -98,7 +99,8 @@ class _RootChain:
         # prev.lo <= d_{k-1}(1) < d_k(2), so a window below prev.lo where K_k
         # changes sign isolates d_k(1); the seeded window is tried first.
         br = DyadicBracket(_root_sign(N, k), 0, prev.num_lo, prev.e)
-        if br.narrow(_guess_in(N, k, br), DEFAULT_WIDTH):
+        self.seeds[k] = _guess_in(N, k, br)
+        if br.narrow(self.seeds[k], DEFAULT_WIDTH):
             self._brackets.append(br)
             return
         while True:
@@ -205,13 +207,12 @@ def _eigen_brackets(N: int) -> dict[int, DyadicBracket]:
     return {k: _eigen_bracket(N, k) for k in range(2, N + 1)}
 
 
-def _refine_eigen(N: int, k: int, bracket: DyadicBracket,
-                  width: Fraction | float) -> Enclosure:
+def _refine_eigen(N: int, k: int, bracket: DyadicBracket, width: Fraction | float,
+                  root_seed: float) -> Enclosure:
     """Enclosure of lambda_k (k >= 2) from its bracket refined to `width`."""
     # lambda_k = N - 2 d_k(1) < N: the root's float seed seeds the
     # eigenvalue, kept below N where a tiny root would round it onto N
-    bracket.refine(width, lambda: min(N - 2 * _root_seed(N, k, 0.0, N / 2),
-                                      math.nextafter(N, 0)))
+    bracket.refine(width, lambda: min(N - 2 * root_seed, math.nextafter(N, 0)))
     return bracket.enclosure()
 
 
@@ -225,7 +226,7 @@ def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) 
     if k == 1:
         positive_width(width)  # refused like any k, though lambda_1 = 0 is exact
         return Enclosure.point(0)
-    return _refine_eigen(N, k, _eigen_bracket(N, k), width)
+    return _refine_eigen(N, k, _eigen_bracket(N, k), width, _root_seed(N, k, 0.0, N / 2))
 
 
 def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:

@@ -105,7 +105,7 @@ def _duality(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
     for k in range(1, N + 1):
         root = chain.refine(k, width).enclosure()
         # lambda_1 = 0, the only eigenvalue of the 1 x 1 zero matrix
-        lam = _refine_eigen(N, k, eigen[k], width) if k > 1 else Enclosure.point(0)
+        lam = _refine_eigen(N, k, eigen[k], width, chain.seeds[k]) if k > 1 else Enclosure.point(0)
         if abs((N - 2 * root.mid) - lam.mid) > 2 * root.width + lam.width:
             return k - 1, f"duality gap at N={N}, k={k}"
     return N, ""

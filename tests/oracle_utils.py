@@ -34,6 +34,12 @@ def pascal_binomial(a: int, b: int) -> int:
     return row[b]
 
 
+def exact_f5_cost_log2(shape, dreg: int, omega: float = 2.373) -> float:
+    """log2 of m * dreg * C(n+dreg-1, dreg)^omega, the binomial taken exactly."""
+    c = math.comb(shape.n + dreg - 1, dreg)
+    return math.log2(shape.m) + math.log2(dreg) + omega * math.log2(c)
+
+
 def expand_product(t: int, m: int) -> list[int]:
     """Coefficients of (1 - z)^t (1 + z)^m by repeated polynomial multiplication."""
     coeffs = [1]

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from semireg.cli import build_table_spec, floor_n_log2_n, main
+import semireg.exact
+from semireg.cli import ALL_COLUMNS, build_table_spec, floor_n_log2_n, main
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +178,30 @@ def test_table_repeated_rows_printed_once(capsys):
     _, once, _ = run_cli(capsys, "table", "--family", "2n", "--n-values", "4")
     code, out, _ = run_cli(capsys, "table", "--family", "2n", "--n-values", "4,4")
     assert code == 0 and out == once
+
+
+def test_table_repeated_column_printed_once(capsys):
+    _, once, _ = run_cli(capsys, "table", "--family", "2n", "--n-values", "8",
+                         "--columns", "dreg")
+    code, out, _ = run_cli(capsys, "table", "--family", "2n", "--n-values", "8",
+                           "--columns", "dreg,dreg")
+    assert code == 0 and out == once
+    code, out, _ = run_cli(capsys, "table", "--family", "2n", "--n-values", "8",
+                           "--columns", "dreg,f5_log2,dreg", "--format", "json")
+    assert code == 0 and json.loads(out)["columns"] == ["dreg", "f5_log2"]
+
+
+def test_table_families_never_build_the_exact_binomial(capsys, monkeypatch):
+    # the F5 column of the published sweep comes from lgamma, not from C(a, b)
+    calls, binomial = [], semireg.exact.binomial
+    monkeypatch.setattr(semireg.exact, "binomial",
+                        lambda a, b: calls.append((a, b)) or binomial(a, b))
+    for family in ("n+100", "n+256", "2n", "8n", "nlog2n"):
+        code, _, _ = run_cli(capsys, "table", "--family", family,
+                             "--n-values", "256,512,1024,2048,4096,8192,16384,32768",
+                             "--columns", ",".join(ALL_COLUMNS), "--format", "json")
+        assert code == 0
+    assert calls == []
 
 
 def test_table_rejects_bad_family(capsys):

@@ -15,8 +15,8 @@ from semireg.exact import (
     hilbert_truncation,
 )
 
-from oracle_utils import (convolution_coefficient, direct_stream_dreg, expand_product,
-                          pascal_binomial)
+from oracle_utils import (convolution_coefficient, direct_stream_dreg, exact_f5_cost_log2,
+                          expand_product, pascal_binomial)
 from reference_tables import FAMILIES
 
 
@@ -272,3 +272,56 @@ def test_f5_cost_large_row_high_precision_oracle():
 def test_f5_cost_rejects_bad_dreg():
     with pytest.raises(ValueError):
         f5_cost_log2(SystemShape(24, 12), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30_000), st.integers(1, 20_000), st.integers(1, 100))
+def test_f5_cost_cell_matches_exact_binomial(n, dreg, extra):
+    shape = SystemShape(n + extra, n)
+    assert round(f5_cost_log2(shape, dreg), 2) == round(exact_f5_cost_log2(shape, dreg), 2)
+
+
+def test_f5_cost_cells_of_the_published_rows():
+    checked = 0
+    for family in FAMILIES.values():
+        for n, dreg, *_ in family["rows"]:
+            shape = SystemShape(family["m_of_n"](n), n)
+            assert (round(f5_cost_log2(shape, dreg), 2)
+                    == round(exact_f5_cost_log2(shape, dreg), 2)), (shape, dreg)
+            checked += 1
+    assert checked == 40
+
+
+def test_f5_estimate_error_within_a_sixteenth_of_its_radius():
+    import random
+
+    import mpmath
+
+    rng = random.Random(12)
+    with mpmath.workdps(50):
+        for _ in range(300):
+            a = rng.randint(1, 10**7)
+            b = rng.randint(1, a)
+            shape = SystemShape(a - b + 2, a - b + 1)  # n = a - b + 1, so a = n + b - 1
+            v, r = exact_mod._f5_estimate(shape, b, 2.373)
+            true = (mpmath.log(shape.m, 2) + mpmath.log(b, 2)
+                    + mpmath.mpf(2.373) * mpmath.log(mpmath.binomial(a, b), 2))
+            assert abs(v - true) <= r / 16, (a, b)
+
+
+def test_f5_cost_rounding_boundary_takes_exact_binomial(monkeypatch):
+    # an estimate on x.xx5 leaves the 2-decimal cell open: the exact route decides
+    shape = SystemShape(24, 12)
+    estimate = exact_mod._f5_estimate
+    monkeypatch.setattr(exact_mod, "_f5_estimate",
+                        lambda s, d, omega: (31.295, estimate(s, d, omega)[1]))
+    calls = []
+    monkeypatch.setattr(exact_mod, "binomial", lambda a, b: calls.append((a, b)) or binomial(a, b))
+    assert f5_cost_log2(shape, 4) == exact_f5_cost_log2(shape, 4)
+    assert calls == [(15, 4)]
+
+
+def test_f5_cost_past_the_float_range_takes_exact_binomial():
+    # lgamma cannot take n + dreg > 2^1024; the exact binomial still answers
+    shape = SystemShape(10**400, 10**399)
+    assert f5_cost_log2(shape, 5) == exact_f5_cost_log2(shape, 5)
