@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import mul
 
-from .exact import SystemShape, binomial, krawtchouk_stream
+from .exact import SystemShape, krawtchouk_stream
 
 __all__ = [
     "KrawtchoukParams",
@@ -88,15 +87,21 @@ def gf_identity_check(m: int, n: int, up_to: int) -> bool:
     """Do the generating-function coefficients match the Krawtchouk values?
 
     True iff [z^k](1-z)^(m-n)(1+z)^m == K_k^{2m-n}(m-n) for all k <= up_to.
-    The left side is expanded as the binomial product (1-z^2)^(m-n) (1+z)^n,
-    with no recurrence, so the check is independent of `krawtchouk_stream`.
+    The left side is the binomial product (1-z^2)^(m-n) (1+z)^n, with no
+    recurrence, so the check is independent of `krawtchouk_stream`.  Both
+    sides are packed at z = 2^B (Kronecker substitution) and compared modulo
+    2^(B (up_to + 1)), which keeps the coefficients up to z^up_to.  The
+    product's coefficients are at most 2^m in size (the coefficients of
+    (1+z^2)^(m-n) (1+z)^n sum to 2^m), and B is read from the stream, so
+    every coefficient difference is below 2^(B-1) in size and the packed
+    residues agree exactly when the coefficients do.
     """
     shape = SystemShape(m, n)
     if up_to > shape.N:
         raise ValueError(f"requires up_to <= N={shape.N}; got {up_to}")
-    t = shape.t
-    even = [(-1) ** i * binomial(t, i) for i in range(t + 1)]  # (1-z^2)^t
-    plain = [binomial(n, j) for j in range(up_to + 1)]  # (1+z)^n
-    series = [sum(map(mul, even, plain[k::-2])) for k in range(up_to + 1)]
-    return series == integer_values(shape.N, t, up_to)
-
+    values = integer_values(shape.N, shape.t, up_to)
+    B = max(m, *map(int.bit_length, values)) + 2
+    mask = (1 << B * (up_to + 1)) - 1
+    packed = sum(v << B * k for k, v in enumerate(values))
+    product = (1 - (1 << 2 * B)) ** shape.t * ((1 << B) + 1) ** n
+    return (packed - product) & mask == 0

@@ -4,7 +4,8 @@ Two independent re-derivations of the degree of regularity live here:
 
 * via roots: d_reg = 1 + max{k : d_k(1) > m-n}, where d_k(1) is the smallest
   root of K_k^N.  Roots are enclosed by exact-sign bisection inside brackets
-  supplied by interlacing (d_k(1) < d_{k-1}(1) < d_k(2)).
+  supplied by interlacing (d_k(1) < d_{k-1}(1) < d_k(2)); left of 1 two
+  bounds of the explicit sum settle most signs without the recurrence.
 * via eigenvalues: d_reg = 1 + max{k : lambda_k < n}, where lambda_k is the
   largest eigenvalue of the k x k Golub-Kahan matrix with zero diagonal and
   off-diagonal entries sqrt((i+1)(N-i)).  Eigenvalues are counted by Sturm
@@ -50,8 +51,36 @@ def _sign_at_dyadic(N: int, k: int, p: int, e: int) -> int:
 
 
 def _root_sign(N: int, k: int):
-    # K_k is positive left of d_k(1); the bracket wants negative at lo.
-    return lambda p, e: -_sign_at_dyadic(N, k, p, e)
+    """The sign of -K_k^N at p / 2^e (negative left of d_k(1), as brackets want).
+
+    For 0 <= x < 1 the explicit sum K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j)
+    (MacWilliams & Sloane, ch. 5 par. 7) reads C(N, k) - x B(x), where the
+    j-th term of B is 2^j/j C(N-j, k-j) prod_{0<i<j} (1 - x/i) >= 0.  Each
+    product lies in [1 - x H_{k-1}, 1] (Weierstrass), so B0 (1 - x H_{k-1})
+    <= B(x) <= B0 = B(0): x B0 < C(N, k) proves K_k(x) > 0, and
+    x B0 (1 - x H_{k-1}) > C(N, k) proves K_k(x) < 0.  Cleared of L = lcm(1..k)
+    and 2^e both are integer comparisons.  Near a root neither holds; there,
+    and at x >= 1, the cleared recurrence decides, so only it returns a zero.
+    """
+    tiny = []  # [C(N, k), L, B0 L, H_{k-1} L], built at the first x < 1
+
+    def sign(p: int, e: int) -> int:
+        if p >> e == 0:
+            if not tiny:
+                L, b0, c = math.lcm(*range(1, k + 1)), 0, 1  # c = C(N-j, k-j)
+                for j in range(k, 0, -1):
+                    b0 += (L // j << j) * c
+                    c = c * (N - j + 1) // (k - j + 1)
+                tiny.extend((c, L, b0, sum(L // i for i in range(1, k))))
+            c, L, b0, h = tiny
+            lhs, rhs = p * b0, c * L << e
+            if lhs < rhs:
+                return -1
+            if lhs * ((L << e) - p * h) > rhs * L << e:
+                return 1
+        return -_sign_at_dyadic(N, k, p, e)
+
+    return sign
 
 
 def _guess_in(N: int, k: int, br: DyadicBracket) -> float:
@@ -98,20 +127,21 @@ class _RootChain:
         prev = self._brackets[-1]
         # prev.lo <= d_{k-1}(1) < d_k(2), so a window below prev.lo where K_k
         # changes sign isolates d_k(1); the seeded window is tried first.
-        br = DyadicBracket(_root_sign(N, k), 0, prev.num_lo, prev.e)
+        sign_at = _root_sign(N, k)
+        br = DyadicBracket(sign_at, 0, prev.num_lo, prev.e)
         self.seeds[k] = _guess_in(N, k, br)
         if br.narrow(self.seeds[k], DEFAULT_WIDTH):
             self._brackets.append(br)
             return
         while True:
-            sign = _sign_at_dyadic(N, k, prev.num_lo, prev.e)
-            if sign <= 0:
+            sign = sign_at(prev.num_lo, prev.e)
+            if sign >= 0:
                 # If K_k < 0 at prev.lo, the bracket (0, prev.lo) isolates
                 # d_k(1); a root of K_k at or below d_{k-1}(1) can only be
                 # d_k(1) itself.
-                lo = 0 if sign < 0 else prev.num_lo
+                lo = 0 if sign > 0 else prev.num_lo
                 self._brackets.append(DyadicBracket(
-                    _root_sign(N, k), lo, prev.num_lo, prev.e, exact=sign == 0
+                    sign_at, lo, prev.num_lo, prev.e, exact=sign == 0
                 ))
                 return
             if prev.exact:

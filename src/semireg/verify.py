@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator
 
 from .bounds import kz_lower, l_upper, ls_lower, ls_upper
@@ -172,12 +173,14 @@ def check_orthogonality(max_N: int) -> CheckResult:
     top = min(max_N, ORTHOGONALITY_ENVELOPE)
     checked = 0
     for N in range(1, top + 1):
-        table = [integer_values(N, i, N) for i in range(N + 1)]
+        # cols[k][i] = K_k(i); each row l is weighted by C(N, i) once
+        cols = list(zip(*(integer_values(N, i, N) for i in range(N + 1))))
         weights = [binomial(N, i) for i in range(N + 1)]
         for l in range(N + 1):
             expected_diag = (1 << N) * binomial(N, l)
+            wl = list(map(mul, cols[l], weights))
             for k in range(l, N + 1):
-                total = sum(table[i][l] * table[i][k] * weights[i] for i in range(N + 1))
+                total = sum(map(mul, wl, cols[k]))
                 expected = expected_diag if l == k else 0
                 if total != expected:
                     return CheckResult(

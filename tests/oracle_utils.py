@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from dataclasses import dataclass
 
@@ -78,6 +79,19 @@ def convolution_coefficient(m: int, n: int, k: int) -> int:
         term = math.comb(t, j) * math.comb(m, k - j)
         total += -term if j & 1 else term
     return total
+
+
+def gf_convolution_check(m: int, n: int, up_to: int) -> bool:
+    """`gf_identity_check` by explicit convolution of the binomial product.
+
+    [z^k] (1-z^2)^(m-n) (1+z)^n = sum_i (-1)^i C(m-n, i) C(n, k-2i), compared
+    term by term with the stream values K_k^{2m-n}(m-n) for k <= up_to.
+    """
+    t = m - n
+    even = [(-1) ** i * binomial(t, i) for i in range(t + 1)]  # (1-z^2)^t
+    plain = [binomial(n, j) for j in range(up_to + 1)]  # (1+z)^n
+    series = [sum(map(mul, even, plain[k::-2])) for k in range(up_to + 1)]
+    return series == integer_values(2 * m - n, t, up_to)
 
 
 def generalized_binomial(x: Fraction, j: int) -> Fraction:

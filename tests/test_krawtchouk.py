@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semireg.krawtchouk as krawtchouk_mod
 from semireg.exact import SystemShape, coefficient, krawtchouk_stream
 from semireg.krawtchouk import (
     KrawtchoukParams,
@@ -19,7 +20,8 @@ from semireg.krawtchouk import (
 from semireg.bounds import kz_root_bound
 from semireg.exact import _krawtchouk_slope
 
-from oracle_utils import alternating_sum_value, eval_general_r, orthogonality_check
+from oracle_utils import (alternating_sum_value, eval_general_r, gf_convolution_check,
+                          orthogonality_check)
 
 
 def test_params_validation():
@@ -226,6 +228,30 @@ def test_gf_identity_examples():
     assert gf_identity_check(24, 12, 36)
     assert gf_identity_check(2, 1, 3)
     assert gf_identity_check(10, 4, 16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gf_identity_matches_the_convolution(data):
+    # the Kronecker-packed check against the explicit convolution, on the
+    # true stream and on one corrupted coefficient, for prefixes up_to < N
+    n = data.draw(st.integers(1, 30), label="n")
+    m = data.draw(st.integers(n + 1, 40), label="m")
+    N = 2 * m - n
+    up_to = data.draw(st.integers(0, N - 1), label="up_to")
+    k = data.draw(st.integers(0, N), label="k")
+    delta = data.draw(st.sampled_from([0, 1, -1, 1 << m, -(1 << (m + 2)), 3 << 90]),
+                      label="delta")
+
+    def corrupted(N_, s_):
+        for j, value in enumerate(krawtchouk_stream(N_, s_)):
+            yield value + delta if (N_, j) == (N, k) else value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(krawtchouk_mod, "krawtchouk_stream", corrupted)
+        expected = gf_convolution_check(m, n, up_to)
+        assert expected == (delta == 0 or k > up_to)
+        assert gf_identity_check(m, n, up_to) == expected
 
 
 def test_gf_identity_rejects_out_of_range():

@@ -1,5 +1,6 @@
 """Tests for certified root enclosures and Golub-Kahan eigenvalue counting."""
 
+import functools
 import math
 import signal
 from contextlib import contextmanager
@@ -340,3 +341,131 @@ def test_float_seed_settles_most_brackets(monkeypatch):
     del evaluations[:]
     smallest_root_chain(36, 36, SEED_WIDTH)
     assert 3 * seeded < len(evaluations)
+
+
+# ---------------------------------------------------------------- tiny-root signs
+
+BAND_WIDTH = Fraction(1, 1 << 100)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _recurrence_sign(N, k):
+    """The root sign with the tiny-root bounds taken out: the recurrence alone."""
+    return lambda p, e: -roots_mod._sign_at_dyadic(N, k, p, e)
+
+
+@functools.lru_cache(maxsize=None)
+def _bracket_ends(N):
+    """(k, p, e) at both ends of each bracket of d_k^N(1) < 1 refined to 2^-100.
+
+    The ends lie within 2^-100 of a root, mostly in the band where neither
+    bound decides the sign.
+    """
+    chain = roots_mod._RootChain(N)
+    chain.bracket(N)  # every bracket is made before any is refined past the seed
+    ends = []
+    for k in range(1, N + 1):
+        br = chain.refine(k, BAND_WIDTH)
+        if br.num_hi >> br.e == 0:
+            ends += [(k, br.num_lo, br.e), (k, br.num_hi, br.e)]
+    return tuple(ends)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tiny_root_sign_matches_the_recurrence(data):
+    if data.draw(st.booleans(), label="at a bracket end"):
+        N = 60
+        k, p, e = data.draw(st.sampled_from(_bracket_ends(N)), label="end")
+        p += data.draw(st.integers(-2, 2), label="offset")
+    else:
+        N = data.draw(st.integers(1, 120), label="N")
+        k = data.draw(st.integers(1, N), label="k")
+        e = data.draw(st.integers(0, 160), label="e")
+        p = data.draw(st.integers(0, (1 << e) - 1), label="p")
+    assert _sign(roots_mod._root_sign(N, k)(p, e)) == _sign(_recurrence_sign(N, k)(p, e))
+
+
+def test_tiny_root_sign_falls_back_in_the_band(monkeypatch):
+    # at the ends of a narrow bracket of d_40^60(1) ~ 0.031 neither bound
+    # decides, so the recurrence must; twice the root or half of it, a bound does
+    calls = []
+    real = roots_mod.cleared_values
+    monkeypatch.setattr(roots_mod, "cleared_values", lambda *a: calls.append(a) or real(*a))
+    br = roots_mod._RootChain(60).refine(40, BAND_WIDTH)
+    assert 0 < br.lo < br.hi < 1
+    sign = roots_mod._root_sign(60, 40)
+    calls.clear()
+    assert sign(br.num_lo, br.e) < 0 < sign(br.num_hi, br.e)
+    assert len(calls) == 2
+    calls.clear()
+    assert sign(br.num_lo // 2, br.e) < 0 < sign(2 * br.num_hi, br.e)
+    assert calls == []
+
+
+def test_chain_fallback_reads_the_bracket_sign(monkeypatch):
+    # with every seeded window refused, _extend's fallback loop decides
+    # where d_k(1) lies; it must read the one sign function its bracket
+    # keeps, so the tiny-root bounds serve it too
+    made, inside = {}, []
+    real_root_sign, real_sign_at = roots_mod._root_sign, roots_mod._sign_at_dyadic
+
+    def root_sign(N, k):
+        real = real_root_sign(N, k)
+
+        def sign(p, e):
+            inside.append(k)
+            try:
+                return real(p, e)
+            finally:
+                inside.pop()
+
+        made.setdefault(k, []).append(sign)
+        return sign
+
+    def sign_at_dyadic(N, k, p, e):
+        assert inside == [k], "a root sign read past the bracket's sign function"
+        return real_sign_at(N, k, p, e)
+
+    _refuse_windows(monkeypatch)
+    monkeypatch.setattr(roots_mod, "_root_sign", root_sign)
+    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", sign_at_dyadic)
+    chain = roots_mod._RootChain(40)
+    for k in range(1, 41):
+        sign_at = chain.bracket(k).sign_at
+        assert made[k] == [sign_at]
+    assert chain.bracket(40).hi < 1
+
+
+def test_tiny_root_signs_skip_the_recurrence_at_256(monkeypatch):
+    # the full chain at N = 256: most signs left of 1 never run the recurrence
+    below_one, recurrence = [0], [0]
+    real_root_sign, real = roots_mod._root_sign, roots_mod.cleared_values
+
+    def root_sign(N, k):
+        inner = real_root_sign(N, k)
+
+        def sign(p, e):
+            below_one[0] += p >> e == 0
+            return inner(p, e)
+        return sign
+
+    def cleared(N, s, d2, k):
+        e = (d2.bit_length() - 1) // 2  # d2 = 4^e, s = N 2^e - 2p
+        recurrence[0] += (N << e) - s < 2 << e
+        return real(N, s, d2, k)
+
+    monkeypatch.setattr(roots_mod, "_root_sign", root_sign)
+    monkeypatch.setattr(roots_mod, "cleared_values", cleared)
+    smallest_root_chain(256, 256)
+    assert below_one[0] > 400
+    assert recurrence[0] <= 0.2 * below_one[0]
+
+
+def test_tiny_root_bounds_leave_the_enclosures_unchanged(monkeypatch):
+    fast = smallest_root_chain(128, 128)
+    monkeypatch.setattr(roots_mod, "_root_sign", _recurrence_sign)
+    assert smallest_root_chain(128, 128) == fast

@@ -8,8 +8,10 @@ import semireg.exact
 import semireg.krawtchouk
 import semireg.roots
 import semireg.verify
-from oracle_utils import three_way_reference
+import oracle_utils
+from oracle_utils import gf_convolution_check, orthogonality_check, three_way_reference
 from semireg.exact import SystemShape
+from semireg.krawtchouk import gf_identity_check, integer_values
 from semireg.verify import CheckResult, check_gf_identity, check_orthogonality, \
     check_sandwich, check_three_way_agreement, run_all
 
@@ -48,6 +50,60 @@ def test_gf_identity_catches_corrupted_stream(monkeypatch):
     assert not res.passed
     assert res.detail == "mismatch at m=10, n=4"
     assert check_gf_identity(15).passed  # below the corrupted shape
+
+
+def _corrupt_stream(monkeypatch, N, s, deltas):
+    """Add deltas[k] to c_k of the stream at (N, s) wherever it is read."""
+    stream = semireg.exact.krawtchouk_stream
+
+    def corrupted(N_, s_):
+        for k, value in enumerate(stream(N_, s_)):
+            yield value + deltas.get(k, 0) if (N_, s_) == (N, s) else value
+
+    monkeypatch.setattr(semireg.exact, "krawtchouk_stream", corrupted)
+    monkeypatch.setattr(semireg.krawtchouk, "krawtchouk_stream", corrupted)
+
+
+# B of the Kronecker packing at (m, n) = (10, 4): max(m, widest c_k) + 2
+GF_B = max(10, *(c.bit_length() for c in integer_values(16, 6, 16))) + 2
+
+
+@pytest.mark.parametrize("deltas", [
+    {3: 1 << 200},                 # far wider than 2^m
+    {3: -(1 << 200) - 7},
+    {3: 1 << GF_B},                # one carry into c_4 at a fixed B
+    {3: -(1 << GF_B)},
+    {3: 1 << GF_B, 4: -1},         # the pair a fixed B would pack unchanged
+    {16: 1 << GF_B},               # the top coefficient
+], ids=["wide", "wide-negative", "plus-2^B", "minus-2^B", "aliased-pair", "top"])
+def test_gf_identity_catches_wide_corruptions(monkeypatch, deltas):
+    # B is read from the stream, so no corruption aliases with the product
+    _corrupt_stream(monkeypatch, 16, 4, deltas)
+    assert not gf_identity_check(10, 4, 16)
+    assert not gf_convolution_check(10, 4, 16)
+    res = check_gf_identity(20)
+    assert (res.passed, res.detail) == (False, "mismatch at m=10, n=4")
+    assert gf_identity_check(10, 4, min(deltas) - 1)  # the prefix before it
+
+
+@pytest.mark.parametrize("N, i, k", [(5, 0, 0), (12, 7, 9), (40, 40, 40)])
+def test_orthogonality_reports_the_pair_the_oracle_finds(monkeypatch, N, i, k):
+    # one table entry K_k(i) at family size N is off by one: the suite must
+    # stop at the first pair (l, k) the per-pair oracle rejects, in its order
+    def corrupted(N_, i_, k_max):
+        row = integer_values(N_, i_, k_max)
+        if (N_, i_) == (N, i) and k <= k_max:
+            row[k] += 1
+        return row
+
+    monkeypatch.setattr(semireg.verify, "integer_values", corrupted)
+    monkeypatch.setattr(oracle_utils, "integer_values", corrupted)
+    pairs = [(l, k_) for l in range(N + 1) for k_ in range(l, N + 1)]
+    j = next(j for j, pair in enumerate(pairs) if not orthogonality_check(N, *pair))
+    l, k_ = pairs[j]
+    before = sum((M + 1) * (M + 2) // 2 for M in range(1, N))  # the pairs of smaller N
+    assert check_orthogonality(60) == CheckResult(
+        "orthogonality", before + j, False, f"failure at N={N}, l={l}, k={k_}")
 
 
 def test_chain_suites_share_one_chain_per_n(monkeypatch):
