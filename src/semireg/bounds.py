@@ -42,8 +42,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .exact import SystemShape, kz_root_bound
-from .intervals import (DyadicBracket, Enclosure, iroot, newton_seed, nth_root_enclosure,
-                        sqrt_enclosure)
+from .intervals import DyadicBracket, Enclosure, iroot, newton_seed, nth_root_enclosure
 
 __all__ = [
     "BoundKind",
@@ -217,13 +216,8 @@ class QuarticClosedForm:
 
     @classmethod
     def from_shape(cls, shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> "QuarticClosedForm":
-        a = shape.n / math.sqrt(2 * shape.N)
-        b = -airy.c
-        t_value = a * a / 2 + math.sqrt(a ** 4 - 256.0 / 27.0 * b ** 3) / 2
-        p = t_value ** (1.0 / 3.0)
-        u_value = p + (4 * b / 3) / p
-        w4 = (math.sqrt(u_value) + math.sqrt(2 * a / math.sqrt(u_value) - u_value)) / 2
-        return cls(a=a, b=b, t_value=t_value, u_value=u_value, w4=w4)
+        a, b = shape.n / math.sqrt(2 * shape.N), -airy.c
+        return cls(a, b, *_cardano_w4(a, b))
 
     def residual(self) -> float:
         return self.w4 ** 4 - self.a * self.w4 + self.b
@@ -232,29 +226,37 @@ class QuarticClosedForm:
         return (self.w4 ** 6 - 1) / 2
 
 
-def _quartic_positive_root(a: Fraction, b: Fraction, width: Fraction) -> Enclosure:
+def _cardano_w4(a: float, b: float) -> tuple[float, float, float]:
+    """(T, U, w4) of `QuarticClosedForm`; the floats may leave the radicals' domain."""
+    t_value = a * a / 2 + math.sqrt(a ** 4 - 256.0 / 27.0 * b ** 3) / 2
+    p = t_value ** (1.0 / 3.0)
+    u = p + (4 * b / 3) / p
+    return t_value, u, (math.sqrt(u) + math.sqrt(2 * a / math.sqrt(u) - u)) / 2
+
+
+def _quartic_positive_root(a: tuple, b: tuple, width: Fraction) -> DyadicBracket:
     """Unique positive root of w^4 - a w + b (a > 0 > b), exactly certified.
 
-    With a = A/Da and b = B/Db, the sign of q(p/2^e) is the sign of the
-    integer q(p/2^e) 2^(4e) Da Db = p^4 Da Db - A Db p 2^(3e) + B Da 2^(4e).
+    With a = A/Da and b = B/Db given as integer pairs, the sign of q(p/2^e) is
+    the sign of q(p/2^e) 2^(4e) Da Db = p^4 Da Db - A Db p 2^(3e) + B Da 2^(4e).
     The root w satisfies w^3 <= a - b when w >= 1, so w < 2^j for the first
     power of two 2^j >= 2 above a - b; the bracket [0, 2^j] is aligned, so a
-    seeded window is the one bisection would reach.
+    seeded window (Newton from the Cardano w4) is the one bisection would reach.
     """
-    A, Da, B, Db = a.numerator, a.denominator, b.numerator, b.denominator
+    (A, Da), (B, Db) = a, b
 
     def q_scaled(p: int, e: int) -> int:
         return p ** 4 * Da * Db - (A * Db * p << 3 * e) + (B * Da << 4 * e)
 
     def seed() -> float:
-        fa, fb = float(a), float(b)
+        fa, fb = A / Da, B / Db
         return newton_seed(lambda w: (w ** 4 - fa * w + fb, 4 * w ** 3 - fa),
-                           float(num_hi), -1)
+                           _cardano_w4(fa, fb)[2], -1)
 
-    num_hi = 1 << max(1, math.floor(a - b).bit_length())
+    num_hi = 1 << max(1, ((A * Db - B * Da) // (Da * Db)).bit_length())
     bracket = DyadicBracket(q_scaled, 0, num_hi, 0)
     bracket.refine(width, seed)
-    return bracket.enclosure()
+    return bracket
 
 
 def _quartic_detail(shape: SystemShape, airy: AiryConstant) -> QuarticClosedForm | None:
@@ -279,18 +281,19 @@ def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutc
     an integer after the last step of the schedule, the conservative floor is
     reported with the near-boundary flag and both candidates.
     """
-    a_sq = Fraction(shape.n * shape.n, 2 * shape.N)
+    n2, two_n = shape.n * shape.n, 2 * shape.N
     for bits in _LS_BITS_SCHEDULE:
-        a_enc = sqrt_enclosure(a_sq, bits)
-        b_enc = -airy.c_enclosure(bits)
+        # a = n / sqrt(2N) is in [r, r_hi] / 2^bits, a point when r^2 2N = n^2 4^bits
+        r = math.isqrt((n2 << 2 * bits) // two_n)
+        r_hi = r + (r * r * two_n != n2 << 2 * bits)
+        c = airy.c_enclosure(bits)
         width = Fraction(1, 1 << (bits // 2))
-        w_low = _quartic_positive_root(a_enc.lo, b_enc.hi, width).lo
-        w_high = _quartic_positive_root(a_enc.hi, b_enc.lo, width).hi
-        val_lo = (w_low ** 6 - 1) / 2
-        val_hi = (w_high ** 6 - 1) / 2
-        # floors below 0 can only arise from degenerate constant overrides;
-        # a clamped floor of 0 keeps the (vacuous) bound value 1 valid
-        f_lo, f_hi = max(math.floor(val_lo), 0), max(math.floor(val_hi), 0)
+        low = _quartic_positive_root((r, 1 << bits), (-c.lo.numerator, c.lo.denominator), width)
+        high = _quartic_positive_root((r_hi, 1 << bits), (-c.hi.numerator, c.hi.denominator), width)
+        # floor((w^6 - 1) / 2) at w = p / 2^e; a floor below 0 only comes from a
+        # degenerate constant override, and its clamp to 0 keeps the bound 1 valid
+        f_lo, f_hi = (max((p ** 6 - (1 << 6 * e)) >> (6 * e + 1), 0)
+                      for p, e in ((low.num_lo, low.e), (high.num_hi, high.e)))
         if f_lo == f_hi:
             break
     flag = f_lo != f_hi  # the lower candidate stays a valid lower bound

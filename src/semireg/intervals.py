@@ -169,14 +169,14 @@ class DyadicBracket:
 
         `width` is taken exactly as a Fraction and must be positive.  While
         the bracket is wider than `width`, the float guess of `seed()` is
-        tried first through `narrow`; a refused guess, or a seed that
-        overflows, leaves the work to bisection.
+        tried first through `narrow`; a refused guess, or a seed that fails
+        in float arithmetic, leaves the work to bisection.
         """
         width = positive_width(width)
         if seed is not None and not self.exact and self._width_sign(width) > 0:
             try:
                 guess = seed()
-            except OverflowError:
+            except (ArithmeticError, ValueError):
                 guess = math.nan
             self.narrow(guess, width)
         while not self.exact and self._width_sign(width) > 0:

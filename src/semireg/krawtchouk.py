@@ -92,16 +92,18 @@ def gf_identity_check(m: int, n: int, up_to: int) -> bool:
     sides are packed at z = 2^B (Kronecker substitution) and compared modulo
     2^(B (up_to + 1)), which keeps the coefficients up to z^up_to.  The
     product's coefficients are at most 2^m in size (the coefficients of
-    (1+z^2)^(m-n) (1+z)^n sum to 2^m), and B is read from the stream, so
-    every coefficient difference is below 2^(B-1) in size and the packed
-    residues agree exactly when the coefficients do.
+    (1+z^2)^(m-n) (1+z)^n sum to 2^m), and B is read from the stream in whole
+    bytes, so every coefficient difference is below 2^(B-1) in size and the
+    packed residues agree exactly when the coefficients do.
     """
     shape = SystemShape(m, n)
     if up_to > shape.N:
         raise ValueError(f"requires up_to <= N={shape.N}; got {up_to}")
     values = integer_values(shape.N, shape.t, up_to)
-    B = max(m, *map(int.bit_length, values)) + 2
+    size = (max(m, *map(int.bit_length, values)) + 9) // 8  # bytes of a digit c_k + 2^(B-1)
+    B, half = 8 * size, 1 << (8 * size - 1)
     mask = (1 << B * (up_to + 1)) - 1
-    packed = sum(v << B * k for k, v in enumerate(values))
+    packed = int.from_bytes(b"".join((v + half).to_bytes(size, "little") for v in values), "little")
+    packed -= int.from_bytes(half.to_bytes(size, "little") * len(values), "little")
     product = (1 - (1 << 2 * B)) ** shape.t * ((1 << B) + 1) ** n
     return (packed - product) & mask == 0

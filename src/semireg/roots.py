@@ -238,12 +238,12 @@ def _eigen_brackets(N: int) -> dict[int, DyadicBracket]:
 
 
 def _refine_eigen(N: int, k: int, bracket: DyadicBracket, width: Fraction | float,
-                  root_seed: float) -> Enclosure:
-    """Enclosure of lambda_k (k >= 2) from its bracket refined to `width`."""
+                  root_seed: float) -> DyadicBracket:
+    """The bracket of lambda_k (k >= 2), refined to `width`."""
     # lambda_k = N - 2 d_k(1) < N: the root's float seed seeds the
     # eigenvalue, kept below N where a tiny root would round it onto N
     bracket.refine(width, lambda: min(N - 2 * root_seed, math.nextafter(N, 0)))
-    return bracket.enclosure()
+    return bracket
 
 
 def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) -> Enclosure:
@@ -256,7 +256,8 @@ def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) 
     if k == 1:
         positive_width(width)  # refused like any k, though lambda_1 = 0 is exact
         return Enclosure.point(0)
-    return _refine_eigen(N, k, _eigen_bracket(N, k), width, _root_seed(N, k, 0.0, N / 2))
+    return _refine_eigen(N, k, _eigen_bracket(N, k), width,
+                         _root_seed(N, k, 0.0, N / 2)).enclosure()
 
 
 def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Iterator
 
 from .bounds import kz_lower, l_upper, ls_lower, ls_upper
 from .exact import SystemShape, binomial, degree_of_regularity_exact, hilbert_truncation
-from .intervals import Enclosure
 from .krawtchouk import gf_identity_check, integer_values
 from .roots import (DEFAULT_WIDTH, _RootChain, _dreg_from_chain, _dreg_from_eigen,
                     _eigen_brackets, _refine_eigen)
@@ -32,6 +31,7 @@ __all__ = [
 ]
 
 ORTHOGONALITY_ENVELOPE = 40  # exact orthogonality sweep is asserted up to here
+_nums = attrgetter("num_lo", "num_hi", "e")  # a bracket [num_lo, num_hi] / 2^e as a triple
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _interlacing(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
         chain.refine(k, width)
     for k in range(2, N + 1):
         w = width
-        while chain.bracket(k).hi >= chain.bracket(k - 1).lo:
+        while _overlaps(_nums(chain.bracket(k)), _nums(chain.bracket(k - 1))):
             # overlap: sharpen both until the strict order is visible
             w /= 2
             chain.refine(k - 1, w)
@@ -104,12 +104,26 @@ def _interlacing(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
 def _duality(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
     N = chain.N
     for k in range(1, N + 1):
-        root = chain.refine(k, width).enclosure()
+        root = _nums(chain.refine(k, width))
         # lambda_1 = 0, the only eigenvalue of the 1 x 1 zero matrix
-        lam = _refine_eigen(N, k, eigen[k], width, chain.seeds[k]) if k > 1 else Enclosure.point(0)
-        if abs((N - 2 * root.mid) - lam.mid) > 2 * root.width + lam.width:
+        lam = _nums(_refine_eigen(N, k, eigen[k], width, chain.seeds[k])) if k > 1 else (0, 0, 0)
+        if _duality_gap(N, root, lam):
             return k - 1, f"duality gap at N={N}, k={k}"
     return N, ""
+
+
+def _overlaps(upper: tuple, lower: tuple) -> bool:
+    """hi(upper) >= lo(lower) for (num_lo, num_hi, e) triples, on numerators."""
+    (_, hi, e), (lo, _, f) = upper, lower
+    return hi << max(f - e, 0) >= lo << max(e - f, 0)
+
+
+def _duality_gap(N: int, root: tuple, lam: tuple) -> bool:
+    """|(N - 2 mid(root)) - mid(lam)| > 2 width(root) + width(lam), times 2^(max e + 1)."""
+    (r_lo, r_hi, er), (l_lo, l_hi, el) = root, lam
+    dr, dl = max(el - er, 0), max(er - el, 0)
+    diff = (N << (max(er, el) + 1)) - ((r_lo + r_hi) << (dr + 1)) - ((l_lo + l_hi) << dl)
+    return abs(diff) > ((r_hi - r_lo) << (dr + 2)) + ((l_hi - l_lo) << (dl + 1))
 
 
 def _three_way(max_N: int):

@@ -16,9 +16,10 @@ from operator import mul
 from dataclasses import dataclass
 
 import semireg.verify
-from semireg.bounds import _l_accepts_degree
+from semireg.bounds import (_LS_BITS_SCHEDULE, DEFAULT_AIRY, CertificationMethod,
+                            _l_accepts_degree)
 from semireg.exact import binomial, krawtchouk_stream
-from semireg.intervals import Enclosure, iroot, nth_root_enclosure
+from semireg.intervals import Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
 from semireg.krawtchouk import integer_values
 from semireg.roots import (DEFAULT_WIDTH, _sturm_count_below, dreg_via_eigenvalues,
                            dreg_via_roots, largest_eigenvalue)
@@ -163,6 +164,30 @@ def fraction_quartic_positive_root(a: Fraction, b: Fraction, width: Fraction):
         else:
             hi = mid
     return lo, hi
+
+
+def fraction_ls_lower(shape, airy=DEFAULT_AIRY):
+    """(value, method, near_boundary, candidates) of ls_lower, floored in Fractions.
+
+    The corners a = n / sqrt(2N) and b = -c come from `sqrt_enclosure` and
+    the Airy enclosure, each corner quartic is bisected in Fractions
+    (`fraction_quartic_positive_root`), and floor((w^6 - 1) / 2) is taken on
+    the Fraction endpoints, step by step through ls_lower's schedule.
+    """
+    a_sq = Fraction(shape.n * shape.n, 2 * shape.N)
+    for bits in _LS_BITS_SCHEDULE:
+        a_enc = sqrt_enclosure(a_sq, bits)
+        b_enc = -airy.c_enclosure(bits)
+        width = Fraction(1, 1 << (bits // 2))
+        w_low = fraction_quartic_positive_root(a_enc.lo, b_enc.hi, width)[0]
+        w_high = fraction_quartic_positive_root(a_enc.hi, b_enc.lo, width)[1]
+        f_lo = max(math.floor((w_low ** 6 - 1) / 2), 0)
+        f_hi = max(math.floor((w_high ** 6 - 1) / 2), 0)
+        if f_lo == f_hi:
+            break
+    flag = f_lo != f_hi
+    return (1 + f_lo, CertificationMethod.INTERVAL_CERTIFIED, flag,
+            (1 + f_lo, 1 + f_hi) if flag else None)
 
 
 def enclosure_max_sign_margin(N: int, v: int, num_lo: int, num_hi: int, e: int) -> Fraction:

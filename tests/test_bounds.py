@@ -37,6 +37,7 @@ from semireg.verify import enumerate_shapes
 
 from oracle_utils import (
     enclosure_max_sign_margin,
+    fraction_ls_lower,
     fraction_quartic_positive_root,
     interval_l_accepts_degree,
     l_smallest_accepted_degree,
@@ -136,8 +137,8 @@ def test_integer_quartic_bisection_matches_fraction_reference():
             b_enc = -DEFAULT_AIRY.c_enclosure(bits)
             width = Fraction(1, 1 << (bits // 2))
             for a, b in ((a_enc.lo, b_enc.hi), (a_enc.hi, b_enc.lo)):
-                enc = _quartic_positive_root(a, b, width)
-                assert (enc.lo, enc.hi) == fraction_quartic_positive_root(a, b, width)
+                br = _quartic_positive_root(a.as_integer_ratio(), b.as_integer_ratio(), width)
+                assert (br.lo, br.hi) == fraction_quartic_positive_root(a, b, width)
 
 
 def test_integer_quartic_bisection_exact_dyadic_root():
@@ -145,8 +146,8 @@ def test_integer_quartic_bisection_exact_dyadic_root():
     a, b = Fraction(1, 2), Fraction(-1, 2)
     width = Fraction(1, 1 << 20)
     assert fraction_quartic_positive_root(a, b, width) == (1, 1)
-    assert _quartic_positive_root(a, b, width).is_point
-    assert _quartic_positive_root(a, b, width).lo == 1
+    br = _quartic_positive_root((1, 2), (-1, 2), width)
+    assert br.exact and br.lo == br.hi == 1
 
 
 class _CountingBracket(DyadicBracket):
@@ -173,8 +174,20 @@ def test_seeded_quartic_root_costs_two_exact_evaluations(monkeypatch):
         b_enc = -DEFAULT_AIRY.c_enclosure(bits)
         for a, b in ((a_enc.lo, b_enc.hi), (a_enc.hi, b_enc.lo)):
             _CountingBracket.calls = 0
-            _quartic_positive_root(a, b, width)
+            _quartic_positive_root(a.as_integer_ratio(), b.as_integer_ratio(), width)
             assert 0 < _CountingBracket.calls <= 2, (shape, a, b)
+
+
+def test_seeded_window_settles_every_corner_quartic_of_verify_60(monkeypatch):
+    # the Cardano seed, descended by Newton, lands in the certified window of
+    # both corner quartics at the first step of the schedule, for every shape
+    narrowed, narrow = [], DyadicBracket.narrow
+    monkeypatch.setattr(DyadicBracket, "narrow",
+                        lambda self, guess, width: narrowed.append(narrow(self, guess, width))
+                        or narrowed[-1])
+    for shape in enumerate_shapes(60):
+        ls_lower(shape)
+    assert narrowed == [True] * 1740
 
 
 def test_ls_lower_certified_interval_tightness():
@@ -183,6 +196,32 @@ def test_ls_lower_certified_interval_tightness():
         v = QuarticClosedForm.from_shape(shape).half_w4_pow6_minus_1()
         if abs(v - round(v)) > 1e-4:
             assert ls_lower(shape).value == 1 + math.floor(v)
+
+
+def _ls_key(shape, airy=DEFAULT_AIRY):
+    out = ls_lower(shape, airy)
+    cert = out.certification
+    return out.value, cert.method, cert.near_boundary, cert.candidates
+
+
+_NARROW_AIRY = AiryConstant(precision_radius=Fraction(1, 1000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40_000), st.data())
+def test_ls_lower_matches_the_fraction_floor_oracle(n, data):
+    m = data.draw(st.one_of(st.integers(n + 1, 4 * n), st.integers(n + 1, n * n + 1)))
+    airy = data.draw(st.sampled_from([DEFAULT_AIRY, _NARROW_AIRY]))
+    shape = SystemShape(m, n)
+    assert _ls_key(shape, airy) == fraction_ls_lower(shape, airy)
+
+
+def test_ls_lower_matches_the_fraction_floor_oracle_where_flagged():
+    wide = AiryConstant(i1=Fraction("3.37213"), precision_radius=Fraction(1, 2))
+    for (m, n) in [*_LS_FLAGGED_AT_RADIUS_1E3, (512, 256), (24, 12), (5, 4), (132, 24)]:
+        for airy in (DEFAULT_AIRY, _NARROW_AIRY, wide):
+            shape = SystemShape(m, n)
+            assert _ls_key(shape, airy) == fraction_ls_lower(shape, airy), (m, n, airy)
 
 
 def _ls_flag_key(shape, airy):
@@ -469,13 +508,19 @@ def _bound_keys(shape):
     return keys
 
 
-@pytest.mark.parametrize("refuse", ["narrow", math.nan, math.inf, 1.5])
+def _domain_error(a, b):
+    raise ValueError("math domain error")
+
+
+@pytest.mark.parametrize("refuse", ["narrow", "closed form", math.nan, math.inf, 1.5])
 def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
     # a refused or wrong seed costs bisection steps, never a different outcome
     shapes = list(enumerate_shapes(40))
     expected = [_bound_keys(shape) for shape in shapes]
     if refuse == "narrow":
         monkeypatch.setattr(DyadicBracket, "narrow", lambda self, guess, width: False)
+    elif refuse == "closed form":
+        monkeypatch.setattr(bounds_mod, "_cardano_w4", _domain_error)
     else:
         monkeypatch.setattr(bounds_mod, "newton_seed", lambda f, x, direction: refuse)
     assert [_bound_keys(shape) for shape in shapes] == expected

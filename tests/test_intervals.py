@@ -1,5 +1,6 @@
 """Unit tests for integer roots and the rational enclosure algebra."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -328,10 +329,15 @@ def _overflowing_seed():
     return 1e300 ** 2
 
 
+def _domain_error_seed():
+    return math.sqrt(-1.0)
+
+
 @pytest.mark.parametrize("seed, evaluations", [
     (lambda: 2 ** 0.5, 2),  # accepted window: two exact signs
     (lambda: 1.5, 1 + 22),  # refused by one sign, then bisection of [0, 4]
     (_overflowing_seed, 22),  # refused without evaluating
+    (_domain_error_seed, 22),  # a ValueError is refused the same way
 ])
 def test_refine_tries_the_seed_then_bisects(seed, evaluations):
     sign_at, points = _recording(_square_sign(2, 1))

@@ -1,8 +1,10 @@
 """The verify battery refuses to pass on nothing and catches a faulty stream."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semireg.exact
 import semireg.krawtchouk
@@ -11,9 +13,10 @@ import semireg.verify
 import oracle_utils
 from oracle_utils import gf_convolution_check, orthogonality_check, three_way_reference
 from semireg.exact import SystemShape
+from semireg.intervals import DyadicBracket
 from semireg.krawtchouk import gf_identity_check, integer_values
-from semireg.verify import CheckResult, check_gf_identity, check_orthogonality, \
-    check_sandwich, check_three_way_agreement, run_all
+from semireg.verify import CheckResult, _duality_gap, _overlaps, check_eigenvalue_root_duality, \
+    check_gf_identity, check_orthogonality, check_sandwich, check_three_way_agreement, run_all
 
 
 @pytest.mark.parametrize("max_n", [-3, 0, 1, 2])
@@ -152,3 +155,65 @@ def test_three_way_reports_the_first_failure_in_shape_order(monkeypatch, failing
     assert not expected.passed
     assert check_three_way_agreement(40) == expected
     assert run_all(40)[3] == expected
+
+
+def _brackets(max_e=40):
+    """Random dyadic brackets (num_lo, num_hi, e), point brackets included."""
+    def build(e, lo, span):
+        return lo, lo + span, e
+    return st.integers(0, max_e).flatmap(lambda e: st.builds(
+        build, st.just(e), st.integers(0, 64 << e),
+        st.one_of(st.just(0), st.integers(0, 4 << e))))
+
+
+def _frac(p, e):
+    return Fraction(p, 1 << e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 64), _brackets(), _brackets(),
+       st.sampled_from(["drawn", "k = 1", "mirrored"]), st.integers(-3, 3), st.integers(0, 3))
+def test_duality_gap_matches_the_fraction_formula(N, root, lam, kind, shift, extra):
+    if kind == "k = 1":
+        lam = (0, 0, 0)  # lambda_1 = 0
+    elif kind == "mirrored":
+        # N - 2 root, moved and widened by a few units of a finer grid: the
+        # cases where the two sides of the test are close or equal
+        r_lo, r_hi, e = root
+        lam = (((N << e) - 2 * r_hi << extra) + shift,
+               ((N << e) - 2 * r_lo << extra) + shift + extra, e + extra)
+    r_lo, r_hi = _frac(root[0], root[2]), _frac(root[1], root[2])
+    l_lo, l_hi = _frac(lam[0], lam[2]), _frac(lam[1], lam[2])
+    gap = abs((N - (r_lo + r_hi)) - (l_lo + l_hi) / 2) > 2 * (r_hi - r_lo) + (l_hi - l_lo)
+    assert _duality_gap(N, root, lam) == gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_brackets(), _brackets())
+def test_overlap_matches_the_fraction_comparison(upper, lower):
+    assert _overlaps(upper, lower) == (_frac(upper[1], upper[2]) >= _frac(lower[0], lower[2]))
+
+
+def test_duality_on_the_edge_of_the_widths():
+    # root [1, 3]/4 and lambda [5, 7]/4 at N = 4: N - 2 mid(root) = 3 and
+    # mid(lambda) = 3/2, a distance of 3/2 against the widths 2 (1/2) + 1/2
+    assert not _duality_gap(4, (1, 3, 2), (5, 7, 2))
+    assert _duality_gap(4, (1, 3, 2), (11, 13, 3))  # same mid, width 1/4: 3/2 > 5/4
+    assert not _duality_gap(4, (1, 1, 0), (2, 2, 0))  # points on lambda = N - 2 d
+    assert _duality_gap(4, (1, 1, 0), (3, 3, 1))
+
+
+def test_duality_reports_a_shifted_eigen_bracket(monkeypatch):
+    # lambda_4 at N = 10 moved up by one: the suite must stop there
+    refine = semireg.verify._refine_eigen
+
+    def shifted(N, k, bracket, width, seed):
+        br = refine(N, k, bracket, width, seed)
+        if (N, k) != (10, 4):
+            return br
+        return DyadicBracket(None, br.num_lo + (1 << br.e), br.num_hi + (1 << br.e), br.e)
+
+    monkeypatch.setattr(semireg.verify, "_refine_eigen", shifted)
+    res = check_eigenvalue_root_duality(12)
+    assert (res.passed, res.detail) == (False, "duality gap at N=10, k=4")
+    assert res.checked == sum(range(2, 10)) + 3
