@@ -144,6 +144,9 @@ class AiryConstant:
         if self.precision_radius >= self.i1:
             # keeps b = -c < 0 over the whole enclosure, as ls_lower's quartic needs
             raise ValueError("precision_radius must be smaller than i1")
+        # c_enclosure's table by bits: looking the instance up in a shared
+        # cache hashes its two Fractions, which costs more than the lookup
+        object.__setattr__(self, "_c_by_bits", {})
 
     @property
     def c(self) -> float:
@@ -152,9 +155,16 @@ class AiryConstant:
     def i1_enclosure(self) -> Enclosure:
         return Enclosure(self.i1 - self.precision_radius, self.i1 + self.precision_radius)
 
-    @lru_cache(maxsize=64)  # every shape asks for the same few (airy, bits)
     def c_enclosure(self, bits: int) -> Enclosure:
-        return nth_root_enclosure(Fraction(1, 6), 3, bits) * self.i1_enclosure()
+        table = self._c_by_bits
+        if bits not in table:
+            table[bits] = _c_enclosure(self, bits)
+        return table[bits]
+
+
+@lru_cache(maxsize=64)  # equal constants share entries: the CLI builds one per command
+def _c_enclosure(airy: AiryConstant, bits: int) -> Enclosure:
+    return nth_root_enclosure(Fraction(1, 6), 3, bits) * airy.i1_enclosure()
 
 
 DEFAULT_AIRY = AiryConstant()
@@ -513,7 +523,7 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
     # below top = ceil(hi^3) has c^(1/3) < hi <= witness: such a c is
     # accepted exactly when c >= x5^3.  Bisection of that monotone test finds
     # the first accepted one, ceil(x5^3); if none is, ceil(x5^3) = top.
-    first, top = math.ceil(x5.lo ** 3), math.ceil(x5.hi ** 3)
+    first, top = (-(-p ** 3 >> 3 * x5.e) for p in (x5.num_lo, x5.num_hi))
     k = first + bisect_left(range(first, top), True, key=partial(_l_accepts_degree, N, n))
     detail = SexticForm(shape, x4.enclosure(), x5.enclosure())
     if k > N // 2:

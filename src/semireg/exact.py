@@ -211,10 +211,13 @@ def _root_seed(N: int, k: int, lo: float, hi: float) -> float:
     """Float estimate of d_k^N(1) in [lo, hi] by Newton's method.
 
     It starts at kz_root_bound, which is below d_k(1), when 2k < N and the
-    bound lies inside, else at lo.  K_k has k real roots, so from any x left
-    of the smallest one the Newton steps 1 / sum(1 / (r_i - x)) are positive
-    and shrink as the iterates climb to it.  Only a seed: nothing is decided
-    from this value.
+    bound lies inside, else at lo, which a caller with a better start passes
+    in (the root chain's warm start).  K_k has k real roots, so from any x
+    left of the smallest one the Newton steps 1 / sum(1 / (r_i - x)) are
+    positive and shrink as the iterates climb to it; from x just right of
+    it the first step points down and x comes back unmoved.  Iteration
+    stops once a step is at most 2^-40 max(1, |x|) (`newton_seed`).  Only
+    a seed: nothing is decided from this value.
     """
     x = kz_root_bound(N, k) if 2 * k < N else lo
     if not lo < x < hi:

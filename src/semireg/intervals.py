@@ -143,6 +143,18 @@ class DyadicBracket:
         b = width.numerator << self.e
         return (a > b) - (a < b)
 
+    def _steps_to(self, width: Fraction) -> int:
+        """Bisection steps until the width is at most `width` (0 if it already is).
+
+        A step keeps num_hi - num_lo and raises e by one, so the count is
+        known before any step: the least s >= 0 with
+        (num_hi - num_lo) den <= num 2^(e + s), for width = num / den.
+        """
+        a = (self.num_hi - self.num_lo) * width.denominator
+        b = width.numerator << self.e
+        s = max(a.bit_length() - b.bit_length(), 0)
+        return s + (a > b << s)
+
     def _cut(self, num: int, sign: int) -> None:
         """Move an endpoint to num / 2^e, a point where the target has `sign`."""
         if sign == 0:
@@ -170,16 +182,19 @@ class DyadicBracket:
         `width` is taken exactly as a Fraction and must be positive.  While
         the bracket is wider than `width`, the float guess of `seed()` is
         tried first through `narrow`; a refused guess, or a seed that fails
-        in float arithmetic, leaves the work to bisection.
+        in float arithmetic, leaves the work to bisection, whose step count
+        `_steps_to` reads off the bracket once.
         """
         width = positive_width(width)
-        if seed is not None and not self.exact and self._width_sign(width) > 0:
+        steps = self._steps_to(width)
+        if steps and seed is not None:
             try:
                 guess = seed()
             except (ArithmeticError, ValueError):
                 guess = math.nan
-            self.narrow(guess, width)
-        while not self.exact and self._width_sign(width) > 0:
+            if self.narrow(guess, width):
+                steps = self._steps_to(width)
+        for _ in range(steps):
             self.step()
 
     def narrow(self, guess: float, width: Fraction) -> bool:
@@ -247,6 +262,9 @@ def positive_width(width: Fraction | float) -> Fraction:
     return width
 
 
+_NEWTON_STOP = 2.0 ** -40
+
+
 def newton_seed(f: Callable[[float], tuple[float, float]], x: float,
                 direction: int) -> float:
     """Float Newton iterates of f from x, moving in `direction` (+1 up, -1 down).
@@ -254,8 +272,11 @@ def newton_seed(f: Callable[[float], tuple[float, float]], x: float,
     f(x) returns (value, slope).  Started on the side of a root where the
     iterates approach it monotonically, each step -value/slope moves x toward
     the root and shrinks; iteration stops at the first step that does not
-    move in `direction` or does not shrink, where rounding has taken over.
-    Only a seed: nothing is decided from this value.
+    move in `direction` or does not shrink, where rounding has taken over,
+    and right after a step of at most 2^-40 max(1, |x|): Newton converges
+    quadratically there, so a further step would move x by about the square
+    of that on the same scale, below a float's rounding.  Only a seed:
+    nothing is decided from this value.
     """
     size = math.inf
     while True:
@@ -267,6 +288,8 @@ def newton_seed(f: Callable[[float], tuple[float, float]], x: float,
             return x
         size = direction * step
         x += step
+        if size <= _NEWTON_STOP * max(1.0, abs(x)):
+            return x
 
 
 def sqrt_enclosure(x: Fraction | int, bits: int) -> Enclosure:

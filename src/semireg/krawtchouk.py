@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, chain, islice
+from operator import add
+from typing import Iterator
 
 from .exact import SystemShape, krawtchouk_stream
 
@@ -95,6 +97,10 @@ def gf_identity_check(m: int, n: int, up_to: int) -> bool:
     (1+z^2)^(m-n) (1+z)^n sum to 2^m), and B is read from the stream in whole
     bytes, so every coefficient difference is below 2^(B-1) in size and the
     packed residues agree exactly when the coefficients do.
+
+    A check of one shape at any `up_to`; `verify.check_gf_identity` does not
+    call it, and steps one product per N through its shapes instead
+    (`_gf_products`).
     """
     shape = SystemShape(m, n)
     if up_to > shape.N:
@@ -107,3 +113,29 @@ def gf_identity_check(m: int, n: int, up_to: int) -> bool:
     packed -= int.from_bytes(half.to_bytes(size, "little") * len(values), "little")
     product = (1 - (1 << 2 * B)) ** shape.t * ((1 << B) + 1) ** n
     return (packed - product) & mask == 0
+
+
+def _gf_products(N: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, the N + 1 coefficients of (1-z^2)^t (1+z)^n) for every shape with 2m - n = N.
+
+    n = N - 2t runs up from 1 or 2 to N - 2 (t = m - n >= 1).  The first
+    product is built from binomials; each next one is the last times
+    (1+z) / (1-z): the sums of adjacent coefficients, then their running
+    sums.  Every product has degree N, so keeping N + 1 coefficients loses
+    nothing, and no recurrence is read.
+    """
+    first = 2 - N % 2  # the smallest n at N
+    t = (N - first) // 2
+    coeffs = [0] * (N + 1)
+    coeffs[:2 * t + 1:2] = [(-1) ** j * math.comb(t, j) for j in range(t + 1)]
+    for _ in range(first):
+        coeffs = list(_times_one_plus_z(coeffs))
+    for n in range(first, N - 1, 2):
+        if n > first:
+            coeffs = list(accumulate(_times_one_plus_z(coeffs)))
+        yield n, coeffs
+
+
+def _times_one_plus_z(coeffs: list[int]) -> Iterator[int]:
+    """The first len(coeffs) coefficients of the product with 1 + z."""
+    return map(add, coeffs, chain((0,), coeffs))

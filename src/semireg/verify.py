@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from .bounds import kz_lower, l_upper, ls_lower, ls_upper
 from .exact import SystemShape, binomial, degree_of_regularity_exact, hilbert_truncation
-from .krawtchouk import gf_identity_check, integer_values
+from .krawtchouk import _gf_products, integer_values
 from .roots import (DEFAULT_WIDTH, _RootChain, _dreg_from_chain, _dreg_from_eigen,
                     _eigen_brackets, _refine_eigen)
 
@@ -62,25 +62,34 @@ def enumerate_shapes(max_N: int) -> Iterator[SystemShape]:
             m += 1
 
 
+def _shapes_before(max_N: int, first: tuple[int, int]) -> int:
+    """The shapes of enumerate_shapes(max_N) that come before (n, m) = `first`."""
+    return sum((s.n, s.m) < first for s in enumerate_shapes(max_N))
+
+
 def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:
     """Run chain suites side by side off one pass per N = 2..max_N.
 
     The pass for N builds one root chain and one bracket of lambda_k per
     k >= 2; every suite reads the same ones, and only one N's brackets are
-    alive at a time.  Each suite is (name, check) with check(chain, eigen,
-    width) -> (cases passed, failure detail or ""), and stops at its first
-    failure.
+    alive at a time.  Each chain is warm-started from the float seeds of the
+    chains of N - 1 and N - 2.  Each suite is (name, check) with
+    check(chain, eigen, width) -> (cases passed, failure detail or ""), and
+    stops at its first failure.
     """
     checked = [0] * len(suites)
     failure = [""] * len(suites)
+    warm = ({}, {})
     for N in range(2, max_N + 1):
         chain, eigen = _RootChain(N), _eigen_brackets(N)
+        chain.warm = warm
         for i, (_, check) in enumerate(suites):
             if not failure[i]:
                 passed, failure[i] = check(chain, eigen, width)
                 checked[i] += passed
         if all(failure):
             break
+        warm = (chain.seeds, warm[0])
     return [CheckResult(name, n, not fail, fail)
             for (name, _), n, fail in zip(suites, checked, failure)]
 
@@ -90,14 +99,8 @@ def _interlacing(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
     for k in range(1, N + 1):
         chain.refine(k, width)
     for k in range(2, N + 1):
-        w = width
-        while _overlaps(_nums(chain.bracket(k)), _nums(chain.bracket(k - 1))):
-            # overlap: sharpen both until the strict order is visible
-            w /= 2
-            chain.refine(k - 1, w)
-            chain.refine(k, w)
-            if w < Fraction(1, 1 << 128):
-                return k - 2, f"could not separate roots at N={N}, k={k}"
+        if _overlaps(_nums(chain.bracket(k)), _nums(chain.bracket(k - 1))):
+            return k - 2, f"could not separate roots at N={N}, k={k}"
     return N - 1, ""
 
 
@@ -113,9 +116,17 @@ def _duality(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
 
 
 def _overlaps(upper: tuple, lower: tuple) -> bool:
-    """hi(upper) >= lo(lower) for (num_lo, num_hi, e) triples, on numerators."""
-    (_, hi, e), (lo, _, f) = upper, lower
-    return hi << max(f - e, 0) >= lo << max(e - f, 0)
+    """Do the brackets fail to certify root(upper) < root(lower)?
+
+    For (num_lo, num_hi, e) triples, compared on numerators.  A bracket
+    collapses to a point only at an exact root; otherwise the signs at its
+    ends are non-zero and its root lies strictly inside.  So brackets that
+    touch still certify the order unless both are points: the overlap is
+    hi(upper) > lo(lower), or two points at one place.
+    """
+    (u_lo, hi, e), (lo, l_hi, f) = upper, lower
+    a, b = hi << max(f - e, 0), lo << max(e - f, 0)
+    return a > b or (a == b and u_lo == hi and lo == l_hi)
 
 
 def _duality_gap(N: int, root: tuple, lam: tuple) -> bool:
@@ -152,7 +163,7 @@ def _three_way(max_N: int):
                 break
         if N < max_N:
             return 0, ""
-        return sum((s.n, s.m) < first[:2] for s in enumerate_shapes(max_N)), first[2]
+        return _shapes_before(max_N, first[:2]), first[2]
 
     return "three_way_agreement", check
 
@@ -164,22 +175,36 @@ _DUALITY = ("eigenvalue_root_duality", _duality)
 def check_interlacing(max_N: int, width: Fraction = Fraction(1, 1024)) -> CheckResult:
     """Strictly decreasing smallest roots: d_{k+1}(1) < d_k(1) for all k < N.
 
-    Adjacent enclosures are refined until disjoint, so the comparison is
-    certified, not approximate.
+    Each bracket is refined to `width` once, and adjacent ones are compared
+    as open intervals (`_overlaps`), so the comparison is certified, not
+    approximate.
     """
     return _chain_suites(max_N, width, _INTERLACING)[0]
 
 
 def check_gf_identity(max_N: int) -> CheckResult:
-    """Krawtchouk value stream equals the generating-function product, exactly."""
-    checked = 0
-    for shape in enumerate_shapes(max_N):
-        if not gf_identity_check(shape.m, shape.n, shape.N):
-            return CheckResult(
-                "gf_identity", checked, False, f"mismatch at m={shape.m}, n={shape.n}"
-            )
-        checked += 1
-    return CheckResult("gf_identity", checked, True)
+    """Krawtchouk value stream equals the generating-function product, exactly.
+
+    For every shape, c_0..c_N of the stream equal the coefficients of the
+    binomial product (1-z^2)^(m-n) (1+z)^n.  One product per N is stepped
+    through its shapes (`krawtchouk._gf_products`).  The failure reported is
+    the first in enumerate_shapes' (n, m) order: a later N holds an earlier
+    shape only at a smaller n, so each N checks only the n below the first
+    failure found so far.
+    """
+    first = (max_N, 0)  # n, m of the first mismatch; n = max_N is past every shape
+    for N in range(3, max_N + 1):
+        for n, product in _gf_products(N):
+            if n >= first[0]:
+                break
+            t = (N - n) // 2
+            if integer_values(N, t, N) != product:
+                first = (n, n + t)
+                break
+    checked = _shapes_before(max_N, first)
+    if first[0] == max_N:
+        return CheckResult("gf_identity", checked, True)
+    return CheckResult("gf_identity", checked, False, f"mismatch at m={first[1]}, n={first[0]}")
 
 
 def check_orthogonality(max_N: int) -> CheckResult:

@@ -20,7 +20,7 @@ from semireg.bounds import (_LS_BITS_SCHEDULE, DEFAULT_AIRY, CertificationMethod
                             _l_accepts_degree)
 from semireg.exact import binomial, krawtchouk_stream
 from semireg.intervals import Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
-from semireg.krawtchouk import integer_values
+from semireg.krawtchouk import gf_identity_check, integer_values
 from semireg.roots import (DEFAULT_WIDTH, _sturm_count_below, dreg_via_eigenvalues,
                            dreg_via_roots, largest_eigenvalue)
 from semireg.verify import CheckResult, enumerate_shapes
@@ -261,6 +261,17 @@ def three_way_reference(max_N: int) -> CheckResult:
             )
         checked += 1
     return CheckResult("three_way_agreement", checked, True)
+
+
+def gf_identity_reference(max_N: int) -> CheckResult:
+    """The gf_identity suite shape by shape in (n, m) order, one packed check each."""
+    checked = 0
+    for shape in enumerate_shapes(max_N):
+        if not gf_identity_check(shape.m, shape.n, shape.N):
+            return CheckResult("gf_identity", checked, False,
+                               f"mismatch at m={shape.m}, n={shape.n}")
+        checked += 1
+    return CheckResult("gf_identity", checked, True)
 
 
 def orthogonality_check(N: int, l: int, k: int) -> bool:

@@ -4,12 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from semireg.intervals import (
     DyadicBracket,
     Enclosure,
     iroot,
+    newton_seed,
     nth_root_enclosure,
     sqrt_enclosure,
 )
@@ -170,6 +171,60 @@ def test_width_sign_matches_the_fraction_comparison(num_lo, span, e, data):
     br = DyadicBracket(lambda p, e: 1, num_lo, num_lo + span, e)
     width = _width_target(data, br.width, e)
     assert br._width_sign(width) == (br.width > width) - (br.width < width)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 1 << 80),
+       st.integers(0, 300), st.data())
+def test_steps_to_matches_halving_the_fraction_width(num_lo, span, e, data):
+    # refine counts its bisection steps up front: each step halves the width
+    br = DyadicBracket(lambda p, e: 1, num_lo, num_lo + span, e)
+    width = _width_target(data, br.width, e)
+    assume(width > 0)
+    w, steps = br.width, 0
+    while w > width:
+        w, steps = w / 2, steps + 1
+    assert br._steps_to(width) == steps
+
+
+# ---------------------------------------------------------------- newton_seed
+
+
+def _recorded_newton(f):
+    """f, and the list of points it is evaluated at."""
+    points = []
+
+    def recorded(x):
+        points.append(x)
+        return f(x)
+
+    return recorded, points
+
+
+def test_newton_seed_stops_after_a_step_of_2_pow_minus_40():
+    # sqrt(2) from above: the steps shrink 0.5, 0.083, ..., 1.6e-12, 1.6e-24;
+    # the last is at most 2^-40 x, so no evaluation follows it
+    f, points = _recorded_newton(lambda x: (x * x - 2, 2 * x))
+    x = newton_seed(f, 2.0, -1)
+    steps = [a - b for a, b in zip(points, points[1:] + [x])]
+    assert steps[-1] <= 2.0 ** -40 * x
+    assert all(step > 2.0 ** -40 * x for step in steps[:-1])
+    assert abs(x - math.sqrt(2)) <= 2 * math.ulp(math.sqrt(2))
+
+
+def test_newton_seed_stop_is_absolute_below_one():
+    # a root at 1e-20: the first step is below 2^-40, so one evaluation
+    f, points = _recorded_newton(lambda x: (x - 1e-20, 1.0))
+    assert newton_seed(f, 0.0, 1) == 1e-20
+    assert points == [0.0]
+
+
+def test_newton_seed_returns_a_start_past_the_root_unmoved():
+    # the first step points against `direction`: the root chain's warm start
+    # reads this as "the start lies right of the root"
+    f, points = _recorded_newton(lambda x: (x * x - 2, 2 * x))
+    assert newton_seed(f, 1.5, 1) == 1.5
+    assert points == [1.5]
 
 
 # ---------------------------------------------------------------- compare

@@ -11,12 +11,14 @@ import semireg.krawtchouk
 import semireg.roots
 import semireg.verify
 import oracle_utils
-from oracle_utils import gf_convolution_check, orthogonality_check, three_way_reference
+from oracle_utils import gf_convolution_check, gf_identity_reference, orthogonality_check, \
+    three_way_reference
 from semireg.exact import SystemShape
 from semireg.intervals import DyadicBracket
-from semireg.krawtchouk import gf_identity_check, integer_values
-from semireg.verify import CheckResult, _duality_gap, _overlaps, check_eigenvalue_root_duality, \
-    check_gf_identity, check_orthogonality, check_sandwich, check_three_way_agreement, run_all
+from semireg.krawtchouk import cleared_values, gf_identity_check, integer_values
+from semireg.verify import CheckResult, _duality_gap, _interlacing, _nums, _overlaps, \
+    check_eigenvalue_root_duality, check_gf_identity, check_orthogonality, check_sandwich, \
+    check_three_way_agreement, run_all
 
 
 @pytest.mark.parametrize("max_n", [-3, 0, 1, 2])
@@ -57,11 +59,17 @@ def test_gf_identity_catches_corrupted_stream(monkeypatch):
 
 def _corrupt_stream(monkeypatch, N, s, deltas):
     """Add deltas[k] to c_k of the stream at (N, s) wherever it is read."""
+    _corrupt_streams(monkeypatch, {(N, s): deltas})
+
+
+def _corrupt_streams(monkeypatch, corruptions):
+    """Add corruptions[N, s][k] to c_k of the stream at each (N, s) wherever it is read."""
     stream = semireg.exact.krawtchouk_stream
 
     def corrupted(N_, s_):
+        deltas = corruptions.get((N_, s_), {})
         for k, value in enumerate(stream(N_, s_)):
-            yield value + deltas.get(k, 0) if (N_, s_) == (N, s) else value
+            yield value + deltas.get(k, 0)
 
     monkeypatch.setattr(semireg.exact, "krawtchouk_stream", corrupted)
     monkeypatch.setattr(semireg.krawtchouk, "krawtchouk_stream", corrupted)
@@ -87,6 +95,28 @@ def test_gf_identity_catches_wide_corruptions(monkeypatch, deltas):
     res = check_gf_identity(20)
     assert (res.passed, res.detail) == (False, "mismatch at m=10, n=4")
     assert gf_identity_check(10, 4, min(deltas) - 1)  # the prefix before it
+
+
+@st.composite
+def _stream_corruption(draw):
+    """((N, s), {k: delta}) for a shape with N <= 30: its stream at s = n, one value off."""
+    N = draw(st.integers(3, 30), label="N")
+    n = draw(st.sampled_from(range(2 - N % 2, N - 1, 2)), label="n")
+    k = draw(st.integers(0, N), label="k")
+    delta = draw(st.sampled_from([1, -1, 1 << 200, -(1 << 200) - 7, 1 << (N + 2)]), label="delta")
+    return (N, n), {k: delta}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_stream_corruption(), min_size=1, max_size=3), st.integers(3, 30))
+def test_gf_identity_reports_the_first_failure_in_shape_order(corruptions, max_N):
+    # one product per N, stepped through its shapes, must report what the
+    # shape-by-shape check reports in (n, m) order, wherever the failures sit
+    with pytest.MonkeyPatch.context() as mp:
+        _corrupt_streams(mp, dict(corruptions))
+        expected = gf_identity_reference(max_N)
+        assert check_gf_identity(max_N) == expected
+    assert expected.passed == all(N > max_N for (N, _), _ in corruptions)
 
 
 @pytest.mark.parametrize("N, i, k", [(5, 0, 0), (12, 7, 9), (40, 40, 40)])
@@ -133,6 +163,63 @@ def test_chain_suites_share_one_chain_per_n(monkeypatch):
     assert all(r.passed for r in results)
     assert built == Counter(range(2, 31))
     assert eigen == Counter((N, k) for N in range(2, 31) for k in range(2, N + 1))
+
+
+def _made_by(bracket, *factories):
+    """Was the bracket's sign function made by one of these functions of roots?"""
+    name = getattr(bracket.sign_at, "__qualname__", "")  # the bounds' are partials
+    return name.split(".<locals>.")[0] in factories
+
+
+@pytest.fixture(scope="module")
+def shared_pass_60():
+    """run_all(60) with its root chains, its bracket narrows and its root bisection steps."""
+    chains, narrows, root_steps = {}, [], []
+    chain_class, narrow, step = semireg.verify._RootChain, DyadicBracket.narrow, DyadicBracket.step
+
+    class Recorded(chain_class):
+        def __init__(self, N):
+            super().__init__(N)
+            chains[N] = self
+
+    def recorded_narrow(self, guess, width):
+        accepted = narrow(self, guess, width)
+        if _made_by(self, "_root_sign", "_eigen_bracket"):
+            narrows.append(accepted)
+        return accepted
+
+    def recorded_step(self):
+        if _made_by(self, "_root_sign"):
+            root_steps.append((self.num_lo, self.num_hi, self.e))
+        step(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semireg.verify, "_RootChain", Recorded)
+        mp.setattr(DyadicBracket, "narrow", recorded_narrow)
+        mp.setattr(DyadicBracket, "step", recorded_step)
+        results = run_all(60)
+    assert all(r.passed for r in results)
+    return chains, narrows, root_steps
+
+
+def test_warm_start_is_left_of_the_root(shared_pass_60):
+    # d_k^(N-1)(1) < d_k^N(1), so the float seed of N - 1 is a left start:
+    # K_k^N at it, read as a rational p/q, is positive
+    chains = shared_pass_60[0]
+    for N in range(3, 61):
+        for k in range(2, N):
+            p, q = chains[N - 1].seeds[k].as_integer_ratio()
+            assert cleared_values(N, q * N - 2 * p, q * q, k)[k] > 0, (N, k)
+
+
+def test_shared_pass_accepts_every_seeded_window(shared_pass_60):
+    # every root and eigenvalue bracket is settled by its seeded window, and
+    # a root bracket is bisected only to lift its lower end off 0 (a root
+    # below the window): never below the requested width, 1/1024 here
+    _, narrows, root_steps = shared_pass_60
+    assert len(narrows) > 3000 and all(narrows)
+    width = Fraction(1, 1024)
+    assert all(lo == 0 or Fraction(hi - lo, 1 << e) > width for lo, hi, e in root_steps)
 
 
 @pytest.mark.parametrize("failing", [
@@ -189,9 +276,39 @@ def test_duality_gap_matches_the_fraction_formula(N, root, lam, kind, shift, ext
 
 
 @settings(max_examples=300, deadline=None)
-@given(_brackets(), _brackets())
-def test_overlap_matches_the_fraction_comparison(upper, lower):
-    assert _overlaps(upper, lower) == (_frac(upper[1], upper[2]) >= _frac(lower[0], lower[2]))
+@given(_brackets(), _brackets(), st.integers(0, 3), st.booleans())
+def test_overlap_matches_the_fraction_comparison(upper, lower, shift, touch):
+    if touch:
+        # lower starts where upper ends, on a grid as fine or finer
+        start = upper[1] << shift
+        lower = (start, start + lower[1] - lower[0], upper[2] + shift)
+    u_lo, u_hi = _frac(upper[0], upper[2]), _frac(upper[1], upper[2])
+    l_lo, l_hi = _frac(lower[0], lower[2]), _frac(lower[1], lower[2])
+    # a bracket that is not a point holds its root strictly inside
+    both_points = u_lo == u_hi and l_lo == l_hi
+    assert _overlaps(upper, lower) == (u_hi > l_lo or (u_hi == l_lo and both_points))
+
+
+def test_overlap_of_touching_brackets():
+    assert not _overlaps((1, 2, 3), (4, 9, 4))  # [1, 2]/8 and [4, 9]/16 touch at 1/4
+    assert not _overlaps((2, 2, 3), (4, 9, 4))  # an exact root at the end of a bracket
+    assert not _overlaps((1, 2, 3), (2, 2, 3))
+    assert _overlaps((2, 2, 3), (4, 4, 4))      # two exact roots at one place
+    assert _overlaps((1, 3, 3), (4, 9, 4))
+
+
+def test_interlacing_passes_touching_brackets_at_470():
+    # d_377^470(1) ~ 7.4e-40 is bisected off 0 inside [0, lo(376)] =
+    # [0, 2^-129], so its bracket ends where that of d_376(1) starts and
+    # neither is a point: the order is certified, where halving both
+    # brackets down to 2^-128 did not separate them
+    chain = semireg.roots._RootChain(470)
+    width = Fraction(1, 10**6)
+    assert _interlacing(chain, None, width) == (469, "")
+    upper, lower = chain.bracket(377), chain.bracket(376)
+    assert upper.hi == lower.lo == Fraction(1, 1 << 129)
+    assert not upper.exact and not lower.exact
+    assert not _overlaps(_nums(upper), _nums(lower))
 
 
 def test_duality_on_the_edge_of_the_widths():
