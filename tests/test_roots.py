@@ -343,6 +343,32 @@ def test_float_seed_settles_most_brackets(monkeypatch):
     assert 3 * seeded < len(evaluations)
 
 
+def test_warm_start_right_of_the_root_restarts_at_the_last_root(monkeypatch):
+    # an extrapolation just right of d_5^30(1) comes back from Newton
+    # unmoved, so the seed restarts at d_5^29(1), which is left of it
+    def refined(chain):  # brackets 1..5, each refined before the next is made
+        for k in range(1, 6):
+            chain.refine(k, SEED_WIDTH)
+        return chain
+
+    last = refined(roots_mod._RootChain(29)).seeds[5]
+    root = refined(roots_mod._RootChain(30)).seeds[5]
+    chain = roots_mod._RootChain(30)
+    chain.warm = ({5: last}, {5: 2 * last - (root + 0.01)})  # starts at root + 0.01
+    starts = []
+    real = roots_mod._root_seed
+
+    def recorded(N, k, lo, hi):
+        starts.append((k, lo))
+        return real(N, k, lo, hi)
+
+    monkeypatch.setattr(roots_mod, "_root_seed", recorded)
+    br = refined(chain).bracket(5)
+    assert [lo for k, lo in starts if k == 5] == [root + 0.01, last]
+    assert abs(chain.seeds[5] - root) < 1e-9
+    assert br.width == SEED_WIDTH and br.lo < Fraction(root) < br.hi
+
+
 # ---------------------------------------------------------------- tiny-root signs
 
 BAND_WIDTH = Fraction(1, 1 << 100)
