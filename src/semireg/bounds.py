@@ -164,7 +164,9 @@ class AiryConstant:
 
 @lru_cache(maxsize=64)  # equal constants share entries: the CLI builds one per command
 def _c_enclosure(airy: AiryConstant, bits: int) -> Enclosure:
-    return nth_root_enclosure(Fraction(1, 6), 3, bits) * airy.i1_enclosure()
+    # both factors are non-negative, so the product's ends are the ends' products
+    root, i1 = nth_root_enclosure(Fraction(1, 6), 3, bits), airy.i1_enclosure()
+    return Enclosure(root.lo * i1.lo, root.hi * i1.hi)
 
 
 DEFAULT_AIRY = AiryConstant()
@@ -269,15 +271,6 @@ def _quartic_positive_root(a: tuple, b: tuple, width: Fraction) -> DyadicBracket
     return bracket
 
 
-def _quartic_detail(shape: SystemShape, airy: AiryConstant) -> QuarticClosedForm | None:
-    # float diagnostics only: a huge i1 override overflows or cancels them,
-    # which must not abort the certified bound
-    try:
-        return QuarticClosedForm.from_shape(shape, airy)
-    except (ArithmeticError, ValueError):
-        return None
-
-
 _LS_BITS_SCHEDULE = (48, 96, 192)
 
 
@@ -289,7 +282,8 @@ def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutc
     exact rational coefficients traps (w4^6 - 1)/2 in a rational interval that
     accounts for the uncertainty radius of i1.  If the interval still straddles
     an integer after the last step of the schedule, the conservative floor is
-    reported with the near-boundary flag and both candidates.
+    reported with the near-boundary flag and both candidates.  `detail` is
+    None: the float closed form is `QuarticClosedForm.from_shape(shape, airy)`.
     """
     n2, two_n = shape.n * shape.n, 2 * shape.N
     for bits in _LS_BITS_SCHEDULE:
@@ -316,7 +310,6 @@ def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutc
             near_boundary=flag,
             candidates=(1 + f_lo, 1 + f_hi) if flag else None,
         ),
-        detail=_quartic_detail(shape, airy),
     )
 
 

@@ -1,4 +1,4 @@
-"""Rational enclosures: directed integer roots and a small interval algebra.
+"""Rational enclosures: directed integer roots and the one bisection bracket.
 
 Everything here manipulates pairs of exact rationals [lo, hi] guaranteed to
 contain the target real number.  Widths shrink as the `bits` argument grows;
@@ -67,40 +67,6 @@ class Enclosure:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, q: Fraction | int) -> bool:
-        return self.lo <= q <= self.hi
-
-    def strictly_above(self, q: Fraction | int) -> bool:
-        return self.lo > q
-
-    def strictly_below(self, q: Fraction | int) -> bool:
-        return self.hi < q
-
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
-
-    def __add__(self, other: "Enclosure | Fraction | int") -> "Enclosure":
-        if isinstance(other, Enclosure):
-            return Enclosure(self.lo + other.lo, self.hi + other.hi)
-        return Enclosure(self.lo + other, self.hi + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Enclosure | Fraction | int") -> "Enclosure":
-        return self + (-other if isinstance(other, Enclosure) else Enclosure.point(-other))
-
-    def __rsub__(self, other: "Fraction | int") -> "Enclosure":
-        return Enclosure.point(other) + (-self)
-
-    def __mul__(self, other: "Enclosure | Fraction | int") -> "Enclosure":
-        if not isinstance(other, Enclosure):
-            other = Enclosure.point(other)
-        products = (self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi)
-        return Enclosure(min(products), max(products))
-
-    __rmul__ = __mul__
-
 
 class DyadicBracket:
     """Sign-change bracket [num_lo, num_hi] / 2^e of an exact integer sign.
@@ -130,15 +96,11 @@ class DyadicBracket:
     def hi(self) -> Fraction:
         return Fraction(self.num_hi, 1 << self.e)
 
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.num_hi - self.num_lo, 1 << self.e)
-
     def enclosure(self) -> Enclosure:
         return Enclosure(self.lo, self.hi)
 
     def _width_sign(self, width: Fraction) -> int:
-        """Sign of (self.width - width), compared in integers."""
+        """Sign of (hi - lo - width), compared in integers."""
         a = (self.num_hi - self.num_lo) * width.denominator
         b = width.numerator << self.e
         return (a > b) - (a < b)

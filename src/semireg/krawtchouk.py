@@ -89,30 +89,15 @@ def gf_identity_check(m: int, n: int, up_to: int) -> bool:
     """Do the generating-function coefficients match the Krawtchouk values?
 
     True iff [z^k](1-z)^(m-n)(1+z)^m == K_k^{2m-n}(m-n) for all k <= up_to.
-    The left side is the binomial product (1-z^2)^(m-n) (1+z)^n, with no
-    recurrence, so the check is independent of `krawtchouk_stream`.  Both
-    sides are packed at z = 2^B (Kronecker substitution) and compared modulo
-    2^(B (up_to + 1)), which keeps the coefficients up to z^up_to.  The
-    product's coefficients are at most 2^m in size (the coefficients of
-    (1+z^2)^(m-n) (1+z)^n sum to 2^m), and B is read from the stream in whole
-    bytes, so every coefficient difference is below 2^(B-1) in size and the
-    packed residues agree exactly when the coefficients do.
-
-    A check of one shape at any `up_to`; `verify.check_gf_identity` does not
-    call it, and steps one product per N through its shapes instead
-    (`_gf_products`).
+    The left side is the binomial product (1-z^2)^(m-n) (1+z)^n that
+    `_gf_products` steps to, with no recurrence, so the check is independent
+    of `krawtchouk_stream`.
     """
     shape = SystemShape(m, n)
     if up_to > shape.N:
         raise ValueError(f"requires up_to <= N={shape.N}; got {up_to}")
-    values = integer_values(shape.N, shape.t, up_to)
-    size = (max(m, *map(int.bit_length, values)) + 9) // 8  # bytes of a digit c_k + 2^(B-1)
-    B, half = 8 * size, 1 << (8 * size - 1)
-    mask = (1 << B * (up_to + 1)) - 1
-    packed = int.from_bytes(b"".join((v + half).to_bytes(size, "little") for v in values), "little")
-    packed -= int.from_bytes(half.to_bytes(size, "little") * len(values), "little")
-    product = (1 - (1 << 2 * B)) ** shape.t * ((1 << B) + 1) ** n
-    return (packed - product) & mask == 0
+    product = next(coeffs for k, coeffs in _gf_products(shape.N) if k == n)
+    return product[:up_to + 1] == integer_values(shape.N, shape.t, up_to)
 
 
 def _gf_products(N: int) -> Iterator[tuple[int, list[int]]]:

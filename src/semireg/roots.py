@@ -116,19 +116,23 @@ class _RootChain:
         return self._brackets[k - 1]
 
     def refine(self, k: int, width: Fraction | float) -> DyadicBracket:
-        """Bracket k refined to `width`, then until lo > 0 certifies 0 < root."""
+        """Bracket k refined to `width`; lo > 0 certifies 0 < root.
+
+        Bracket k + 1 is made first, from bracket k at the exponent it was
+        made at: made from the refined bracket, it would start at that
+        exponent, and refining k by k would add the width's bits every k.
+        """
         N, br = self.N, self.bracket(k)
+        self.bracket(min(k + 1, N))
         br.refine(width, lambda: _guess_in(N, k, br))
-        while not br.exact and br.num_lo == 0:
-            br.step()
         return br
 
     def _extend(self) -> None:
         N = self.N
         k = len(self._brackets) + 1
         if k == 1:
-            # K_1(0) = N > 0 and K_1(N) = -N < 0; the single root is inside.
-            self._brackets.append(DyadicBracket(_root_sign(N, 1), 0, N, 0))
+            # K_1(x) = N - 2x: the single root is the point N / 2
+            self._brackets.append(DyadicBracket(_root_sign(N, 1), N, N, 1, exact=True))
             return
         prev = self._brackets[-1]
         # prev.lo <= d_{k-1}(1) < d_k(2), so a window below prev.lo where K_k
@@ -136,25 +140,22 @@ class _RootChain:
         sign_at = _root_sign(N, k)
         br = DyadicBracket(sign_at, 0, prev.num_lo, prev.e)
         self.seeds[k] = self._seed(k, br)
-        if br.narrow(self.seeds[k], DEFAULT_WIDTH):
-            self._brackets.append(br)
-            return
-        while True:
-            sign = sign_at(prev.num_lo, prev.e)
-            if sign >= 0:
-                # If K_k < 0 at prev.lo, the bracket (0, prev.lo) isolates
-                # d_k(1); a root of K_k at or below d_{k-1}(1) can only be
-                # d_k(1) itself.
-                lo = 0 if sign > 0 else prev.num_lo
-                self._brackets.append(DyadicBracket(
-                    sign_at, lo, prev.num_lo, prev.e, exact=sign == 0
-                ))
-                return
-            if prev.exact:
-                raise AssertionError(
-                    "K_k must be negative at the exact previous smallest root"
-                )
-            prev.step()
+        if not br.narrow(self.seeds[k], DEFAULT_WIDTH):
+            while (sign := sign_at(prev.num_lo, prev.e)) < 0:
+                if prev.exact:
+                    raise AssertionError(
+                        "K_k must be negative at the exact previous smallest root"
+                    )
+                prev.step()
+            # If K_k < 0 at prev.lo, the bracket (0, prev.lo) isolates
+            # d_k(1); a root of K_k at or below d_{k-1}(1) can only be
+            # d_k(1) itself.
+            br = DyadicBracket(sign_at, 0 if sign > 0 else prev.num_lo, prev.num_lo,
+                               prev.e, exact=sign == 0)
+        # lo > 0 certifies 0 < root and leaves bracket k + 1 room below lo
+        while not br.exact and br.num_lo == 0:
+            br.step()
+        self._brackets.append(br)
 
     def _seed(self, k: int, br: DyadicBracket) -> float:
         """Newton seed of d_k^N(1) in br, warm-started from the seeds of N - 1, N - 2.

@@ -3,8 +3,8 @@
 Each function here recomputes a quantity by a different route than the
 production code: brute-force polynomial expansion, Pascal's triangle,
 the explicit alternating sum, the general-alphabet recurrence, rational
-bisection.  They exist so expected values in tests are never produced by the
-code under test.
+bisection, interval arithmetic.  They exist so expected values in tests are
+never produced by the code under test.
 """
 
 from __future__ import annotations
@@ -20,10 +20,48 @@ from semireg.bounds import (_LS_BITS_SCHEDULE, DEFAULT_AIRY, CertificationMethod
                             _l_accepts_degree)
 from semireg.exact import binomial, krawtchouk_stream
 from semireg.intervals import Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
-from semireg.krawtchouk import gf_identity_check, integer_values
+from semireg.krawtchouk import integer_values
 from semireg.roots import (DEFAULT_WIDTH, _sturm_count_below, dreg_via_eigenvalues,
                            dreg_via_roots, largest_eigenvalue)
 from semireg.verify import CheckResult, enumerate_shapes
+
+
+@dataclass(frozen=True)
+class Interval(Enclosure):
+    """An `Enclosure` with interval negation, sum, difference and product.
+
+    Each result is the smallest interval holding every result of the
+    operation on points of the operands; a bare number is a point.
+    """
+
+    @classmethod
+    def of(cls, enc: Enclosure) -> "Interval":
+        return cls(enc.lo, enc.hi)
+
+    def __neg__(self) -> "Interval":
+        return Interval(-self.hi, -self.lo)
+
+    def __add__(self, other: "Enclosure | Fraction | int") -> "Interval":
+        if isinstance(other, Enclosure):
+            return Interval(self.lo + other.lo, self.hi + other.hi)
+        return Interval(self.lo + other, self.hi + other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "Enclosure | Fraction | int") -> "Interval":
+        return self + (-Interval.of(other) if isinstance(other, Enclosure) else -other)
+
+    def __rsub__(self, other: "Fraction | int") -> "Interval":
+        return -self + other
+
+    def __mul__(self, other: "Enclosure | Fraction | int") -> "Interval":
+        if not isinstance(other, Enclosure):
+            other = Interval.point(other)
+        products = (self.lo * other.lo, self.lo * other.hi,
+                    self.hi * other.lo, self.hi * other.hi)
+        return Interval(min(products), max(products))
+
+    __rmul__ = __mul__
 
 
 def pascal_binomial(a: int, b: int) -> int:
@@ -177,10 +215,10 @@ def fraction_ls_lower(shape, airy=DEFAULT_AIRY):
     a_sq = Fraction(shape.n * shape.n, 2 * shape.N)
     for bits in _LS_BITS_SCHEDULE:
         a_enc = sqrt_enclosure(a_sq, bits)
-        b_enc = -airy.c_enclosure(bits)
+        c_enc = airy.c_enclosure(bits)  # b = -c
         width = Fraction(1, 1 << (bits // 2))
-        w_low = fraction_quartic_positive_root(a_enc.lo, b_enc.hi, width)[0]
-        w_high = fraction_quartic_positive_root(a_enc.hi, b_enc.lo, width)[1]
+        w_low = fraction_quartic_positive_root(a_enc.lo, -c_enc.lo, width)[0]
+        w_high = fraction_quartic_positive_root(a_enc.hi, -c_enc.hi, width)[1]
         f_lo = max(math.floor((w_low ** 6 - 1) / 2), 0)
         f_hi = max(math.floor((w_high ** 6 - 1) / 2), 0)
         if f_lo == f_hi:
@@ -195,9 +233,9 @@ def enclosure_max_sign_margin(N: int, v: int, num_lo: int, num_hi: int, e: int) 
 
     v + 4 M width 2^(6e + 6) on [num_lo, num_hi] / 2^e, where M = (hi - 1)
     max |r| bounds |s'| = (x - 1)|r(x)| and r = 6x^4 - 4x^3 - 3Nx + N is
-    bounded by Enclosure products over the bracket.
+    bounded by `Interval` products over the bracket.
     """
-    enc = Enclosure(Fraction(num_lo, 1 << e), Fraction(num_hi, 1 << e))
+    enc = Interval(Fraction(num_lo, 1 << e), Fraction(num_hi, 1 << e))
     r_enc = 6 * enc * enc * enc * enc - 4 * enc * enc * enc - (3 * N) * enc + N
     m_total = (enc.hi - 1) * max(abs(r_enc.lo), abs(r_enc.hi))
     return v + 4 * m_total * enc.width * (1 << 6 * (e + 1))
@@ -216,7 +254,7 @@ def interval_l_accepts_degree(N: int, n: int, k: int) -> bool:
         return lhs <= (k + c - 2 * c * c) * (N - k)
     bits = 32
     while True:
-        u = nth_root_enclosure(k, 3, bits)
+        u = Interval.of(nth_root_enclosure(k, 3, bits))
         rhs = (k + u - 2 * u * u) * (N - k)
         if rhs.lo >= lhs:
             return True
@@ -264,10 +302,10 @@ def three_way_reference(max_N: int) -> CheckResult:
 
 
 def gf_identity_reference(max_N: int) -> CheckResult:
-    """The gf_identity suite shape by shape in (n, m) order, one packed check each."""
+    """The gf_identity suite shape by shape in (n, m) order, one convolution each."""
     checked = 0
     for shape in enumerate_shapes(max_N):
-        if not gf_identity_check(shape.m, shape.n, shape.N):
+        if not gf_convolution_check(shape.m, shape.n, shape.N):
             return CheckResult("gf_identity", checked, False,
                                f"mismatch at m={shape.m}, n={shape.n}")
         checked += 1

@@ -32,10 +32,11 @@ import semireg.bounds as bounds_mod
 from semireg.bounds import (_LS_BITS_SCHEDULE, _l_accepts_degree, _l_degree_norm,
                             _max_sign_margin, _quartic_positive_root, _r_value_dyadic,
                             _s4_value_dyadic)
-from semireg.intervals import DyadicBracket, iroot, sqrt_enclosure
+from semireg.intervals import DyadicBracket, iroot, nth_root_enclosure, sqrt_enclosure
 from semireg.verify import enumerate_shapes
 
 from oracle_utils import (
+    Interval,
     enclosure_max_sign_margin,
     fraction_ls_lower,
     fraction_quartic_positive_root,
@@ -134,9 +135,9 @@ def test_integer_quartic_bisection_matches_fraction_reference():
         a_sq = Fraction(shape.n * shape.n, 2 * shape.N)
         for bits in _LS_BITS_SCHEDULE:
             a_enc = sqrt_enclosure(a_sq, bits)
-            b_enc = -DEFAULT_AIRY.c_enclosure(bits)
+            c_enc = DEFAULT_AIRY.c_enclosure(bits)  # b = -c
             width = Fraction(1, 1 << (bits // 2))
-            for a, b in ((a_enc.lo, b_enc.hi), (a_enc.hi, b_enc.lo)):
+            for a, b in ((a_enc.lo, -c_enc.lo), (a_enc.hi, -c_enc.hi)):
                 br = _quartic_positive_root(a.as_integer_ratio(), b.as_integer_ratio(), width)
                 assert (br.lo, br.hi) == fraction_quartic_positive_root(a, b, width)
 
@@ -171,8 +172,8 @@ def test_seeded_quartic_root_costs_two_exact_evaluations(monkeypatch):
               *_grid_shapes()]
     for shape in shapes:
         a_enc = sqrt_enclosure(Fraction(shape.n * shape.n, 2 * shape.N), bits)
-        b_enc = -DEFAULT_AIRY.c_enclosure(bits)
-        for a, b in ((a_enc.lo, b_enc.hi), (a_enc.hi, b_enc.lo)):
+        c_enc = DEFAULT_AIRY.c_enclosure(bits)  # b = -c
+        for a, b in ((a_enc.lo, -c_enc.lo), (a_enc.hi, -c_enc.hi)):
             _CountingBracket.calls = 0
             _quartic_positive_root(a.as_integer_ratio(), b.as_integer_ratio(), width)
             assert 0 < _CountingBracket.calls <= 2, (shape, a, b)
@@ -288,6 +289,23 @@ def test_airy_constant_validation():
     for i1, radius in ((Fraction(1), Fraction(1)), (Fraction("3.37213"), Fraction(10))):
         with pytest.raises(ValueError):
             AiryConstant(i1=i1, precision_radius=radius)
+
+
+@pytest.mark.parametrize("airy", [
+    DEFAULT_AIRY,
+    AiryConstant(precision_radius=Fraction(0)),
+    AiryConstant(precision_radius=Fraction(1, 2)),
+    AiryConstant(i1=Fraction(7, 3), precision_radius=Fraction(7, 3) - Fraction(1, 10**9)),
+    AiryConstant(i1=Fraction(10**50), precision_radius=Fraction(1, 3)),
+], ids=["default", "radius-0", "radius-1/2", "radius-near-i1", "huge-i1"])
+def test_c_enclosure_is_the_corner_product(airy):
+    # c = 6^(-1/3) i1 from two non-negative intervals, end by end; the oracle
+    # takes the smallest and largest of all four corner products
+    for bits in _LS_BITS_SCHEDULE:
+        root = Interval.of(nth_root_enclosure(Fraction(1, 6), 3, bits))
+        corners = root * Interval.of(airy.i1_enclosure())
+        c = airy.c_enclosure(bits)
+        assert (c.lo, c.hi) == (corners.lo, corners.hi)
 
 
 # ------------------------------------------------------------ LS asymptotics

@@ -1,9 +1,11 @@
-"""Every exported name of the package and of its modules resolves, and the
-modules import each other in layers: no cycle, with `exact` at the bottom."""
+"""Every exported name of the package and of its modules resolves and the
+README's Library section names each package export; the modules import each
+other in layers: no cycle, with `exact` at the bottom."""
 
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -72,3 +74,11 @@ def test_internal_imports_have_no_cycle():
 
     for module in sorted(graph):
         visit(module)
+
+
+def test_every_package_name_is_in_the_readme_library_section():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    missing = [name for name in semireg.__all__ if name != "__version__"
+               and not re.search(rf"\b{re.escape(name)}\b", library)]
+    assert missing == []

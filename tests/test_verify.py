@@ -75,7 +75,8 @@ def _corrupt_streams(monkeypatch, corruptions):
     monkeypatch.setattr(semireg.krawtchouk, "krawtchouk_stream", corrupted)
 
 
-# B of the Kronecker packing at (m, n) = (10, 4): max(m, widest c_k) + 2
+# a digit width B at (m, n) = (10, 4), max(m, widest c_k) + 2: corruptions by
+# 2^B would alias in a check that packed the coefficients B bits apart
 GF_B = max(10, *(c.bit_length() for c in integer_values(16, 6, 16))) + 2
 
 
@@ -88,7 +89,7 @@ GF_B = max(10, *(c.bit_length() for c in integer_values(16, 6, 16))) + 2
     {16: 1 << GF_B},               # the top coefficient
 ], ids=["wide", "wide-negative", "plus-2^B", "minus-2^B", "aliased-pair", "top"])
 def test_gf_identity_catches_wide_corruptions(monkeypatch, deltas):
-    # B is read from the stream, so no corruption aliases with the product
+    # the coefficients are compared one by one, so no corruption aliases
     _corrupt_stream(monkeypatch, 16, 4, deltas)
     assert not gf_identity_check(10, 4, 16)
     assert not gf_convolution_check(10, 4, 16)
