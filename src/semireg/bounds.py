@@ -457,11 +457,27 @@ def _l_degree_norm(N: int, n: int, k: int) -> int:
     return A ** 3 + k * B ** 3 + k * k * C ** 3 - 3 * k * A * B * C
 
 
+@lru_cache(maxsize=1024)
+def _x4_prime(N: int) -> tuple[int, int, int, bool]:
+    """(num_lo, num_hi, e, exact) of the bracket of x4' at 2^-16: x4' depends on N alone."""
+    hi0 = iroot(N, 3) + 1  # above the largest root of r
+    if _r_value_dyadic(N, hi0, 0) <= 0:
+        raise AssertionError("quartic factor must be positive beyond its top root")
+    # r(1) = 2 - 2N < 0 and r(hi0) > 0: negative at lo, as DyadicBracket wants.
+    # r is convex for x > 1/3, so Newton from hi0 descends onto x4'.
+    x4 = DyadicBracket(partial(_r_value_dyadic, N), 1, hi0, 0)
+    x4.refine(Fraction(1, 1 << 16), lambda: newton_seed(
+        lambda x: (6 * x ** 4 - 4 * x ** 3 - 3 * N * x + N,
+                   24 * x ** 3 - 12 * x * x - 3 * N), float(hi0), -1))
+    return x4.num_lo, x4.num_hi, x4.e, x4.exact
+
+
 def l_upper(shape: SystemShape) -> BoundOutcome:
     """Upper bound 1 + ceil(x5^3) from the sextic localization, or not applicable.
 
     Pipeline: bracket the local-maximum location x4' in (1, N^(1/3)), the
-    top root of the quartic factor r, from a float Newton seed; certify the
+    top root of the quartic factor r, from a float Newton seed (once per N:
+    a bracket is built afresh from the cached numerators); certify the
     sign of s at that maximum (negative means no bound); bisect s on the
     increasing side for x5 to width 2^-16; read ceil(x5^3) off that bracket
     as the first degree it leaves whose per-degree test (one exact integer
@@ -472,17 +488,8 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
     not applicable (root out of range) by the proof at its branch.
     """
     N, n = shape.N, shape.n
-
-    hi0 = iroot(N, 3) + 1  # above the largest root of r
-    if _r_value_dyadic(N, hi0, 0) <= 0:
-        raise AssertionError("quartic factor must be positive beyond its top root")
-    # r(1) = 2 - 2N < 0 and r(hi0) > 0: negative at lo, as DyadicBracket wants.
-    # r is convex for x > 1/3, so Newton from hi0 descends onto x4'.
-    x4 = DyadicBracket(partial(_r_value_dyadic, N), 1, hi0, 0)
-    x4.refine(Fraction(1, 1 << 16), lambda: newton_seed(
-        lambda x: (6 * x ** 4 - 4 * x ** 3 - 3 * N * x + N,
-                   24 * x ** 3 - 12 * x * x - 3 * N), float(hi0), -1))
-
+    # a fresh bracket: _certify_max_sign steps it for this n
+    x4 = DyadicBracket(partial(_r_value_dyadic, N), *_x4_prime(N))
     applicable, witness = _certify_max_sign(shape, x4)
     if applicable is False:
         return BoundOutcome(

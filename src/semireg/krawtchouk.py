@@ -9,7 +9,9 @@ goes through the three-term recurrence
 seeded with K_0 = 1 and K_1 = N - 2t.  Exact evaluation has two integer
 kernels: `exact.krawtchouk_stream` divides as it goes and serves integer
 points; `cleared_values` clears factorials and denominators and serves
-rational points, root signs and Sturm counts.  The one float recurrence is
+rational points.  The root and eigenvalue signs of `roots` run its
+recurrence at d = 2^e in a loop that keeps only the last two values, and
+the tests check them against it.  The one float recurrence is
 `exact._krawtchouk_slope`, which only seeds.  The explicit alternating sum
 is kept out of production on purpose (it cancels catastrophically); tests
 use it as an oracle.

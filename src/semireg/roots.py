@@ -7,30 +7,34 @@ Two independent re-derivations of the degree of regularity live here:
   supplied by interlacing (d_k(1) < d_{k-1}(1) < d_k(2)); left of 1 two
   bounds of the explicit sum settle most signs without the recurrence.
 * via eigenvalues: d_reg = 1 + max{k : lambda_k < n}, where lambda_k is the
-  largest eigenvalue of the k x k Golub-Kahan matrix with zero diagonal and
-  off-diagonal entries sqrt((i+1)(N-i)).  Eigenvalues are counted by Sturm
-  sequences of the leading principal minors.
+  largest eigenvalue of the k x k Golub-Kahan matrix T_k with zero diagonal
+  and off-diagonal entries sqrt((i+1)(N-i)).  Its sign is read off the
+  leading minors of x I - T_k by Sylvester's criterion: x > lambda_k exactly
+  when all of them are positive.
 
-All evaluation points are dyadic rationals, so every sign and every count is
-an exact integer computation.  Floats only seed: a Newton estimate of d_k(1)
-on the package's one float recurrence, `exact._krawtchouk_slope`, picks a short
+Both signs run the cleared recurrence of `krawtchouk.cleared_values` in one
+loop that keeps only its last two values and multiplies by 4^e as a shift.
+
+All evaluation points are dyadic rationals, so every sign is an exact
+integer computation.  Floats only seed: a Newton estimate of d_k(1) on the
+package's one float recurrence, `exact._krawtchouk_slope`, picks a short
 dyadic window (`DyadicBracket.narrow`), which is used only when two exact
-signs, or two Sturm counts, certify it, and bisection takes over when they
-do not; no decision reads a float.  A chain built after those of N - 1 and
-N - 2 starts Newton from their seeds (`_RootChain._seed`): d_k^(N-1)(1) is
-provably left of d_k^N(1), and the extrapolation through both is tried
-first.  Newton stops right after a step of at most 2^-40 max(1, |x|), so a
-seed takes about half the float evaluations of a cold start.
+signs certify it, and bisection takes over when they do not; no decision
+reads a float.  A chain built after those of N - 1 and N - 2 starts Newton
+from their seeds (`_RootChain._seed`): d_k^(N-1)(1) is provably left of
+d_k^N(1), and the extrapolation through both is tried first.  Newton stops
+right after a step of at most 2^-40 max(1, |x|), so a seed takes about half
+the float evaluations of a cold start.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .exact import SystemShape, _root_seed
 from .intervals import DyadicBracket, Enclosure, positive_width
-from .krawtchouk import cleared_values
 
 __all__ = [
     "DEFAULT_WIDTH",
@@ -50,8 +54,19 @@ CROSS_VALIDATION_CEILING = 512
 
 
 def _sign_at_dyadic(N: int, k: int, p: int, e: int) -> int:
-    """An integer with the exact sign of K_k^N(p / 2^e): the cleared value at d = 2^e."""
-    return cleared_values(N, (N << e) - 2 * p, 1 << (2 * e), k)[k]
+    """B_k at s = N 2^e - 2p, d = 2^e: an integer with the sign of K_k^N(p / 2^e), k >= 1."""
+    s, e2 = (N << e) - 2 * p, 2 * e
+    prev, cur = 1, s
+    for j in range(1, k):
+        prev, cur = cur, s * cur - (j * (N - j + 1) * prev << e2)
+    return cur
+
+
+@lru_cache(maxsize=CROSS_VALIDATION_CEILING)
+def _tiny_constants(k: int) -> tuple[int, int, tuple[int, ...]]:
+    """L = lcm(1..k), H_{k-1} L and the weights (L // j) 2^j, j = 1..k, of `_root_sign`."""
+    L = math.lcm(*range(1, k + 1))
+    return L, sum(L // i for i in range(1, k)), tuple(L // j << j for j in range(1, k + 1))
 
 
 def _root_sign(N: int, k: int):
@@ -71,11 +86,12 @@ def _root_sign(N: int, k: int):
     def sign(p: int, e: int) -> int:
         if p >> e == 0:
             if not tiny:
-                L, b0, c = math.lcm(*range(1, k + 1)), 0, 1  # c = C(N-j, k-j)
+                L, h, weights = _tiny_constants(k)
+                b0, c = 0, 1  # c = C(N-j, k-j)
                 for j in range(k, 0, -1):
-                    b0 += (L // j << j) * c
+                    b0 += weights[j - 1] * c
                     c = c * (N - j + 1) // (k - j + 1)
-                tiny.extend((c, L, b0, sum(L // i for i in range(1, k))))
+                tiny.extend((c, L, b0, h))
             c, L, b0, h = tiny
             lhs, rhs = p * b0, c * L << e
             if lhs < rhs:
@@ -219,45 +235,32 @@ def _dreg_from_chain(chain: _RootChain, t: int) -> int:
     raise AssertionError("accept set cannot extend past degree N")
 
 
-def _sturm_count_below(N: int, k: int, p: int, e: int) -> tuple[int, bool]:
-    """Eigenvalues of the k x k Golub-Kahan matrix strictly below p / 2^e.
+def _eigen_sign(N: int, k: int, p: int, e: int) -> int:
+    """An integer with the sign of x - lambda_k at x = p / 2^e, zero at lambda_k.
 
-    The leading principal minors q_j = 2^(j e) p_j(x), with
-    p_j(x) = x p_{j-1}(x) - (j-1)(N-j+2) p_{j-2}(x), are the cleared
-    Krawtchouk values at s = p, d = 2^e: q_j = j! 2^(j e) K_j((N - x)/2).
-    At the threshold x = n this reads q_j = j! c_j.  Counting sign agreements
-    of consecutive terms, where a zero term takes the sign opposite to its
-    predecessor, yields the number of eigenvalues strictly below the
-    evaluation point; the second return value reports whether the point is
-    itself an eigenvalue.
+    The leading minors q_j = det(x I - T_j) obey q_j = x q_{j-1} -
+    (j-1)(N-j+2) q_{j-2}, so 2^(j e) q_j is the cleared Krawtchouk value at
+    s = p, d = 2^e: q_j = j! K_j((N - x)/2), which at the threshold x = n
+    reads j! c_j.  By Sylvester's criterion x > lambda_k exactly when
+    q_1..q_k are all positive.  The top eigenvalue of T_{j-1} lies strictly
+    below that of T_j, so a non-positive q_j, j < k, puts x below lambda_k,
+    and with q_1..q_{k-1} positive q_k has the sign of x - lambda_k.
     """
-    count = 0
-    sign_prev = 1
-    q = cleared_values(N, p, 1 << (2 * e), k)
-    for q_j in q[1:]:
-        sign = (q_j > 0) - (q_j < 0)
-        if sign == 0:
-            sign = -sign_prev
-        if sign == sign_prev:
-            count += 1
-        sign_prev = sign
-    return count, q[-1] == 0
+    e2 = 2 * e
+    prev, cur = 1, p
+    for j in range(1, k):
+        if cur <= 0:
+            return -1
+        prev, cur = cur, p * cur - (j * (N - j + 1) * prev << e2)
+    return cur
 
 
 def _eigen_bracket(N: int, k: int) -> DyadicBracket:
-    """Bracket [0, N] of lambda_k (k >= 2), signed by Sturm counts.
+    """Bracket [0, N] of lambda_k (k >= 2), signed by `_eigen_sign`.
 
     The matrix has zero trace, so lambda_k > 0, and lambda_k = N - 2 d_k(1) < N.
     """
-
-    def sign_at(p: int, e: int) -> int:
-        # positive above lambda_k (all k eigenvalues lie below), zero at it
-        count, singular = _sturm_count_below(N, k, p, e)
-        if count == k:
-            return 1
-        return 0 if singular and count == k - 1 else -1
-
-    return DyadicBracket(sign_at, 0, N, 0)
+    return DyadicBracket(partial(_eigen_sign, N, k), 0, N, 0)
 
 
 def _eigen_brackets(N: int) -> dict[int, DyadicBracket]:
@@ -293,8 +296,8 @@ def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEI
 
     lambda_1 = 0 < n always; for k >= 2 the bracket of lambda_k decides
     lambda_k < n by bisection, and only when n stays inside it at
-    DEFAULT_WIDTH does the Sturm count at n settle the side.  A singular hit
-    there is the tie lambda_k = n, which the strict inequality excludes.
+    DEFAULT_WIDTH does the eigen sign at n settle the side.  A zero there is
+    the tie lambda_k = n, which the strict inequality excludes.
     """
     if shape.N > ceiling:
         raise ValueError(

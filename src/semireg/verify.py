@@ -137,13 +137,13 @@ def _duality_gap(N: int, root: tuple, lam: tuple) -> bool:
     return abs(diff) > ((r_hi - r_lo) << (dr + 2)) + ((l_hi - l_lo) << (dl + 1))
 
 
-def _three_way(max_N: int):
+def _three_way(max_N: int, d_regs: dict[SystemShape, int]):
     """The three-way suite on the shared pass, as (name, check).
 
     A shape of smaller n can sit at a larger N, so the first failure in
     enumerate_shapes' (n, m) order is known only at N = max_N: the check
     reports nothing before then, and after a failure it checks only the
-    shapes of smaller n.
+    shapes of smaller n.  Each exact d_reg it computes goes into `d_regs`.
     """
     first = (max_N, 0, "")  # n, m, detail of the first failure; n = max_N is past every shape
 
@@ -152,7 +152,7 @@ def _three_way(max_N: int):
         N = chain.N
         for n in range(2 - N % 2, min(N, first[0]), 2):
             shape = SystemShape((N + n) // 2, n)
-            d_exact = degree_of_regularity_exact(shape)
+            d_exact = d_regs[shape] = degree_of_regularity_exact(shape)
             # past t the exact route searched transposed: check the direct stream
             d_direct = len(hilbert_truncation(shape)) if shape.t < d_exact else d_exact
             d_roots = _dreg_from_chain(chain, shape.t)
@@ -236,7 +236,7 @@ def check_three_way_agreement(max_N: int) -> CheckResult:
     Where the exact route searched transposed (t < d_reg), it must also
     equal the direct stream's index, `len(hilbert_truncation(shape))`.
     """
-    return _chain_suites(max_N, DEFAULT_WIDTH, _three_way(max_N))[0]
+    return _chain_suites(max_N, DEFAULT_WIDTH, _three_way(max_N, {}))[0]
 
 
 def check_eigenvalue_root_duality(
@@ -255,9 +255,14 @@ def check_eigenvalue_root_duality(
 
 def check_sandwich(shapes: Iterable[SystemShape]) -> CheckResult:
     """kz_lower, ls_lower <= d_reg <= ls_upper, l_upper (where applicable)."""
+    return _sandwich(shapes, {})
+
+
+def _sandwich(shapes: Iterable[SystemShape], d_regs: dict[SystemShape, int]) -> CheckResult:
+    """`check_sandwich`, reading d_reg from `d_regs` where it is there."""
     checked = 0
     for shape in shapes:
-        d = degree_of_regularity_exact(shape)
+        d = d_regs.get(shape) or degree_of_regularity_exact(shape)
         lo_kz = kz_lower(shape).value
         lo_ls = ls_lower(shape).value
         up_ls = ls_upper(shape)
@@ -286,14 +291,16 @@ def run_all(max_N: int, width: Fraction = Fraction(1, 1024)) -> list[CheckResult
     if max_N < 3:
         raise ValueError(f"MAX_N={max_N} is below 3, the smallest size "
                          f"at which every suite checks a case")
-    # duality refines the eigen brackets before three-way compares on them
+    # duality refines the eigen brackets before three-way compares on them;
+    # the sandwich reads the d_reg three-way computed
+    d_regs: dict[SystemShape, int] = {}
     interlacing, duality, three_way = _chain_suites(
-        max_N, width, _INTERLACING, _DUALITY, _three_way(max_N))
+        max_N, width, _INTERLACING, _DUALITY, _three_way(max_N, d_regs))
     return [
         interlacing,
         check_gf_identity(max_N),
         check_orthogonality(max_N),
         three_way,
         duality,
-        check_sandwich(enumerate_shapes(max_N)),
+        _sandwich(enumerate_shapes(max_N), d_regs),
     ]

@@ -20,9 +20,8 @@ from semireg.bounds import (_LS_BITS_SCHEDULE, DEFAULT_AIRY, CertificationMethod
                             _l_accepts_degree)
 from semireg.exact import binomial, krawtchouk_stream
 from semireg.intervals import Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
-from semireg.krawtchouk import integer_values
-from semireg.roots import (DEFAULT_WIDTH, _sturm_count_below, dreg_via_eigenvalues,
-                           dreg_via_roots, largest_eigenvalue)
+from semireg.krawtchouk import cleared_values, integer_values
+from semireg.roots import DEFAULT_WIDTH, dreg_via_eigenvalues, dreg_via_roots, largest_eigenvalue
 from semireg.verify import CheckResult, enumerate_shapes
 
 
@@ -325,6 +324,30 @@ def orthogonality_check(N: int, l: int, k: int) -> bool:
     return total == expected
 
 
+def sturm_count_below(N: int, k: int, p: int, e: int) -> tuple[int, bool]:
+    """Eigenvalues of the k x k Golub-Kahan matrix strictly below p / 2^e.
+
+    The leading principal minors q_j = 2^(j e) p_j(x), with
+    p_j(x) = x p_{j-1}(x) - (j-1)(N-j+2) p_{j-2}(x), are the cleared
+    Krawtchouk values at s = p, d = 2^e.  Counting sign agreements of
+    consecutive terms, where a zero term takes the sign opposite to its
+    predecessor, yields the number of eigenvalues strictly below the
+    evaluation point; the second return value reports whether the point is
+    itself an eigenvalue.
+    """
+    count = 0
+    sign_prev = 1
+    q = cleared_values(N, p, 1 << (2 * e), k)
+    for q_j in q[1:]:
+        sign = (q_j > 0) - (q_j < 0)
+        if sign == 0:
+            sign = -sign_prev
+        if sign == sign_prev:
+            count += 1
+        sign_prev = sign
+    return count, q[-1] == 0
+
+
 def eigenvalue_count_below(N: int, k: int, x: Fraction | int) -> int:
     """Number of eigenvalues of the k x k Golub-Kahan matrix strictly below x.
 
@@ -335,7 +358,7 @@ def eigenvalue_count_below(N: int, k: int, x: Fraction | int) -> int:
     e = den.bit_length() - 1
     if 1 << e != den:
         raise ValueError(f"requires a dyadic rational; got denominator {den}")
-    count, _ = _sturm_count_below(N, k, x.numerator, e)
+    count, _ = sturm_count_below(N, k, x.numerator, e)
     return count
 
 

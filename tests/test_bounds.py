@@ -1,5 +1,6 @@
 """Tests for the four closed-form bounds and their certification machinery."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -535,6 +536,9 @@ def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
     # a refused or wrong seed costs bisection steps, never a different outcome
     shapes = list(enumerate_shapes(40))
     expected = [_bound_keys(shape) for shape in shapes]
+    # x4' is cached per N: bracket it afresh under the refusal, in a cache of this test's own
+    monkeypatch.setattr(bounds_mod, "_x4_prime",
+                        functools.lru_cache(maxsize=None)(bounds_mod._x4_prime.__wrapped__))
     if refuse == "narrow":
         monkeypatch.setattr(DyadicBracket, "narrow", lambda self, guess, width: False)
     elif refuse == "closed form":
@@ -542,6 +546,38 @@ def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
     else:
         monkeypatch.setattr(bounds_mod, "newton_seed", lambda f, x, direction: refuse)
     assert [_bound_keys(shape) for shape in shapes] == expected
+
+
+def test_l_upper_outcomes_do_not_depend_on_the_x4_cache():
+    shapes = list(enumerate_shapes(60))
+    cold = []
+    for shape in shapes:
+        bounds_mod._x4_prime.cache_clear()
+        cold.append(l_upper(shape))
+    for N in {shape.N for shape in shapes}:
+        bounds_mod._x4_prime(N)
+    assert [l_upper(shape) for shape in shapes] == cold
+
+
+def test_stepping_the_x4_bracket_leaves_the_cache_unchanged(monkeypatch):
+    # near the tie s(x4') = 0, _certify_max_sign steps x4 past 2^-16; the
+    # shapes there with N < 20000 all decide at the first midpoint, so step
+    # it by force: each call must step a bracket of its own
+    shape = SystemShape(24, 12)
+    refined = bounds_mod._x4_prime.__wrapped__(shape.N)
+    expected = l_upper(shape)
+    certify = bounds_mod._certify_max_sign
+
+    def stepped(shape, x4):
+        for _ in range(8):
+            x4.step()
+        return certify(shape, x4)
+
+    monkeypatch.setattr(bounds_mod, "_certify_max_sign", stepped)
+    assert l_upper(shape).detail.x4_prime.width == expected.detail.x4_prime.width / 256
+    assert bounds_mod._x4_prime(shape.N) == refined
+    monkeypatch.undo()
+    assert l_upper(shape) == expected
 
 
 def test_l_upper_root_bound_figure_value():

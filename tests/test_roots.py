@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semireg.roots as roots_mod
 from semireg.exact import SystemShape, degree_of_regularity_exact
-from semireg.krawtchouk import KrawtchoukParams, eval_exact, eval_integer
+from semireg.krawtchouk import KrawtchoukParams, cleared_values, eval_exact, eval_integer
 from semireg.roots import (
     dreg_via_eigenvalues,
     dreg_via_roots,
@@ -22,7 +22,7 @@ from semireg.roots import (
 )
 from semireg.verify import check_three_way_agreement, enumerate_shapes, run_all
 
-from oracle_utils import GolubKahanSpectrum, eigenvalue_count_below
+from oracle_utils import GolubKahanSpectrum, eigenvalue_count_below, sturm_count_below
 
 WIDTH = Fraction(1, 10**6)
 
@@ -226,23 +226,41 @@ def test_tie_shapes_where_threshold_is_hit_exactly():
         assert dreg_via_eigenvalues(s) == d
 
 
-def test_routes_decide_from_their_brackets_not_the_threshold(monkeypatch):
-    # The cleared values at (s, d2) = (n, 1) are the evaluations at the integer
-    # threshold (t for the roots, n for the eigenvalues): j! c_j, the integers
-    # the exact route reads.  Negated, they would mislead a route that decides
-    # from them; away from a tie neither route may read them at all.
-    real = roots_mod.cleared_values
-    current = {}
-    threshold_reads = []
+def _misleading_kernels(monkeypatch, at_threshold):
+    """Negate and record the root and eigen signs at the thresholds at_threshold(N, n) picks.
 
-    def misleading(N, s, d2, k):
-        out = real(N, s, d2, k)
-        if (s, d2) == (current["shape"].n, 1):
-            threshold_reads.append(current["shape"])
-            return [-v for v in out]
+    The root sign at x = t (p = t, e = 0, so N 2^e - 2p = n) and the eigen
+    sign at x = n are evaluations at the integer threshold: k! c_k, the
+    integers the exact route reads.  Negated, they would mislead a route
+    that decides from them.
+    """
+    real_root, real_eigen = roots_mod._sign_at_dyadic, roots_mod._eigen_sign
+    reads = []
+
+    def root(N, k, p, e):
+        out = real_root(N, k, p, e)
+        if e == 0 and at_threshold(N, N - 2 * p):
+            reads.append((N, N - 2 * p))
+            return -out
         return out
 
-    monkeypatch.setattr(roots_mod, "cleared_values", misleading)
+    def eigen(N, k, p, e):
+        out = real_eigen(N, k, p, e)
+        if e == 0 and at_threshold(N, p):
+            reads.append((N, p))
+            return -out
+        return out
+
+    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", root)
+    monkeypatch.setattr(roots_mod, "_eigen_sign", eigen)
+    return reads
+
+
+def test_routes_decide_from_their_brackets_not_the_threshold(monkeypatch):
+    # away from a tie neither route may read its threshold sign at all
+    current = {}
+    threshold_reads = _misleading_kernels(
+        monkeypatch, lambda N, n: (N, n) == (current["shape"].N, current["shape"].n))
     checked = 0
     for shape in enumerate_shapes(30):
         d = degree_of_regularity_exact(shape)
@@ -260,21 +278,11 @@ def test_shared_pass_decides_from_its_brackets_not_the_threshold(monkeypatch):
     # The suite path of the test above: every shape of one N reads that N's
     # shared brackets.  The threshold evaluations of the non-tie shapes are
     # negated; the tie shapes keep theirs, which their pivots must read.
-    real = roots_mod.cleared_values
     shapes = list(enumerate_shapes(30))
     non_tie = {(s.N, s.n) for s in shapes
                if eval_integer(s.N, degree_of_regularity_exact(s), s.t) != 0}
     assert len(non_tie) == 186
-    threshold_reads = []
-
-    def misleading(N, s, d2, k):
-        out = real(N, s, d2, k)
-        if d2 == 1 and (N, s) in non_tie:
-            threshold_reads.append((N, s))
-            return [-v for v in out]
-        return out
-
-    monkeypatch.setattr(roots_mod, "cleared_values", misleading)
+    threshold_reads = _misleading_kernels(monkeypatch, lambda N, n: (N, n) in non_tie)
     res = check_three_way_agreement(30)
     assert (res.checked, res.passed) == (len(shapes), True)
     assert run_all(30)[3] == res
@@ -340,13 +348,13 @@ def test_float_seed_settles_most_brackets(monkeypatch):
     # the real seed's windows are accepted: two signs per bracket instead of
     # about twenty bisection steps
     evaluations = []
-    real = roots_mod.cleared_values
+    real = roots_mod._sign_at_dyadic
 
     def counted(*args):
         evaluations.append(args)
         return real(*args)
 
-    monkeypatch.setattr(roots_mod, "cleared_values", counted)
+    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", counted)
     assert [(r.name, r.checked, r.passed) for r in run_all(20)] == RUN_ALL_20
     del evaluations[:]
     smallest_root_chain(36, 36, SEED_WIDTH)
@@ -394,7 +402,7 @@ def _sign(v):
 
 def _recurrence_sign(N, k):
     """The root sign with the tiny-root bounds taken out: the recurrence alone."""
-    return lambda p, e: -roots_mod._sign_at_dyadic(N, k, p, e)
+    return lambda p, e: -cleared_values(N, (N << e) - 2 * p, 1 << (2 * e), k)[k]
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,8 +441,8 @@ def test_tiny_root_sign_falls_back_in_the_band(monkeypatch):
     # at the ends of a narrow bracket of d_40^60(1) ~ 0.031 neither bound
     # decides, so the recurrence must; twice the root or half of it, a bound does
     calls = []
-    real = roots_mod.cleared_values
-    monkeypatch.setattr(roots_mod, "cleared_values", lambda *a: calls.append(a) or real(*a))
+    real = roots_mod._sign_at_dyadic
+    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", lambda *a: calls.append(a) or real(*a))
     br = roots_mod._RootChain(60).refine(40, BAND_WIDTH)
     assert 0 < br.lo < br.hi < 1
     sign = roots_mod._root_sign(60, 40)
@@ -483,7 +491,7 @@ def test_chain_fallback_reads_the_bracket_sign(monkeypatch):
 def test_tiny_root_signs_skip_the_recurrence_at_256(monkeypatch):
     # the full chain at N = 256: most signs left of 1 never run the recurrence
     below_one, recurrence = [0], [0]
-    real_root_sign, real = roots_mod._root_sign, roots_mod.cleared_values
+    real_root_sign, real = roots_mod._root_sign, roots_mod._sign_at_dyadic
 
     def root_sign(N, k):
         inner = real_root_sign(N, k)
@@ -493,13 +501,12 @@ def test_tiny_root_signs_skip_the_recurrence_at_256(monkeypatch):
             return inner(p, e)
         return sign
 
-    def cleared(N, s, d2, k):
-        e = (d2.bit_length() - 1) // 2  # d2 = 4^e, s = N 2^e - 2p
-        recurrence[0] += (N << e) - s < 2 << e
-        return real(N, s, d2, k)
+    def sign_at_dyadic(N, k, p, e):
+        recurrence[0] += p >> e == 0
+        return real(N, k, p, e)
 
     monkeypatch.setattr(roots_mod, "_root_sign", root_sign)
-    monkeypatch.setattr(roots_mod, "cleared_values", cleared)
+    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", sign_at_dyadic)
     smallest_root_chain(256, 256)
     assert below_one[0] > 400
     assert recurrence[0] <= 0.2 * below_one[0]
@@ -509,3 +516,53 @@ def test_tiny_root_bounds_leave_the_enclosures_unchanged(monkeypatch):
     fast = smallest_root_chain(128, 128)
     monkeypatch.setattr(roots_mod, "_root_sign", _recurrence_sign)
     assert smallest_root_chain(128, 128) == fast
+
+
+# ---------------------------------------------------------------- sign kernels
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_root_kernel_matches_the_cleared_values(data):
+    N = data.draw(st.integers(1, 120), label="N")
+    k = data.draw(st.integers(1, N), label="k")
+    e = data.draw(st.integers(0, 160), label="e")
+    p = data.draw(st.integers(0, N << e), label="p")
+    assert roots_mod._sign_at_dyadic(N, k, p, e) == cleared_values(
+        N, (N << e) - 2 * p, 1 << (2 * e), k)[k]
+
+
+@functools.lru_cache(maxsize=None)
+def _eigen_ends(N):
+    """(k, p, e) at both ends of each bracket of lambda_k^N refined to 2^-100."""
+    ends = []
+    for k in range(2, N + 1):
+        br = roots_mod._eigen_bracket(N, k)
+        br.refine(BAND_WIDTH)
+        ends += [(k, br.num_lo, br.e), (k, br.num_hi, br.e)]
+    return tuple(ends)
+
+
+@st.composite
+def _eigen_points(draw):
+    """(N, k, p, e): near a bracket end of lambda_k^40, or anywhere in [-N, N]."""
+    if draw(st.booleans(), label="at a bracket end"):
+        k, p, e = draw(st.sampled_from(_eigen_ends(40)), label="end")
+        return 40, k, p + draw(st.integers(-2, 2), label="offset"), e
+    N = draw(st.integers(1, 60), label="N")
+    k = draw(st.integers(1, N), label="k")
+    e = draw(st.integers(0, 80), label="e")
+    return N, k, draw(st.integers(-N << e, N << e), label="p"), e
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eigen_points())
+@example((4, 2, 2, 0))  # T_2 at N = 4 has eigenvalues -2, 2
+@example((9, 2, 3, 0))  # and at N = 9, -3, 3
+def test_eigen_sign_matches_the_sturm_count(point):
+    # Sylvester's criterion read in one pass gives the sign the Sturm count
+    # gives: positive above lambda_k, zero exactly at it, negative below
+    N, k, p, e = point
+    count, singular = sturm_count_below(N, k, p, e)
+    expected = 1 if count == k else 0 if singular and count == k - 1 else -1
+    assert _sign(roots_mod._eigen_sign(N, k, p, e)) == expected

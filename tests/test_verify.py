@@ -18,7 +18,7 @@ from semireg.intervals import DyadicBracket
 from semireg.krawtchouk import cleared_values, gf_identity_check, integer_values
 from semireg.verify import CheckResult, _duality_gap, _interlacing, _nums, _overlaps, \
     check_eigenvalue_root_duality, check_gf_identity, check_orthogonality, check_sandwich, \
-    check_three_way_agreement, run_all
+    check_three_way_agreement, enumerate_shapes, run_all
 
 
 @pytest.mark.parametrize("max_n", [-3, 0, 1, 2])
@@ -167,9 +167,9 @@ def test_chain_suites_share_one_chain_per_n(monkeypatch):
 
 
 def _made_by(bracket, *factories):
-    """Was the bracket's sign function made by one of these functions of roots?"""
-    name = getattr(bracket.sign_at, "__qualname__", "")  # the bounds' are partials
-    return name.split(".<locals>.")[0] in factories
+    """Was the bracket's sign function made by, or a partial of, one of these functions of roots?"""
+    sign = getattr(bracket.sign_at, "func", bracket.sign_at)
+    return sign.__qualname__.split(".<locals>.")[0] in factories
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +185,7 @@ def shared_pass_60():
 
     def recorded_narrow(self, guess, width):
         accepted = narrow(self, guess, width)
-        if _made_by(self, "_root_sign", "_eigen_bracket"):
+        if _made_by(self, "_root_sign", "_eigen_sign"):
             narrows.append(accepted)
         return accepted
 
@@ -243,6 +243,39 @@ def test_three_way_reports_the_first_failure_in_shape_order(monkeypatch, failing
     assert not expected.passed
     assert check_three_way_agreement(40) == expected
     assert run_all(40)[3] == expected
+
+
+def _counted_exact(monkeypatch):
+    """Count the calls of degree_of_regularity_exact the suites make, by shape."""
+    calls, exact = Counter(), semireg.verify.degree_of_regularity_exact
+
+    def counted(shape):
+        calls[shape] += 1
+        return exact(shape)
+
+    monkeypatch.setattr(semireg.verify, "degree_of_regularity_exact", counted)
+    return calls
+
+
+def test_run_all_computes_each_d_reg_once(monkeypatch):
+    # the sandwich reads the d_reg three-way computed
+    calls = _counted_exact(monkeypatch)
+    assert all(r.passed for r in run_all(20))
+    assert calls == Counter(enumerate_shapes(20))
+    assert sum(calls.values()) == 90
+
+
+def test_sandwich_computes_the_d_reg_three_way_skipped(monkeypatch):
+    # after a failure at N = 7, n = 1, three-way checks no shape of larger n,
+    # so the sandwich computes those d_reg itself and still checks them all
+    calls = _counted_exact(monkeypatch)
+    from_chain = semireg.verify._dreg_from_chain
+    monkeypatch.setattr(semireg.verify, "_dreg_from_chain",
+                        lambda chain, t: from_chain(chain, t) + (chain.N == 7))
+    results = run_all(20)
+    assert not results[3].passed
+    assert results[5] == CheckResult("sandwich", 90, True)
+    assert set(calls) == set(enumerate_shapes(20)) and sum(calls.values()) < 180
 
 
 def _brackets(max_e=40):
