@@ -33,7 +33,6 @@ from .bounds import (
     BoundOutcome,
     NotApplicableReason,
     QuarticClosedForm,
-    SexticForm,
     kz_lower,
     ls_lower,
     ls_lower_asymptotic,
@@ -66,7 +65,6 @@ __all__ = [
     "BoundOutcome",
     "NotApplicableReason",
     "QuarticClosedForm",
-    "SexticForm",
     "kz_lower",
     "ls_lower",
     "ls_lower_asymptotic",

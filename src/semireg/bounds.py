@@ -11,12 +11,12 @@ the smallest Krawtchouk root d_k^N(1) against the threshold t = m - n:
   flagged near-boundary when its precision schedule cannot pin the floor.
 * ls_upper  : ceiling formula from a quadratic discriminant condition,
   certified by an exact integer predicate; may be structurally inapplicable.
-* l_upper   : ceiling of x5^3 where x5 is a root of a sextic located by
-  exact-sign bisection below a stationary point x4 of it; two structural
-  inapplicability reasons.  The ceiling is the first degree left by the x5
-  bracket that passes the per-degree test, decided by the sign of one
-  integer (a field norm in Q(k^(1/3))); a sextic maximum exactly at zero
-  accepts no degree up to N/2, which a proof, not a scan, settles.
+* l_upper   : ceiling of x5^3 where x5 is the root of a sextic on its
+  increasing side; two structural inapplicability reasons.  The ceiling is
+  the first degree that passes the per-degree test, decided by the sign of
+  one integer (a field norm in Q(k^(1/3))); the test is monotone up to N/2,
+  so one integer bisection finds it.  When no degree up to N/2 passes, the
+  sign of the sextic at its stationary point x4 names the reason.
 
 The quartic root of ls_lower and the stationary point x4 of l_upper are
 bracketed from float Newton seeds, kept only when two exact signs certify
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -53,7 +52,6 @@ __all__ = [
     "AiryConstant",
     "DEFAULT_AIRY",
     "QuarticClosedForm",
-    "SexticForm",
     "kz_lower",
     "kz_root_bound",
     "ls_lower",
@@ -106,7 +104,6 @@ class BoundOutcome:
     value: int | None
     not_applicable_reason: NotApplicableReason | None
     certification: Certification
-    detail: object | None = None
 
     def __post_init__(self) -> None:
         if (self.value is None) == (self.not_applicable_reason is None):
@@ -282,8 +279,8 @@ def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutc
     exact rational coefficients traps (w4^6 - 1)/2 in a rational interval that
     accounts for the uncertainty radius of i1.  If the interval still straddles
     an integer after the last step of the schedule, the conservative floor is
-    reported with the near-boundary flag and both candidates.  `detail` is
-    None: the float closed form is `QuarticClosedForm.from_shape(shape, airy)`.
+    reported with the near-boundary flag and both candidates.  The float
+    closed form is `QuarticClosedForm.from_shape(shape, airy)`.
     """
     n2, two_n = shape.n * shape.n, 2 * shape.N
     for bits in _LS_BITS_SCHEDULE:
@@ -410,21 +407,6 @@ def ls_upper_root_bound(N: int, k: int) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SexticForm:
-    """Located stationary point and root of s(x) = x(x-1)^2(N - x^3) - n^2/4.
-
-    x4_prime encloses the interior local maximum of s (the unique root of the
-    quartic factor r(x) = 6x^4 - 4x^3 - 3Nx + N in (1, N^(1/3))); x5 encloses
-    the increasing-side root of s, integer or not, and is None only when s
-    has no such root or its maximum is the tie s(x4') = 0.
-    """
-
-    shape: SystemShape
-    x4_prime: Enclosure
-    x5: Enclosure | None
-
-
 def _r_value_dyadic(N: int, p: int, e: int) -> int:
     # r(p/2^e) * 2^(4e), sign-exact
     two_e = 1 << e
@@ -457,9 +439,8 @@ def _l_degree_norm(N: int, n: int, k: int) -> int:
     return A ** 3 + k * B ** 3 + k * k * C ** 3 - 3 * k * A * B * C
 
 
-@lru_cache(maxsize=1024)
-def _x4_prime(N: int) -> tuple[int, int, int, bool]:
-    """(num_lo, num_hi, e, exact) of the bracket of x4' at 2^-16: x4' depends on N alone."""
+def _x4_prime(N: int) -> DyadicBracket:
+    """Bracket at 2^-16 of x4', the top root of the quartic factor r of s'."""
     hi0 = iroot(N, 3) + 1  # above the largest root of r
     if _r_value_dyadic(N, hi0, 0) <= 0:
         raise AssertionError("quartic factor must be positive beyond its top root")
@@ -469,113 +450,77 @@ def _x4_prime(N: int) -> tuple[int, int, int, bool]:
     x4.refine(Fraction(1, 1 << 16), lambda: newton_seed(
         lambda x: (6 * x ** 4 - 4 * x ** 3 - 3 * N * x + N,
                    24 * x ** 3 - 12 * x * x - 3 * N), float(hi0), -1))
-    return x4.num_lo, x4.num_hi, x4.e, x4.exact
+    return x4
 
 
 def l_upper(shape: SystemShape) -> BoundOutcome:
     """Upper bound 1 + ceil(x5^3) from the sextic localization, or not applicable.
 
-    Pipeline: bracket the local-maximum location x4' in (1, N^(1/3)), the
-    top root of the quartic factor r, from a float Newton seed (once per N:
-    a bracket is built afresh from the cached numerators); certify the
-    sign of s at that maximum (negative means no bound); bisect s on the
-    increasing side for x5 to width 2^-16; read ceil(x5^3) off that bracket
-    as the first degree it leaves whose per-degree test (one exact integer
-    sign, `_l_accepts_degree`) accepts; check the range condition
-    ceil(x5^3) <= floor(N/2).  The value is labelled an exact integer
-    predicate when the norm at ceil(x5^3) is zero (x5^3 is that integer),
-    and interval certified otherwise.  The degenerate tie s(x4') = 0 is
-    not applicable (root out of range) by the proof at its branch.
+    x5 is the root of s(x) = x(x-1)^2(N - x^3) - n^2/4 on its increasing
+    side, so ceil(x5^3) is the first degree k whose per-degree test
+    s(k^(1/3)) >= 0 (one exact integer sign, `_l_accepts_degree`) accepts.
+    s' = (1 - x) r with r = 6x^4 - 4x^3 - 3Nx + N; r(1) = 2 - 2N < 0,
+    r((N/2)^(1/3)) = -N < 0 and r is convex for x > 1/3, so r < 0 on
+    [1, (N/2)^(1/3)] and s increases there: acceptance is monotone over
+    k = 1..floor(N/2), and k = 1 is refused (s(1) = -n^2/4).  One integer
+    bisection finds the first accepted k.  The value is labelled an exact
+    integer predicate when the norm at k is zero (x5^3 is that integer),
+    and interval certified otherwise.  When floor(N/2) is refused, no
+    degree is accepted, and the sign of s at its maximum x4' names why.
     """
     N, n = shape.N, shape.n
-    # a fresh bracket: _certify_max_sign steps it for this n
-    x4 = DyadicBracket(partial(_r_value_dyadic, N), *_x4_prime(N))
-    applicable, witness = _certify_max_sign(shape, x4)
-    if applicable is False:
-        return BoundOutcome(
-            kind=BoundKind.L_UPPER,
-            value=None,
-            not_applicable_reason=NotApplicableReason.SEXTIC_MAX_NEGATIVE,
-            certification=Certification(CertificationMethod.INTERVAL_CERTIFIED),
-            detail=SexticForm(shape, x4.enclosure(), None),
-        )
-    if applicable is None:
-        # The tie s(x4') = 0.  r(1) = 2 - 2N < 0, r((N/2)^(1/3)) = -N < 0 and
-        # r is convex for x > 1/3, so x4' > (N/2)^(1/3).  s increases on
-        # [1, x4'] (s' = (1 - x) r), so s < 0 on [1, x4'): no degree
-        # k <= N/2 is accepted, and the touching root x4' cubes past N/2.
-        return BoundOutcome(
-            kind=BoundKind.L_UPPER,
-            value=None,
-            not_applicable_reason=NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE,
-            certification=Certification(CertificationMethod.EXACT_INTEGER_PREDICATE),
-            detail=SexticForm(shape, x4.enclosure(), None),
-        )
-
-    # s(1) = -n^2/4 < 0 <= s(witness), and x5 is the only zero strictly
-    # inside: bisection moves lo onto s < 0 and hi onto s > 0 only, so it
-    # closes on x5 even when the witness is itself a zero of s.  Not seeded:
-    # the bracket is not aligned to a power of two.
-    p, e = witness
-    x5 = DyadicBracket(partial(_s4_value_dyadic, N, n), 1 << e, p, e)
-    x5.refine(Fraction(1, 1 << 16))
-    # On [1, witness], s >= 0 exactly on [x5, witness], and every degree c
-    # below top = ceil(hi^3) has c^(1/3) < hi <= witness: such a c is
-    # accepted exactly when c >= x5^3.  Bisection of that monotone test finds
-    # the first accepted one, ceil(x5^3); if none is, ceil(x5^3) = top.
-    first, top = (-(-p ** 3 >> 3 * x5.e) for p in (x5.num_lo, x5.num_hi))
-    k = first + bisect_left(range(first, top), True, key=partial(_l_accepts_degree, N, n))
-    detail = SexticForm(shape, x4.enclosure(), x5.enclosure())
-    if k > N // 2:
-        return BoundOutcome(
-            kind=BoundKind.L_UPPER,
-            value=None,
-            not_applicable_reason=NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE,
-            certification=Certification(CertificationMethod.INTERVAL_CERTIFIED),
-            detail=detail,
-        )
-    # k <= N/2 puts k^(1/3) below x4' (r((N/2)^(1/3)) = -N < 0), where the
-    # only zero of s is x5, so a zero norm at k means x5^3 = k
-    exact = _l_degree_norm(N, n, k) == 0
+    lo, hi = 1, N // 2  # refused, and accepted unless not applicable
+    if not _l_accepts_degree(N, n, hi):
+        sign = _certify_max_sign(shape, _x4_prime(N))
+        # the tie s(x4') = 0 (None) is out of range too: s rises to 0 on
+        # [1, x4'] and x4' > (N/2)^(1/3), so the touching root cubes past N/2
+        reason = (NotApplicableReason.SEXTIC_MAX_NEGATIVE if sign is False
+                  else NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE)
+        method = (CertificationMethod.EXACT_INTEGER_PREDICATE if sign is None
+                  else CertificationMethod.INTERVAL_CERTIFIED)
+        return BoundOutcome(kind=BoundKind.L_UPPER, value=None,
+                            not_applicable_reason=reason, certification=Certification(method))
+    while hi - lo > 1:  # no bisect_left: len() of the range overflows past sys.maxsize
+        mid = (lo + hi) // 2
+        if _l_accepts_degree(N, n, mid):
+            hi = mid
+        else:
+            lo = mid
     return BoundOutcome(
         kind=BoundKind.L_UPPER,
-        value=1 + k,
+        value=1 + hi,
         not_applicable_reason=None,
-        certification=Certification(CertificationMethod.EXACT_INTEGER_PREDICATE if exact
+        certification=Certification(CertificationMethod.EXACT_INTEGER_PREDICATE
+                                    if _l_degree_norm(N, n, hi) == 0
                                     else CertificationMethod.INTERVAL_CERTIFIED),
-        detail=detail,
     )
 
 
 _L_WIDTH_CAP = Fraction(1, 1 << 128)
 
 
-def _certify_max_sign(shape: SystemShape, x4: DyadicBracket):
-    """Sign of s at its interior maximum: (True, witness) / (False, None) / (None, None).
+def _certify_max_sign(shape: SystemShape, x4: DyadicBracket) -> bool | None:
+    """Sign of s at its interior maximum x4': True (>= 0), False (< 0) or None.
 
-    True comes with a dyadic witness point where s >= 0 exactly; False is
-    certified through a mean-value bound |s(x4') - s(p)| <= M * width with M
-    an interval bound on |s'| over the bracket (`_max_sign_margin`); None
-    signals the degenerate s(x4') = 0 tie, which `l_upper` settles by proof.
+    True is decided at a dyadic point of the bracket where s >= 0 exactly;
+    False is certified through a mean-value bound |s(x4') - s(p)| <= M * width
+    with M an interval bound on |s'| over the bracket (`_max_sign_margin`);
+    None signals the degenerate s(x4') = 0 tie, which `l_upper` settles by
+    proof.
     """
     N, n = shape.N, shape.n
     while True:
         if x4.exact:
-            p, e = x4.num_lo, x4.e
-            v = _s4_value_dyadic(N, n, p, e)
-            if v >= 0:
-                return True, (p, e)
-            return False, None
-        mid_num = x4.num_lo + x4.num_hi
-        v = _s4_value_dyadic(N, n, mid_num, x4.e + 1)
+            return _s4_value_dyadic(N, n, x4.num_lo, x4.e) >= 0
+        v = _s4_value_dyadic(N, n, x4.num_lo + x4.num_hi, x4.e + 1)
         if v >= 0:
-            return True, (mid_num, x4.e + 1)
+            return True
         # s is negative at the midpoint; negative everywhere on the bracket
         # once M * width cannot lift it back to zero.
         if _max_sign_margin(N, v, x4.num_lo, x4.num_hi, x4.e) < 0:
-            return False, None
+            return False
         if x4._width_sign(_L_WIDTH_CAP) < 0:
-            return None, None
+            return None
         x4.step()
 
 

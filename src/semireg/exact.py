@@ -128,7 +128,7 @@ def degree_of_regularity_exact(shape: SystemShape) -> int:
     `_transposed_dreg` finds the index in O(t) steps per probe, not O(d_reg).
     """
     N, t = shape.N, shape.t
-    for k, c in enumerate(islice(krawtchouk_stream(N, shape.n), t + 1)):
+    for k, c in zip(range(t + 1), krawtchouk_stream(N, shape.n)):
         if c <= 0:
             return k
     return _transposed_dreg(N, t)
@@ -137,7 +137,7 @@ def degree_of_regularity_exact(shape: SystemShape) -> int:
 def _probe(N: int, t: int, x: int) -> tuple[bool, int]:
     """(K_0(x), ..., K_t(x) are all positive, K_t(x)) at the integer x."""
     positive = True
-    for value in islice(krawtchouk_stream(N, N - 2 * x), t + 1):
+    for _, value in zip(range(t + 1), krawtchouk_stream(N, N - 2 * x)):
         positive = positive and value > 0
     return positive, value
 

@@ -240,6 +240,11 @@ def enclosure_max_sign_margin(N: int, v: int, num_lo: int, num_hi: int, e: int) 
     return v + 4 * m_total * enc.width * (1 << 6 * (e + 1))
 
 
+def sextic_value(N: int, n: int, x: Fraction) -> Fraction:
+    """s(x) = x (x - 1)^2 (N - x^3) - n^2/4, the sextic of `l_upper`, in Fractions."""
+    return x * (x - 1) ** 2 * (N - x ** 3) - Fraction(n * n, 4)
+
+
 def interval_l_accepts_degree(N: int, n: int, k: int) -> bool:
     """Per-degree l_upper acceptance n^2/4 <= (k + u - 2u^2)(N - k), u = k^(1/3).
 
@@ -268,7 +273,8 @@ def l_smallest_accepted_degree(shape) -> int | None:
     Acceptance of k means n/2 <= (sqrt(k) - k^(1/6)) sqrt(N - k), squared to
     n^2/4 <= (k - 2 k^(2/3) + k^(1/3)) (N - k) and decided by the sign of one
     integer (`bounds._l_accepts_degree`); ties, which only perfect cubes k
-    can reach, are accepted.  The scan `l_upper` replaces with x5.
+    can reach, are accepted.  The linear scan that `l_upper`'s integer
+    bisection replaces.
     """
     N, n = shape.N, shape.n
     for k in range(1, N // 2 + 1):

