@@ -16,11 +16,11 @@ the smallest Krawtchouk root d_k^N(1) against the threshold t = m - n:
   the first degree that passes the per-degree test, decided by the sign of
   one integer (a field norm in Q(k^(1/3))); the test is monotone up to N/2,
   so one integer bisection finds it.  When no degree up to N/2 passes, the
-  sign of the sextic at its stationary point x4 names the reason.
+  sign of one resultant names the reason.  No float is read.
 
-The quartic root of ls_lower and the stationary point x4 of l_upper are
-bracketed from float Newton seeds, kept only when two exact signs certify
-the seeded dyadic window, and bisected otherwise; no float decides.
+The quartic root of ls_lower is bracketed from a float Newton seed, kept
+only when two exact signs certify the seeded dyadic window, and bisected
+otherwise; no float decides.
 
 Because the localizations in the literature are strict inequalities, a bound
 is allowed to attain the threshold exactly (accept sets use >= / <=).
@@ -38,10 +38,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .exact import SystemShape, kz_root_bound
-from .intervals import DyadicBracket, Enclosure, iroot, newton_seed, nth_root_enclosure
+from .intervals import DyadicBracket, Enclosure, integer_bisect, newton_seed, nth_root_enclosure
 
 __all__ = [
     "BoundKind",
@@ -407,18 +407,6 @@ def ls_upper_root_bound(N: int, k: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def _r_value_dyadic(N: int, p: int, e: int) -> int:
-    # r(p/2^e) * 2^(4e), sign-exact
-    two_e = 1 << e
-    return 6 * p ** 4 - 4 * p ** 3 * two_e - 3 * N * p * two_e ** 3 + N * two_e ** 4
-
-
-def _s4_value_dyadic(N: int, n: int, p: int, e: int) -> int:
-    # 4 s(p/2^e) * 2^(6e), sign-exact
-    two_e = 1 << e
-    return 4 * p * (p - two_e) ** 2 * (N * two_e ** 3 - p ** 3) - n * n * two_e ** 6
-
-
 def _l_accepts_degree(N: int, n: int, k: int) -> bool:
     return _l_degree_norm(N, n, k) >= 0
 
@@ -439,18 +427,23 @@ def _l_degree_norm(N: int, n: int, k: int) -> int:
     return A ** 3 + k * B ** 3 + k * k * C ** 3 - 3 * k * A * B * C
 
 
-def _x4_prime(N: int) -> DyadicBracket:
-    """Bracket at 2^-16 of x4', the top root of the quartic factor r of s'."""
-    hi0 = iroot(N, 3) + 1  # above the largest root of r
-    if _r_value_dyadic(N, hi0, 0) <= 0:
-        raise AssertionError("quartic factor must be positive beyond its top root")
-    # r(1) = 2 - 2N < 0 and r(hi0) > 0: negative at lo, as DyadicBracket wants.
-    # r is convex for x > 1/3, so Newton from hi0 descends onto x4'.
-    x4 = DyadicBracket(partial(_r_value_dyadic, N), 1, hi0, 0)
-    x4.refine(Fraction(1, 1 << 16), lambda: newton_seed(
-        lambda x: (6 * x ** 4 - 4 * x ** 3 - 3 * N * x + N,
-                   24 * x ** 3 - 12 * x * x - 3 * N), float(hi0), -1))
-    return x4
+def _l_max_resultant(N: int, c: int) -> int:
+    """Res_x(r, 4P - c) / 64, P = x (x-1)^2 (N - x^3), r = 6x^4 - 4x^3 - 3Nx + N.
+
+    r(0) = N > 0 > r(1), r((N/2)^(1/3)) = -N and r has discriminant
+    -78732 N^4 - 39744 N^3 - 6912 N^2 < 0, so its roots are x0 in (0, 1),
+    x4' > (N/2)^(1/3), where s = P - c/4 peaks on [1, oo), and a complex pair
+    rho, conj(rho).  The resultant is 6^6 (c - V0)(c - V1)|c - V|^2 with
+    V0 = 4P(x0) < 16N/27 (x (1-x)^2 <= 4/27), V1 = 4P(x4') and V = 4P(rho).
+    A real V would be a double root in c, but the discriminant in c,
+    -5038848 N^8 (729N^2 + 368N + 64)^3 (729N^4 - 3699N^3 - 1421N^2 + 133N - 8)^2,
+    has the real roots 0, -0.44 and 5.43 only.  So for integers N >= 3 and
+    c > 16N/27 the sign is that of c - V1 = -4 s(x4').
+    """
+    return ((((729 * c + 64 - 216 * N - 2187 * N * N) * c
+              + 27 * N * N * (81 * N * N + 392 * N - 8)) * c
+             - 27 * N ** 3 * (27 * N ** 3 - 32 * N * N + 280 * N - 32)) * c
+            + 432 * N ** 4 * (N - 1) ** 3)
 
 
 def l_upper(shape: SystemShape) -> BoundOutcome:
@@ -462,80 +455,28 @@ def l_upper(shape: SystemShape) -> BoundOutcome:
     s' = (1 - x) r with r = 6x^4 - 4x^3 - 3Nx + N; r(1) = 2 - 2N < 0,
     r((N/2)^(1/3)) = -N < 0 and r is convex for x > 1/3, so r < 0 on
     [1, (N/2)^(1/3)] and s increases there: acceptance is monotone over
-    k = 1..floor(N/2), and k = 1 is refused (s(1) = -n^2/4).  One integer
-    bisection finds the first accepted k.  The value is labelled an exact
-    integer predicate when the norm at k is zero (x5^3 is that integer),
-    and interval certified otherwise.  When floor(N/2) is refused, no
-    degree is accepted, and the sign of s at its maximum x4' names why.
+    k = 1..floor(N/2), and k = 1 is refused (s(1) = -n^2/4), so one integer
+    bisection finds the first accepted k, an exact integer predicate when
+    its norm is zero (x5^3 is that integer) and interval certified
+    otherwise.  If floor(N/2) is refused, `_l_max_resultant` at c = n^2
+    gives the sign of s at its maximum x4', as c > 16N/27: for N >= 8,
+    c > 4P(u) >= 2N u (u-1)^2 > 1.09 N at u^3 = floor(N/2) >= 4, and
+    4 <= N < 8 is checked by enumeration.  A tie s(x4') = 0 is out of
+    range too: s < 0 left of x4' > (N/2)^(1/3), so the root cubes past N/2.
     """
     N, n = shape.N, shape.n
-    lo, hi = 1, N // 2  # refused, and accepted unless not applicable
-    if not _l_accepts_degree(N, n, hi):
-        sign = _certify_max_sign(shape, _x4_prime(N))
-        # the tie s(x4') = 0 (None) is out of range too: s rises to 0 on
-        # [1, x4'] and x4' > (N/2)^(1/3), so the touching root cubes past N/2
-        reason = (NotApplicableReason.SEXTIC_MAX_NEGATIVE if sign is False
+    if not _l_accepts_degree(N, n, N // 2):
+        # N = 3 holds only (2, 1), where n^2 = 1 < V0 and the maximum is negative
+        negative = N == 3 or _l_max_resultant(N, n * n) > 0
+        reason = (NotApplicableReason.SEXTIC_MAX_NEGATIVE if negative
                   else NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE)
-        method = (CertificationMethod.EXACT_INTEGER_PREDICATE if sign is None
-                  else CertificationMethod.INTERVAL_CERTIFIED)
-        return BoundOutcome(kind=BoundKind.L_UPPER, value=None,
-                            not_applicable_reason=reason, certification=Certification(method))
-    while hi - lo > 1:  # no bisect_left: len() of the range overflows past sys.maxsize
-        mid = (lo + hi) // 2
-        if _l_accepts_degree(N, n, mid):
-            hi = mid
-        else:
-            lo = mid
-    return BoundOutcome(
-        kind=BoundKind.L_UPPER,
-        value=1 + hi,
-        not_applicable_reason=None,
-        certification=Certification(CertificationMethod.EXACT_INTEGER_PREDICATE
-                                    if _l_degree_norm(N, n, hi) == 0
-                                    else CertificationMethod.INTERVAL_CERTIFIED),
-    )
-
-
-_L_WIDTH_CAP = Fraction(1, 1 << 128)
-
-
-def _certify_max_sign(shape: SystemShape, x4: DyadicBracket) -> bool | None:
-    """Sign of s at its interior maximum x4': True (>= 0), False (< 0) or None.
-
-    True is decided at a dyadic point of the bracket where s >= 0 exactly;
-    False is certified through a mean-value bound |s(x4') - s(p)| <= M * width
-    with M an interval bound on |s'| over the bracket (`_max_sign_margin`);
-    None signals the degenerate s(x4') = 0 tie, which `l_upper` settles by
-    proof.
-    """
-    N, n = shape.N, shape.n
-    while True:
-        if x4.exact:
-            return _s4_value_dyadic(N, n, x4.num_lo, x4.e) >= 0
-        v = _s4_value_dyadic(N, n, x4.num_lo + x4.num_hi, x4.e + 1)
-        if v >= 0:
-            return True
-        # s is negative at the midpoint; negative everywhere on the bracket
-        # once M * width cannot lift it back to zero.
-        if _max_sign_margin(N, v, x4.num_lo, x4.num_hi, x4.e) < 0:
-            return False
-        if x4._width_sign(_L_WIDTH_CAP) < 0:
-            return None
-        x4.step()
-
-
-def _max_sign_margin(N: int, v: int, lo: int, hi: int, e: int) -> int:
-    """v + 4 M w 2^(6e + 6) on the bracket [lo, hi] / 2^e of width w, lo >= 2^e.
-
-    v is 4 s(mid) 2^(6e + 6); M = (x_hi - 1) max(|r_lo|, |r_hi|) bounds
-    |s'| = (x - 1)|r(x)|, with r = 6x^4 - 4x^3 - 3Nx + N bounded term by
-    term over the bracket.  With r_lo, r_hi scaled by 2^(4e), the 2^(6e)
-    cancels and the margin is an integer.
-    """
-    two_e = 1 << e
-    r_lo = 6 * lo ** 4 - 4 * hi ** 3 * two_e - 3 * N * hi * two_e ** 3 + N * two_e ** 4
-    r_hi = 6 * hi ** 4 - 4 * lo ** 3 * two_e - 3 * N * lo * two_e ** 3 + N * two_e ** 4
-    return v + 256 * (hi - two_e) * max(abs(r_lo), abs(r_hi)) * (hi - lo)
+        return BoundOutcome(kind=BoundKind.L_UPPER, value=None, not_applicable_reason=reason,
+                            certification=Certification(CertificationMethod.EXACT_INTEGER_PREDICATE))
+    k = integer_bisect(1, N // 2, lambda k: _l_accepts_degree(N, n, k))
+    method = (CertificationMethod.EXACT_INTEGER_PREDICATE if _l_degree_norm(N, n, k) == 0
+              else CertificationMethod.INTERVAL_CERTIFIED)
+    return BoundOutcome(kind=BoundKind.L_UPPER, value=1 + k, not_applicable_reason=None,
+                        certification=Certification(method))
 
 
 def l_upper_root_bound(N: int, k: int) -> float:

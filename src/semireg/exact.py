@@ -17,13 +17,12 @@ no other module of it but `intervals`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import Iterator
 
-from .intervals import newton_seed
+from .intervals import integer_bisect, newton_seed
 
 __all__ = [
     "SystemShape",
@@ -165,8 +164,10 @@ def _transposed_dreg(N: int, t: int) -> int:
 
     # c_0..c_t > 0 stands in for (a) at t; (a) fails where K_1 = N - 2x <= 0
     lo, hi = t, (N + 1) // 2
-    x = _root_seed(N, t, 0.0, N / 2)
-    x = min(max(math.floor(x) if math.isfinite(x) else lo, lo), hi - 1)
+    try:  # a seed that is not finite, or N past the float range, starts at lo
+        x = min(max(math.floor(_root_seed(N, t, 0.0, N / 2)), lo), hi - 1)
+    except (ArithmeticError, ValueError):
+        x = lo
     # probe x and x + 1, gallop away from x in doubling steps while the
     # answer lies further out, then bisect what is left
     step = 1
@@ -180,7 +181,8 @@ def _transposed_dreg(N: int, t: int) -> int:
         while hi - step > lo and not holds(hi - step):
             hi, step = hi - step, 2 * step
         lo = max(lo, hi - step)
-    d = lo + 1 + bisect_left(range(lo + 1, hi), True, key=lambda y: not holds(y))
+    # d - 1 is the largest x in [lo, hi) where (a) holds; on -x, probes round up
+    d = 1 - integer_bisect(-hi, -lo, lambda y: holds(-y))
     if (tail[d] if d in tail else _probe(N, t, d)[1]) > 0:
         raise AssertionError(f"K_t must be non-positive at {d}, next to its smallest root")
     return d

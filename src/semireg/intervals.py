@@ -1,9 +1,10 @@
-"""Rational enclosures: directed integer roots and the one bisection bracket.
+"""Rational enclosures: directed integer roots and the two bisection loops.
 
 Everything here manipulates pairs of exact rationals [lo, hi] guaranteed to
 contain the target real number.  Widths shrink as the `bits` argument grows;
-nothing is ever rounded in an uncontrolled direction.  DyadicBracket is the
-one bisection loop of the package: every certified root is located by it.
+nothing is ever rounded in an uncontrolled direction.  Every certified root
+is located by DyadicBracket, every edge of a monotone integer predicate by
+`integer_bisect`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-__all__ = ["iroot", "Enclosure", "DyadicBracket", "positive_width", "newton_seed",
-           "sqrt_enclosure", "nth_root_enclosure"]
+__all__ = ["iroot", "integer_bisect", "Enclosure", "DyadicBracket", "positive_width",
+           "newton_seed", "sqrt_enclosure", "nth_root_enclosure"]
 
 
 def iroot(x: int, r: int) -> int:
@@ -37,6 +38,22 @@ def iroot(x: int, r: int) -> int:
     while guess ** r > x:
         guess -= 1
     return guess
+
+
+def integer_bisect(lo: int, hi: int, accepts: Callable[[int], bool]) -> int:
+    """The least x in (lo, hi] that a monotone predicate `accepts` takes.
+
+    `accepts` must refuse lo and take hi; neither end is evaluated, and each
+    probe is the midpoint rounded down.  A loop, since `bisect` takes the
+    len() of a range, which overflows past sys.maxsize.
+    """
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if accepts(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)

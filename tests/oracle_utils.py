@@ -3,7 +3,7 @@
 Each function here recomputes a quantity by a different route than the
 production code: brute-force polynomial expansion, Pascal's triangle,
 the explicit alternating sum, the general-alphabet recurrence, rational
-bisection, interval arithmetic.  They exist so expected values in tests are
+bisection, interval arithmetic, mpmath root finding.  They exist so expected values in tests are
 never produced by the code under test.
 """
 
@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from dataclasses import dataclass
+
+import mpmath
 
 import semireg.verify
 from semireg.bounds import (_LS_BITS_SCHEDULE, DEFAULT_AIRY, CertificationMethod,
@@ -227,22 +230,37 @@ def fraction_ls_lower(shape, airy=DEFAULT_AIRY):
             (1 + f_lo, 1 + f_hi) if flag else None)
 
 
-def enclosure_max_sign_margin(N: int, v: int, num_lo: int, num_hi: int, e: int) -> Fraction:
-    """The max-sign margin of l_upper in Fraction interval arithmetic.
-
-    v + 4 M width 2^(6e + 6) on [num_lo, num_hi] / 2^e, where M = (hi - 1)
-    max |r| bounds |s'| = (x - 1)|r(x)| and r = 6x^4 - 4x^3 - 3Nx + N is
-    bounded by `Interval` products over the bracket.
-    """
-    enc = Interval(Fraction(num_lo, 1 << e), Fraction(num_hi, 1 << e))
-    r_enc = 6 * enc * enc * enc * enc - 4 * enc * enc * enc - (3 * N) * enc + N
-    m_total = (enc.hi - 1) * max(abs(r_enc.lo), abs(r_enc.hi))
-    return v + 4 * m_total * enc.width * (1 << 6 * (e + 1))
-
-
 def sextic_value(N: int, n: int, x: Fraction) -> Fraction:
     """s(x) = x (x - 1)^2 (N - x^3) - n^2/4, the sextic of `l_upper`, in Fractions."""
     return x * (x - 1) ** 2 * (N - x ** 3) - Fraction(n * n, 4)
+
+
+@lru_cache(maxsize=None)
+def l_sextic_peak(N: int) -> tuple:
+    """(x4', 4 x4' (x4' - 1)^2 (N - x4'^3)) as mpmath floats at 60 digits.
+
+    x4' is the top root of r = 6x^4 - 4x^3 - 3Nx + N, the stationary point
+    where the sextic s = x (x-1)^2 (N - x^3) - n^2/4 of `l_upper` peaks on
+    [1, oo).  mpmath's Newton `findroot` starts at N^(1/3), where r is
+    positive and convex, so it descends onto x4'.
+    """
+    with mpmath.workdps(60):
+        x = mpmath.findroot(lambda x: 6 * x ** 4 - 4 * x ** 3 - 3 * N * x + N,
+                            mpmath.cbrt(N), solver="newton",
+                            df=lambda x: 24 * x ** 3 - 12 * x ** 2 - 3 * N)
+        return x, 4 * x * (x - 1) ** 2 * (N - x ** 3)
+
+
+def l_max_sign(N: int, n: int) -> int:
+    """Sign of 4 s(x4') = 4P(x4') - n^2 from `l_sextic_peak`: 1 or -1.
+
+    AssertionError if the two sides agree to 30 digits, where 60-digit
+    arithmetic no longer settles the sign.
+    """
+    peak = l_sextic_peak(N)[1]
+    gap = peak - n * n
+    assert abs(gap) > peak * mpmath.mpf(10) ** -30, (N, n)
+    return 1 if gap > 0 else -1
 
 
 def interval_l_accepts_degree(N: int, n: int, k: int) -> bool:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from semireg.exact import SystemShape, degree_of_regularity_exact
 from semireg.krawtchouk import eval_integer
@@ -29,17 +29,17 @@ from semireg.bounds import (
 )
 import semireg.bounds as bounds_mod
 from semireg.bounds import (_LS_BITS_SCHEDULE, _l_accepts_degree, _l_degree_norm,
-                            _max_sign_margin, _quartic_positive_root, _r_value_dyadic,
-                            _s4_value_dyadic)
+                            _l_max_resultant, _quartic_positive_root)
 from semireg.intervals import DyadicBracket, iroot, nth_root_enclosure, sqrt_enclosure
 from semireg.verify import enumerate_shapes
 
 from oracle_utils import (
     Interval,
-    enclosure_max_sign_margin,
     fraction_ls_lower,
     fraction_quartic_positive_root,
     interval_l_accepts_degree,
+    l_max_sign,
+    l_sextic_peak,
     l_smallest_accepted_degree,
     one_minus_x_times_r_coefficients,
     s_derivative_coefficients,
@@ -423,8 +423,8 @@ def test_l_upper_integer_x5_shapes(monkeypatch):
         assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
         x5 = iroot(value - 1, 3)
         assert x5 ** 3 == value - 1
-        assert _s4_value_dyadic(2 * m - n, n, x5, 0) == 0
-        assert len(steps) <= 20
+        assert sextic_value(2 * m - n, n, Fraction(x5)) == 0
+        assert steps == []
 
 
 def test_l_upper_ceiling_inside_the_x5_bracket():
@@ -441,15 +441,15 @@ def test_l_upper_ceiling_inside_the_x5_bracket():
 
 @pytest.mark.parametrize("m,n", [(4, 2), (2148, 2048), (33024, 32768)])
 def test_l_upper_max_sign_tie_is_out_of_range(monkeypatch, m, n):
-    # no natural shape reaches the tie s(x4') = 0 (the 2^-128 cap), so force
-    # it.  The outcome rests on x4' > (N/2)^(1/3): at the tie s < 0 left of
-    # x4', so no degree k <= N/2 is accepted
-    monkeypatch.setattr(bounds_mod, "_certify_max_sign", lambda shape, x4: None)
+    # no natural shape reaches the tie s(x4') = 0, where the resultant is
+    # zero, so force it.  The outcome rests on x4' > (N/2)^(1/3): at the tie
+    # s < 0 left of x4', so no degree k <= N/2 is accepted
+    monkeypatch.setattr(bounds_mod, "_l_max_resultant", lambda N, c: 0)
     shape = SystemShape(m, n)
     out = l_upper(shape)
     assert out.not_applicable_reason is NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE
     assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
-    assert bounds_mod._x4_prime(shape.N).lo ** 3 > shape.N / 2
+    assert l_sextic_peak(shape.N)[0] ** 3 > shape.N / 2
 
 
 def test_l_upper_method_follows_the_norm_at_its_ceiling():
@@ -484,13 +484,13 @@ def test_l_acceptance_is_monotone_up_to_half_n(n, data):
 
 @pytest.mark.parametrize("m,n", [(24, 12), (512, 256), (10**20, 4)])
 def test_l_upper_applicable_path_is_one_integer_search(monkeypatch, m, n):
-    # an applicable shape needs neither the sign at x4' nor a bracket step,
+    # an applicable shape needs neither the resultant nor a bracket step,
     # and the bisection over k = 1..N/2 reads O(log N) norms
     def refused(*args):
         raise AssertionError("not on the applicable path")
 
     norms, norm = [], bounds_mod._l_degree_norm
-    monkeypatch.setattr(bounds_mod, "_certify_max_sign", refused)
+    monkeypatch.setattr(bounds_mod, "_l_max_resultant", refused)
     monkeypatch.setattr(DyadicBracket, "step", refused)
     monkeypatch.setattr(bounds_mod, "_l_degree_norm",
                         lambda *args: norms.append(args) or norm(*args))
@@ -523,15 +523,6 @@ def test_l_accepts_degree_norm_matches_interval_oracle(N, data):
     edge = math.isqrt(max(0, int(4 * (N - k) * (k + u - 2 * u * u))))
     n = data.draw(st.integers(max(1, edge - 2), edge + 2))
     assert _l_accepts_degree(N, n, k) == interval_l_accepts_degree(N, n, k)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(3, 10**6), st.integers(0, 40), st.data())
-def test_max_sign_margin_matches_enclosure_formula(N, e, data):
-    lo = data.draw(st.integers(1 << e, (iroot(N, 3) + 2) << e))
-    hi = data.draw(st.integers(lo + 1, lo + (3 << e)))
-    v = -data.draw(st.integers(0, 1 << (6 * e + 40)))
-    assert _max_sign_margin(N, v, lo, hi, e) == enclosure_max_sign_margin(N, v, lo, hi, e)
 
 
 def _bound_keys(shape):
@@ -591,9 +582,76 @@ def test_quartic_factor_discriminant_closed_form():
         assert disc < 0
 
 
-def test_sextic_form_x4_bracket_signs():
-    x4 = bounds_mod._x4_prime(36)
-    assert _r_value_dyadic(36, x4.num_lo, x4.e) < 0 < _r_value_dyadic(36, x4.num_hi, x4.e)
+def test_l_max_resultant_is_the_resultant():
+    x, N, c = sympy.symbols("x N c")
+    P = x * (x - 1) ** 2 * (N - x**3)
+    r = 6 * x**4 - 4 * x**3 - 3 * N * x + N
+    resultant = sympy.resultant(r, 4 * P - c, x)
+    assert sympy.expand(resultant - 64 * _l_max_resultant(N, c)) == 0
+
+
+def test_l_max_resultant_has_no_double_root_at_an_integer_n():
+    # a real V = 4P(rho) at a complex root rho of r would be a double root
+    # in c: the discriminant in c vanishes at no integer N >= 3
+    N, c = sympy.symbols("N c")
+    disc = sympy.discriminant(_l_max_resultant(N, c), c)
+    quartic = 729 * N**4 - 3699 * N**3 - 1421 * N**2 + 133 * N - 8
+    assert sympy.expand(disc + 5038848 * N**8 * (729 * N**2 + 368 * N + 64) ** 3
+                        * quartic**2) == 0
+    for factor in (N, 729 * N**2 + 368 * N + 64, quartic):
+        poly = sympy.Poly(factor, N)
+        for (lo, hi), _ in poly.intervals():
+            assert all(poly.eval(k) != 0 for k in range(max(3, math.ceil(lo)),
+                                                          math.floor(hi) + 1))
+
+
+def test_l_upper_reason_needs_n_squared_above_16n_over_27():
+    # on the not-applicable branch the resultant's sign is -s(x4') once
+    # 27 n^2 > 16 N, which the proof gives for N >= 8; the rest down to
+    # N = 4 is this enumeration.  Refusal of floor(N/2) and 27 n^2 > 16 N
+    # both grow with n, so the smallest refused n of each N suffices
+    for N in range(4, 2000):
+        n = next(n for n in range(2 - N % 2, N, 2) if not _l_accepts_degree(N, n, N // 2))
+        assert 27 * n * n > 16 * N, (N, n)
+
+
+def test_l_upper_n3_is_max_negative():
+    # (2, 1) is the one shape with N = 3, and there n^2 = 1 < V0: the
+    # resultant is negative, yet the maximum of s is negative too
+    out = l_upper(SystemShape(2, 1))
+    assert out.not_applicable_reason is NotApplicableReason.SEXTIC_MAX_NEGATIVE
+    assert out.certification.method is CertificationMethod.EXACT_INTEGER_PREDICATE
+    assert _l_max_resultant(3, 1) < 0
+    assert l_max_sign(3, 1) < 0
+
+
+_L_REASON = {1: NotApplicableReason.SEXTIC_ROOT_OUT_OF_RANGE,
+             -1: NotApplicableReason.SEXTIC_MAX_NEGATIVE}
+
+
+def test_l_upper_reason_matches_mpmath_up_to_200():
+    checked = 0
+    for shape in enumerate_shapes(200):
+        out = l_upper(shape)
+        if out.applicable:
+            continue
+        assert out.not_applicable_reason is _L_REASON[l_max_sign(shape.N, shape.n)], shape
+        checked += 1
+    assert checked > 1000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 10**15), st.integers(-2, 2))
+def test_l_upper_reason_matches_mpmath_at_the_edge(N, offset):
+    # n within two of the edge floor(sqrt(4P(x4'))), where s(x4') changes sign
+    n = math.isqrt(int(l_sextic_peak(N)[1])) + offset
+    assume(1 <= n < N and (N - n) % 2 == 0)
+    out = l_upper(SystemShape((N + n) // 2, n))
+    sign = l_max_sign(N, n)
+    if out.applicable:
+        assert sign > 0  # an accepted degree has s >= 0, so its maximum is too
+    else:
+        assert out.not_applicable_reason is _L_REASON[sign]
 
 
 # ------------------------------------------------------------ sandwich et al

@@ -62,6 +62,21 @@ def test_shapes_past_sys_maxsize(capsys):
     assert "sandwich 1 <= 1 <= 2 <= 3 <= 3 : OK" in out
 
 
+@pytest.mark.parametrize("m,n", [(2**150 + 3, 2**150), (10**309 + 1, 10**309)],
+                         ids=["seed-off-past-maxsize", "past-float-range"])
+def test_shapes_past_the_float_range(capsys, m, n):
+    # the transposed search's float seed is off by more than sys.maxsize at
+    # 2^150 and cannot be formed past about 1.8e308
+    code, out, _ = run_cli(capsys, "exact", str(m), str(n))
+    assert code == 0
+    assert out.startswith("d_reg = ")
+    d_reg = out.split()[-1]
+    code, out, _ = run_cli(capsys, "bounds", str(m), str(n))
+    assert code == 0
+    assert f"d_reg exact = {d_reg}\n" in out
+    assert "L  upper: not applicable (sextic_max_negative)" in out
+
+
 def test_bounds_reports_not_applicable(capsys):
     code, out, _ = run_cli(capsys, "bounds", "356", "256")
     assert code == 0

@@ -15,8 +15,8 @@ from semireg.exact import (
     hilbert_truncation,
 )
 
-from oracle_utils import (convolution_coefficient, direct_stream_dreg, exact_f5_cost_log2,
-                          expand_product, pascal_binomial)
+from oracle_utils import (alternating_sum_value, convolution_coefficient, direct_stream_dreg,
+                          exact_f5_cost_log2, expand_product, pascal_binomial)
 from reference_tables import FAMILIES
 
 
@@ -223,6 +223,17 @@ def test_transposed_route_survives_a_refused_seed(monkeypatch, seed, m, n):
     monkeypatch.setattr(exact_mod, "_root_seed", lambda N, k, lo, hi: guess)
     assert degree_of_regularity_exact(shape) == expected
     assert probes  # decided by exact probes, whatever the seed said
+
+
+@pytest.mark.parametrize("m,n", [(2**150 + 3, 2**150), (10**309 + 1, 10**309)],
+                         ids=["seed-off-past-maxsize", "past-float-range"])
+def test_transposed_route_past_the_float_range(m, n):
+    # at 2^150 the float seed is off by more than sys.maxsize, so the search
+    # bisects a range that long; past about 1.8e308 the seed cannot be formed
+    shape = SystemShape(m, n)
+    N, t, d = shape.N, shape.t, degree_of_regularity_exact(shape)
+    # c_k has the sign of K_t(k) (reciprocity), here by the explicit sum
+    assert alternating_sum_value(N, t, d - 1) > 0 >= alternating_sum_value(N, t, d)
 
 
 def test_transposed_route_refuses_a_positive_tail(monkeypatch):

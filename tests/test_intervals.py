@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from semireg.intervals import (
     DyadicBracket,
     Enclosure,
+    integer_bisect,
     iroot,
     newton_seed,
     nth_root_enclosure,
@@ -40,6 +41,24 @@ def test_iroot_rejects_bad_arguments():
         iroot(-1, 2)
     with pytest.raises(ValueError):
         iroot(5, 0)
+
+
+# ---------------------------------------------------------------- integer_bisect
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30), st.data())
+def test_integer_bisect_finds_the_edge_inside_the_ends(lo, span, data):
+    # spans past sys.maxsize included; each probe halves the span, rounding down
+    hi = lo + span
+    edge = data.draw(st.integers(lo + 1, hi))
+    probes = []
+    assert integer_bisect(lo, hi, lambda x: probes.append(x) or x >= edge) == edge
+    assert all(lo < x < hi for x in probes)
+    assert len(probes) <= span.bit_length()
+    probes.clear()
+    assert integer_bisect(0, 6, lambda x: probes.append(x) or x >= 4) == 4
+    assert probes == [3, 4]
 
 
 # ---------------------------------------------------------------- enclosures
