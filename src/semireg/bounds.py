@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -83,15 +83,15 @@ class CertificationMethod(enum.Enum):
     INTERVAL_CERTIFIED = "interval_certified"
 
 
-@dataclass(frozen=True)
-class Certification:
-    method: CertificationMethod
-    near_boundary: bool = False
-    candidates: tuple[int, int] | None = None
+class Certification(namedtuple("Certification", "method near_boundary candidates",
+                                defaults=(False, None))):
+    """How a bound was certified; a near-boundary value lists both candidates."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundOutcome:
+class BoundOutcome(namedtuple("BoundOutcome",
+                              "kind value not_applicable_reason certification")):
     """Either a certified integer bound or a structured inapplicability.
 
     Exactly one of value / not_applicable_reason is set.  When a floor or
@@ -100,16 +100,16 @@ class BoundOutcome:
     are listed; a flagged value is still a valid bound of its kind.
     """
 
-    kind: BoundKind
-    value: int | None
-    not_applicable_reason: NotApplicableReason | None
-    certification: Certification
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.value is None) == (self.not_applicable_reason is None):
+    def __new__(cls, kind: BoundKind, value: int | None,
+                not_applicable_reason: NotApplicableReason | None,
+                certification: Certification) -> "BoundOutcome":
+        if (value is None) == (not_applicable_reason is None):
             raise ValueError("exactly one of value / not_applicable_reason required")
-        if self.value is not None and self.value < 1:
-            raise ValueError(f"bound value must be positive; got {self.value}")
+        if value is not None and value < 1:
+            raise ValueError(f"bound value must be positive; got {value}")
+        return super().__new__(cls, kind, value, not_applicable_reason, certification)
 
     @property
     def applicable(self) -> bool:
@@ -121,29 +121,29 @@ class BoundOutcome:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AiryConstant:
+class AiryConstant(namedtuple("AiryConstant", "i1 precision_radius")):
     """First zero i1 of the Airy-type solution of y'' + x y / 3 = 0.
 
     Only six significant digits are pinned by default; precision_radius is
     the half-width of the certification interval around i1.  The derived
     constant c = 6^(-1/3) i1 is always computed from i1, never stored.
+    No `__slots__ = ()`: each instance keeps its `_c_by_bits` table.
     """
 
-    i1: Fraction = Fraction("3.37213")
-    precision_radius: Fraction = Fraction(1, 100_000)
-
-    def __post_init__(self) -> None:
-        if self.i1 <= 0:
+    def __new__(cls, i1: Fraction = Fraction("3.37213"),
+                precision_radius: Fraction = Fraction(1, 100_000)) -> "AiryConstant":
+        if i1 <= 0:
             raise ValueError("i1 must be positive")
-        if self.precision_radius < 0:
+        if precision_radius < 0:
             raise ValueError("precision_radius must be non-negative")
-        if self.precision_radius >= self.i1:
+        if precision_radius >= i1:
             # keeps b = -c < 0 over the whole enclosure, as ls_lower's quartic needs
             raise ValueError("precision_radius must be smaller than i1")
+        self = super().__new__(cls, i1, precision_radius)
         # c_enclosure's table by bits: looking the instance up in a shared
         # cache hashes its two Fractions, which costs more than the lookup
-        object.__setattr__(self, "_c_by_bits", {})
+        self._c_by_bits = {}
+        return self
 
     @property
     def c(self) -> float:
@@ -203,8 +203,7 @@ def kz_lower(shape: SystemShape) -> BoundOutcome:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuarticClosedForm:
+class QuarticClosedForm(namedtuple("QuarticClosedForm", "a b t_value u_value w4")):
     """Radical expression of the positive quartic root, float diagnostics.
 
     For q(w) = w^4 - a w + b (a > 0 > b) the resolvent cubic U^3 - 4 b U = a^2
@@ -217,11 +216,7 @@ class QuarticClosedForm:
     implies U^(3/2) < a < 2a.
     """
 
-    a: float
-    b: float
-    t_value: float
-    u_value: float
-    w4: float
+    __slots__ = ()
 
     @classmethod
     def from_shape(cls, shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> "QuarticClosedForm":

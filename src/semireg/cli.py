@@ -14,14 +14,12 @@ Output is deterministic: identical invocations produce byte-identical text.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .bounds import (
     AiryConstant,
@@ -63,14 +61,14 @@ _HEADERS = {
 }
 
 
-@dataclass(frozen=True)
-class TableSpec:
-    """A resolved sweep: family label, explicit (m, n) rows, column selection."""
+class TableSpec(namedtuple("TableSpec", "family pairs columns m_rounding", defaults=(None,))):
+    """A resolved sweep: family label, explicit (m, n) rows, column selection.
 
-    family: str
-    pairs: tuple[tuple[int, int], ...]  # ordered by n
-    columns: tuple[str, ...]
-    m_rounding: str | None = None  # set when the family rounds non-integral m
+    pairs are ordered by n; m_rounding is set when the family rounds
+    non-integral m.
+    """
+
+    __slots__ = ()
 
 
 def floor_n_log2_n(n: int) -> int:
@@ -192,6 +190,7 @@ def _cell_text(value: object) -> str:
 def render_table(spec: TableSpec, rows: list[dict], fmt: str, airy: AiryConstant,
                  precision: Fraction) -> str:
     if fmt == "json":
+        import json
         doc = {
             "family": spec.family,
             "metadata": {
@@ -211,6 +210,7 @@ def render_table(spec: TableSpec, rows: list[dict], fmt: str, airy: AiryConstant
         for r in rows
     ]
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -285,6 +285,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def _curve_csv(shape: SystemShape, airy: AiryConstant) -> str:
     """Plot-ready per-degree bound curves against k."""
+    import csv
     N = shape.N
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

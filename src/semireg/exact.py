@@ -17,10 +17,10 @@ no other module of it but `intervals`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import partial
 from itertools import islice
-from typing import Iterator
 
 from .intervals import integer_bisect, newton_seed
 
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SystemShape:
+class SystemShape(namedtuple("SystemShape", "m n")):
     """Validated parameter pair (m, n) of an overdetermined quadratic system.
 
     m: number of equations, n: number of variables.  Requires m > n >= 1.
@@ -44,19 +43,16 @@ class SystemShape:
     polynomial) and t = m - n (its evaluation offset) recur everywhere.
     """
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(v, int) and not isinstance(v, bool)
-                   for v in (self.m, self.n)):
+    def __new__(cls, m: int, n: int) -> "SystemShape":
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (m, n)):
             raise ValueError("shape parameters m, n must be integers")
-        if self.n < 1:
-            raise ValueError(f"requires n >= 1 (at least one variable); got n={self.n}")
-        if self.m <= self.n:
-            raise ValueError(
-                f"requires m > n (overdetermined system); got m={self.m}, n={self.n}"
-            )
+        if n < 1:
+            raise ValueError(f"requires n >= 1 (at least one variable); got n={n}")
+        if m <= n:
+            raise ValueError(f"requires m > n (overdetermined system); got m={m}, n={n}")
+        return super().__new__(cls, m, n)
 
     @property
     def N(self) -> int:

@@ -10,9 +10,9 @@ is located by DyadicBracket, every edge of a monotone integer predicate by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 __all__ = ["iroot", "integer_bisect", "Enclosure", "DyadicBracket", "positive_width",
            "newton_seed", "sqrt_enclosure", "nth_root_enclosure"]
@@ -56,16 +56,21 @@ def integer_bisect(lo: int, hi: int, accepts: Callable[[int], bool]) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(namedtuple("Enclosure", "lo hi")):
     """Closed rational interval [lo, hi] certified to contain a real value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure: lo={self.lo} > hi={self.hi}")
+    def __new__(cls, lo: Fraction, hi: Fraction) -> "Enclosure":
+        if lo > hi:
+            raise ValueError(f"empty enclosure: lo={lo} > hi={hi}")
+        return super().__new__(cls, lo, hi)
+
+    # a tuple's + and * concatenate and repeat; an enclosure has no algebra
+    def __add__(self, other: object) -> object:
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
 
     @classmethod
     def point(cls, q: Fraction | int) -> "Enclosure":

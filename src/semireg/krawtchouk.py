@@ -12,19 +12,21 @@ points; `cleared_values` clears factorials and denominators and serves
 rational points.  The root and eigenvalue signs of `roots` run its
 recurrence at d = 2^e in a loop that keeps only the last two values, and
 the tests check them against it.  The one float recurrence is
-`exact._krawtchouk_slope`, which only seeds.  The explicit alternating sum
-is kept out of production on purpose (it cancels catastrophically); tests
-use it as an oracle.
+`exact._krawtchouk_slope`, which only seeds.  The explicit sum
+K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j) decides signs in production too:
+left of x = 1, `roots._root_sign` bounds it from both sides in integers and
+needs the recurrence only near a root.  In integers its cancellation costs
+bits, not accuracy.  Tests evaluate the whole sum as an oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import add
-from typing import Iterator
 
 from .exact import SystemShape, krawtchouk_stream
 
@@ -38,18 +40,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KrawtchoukParams:
+class KrawtchoukParams(namedtuple("KrawtchoukParams", "N k")):
     """Family size N and degree k, with the alphabet parameter pinned to 2."""
 
-    N: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"requires N >= 1; got N={self.N}")
-        if not 0 <= self.k <= self.N:
-            raise ValueError(f"requires 0 <= k <= N; got k={self.k}, N={self.N}")
+    def __new__(cls, N: int, k: int) -> "KrawtchoukParams":
+        if N < 1:
+            raise ValueError(f"requires N >= 1; got N={N}")
+        if not 0 <= k <= N:
+            raise ValueError(f"requires 0 <= k <= N; got k={k}, N={N}")
+        return super().__new__(cls, N, k)
 
 
 def cleared_values(N: int, s: int, d2: int, k: int) -> list[int]:

@@ -7,10 +7,10 @@ module drives the same functions at the scales fixed there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from operator import attrgetter, mul
-from typing import Iterable, Iterator
 
 from .bounds import kz_lower, l_upper, ls_lower, ls_upper
 from .exact import SystemShape, binomial, degree_of_regularity_exact, hilbert_truncation
@@ -34,18 +34,16 @@ ORTHOGONALITY_ENVELOPE = 40  # exact orthogonality sweep is asserted up to here
 _nums = attrgetter("num_lo", "num_hi", "e")  # a bracket [num_lo, num_hi] / 2^e as a triple
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    checked: int
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name checked passed detail")):
+    """One suite's verdict, case count and first counterexample."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, name: str, checked: int, passed: bool, detail: str = "") -> "CheckResult":
         # a suite that checked nothing has shown nothing
-        if self.passed and self.checked == 0:
-            object.__setattr__(self, "passed", False)
-            object.__setattr__(self, "detail", "no cases checked")
+        if passed and checked == 0:
+            passed, detail = False, "no cases checked"
+        return super().__new__(cls, name, checked, passed, detail)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -63,8 +61,13 @@ def enumerate_shapes(max_N: int) -> Iterator[SystemShape]:
 
 
 def _shapes_before(max_N: int, first: tuple[int, int]) -> int:
-    """The shapes of enumerate_shapes(max_N) that come before (n, m) = `first`."""
-    return sum((s.n, s.m) < first for s in enumerate_shapes(max_N))
+    """The shapes of enumerate_shapes(max_N) that come before (n, m) = `first`.
+
+    Each n < max_N holds floor((max_N - n) / 2) shapes, m = n + 1..(max_N + n) // 2.
+    """
+    n, m = first
+    earlier = sum((max_N - j) // 2 for j in range(1, min(n, max_N)))
+    return earlier + max(min(m - 1, (max_N + n) // 2) - n, 0)
 
 
 def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:

@@ -28,13 +28,14 @@ from semireg.roots import DEFAULT_WIDTH, dreg_via_eigenvalues, dreg_via_roots, l
 from semireg.verify import CheckResult, enumerate_shapes
 
 
-@dataclass(frozen=True)
 class Interval(Enclosure):
     """An `Enclosure` with interval negation, sum, difference and product.
 
     Each result is the smallest interval holding every result of the
     operation on points of the operands; a bare number is a point.
     """
+
+    __slots__ = ()
 
     @classmethod
     def of(cls, enc: Enclosure) -> "Interval":

@@ -1,11 +1,14 @@
 """Every exported name of the package and of its modules resolves and the
 README's Library section names each package export; the modules import each
-other in layers: no cycle, with `exact` at the bottom."""
+other in layers: no cycle, with `exact` at the bottom; importing the CLI
+loads only what its commands need."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,3 +85,18 @@ def test_every_package_name_is_in_the_readme_library_section():
     missing = [name for name in semireg.__all__ if name != "__version__"
                and not re.search(rf"\b{re.escape(name)}\b", library)]
     assert missing == []
+
+
+def test_cli_import_loads_no_unused_machinery():
+    # -S keeps site-packages out: a .pth file there may import typing, re or enum
+    src = Path(semireg.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, semireg.cli; print(*sorted(sys.modules))"
+    loaded = set(subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    # json and csv are imported by the commands that write them
+    assert loaded & {"dataclasses", "inspect", "json", "csv", "typing"} == set()
+    # perfbench's Tracer.install reads these from sys.modules after `import semireg.cli`
+    traced = {f"semireg.{name}" for name in
+              ("exact", "krawtchouk", "intervals", "roots", "bounds", "verify", "cli")}
+    assert traced <= loaded

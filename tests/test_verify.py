@@ -17,8 +17,8 @@ from semireg.exact import SystemShape
 from semireg.intervals import DyadicBracket
 from semireg.krawtchouk import cleared_values, gf_identity_check, integer_values
 from semireg.verify import CheckResult, _duality_gap, _interlacing, _nums, _overlaps, \
-    check_eigenvalue_root_duality, check_gf_identity, check_orthogonality, check_sandwich, \
-    check_three_way_agreement, enumerate_shapes, run_all
+    _shapes_before, check_eigenvalue_root_duality, check_gf_identity, check_orthogonality, \
+    check_sandwich, check_three_way_agreement, enumerate_shapes, run_all
 
 
 @pytest.mark.parametrize("max_n", [-3, 0, 1, 2])
@@ -32,6 +32,16 @@ def test_empty_suite_reads_fail():
     assert not res.passed
     assert res.summary() == "sandwich: FAIL (0 cases)  no cases checked"
     assert not check_orthogonality(0).passed
+
+
+def test_shapes_before_counts_the_enumeration():
+    for max_N in range(1, 61):
+        shapes = [(s.n, s.m) for s in enumerate_shapes(max_N)]
+        assert shapes == sorted(shapes)
+        for i, first in enumerate(shapes):
+            assert _shapes_before(max_N, first) == i, (max_N, first)
+        # n = max_N is past every shape: the sentinel of the suites that found no failure
+        assert _shapes_before(max_N, (max_N, 0)) == len(shapes)
 
 
 def test_check_result_keeps_failure_detail():
