@@ -6,9 +6,11 @@ the smallest Krawtchouk root d_k^N(1) against the threshold t = m - n:
 * kz_lower  : quadratic-root floor formula (simplified root localization),
   certified by an exact integer predicate.
 * ls_lower  : floor of (w4^6 - 1)/2 where w4 is the unique positive root of
-  the quartic w^4 - a w + b built from the first zero of an Airy-type
-  function; certified by interval arithmetic around that constant, and
-  flagged near-boundary when its precision schedule cannot pin the floor.
+  the quartic w^4 - a w - c built from the first zero of an Airy-type
+  function.  The floor is the last degree that passes the per-degree test,
+  decided by the sign of one integer (a field norm in Q((v/6)^(1/3))); one
+  integer bisection per end of the Airy enclosure finds it, and the value
+  is flagged near-boundary exactly when the two ends give different floors.
 * ls_upper  : ceiling formula from a quadratic discriminant condition,
   certified by an exact integer predicate; may be structurally inapplicable.
 * l_upper   : ceiling of x5^3 where x5 is the root of a sextic on its
@@ -18,18 +20,12 @@ the smallest Krawtchouk root d_k^N(1) against the threshold t = m - n:
   so one integer bisection finds it.  When no degree up to N/2 passes, the
   sign of one resultant names the reason.  No float is read.
 
-The quartic root of ls_lower is bracketed from a float Newton seed, kept
-only when two exact signs certify the seeded dyadic window, and bisected
-otherwise; no float decides.
-
 Because the localizations in the literature are strict inequalities, a bound
 is allowed to attain the threshold exactly (accept sets use >= / <=).
 
-Floors and ceilings are never taken on floats: either the comparison reduces
-to integers, or a rational enclosure is refined until the integer part is
-unambiguous (ls_lower flags what its schedule leaves ambiguous).  The raw
-per-degree bound values are also exposed (as floats) for diagnostics and
-plotting.
+Floors and ceilings are never taken on floats: every comparison reduces to
+the sign of an integer.  The raw per-degree bound values are also exposed
+(as floats) for diagnostics and plotting.
 """
 
 from __future__ import annotations
@@ -38,10 +34,10 @@ import enum
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 from .exact import SystemShape, kz_root_bound
-from .intervals import DyadicBracket, Enclosure, integer_bisect, newton_seed, nth_root_enclosure
+from .intervals import Enclosure, integer_bisect
 
 __all__ = [
     "BoundKind",
@@ -94,10 +90,10 @@ class BoundOutcome(namedtuple("BoundOutcome",
                               "kind value not_applicable_reason certification")):
     """Either a certified integer bound or a structured inapplicability.
 
-    Exactly one of value / not_applicable_reason is set.  When a floor or
-    ceiling cannot be pinned at maximum precision the conservative candidate
-    is reported as the value, near_boundary is flagged and both candidates
-    are listed; a flagged value is still a valid bound of its kind.
+    Exactly one of value / not_applicable_reason is set.  near_boundary is
+    set exactly when the two ends of the Airy enclosure give ls_lower
+    different floors: the lower candidate is reported as the value and both
+    candidates are listed; a flagged value is still a valid bound of its kind.
     """
 
     __slots__ = ()
@@ -125,25 +121,24 @@ class AiryConstant(namedtuple("AiryConstant", "i1 precision_radius")):
     """First zero i1 of the Airy-type solution of y'' + x y / 3 = 0.
 
     Only six significant digits are pinned by default; precision_radius is
-    the half-width of the certification interval around i1.  The derived
-    constant c = 6^(-1/3) i1 is always computed from i1, never stored.
-    No `__slots__ = ()`: each instance keeps its `_c_by_bits` table.
+    the half-width of the certification interval around i1.  Both fields
+    are taken exactly as Fractions.  The derived constant c = 6^(-1/3) i1 is
+    always computed from i1, never stored.
     """
+
+    __slots__ = ()
 
     def __new__(cls, i1: Fraction = Fraction("3.37213"),
                 precision_radius: Fraction = Fraction(1, 100_000)) -> "AiryConstant":
+        i1, precision_radius = Fraction(i1), Fraction(precision_radius)
         if i1 <= 0:
             raise ValueError("i1 must be positive")
         if precision_radius < 0:
             raise ValueError("precision_radius must be non-negative")
         if precision_radius >= i1:
-            # keeps b = -c < 0 over the whole enclosure, as ls_lower's quartic needs
+            # keeps c > 0 over the whole enclosure, as ls_lower's per-degree test needs
             raise ValueError("precision_radius must be smaller than i1")
-        self = super().__new__(cls, i1, precision_radius)
-        # c_enclosure's table by bits: looking the instance up in a shared
-        # cache hashes its two Fractions, which costs more than the lookup
-        self._c_by_bits = {}
-        return self
+        return super().__new__(cls, i1, precision_radius)
 
     @property
     def c(self) -> float:
@@ -151,19 +146,6 @@ class AiryConstant(namedtuple("AiryConstant", "i1 precision_radius")):
 
     def i1_enclosure(self) -> Enclosure:
         return Enclosure(self.i1 - self.precision_radius, self.i1 + self.precision_radius)
-
-    def c_enclosure(self, bits: int) -> Enclosure:
-        table = self._c_by_bits
-        if bits not in table:
-            table[bits] = _c_enclosure(self, bits)
-        return table[bits]
-
-
-@lru_cache(maxsize=64)  # equal constants share entries: the CLI builds one per command
-def _c_enclosure(airy: AiryConstant, bits: int) -> Enclosure:
-    # both factors are non-negative, so the product's ends are the ends' products
-    root, i1 = nth_root_enclosure(Fraction(1, 6), 3, bits), airy.i1_enclosure()
-    return Enclosure(root.lo * i1.lo, root.hi * i1.hi)
 
 
 DEFAULT_AIRY = AiryConstant()
@@ -238,60 +220,60 @@ def _cardano_w4(a: float, b: float) -> tuple[float, float, float]:
     return t_value, u, (math.sqrt(u) + math.sqrt(2 * a / math.sqrt(u) - u)) / 2
 
 
-def _quartic_positive_root(a: tuple, b: tuple, width: Fraction) -> DyadicBracket:
-    """Unique positive root of w^4 - a w + b (a > 0 > b), exactly certified.
+def _ls_refuses_degree(N: int, n: int, P: int, Q: int, f: int) -> bool:
+    """Whether y^4 - a y - c > 0 at y = v^(1/6), v = 2f + 1, for i1 = P/Q > 0.
 
-    With a = A/Da and b = B/Db given as integer pairs, the sign of q(p/2^e) is
-    the sign of q(p/2^e) 2^(4e) Da Db = p^4 Da Db - A Db p 2^(3e) + B Da 2^(4e).
-    The root w satisfies w^3 <= a - b when w >= 1, so w < 2^j for the first
-    power of two 2^j >= 2 above a - b; the bracket [0, 2^j] is aligned, so a
-    seeded window (Newton from the Cardano w4) is the one bisection would reach.
+    a = n / sqrt(2N) and c = 6^(-1/3) P/Q.  If 6 v^2 Q^3 <= P^3 then y^4 <= c
+    and f is accepted.  Otherwise both sides of y^4 - c <= a y are positive;
+    squared, divided by y^2 and scaled by 2N v Q^2, with mu = (v/6)^(1/3)
+    (so y^2 = 6^(1/3) mu, c y^2 = (P/Q) mu and c^2 / y^2 = (P/Q)^2 mu^2 / v),
+    acceptance reads alpha = A + B mu + C mu^2 <= 0 with
+    A = (2Nv - n^2) v Q^2, B = -4N P Q v and C = 2N P^2.  As in
+    `_l_degree_norm`, 36 alpha times its two conjugates is the integer
+    36 A^3 + 6 v B^3 + v^2 C^3 - 18 v A B C, and the conjugates have
+    imaginary parts +-(sqrt(3)/2) mu (B - C mu), with B - C mu < 0, so they
+    multiply to a positive number.  The norm is never zero: v is odd, so
+    v/6 is no rational cube, 1, mu, mu^2 are independent over Q, and B != 0.
     """
-    (A, Da), (B, Db) = a, b
-
-    def q_scaled(p: int, e: int) -> int:
-        return p ** 4 * Da * Db - (A * Db * p << 3 * e) + (B * Da << 4 * e)
-
-    def seed() -> float:
-        fa, fb = A / Da, B / Db
-        return newton_seed(lambda w: (w ** 4 - fa * w + fb, 4 * w ** 3 - fa),
-                           _cardano_w4(fa, fb)[2], -1)
-
-    num_hi = 1 << max(1, ((A * Db - B * Da) // (Da * Db)).bit_length())
-    bracket = DyadicBracket(q_scaled, 0, num_hi, 0)
-    bracket.refine(width, seed)
-    return bracket
-
-
-_LS_BITS_SCHEDULE = (48, 96, 192)
+    v = 2 * f + 1
+    if 6 * v * v * Q ** 3 <= P ** 3:
+        return False
+    A = (2 * N * v - n * n) * v * Q * Q
+    B = -4 * N * P * Q * v
+    C = 2 * N * P * P
+    return 36 * A ** 3 + 6 * v * B ** 3 + v * v * C ** 3 - 18 * v * A * B * C > 0
 
 
 def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutcome:
-    """Lower bound 1 + floor((w4^6 - 1) / 2), certified around the Airy constant.
+    """Lower bound 1 + floor((w4^6 - 1) / 2), certified over the Airy enclosure.
 
-    The positive quartic root is monotone increasing in a and decreasing in b,
-    so bisecting the two corner quartics (a_lo, b_hi) and (a_hi, b_lo) with
-    exact rational coefficients traps (w4^6 - 1)/2 in a rational interval that
-    accounts for the uncertainty radius of i1.  If the interval still straddles
-    an integer after the last step of the schedule, the conservative floor is
-    reported with the near-boundary flag and both candidates.  The float
-    closed form is `QuarticClosedForm.from_shape(shape, airy)`.
+    w4 is the positive root of q(w) = w^4 - a w - c, a = n / sqrt(2N),
+    c = 6^(-1/3) i1.  q < 0 on (0, w4) and q > 0 beyond, so
+    floor((w4^6 - 1) / 2) >= f exactly when q((2f + 1)^(1/6)) <= 0, the
+    exact per-degree test `_ls_refuses_degree`, and acceptance is monotone
+    in f.  At i1 = P/Q, degree top = (n^2 // N + P^2 // Q^2) // 2 + 2 is
+    refused: w4^6 < 1 or w4^3 <= a + c, and 2 top + 1 > n^2/N + i1^2 >
+    (a + c)^2.  So one integer bisection per end of the i1 enclosure finds
+    its floor, the last accepted degree, clamped at 0 when degree 0 is
+    refused (which keeps the bound 1 valid).  w4 grows with c, so the upper
+    end first tests the lower end's floor + 1 and searches only when that
+    passes.  Differing floors are flagged near-boundary with both
+    candidates.  The float closed form is
+    `QuarticClosedForm.from_shape(shape, airy)`.
     """
-    n2, two_n = shape.n * shape.n, 2 * shape.N
-    for bits in _LS_BITS_SCHEDULE:
-        # a = n / sqrt(2N) is in [r, r_hi] / 2^bits, a point when r^2 2N = n^2 4^bits
-        r = math.isqrt((n2 << 2 * bits) // two_n)
-        r_hi = r + (r * r * two_n != n2 << 2 * bits)
-        c = airy.c_enclosure(bits)
-        width = Fraction(1, 1 << (bits // 2))
-        low = _quartic_positive_root((r, 1 << bits), (-c.lo.numerator, c.lo.denominator), width)
-        high = _quartic_positive_root((r_hi, 1 << bits), (-c.hi.numerator, c.hi.denominator), width)
-        # floor((w^6 - 1) / 2) at w = p / 2^e; a floor below 0 only comes from a
-        # degenerate constant override, and its clamp to 0 keeps the bound 1 valid
-        f_lo, f_hi = (max((p ** 6 - (1 << 6 * e)) >> (6 * e + 1), 0)
-                      for p, e in ((low.num_lo, low.e), (high.num_hi, high.e)))
-        if f_lo == f_hi:
-            break
+    N, n = shape.N, shape.n
+
+    def first_refused(i: Fraction, lo: int) -> int:  # lo = -1: none tested yet
+        P, Q = i.numerator, i.denominator
+        top = (n * n // N + P * P // (Q * Q)) // 2 + 2
+        return integer_bisect(lo, top, partial(_ls_refuses_degree, N, n, P, Q))
+
+    low, high = airy.i1_enclosure()
+    f_lo = max(first_refused(low, -1) - 1, 0)
+    if _ls_refuses_degree(N, n, high.numerator, high.denominator, f_lo + 1):
+        f_hi = f_lo
+    else:
+        f_hi = first_refused(high, f_lo + 1) - 1
     flag = f_lo != f_hi  # the lower candidate stays a valid lower bound
     return BoundOutcome(
         kind=BoundKind.LS_LOWER,

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import mpmath
 
 import semireg.verify
-from semireg.bounds import (_LS_BITS_SCHEDULE, DEFAULT_AIRY, CertificationMethod,
-                            _l_accepts_degree)
+from semireg.bounds import DEFAULT_AIRY, CertificationMethod, _l_accepts_degree
 from semireg.exact import binomial, krawtchouk_stream
 from semireg.intervals import Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
 from semireg.krawtchouk import cleared_values, integer_values
@@ -207,18 +206,32 @@ def fraction_quartic_positive_root(a: Fraction, b: Fraction, width: Fraction):
     return lo, hi
 
 
+# The precision steps of the quartic-bracket ls_lower this oracle replays.
+LS_BITS_SCHEDULE = (48, 96, 192)
+
+
+def c_enclosure(airy, bits: int) -> Enclosure:
+    """Enclosure of c = 6^(-1/3) i1 over the Airy enclosure at `bits` bits.
+
+    Both factors are non-negative, so the product's ends are the ends'
+    products.
+    """
+    root, i1 = nth_root_enclosure(Fraction(1, 6), 3, bits), airy.i1_enclosure()
+    return Enclosure(root.lo * i1.lo, root.hi * i1.hi)
+
+
 def fraction_ls_lower(shape, airy=DEFAULT_AIRY):
     """(value, method, near_boundary, candidates) of ls_lower, floored in Fractions.
 
     The corners a = n / sqrt(2N) and b = -c come from `sqrt_enclosure` and
-    the Airy enclosure, each corner quartic is bisected in Fractions
+    `c_enclosure`, each corner quartic is bisected in Fractions
     (`fraction_quartic_positive_root`), and floor((w^6 - 1) / 2) is taken on
-    the Fraction endpoints, step by step through ls_lower's schedule.
+    the Fraction endpoints, step by step through `LS_BITS_SCHEDULE`.
     """
     a_sq = Fraction(shape.n * shape.n, 2 * shape.N)
-    for bits in _LS_BITS_SCHEDULE:
+    for bits in LS_BITS_SCHEDULE:
         a_enc = sqrt_enclosure(a_sq, bits)
-        c_enc = airy.c_enclosure(bits)  # b = -c
+        c_enc = c_enclosure(airy, bits)  # b = -c
         width = Fraction(1, 1 << (bits // 2))
         w_low = fraction_quartic_positive_root(a_enc.lo, -c_enc.lo, width)[0]
         w_high = fraction_quartic_positive_root(a_enc.hi, -c_enc.hi, width)[1]
@@ -229,6 +242,27 @@ def fraction_ls_lower(shape, airy=DEFAULT_AIRY):
     flag = f_lo != f_hi
     return (1 + f_lo, CertificationMethod.INTERVAL_CERTIFIED, flag,
             (1 + f_lo, 1 + f_hi) if flag else None)
+
+
+def interval_ls_refuses_degree(N: int, n: int, i1: Fraction, f: int) -> bool:
+    """Per-degree ls_lower refusal y^4 - a y - c > 0, y = (2f + 1)^(1/6).
+
+    a = n / sqrt(2N) and c = 6^(-1/3) i1.  Fraction interval arithmetic on
+    enclosures of y, a and 6^(-1/3), doubling their bits until the sign of
+    the quartic is certain (it is never zero: v/6 is no rational cube).
+    """
+    v, a_sq = 2 * f + 1, Fraction(n * n, 2 * N)
+    bits = 32
+    while True:
+        y = Interval.of(nth_root_enclosure(v, 6, bits))
+        a = Interval.of(sqrt_enclosure(a_sq, bits))
+        c = Interval.of(nth_root_enclosure(Fraction(1, 6), 3, bits)) * i1
+        q = y * y * y * y - a * y - c
+        if q.lo > 0:
+            return True
+        if q.hi < 0:
+            return False
+        bits *= 2
 
 
 def sextic_value(N: int, n: int, x: Fraction) -> Fraction:

@@ -28,16 +28,18 @@ from semireg.bounds import (
     ls_upper_root_bound,
 )
 import semireg.bounds as bounds_mod
-from semireg.bounds import (_LS_BITS_SCHEDULE, _l_accepts_degree, _l_degree_norm,
-                            _l_max_resultant, _quartic_positive_root)
-from semireg.intervals import DyadicBracket, iroot, nth_root_enclosure, sqrt_enclosure
+from semireg.bounds import (_cardano_w4, _l_accepts_degree, _l_degree_norm, _l_max_resultant,
+                            _ls_refuses_degree)
+from semireg.intervals import DyadicBracket, iroot, nth_root_enclosure
 from semireg.verify import enumerate_shapes
 
 from oracle_utils import (
+    LS_BITS_SCHEDULE,
     Interval,
+    c_enclosure,
     fraction_ls_lower,
-    fraction_quartic_positive_root,
     interval_l_accepts_degree,
+    interval_ls_refuses_degree,
     l_max_sign,
     l_sextic_peak,
     l_smallest_accepted_degree,
@@ -127,70 +129,6 @@ def test_quartic_discriminant_closed_form_matches_sympy():
     assert sympy.simplify(disc - (256 * b**3 - 27 * a**4)) == 0
 
 
-def test_integer_quartic_bisection_matches_fraction_reference():
-    # the corner quartics ls_lower bisects, at every width of its schedule
-    shapes = [SystemShape(24, 12), SystemShape(512, 256), SystemShape(32868, 32768),
-              SystemShape(65536, 32768), SystemShape(7, 6), *_grid_shapes()]
-    for shape in shapes:
-        a_sq = Fraction(shape.n * shape.n, 2 * shape.N)
-        for bits in _LS_BITS_SCHEDULE:
-            a_enc = sqrt_enclosure(a_sq, bits)
-            c_enc = DEFAULT_AIRY.c_enclosure(bits)  # b = -c
-            width = Fraction(1, 1 << (bits // 2))
-            for a, b in ((a_enc.lo, -c_enc.lo), (a_enc.hi, -c_enc.hi)):
-                br = _quartic_positive_root(a.as_integer_ratio(), b.as_integer_ratio(), width)
-                assert (br.lo, br.hi) == fraction_quartic_positive_root(a, b, width)
-
-
-def test_integer_quartic_bisection_exact_dyadic_root():
-    # w^4 - w/2 - 1/2 vanishes at w = 1, the first midpoint of [0, 2]
-    a, b = Fraction(1, 2), Fraction(-1, 2)
-    width = Fraction(1, 1 << 20)
-    assert fraction_quartic_positive_root(a, b, width) == (1, 1)
-    br = _quartic_positive_root((1, 2), (-1, 2), width)
-    assert br.exact and br.lo == br.hi == 1
-
-
-class _CountingBracket(DyadicBracket):
-    """A DyadicBracket that counts the exact evaluations of its sign_at."""
-
-    calls = 0
-
-    def __init__(self, sign_at, *args, **kwargs):
-        def counted(p, e):
-            _CountingBracket.calls += 1
-            return sign_at(p, e)
-
-        super().__init__(counted, *args, **kwargs)
-
-
-def test_seeded_quartic_root_costs_two_exact_evaluations(monkeypatch):
-    monkeypatch.setattr(bounds_mod, "DyadicBracket", _CountingBracket)
-    bits = _LS_BITS_SCHEDULE[0]  # the first width of the ls_lower schedule
-    width = Fraction(1, 1 << (bits // 2))
-    shapes = [SystemShape(24, 12), SystemShape(512, 256), SystemShape(32868, 32768),
-              *_grid_shapes()]
-    for shape in shapes:
-        a_enc = sqrt_enclosure(Fraction(shape.n * shape.n, 2 * shape.N), bits)
-        c_enc = DEFAULT_AIRY.c_enclosure(bits)  # b = -c
-        for a, b in ((a_enc.lo, -c_enc.lo), (a_enc.hi, -c_enc.hi)):
-            _CountingBracket.calls = 0
-            _quartic_positive_root(a.as_integer_ratio(), b.as_integer_ratio(), width)
-            assert 0 < _CountingBracket.calls <= 2, (shape, a, b)
-
-
-def test_seeded_window_settles_every_corner_quartic_of_verify_60(monkeypatch):
-    # the Cardano seed, descended by Newton, lands in the certified window of
-    # both corner quartics at the first step of the schedule, for every shape
-    narrowed, narrow = [], DyadicBracket.narrow
-    monkeypatch.setattr(DyadicBracket, "narrow",
-                        lambda self, guess, width: narrowed.append(narrow(self, guess, width))
-                        or narrowed[-1])
-    for shape in enumerate_shapes(60):
-        ls_lower(shape)
-    assert narrowed == [True] * 1740
-
-
 def test_ls_lower_certified_interval_tightness():
     # the certified floor agrees with the float closed form away from integers
     for shape in _grid_shapes():
@@ -206,6 +144,7 @@ def _ls_key(shape, airy=DEFAULT_AIRY):
 
 
 _NARROW_AIRY = AiryConstant(precision_radius=Fraction(1, 1000))
+_WIDE_AIRY = AiryConstant(precision_radius=Fraction(1, 2))
 
 
 @settings(max_examples=300, deadline=None)
@@ -218,9 +157,8 @@ def test_ls_lower_matches_the_fraction_floor_oracle(n, data):
 
 
 def test_ls_lower_matches_the_fraction_floor_oracle_where_flagged():
-    wide = AiryConstant(i1=Fraction("3.37213"), precision_radius=Fraction(1, 2))
     for (m, n) in [*_LS_FLAGGED_AT_RADIUS_1E3, (512, 256), (24, 12), (5, 4), (132, 24)]:
-        for airy in (DEFAULT_AIRY, _NARROW_AIRY, wide):
+        for airy in (DEFAULT_AIRY, _NARROW_AIRY, _WIDE_AIRY):
             shape = SystemShape(m, n)
             assert _ls_key(shape, airy) == fraction_ls_lower(shape, airy), (m, n, airy)
 
@@ -231,8 +169,7 @@ def _ls_flag_key(shape, airy):
 
 
 def test_ls_lower_near_boundary_with_huge_radius():
-    wide = AiryConstant(i1=Fraction("3.37213"), precision_radius=Fraction(1, 2))
-    out = ls_lower(SystemShape(512, 256), wide)
+    out = ls_lower(SystemShape(512, 256), _WIDE_AIRY)
     cert = out.certification
     assert cert.near_boundary
     assert cert.candidates is not None and len(cert.candidates) == 2
@@ -241,11 +178,11 @@ def test_ls_lower_near_boundary_with_huge_radius():
     for (m, n), key in {(512, 256): (27, True, (27, 29)), (24, 12): (3, True, (3, 4)),
                         (5, 4): (3, True, (3, 4)), (43, 35): (10, True, (10, 11)),
                         (132, 24): (3, False, None)}.items():
-        assert _ls_flag_key(SystemShape(m, n), wide) == key, (m, n)
+        assert _ls_flag_key(SystemShape(m, n), _WIDE_AIRY) == key, (m, n)
 
 
-# Every shape with N <= 120 whose ls_lower floor the schedule cannot pin at
-# precision radius 1/1000: (value, near_boundary, candidates).
+# Every shape with N <= 120 whose two Airy ends give ls_lower different
+# floors at precision radius 1/1000: (value, near_boundary, candidates).
 _LS_FLAGGED_AT_RADIUS_1E3 = {
     (43, 35): (10, True, (10, 11)), (47, 37): (10, True, (10, 11)),
     (51, 17): (3, True, (3, 4)), (53, 47): (14, True, (14, 15)),
@@ -262,6 +199,76 @@ def test_ls_lower_flagged_shapes_at_narrow_radius():
         if key[1]:
             flagged[shape.m, shape.n] = key
     assert flagged == _LS_FLAGGED_AT_RADIUS_1E3
+
+
+def _ls_ends(airy):
+    """The two ends of the Airy enclosure as (P, Q) pairs."""
+    return [(i.numerator, i.denominator) for i in airy.i1_enclosure()]
+
+
+def _ls_top(N, n, P, Q):
+    # the degree ls_lower proves refused at i1 = P/Q
+    return (n * n // N + P * P // (Q * Q)) // 2 + 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6), st.data())
+def test_ls_refuses_degree_matches_interval_oracle(n, data):
+    m = data.draw(st.one_of(st.integers(n + 1, 4 * n), st.integers(n + 1, n * n + 1)))
+    N = 2 * m - n
+    P, Q = data.draw(st.sampled_from(_ls_ends(DEFAULT_AIRY) + _ls_ends(_WIDE_AIRY)))
+    # f within two of the acceptance edge floor((w4^6 - 1) / 2), found in floats
+    w4 = _cardano_w4(n / math.sqrt(2 * N), -P / Q * 6.0 ** (-1.0 / 3.0))[2]
+    edge = math.floor((w4 ** 6 - 1) / 2)
+    f = data.draw(st.integers(max(0, edge - 2), edge + 2))
+    assert _ls_refuses_degree(N, n, P, Q, f) == interval_ls_refuses_degree(N, n, Fraction(P, Q), f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5000), st.data())
+def test_ls_acceptance_is_monotone(n, data):
+    # the premise of ls_lower's bisection: refusal reads False...False
+    # True...True over f = 0..top, and top itself is refused
+    m = data.draw(st.one_of(st.integers(n + 1, 4 * n), st.integers(n + 1, n * n + 1)))
+    N = 2 * m - n
+    P, Q = data.draw(st.sampled_from(_ls_ends(DEFAULT_AIRY) + _ls_ends(_WIDE_AIRY)))
+    refused = [_ls_refuses_degree(N, n, P, Q, f) for f in range(_ls_top(N, n, P, Q) + 1)]
+    assert refused[-1] and refused == sorted(refused)
+
+
+def test_ls_lower_is_one_integer_search_per_end(monkeypatch):
+    # no bracket step runs, and each end of the enclosure costs one bisection
+    def no_step(self):
+        raise AssertionError("ls_lower brackets no root")
+
+    probes, test = [], bounds_mod._ls_refuses_degree
+    monkeypatch.setattr(DyadicBracket, "step", no_step)
+    monkeypatch.setattr(bounds_mod, "_ls_refuses_degree",
+                        lambda *args: probes.append(args) or test(*args))
+    huge = [SystemShape(2**150 + 3, 2**150), SystemShape(10**309 + 1, 10**309)]
+    for airy in (DEFAULT_AIRY, _WIDE_AIRY,
+                 AiryConstant(i1=Fraction(10**50), precision_radius=Fraction(1, 3))):
+        top_end = _ls_ends(airy)[1]
+        for shape in [*enumerate_shapes(30), *huge]:
+            probes.clear()
+            ls_lower(shape, airy)
+            top = _ls_top(shape.N, shape.n, *top_end)
+            assert 1 <= len(probes) <= 2 * (top.bit_length() + 2), (shape, airy)
+
+
+@pytest.mark.parametrize("m,n", [(2**150 + 3, 2**150), (10**309 + 1, 10**309)],
+                         ids=["2^150", "10^309"])
+def test_ls_lower_floors_of_huge_shapes_match_interval_oracle(m, n):
+    # each reported floor is accepted, and the next degree refused, by the
+    # interval oracle at its own end of the Airy enclosure
+    out = ls_lower(SystemShape(m, n))
+    cert = out.certification
+    floors = (out.value - 1, (cert.candidates[1] if cert.near_boundary else out.value) - 1)
+    N = 2 * m - n
+    for f, i1 in zip(floors, DEFAULT_AIRY.i1_enclosure()):
+        assert f > 0
+        assert not interval_ls_refuses_degree(N, n, i1, f)
+        assert interval_ls_refuses_degree(N, n, i1, f + 1)
 
 
 def test_ls_lower_root_bound_figure_value():
@@ -284,11 +291,28 @@ def test_airy_constant_validation():
         AiryConstant(i1=Fraction(-1))
     with pytest.raises(ValueError):
         AiryConstant(precision_radius=Fraction(-1, 10))
-    # a radius reaching i1 lets c's enclosure touch zero, where the quartic
-    # w^4 - a w + b of ls_lower loses its b < 0
+    # a radius reaching i1 lets the enclosure of c touch zero, where the
+    # per-degree test of ls_lower loses its c > 0
     for i1, radius in ((Fraction(1), Fraction(1)), (Fraction("3.37213"), Fraction(10))):
         with pytest.raises(ValueError):
             AiryConstant(i1=i1, precision_radius=radius)
+
+
+def test_airy_constant_takes_its_fields_exactly():
+    # a float or an int is read as the Fraction of equal value, so the
+    # outcome is the same, and a float i1 no longer crashes ls_lower
+    shapes = [SystemShape(24, 12), SystemShape(512, 256), SystemShape(43, 35)]
+    for i1, radius in ((3.5, 0.5), (3, 0), (3.37213, 2.0 ** -10)):
+        airy, exact = AiryConstant(i1, radius), AiryConstant(Fraction(i1), Fraction(radius))
+        assert airy == exact and all(type(x) is Fraction for x in airy)
+        assert [ls_lower(s, airy) for s in shapes] == [ls_lower(s, exact) for s in shapes]
+    assert ls_lower(SystemShape(24, 12), AiryConstant(i1=3.37213)).value == 4
+    with pytest.raises(ValueError):
+        AiryConstant(i1=math.nan)
+    with pytest.raises(ValueError):
+        AiryConstant(precision_radius=math.nan)
+    with pytest.raises(OverflowError):
+        AiryConstant(i1=math.inf)
 
 
 @pytest.mark.parametrize("airy", [
@@ -299,12 +323,12 @@ def test_airy_constant_validation():
     AiryConstant(i1=Fraction(10**50), precision_radius=Fraction(1, 3)),
 ], ids=["default", "radius-0", "radius-1/2", "radius-near-i1", "huge-i1"])
 def test_c_enclosure_is_the_corner_product(airy):
-    # c = 6^(-1/3) i1 from two non-negative intervals, end by end; the oracle
-    # takes the smallest and largest of all four corner products
-    for bits in _LS_BITS_SCHEDULE:
+    # the oracle's c = 6^(-1/3) i1 from two non-negative intervals, end by
+    # end, against the smallest and largest of all four corner products
+    for bits in LS_BITS_SCHEDULE:
         root = Interval.of(nth_root_enclosure(Fraction(1, 6), 3, bits))
         corners = root * Interval.of(airy.i1_enclosure())
-        c = airy.c_enclosure(bits)
+        c = c_enclosure(airy, bits)
         assert (c.lo, c.hi) == (corners.lo, corners.hi)
 
 
@@ -540,7 +564,8 @@ def _domain_error(a, b):
 
 @pytest.mark.parametrize("refuse", ["narrow", "closed form", math.nan, math.inf, 1.5])
 def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
-    # a refused or wrong seed costs bisection steps, never a different outcome
+    # the bounds read no float: a refused seeded window, or a Cardano closed
+    # form that fails or returns a wrong w4, changes no outcome
     shapes = list(enumerate_shapes(40))
     expected = [_bound_keys(shape) for shape in shapes]
     if refuse == "narrow":
@@ -548,7 +573,7 @@ def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
     elif refuse == "closed form":
         monkeypatch.setattr(bounds_mod, "_cardano_w4", _domain_error)
     else:
-        monkeypatch.setattr(bounds_mod, "newton_seed", lambda f, x, direction: refuse)
+        monkeypatch.setattr(bounds_mod, "_cardano_w4", lambda a, b: (refuse,) * 3)
     assert [_bound_keys(shape) for shape in shapes] == expected
 
 

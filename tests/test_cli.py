@@ -341,8 +341,8 @@ def test_airy_i1_rejects_non_positive_rationals(capsys, i1):
 
 @pytest.mark.parametrize("i1", ["1e50", "1e120", "1e400"])
 def test_airy_i1_huge_still_certifies_ls_lower(capsys, i1):
-    # the quartic's float seed overflows or cancels at such i1 and is refused;
-    # the certified bound is still reported, and the sandwich breaks loudly
+    # no float is formed from such i1: the certified bound is still
+    # reported, and the sandwich breaks loudly
     code, out, err = run_cli(capsys, "bounds", "24", "12", "--airy-i1", i1)
     assert code == 1
     assert "LS lower >= " in out

@@ -69,20 +69,12 @@ def test_fields_cannot_be_assigned(make, text):
             setattr(record, field, getattr(record, field))
 
 
-@pytest.mark.parametrize("make, text", [r for r in RECORDS if "Airy" not in r[1]],
-                         ids=[i for i in IDS if i != "AiryConstant"])
+@pytest.mark.parametrize("make, text", RECORDS, ids=IDS)
 def test_records_carry_no_instance_dict(make, text):
     record = make()
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
         record.extra = 1
-
-
-def test_airy_constant_keeps_its_own_enclosure_table():
-    a, b = AiryConstant(), AiryConstant()
-    assert a == b and a._c_by_bits is not b._c_by_bits
-    c = a.c_enclosure(48)
-    assert a._c_by_bits == {48: c} and a.c_enclosure(48) is c and b._c_by_bits == {}
 
 
 def test_different_fields_mean_different_records():

@@ -566,3 +566,24 @@ def test_eigen_sign_matches_the_sturm_count(point):
     count, singular = sturm_count_below(N, k, p, e)
     expected = 1 if count == k else 0 if singular and count == k - 1 else -1
     assert _sign(roots_mod._eigen_sign(N, k, p, e)) == expected
+
+
+def _leading_minor(N, k, p, e):
+    """2^(k e) det(x I - T_k) at x = p / 2^e: `_eigen_sign`'s recurrence, no early exit."""
+    prev, cur = 1, p
+    for j in range(1, k):
+        prev, cur = cur, p * cur - (j * (N - j + 1) * prev << 2 * e)
+    return cur
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_leading_minor_is_the_root_kernel_at_the_mirrored_point(data):
+    # the eigenvalue route is the root route under lambda = N - 2x: the k-th
+    # leading minor at p / 2^e, times 2^k, is the root kernel's integer at
+    # x = (N 2^e - p) / 2^(e + 1)
+    N = data.draw(st.integers(1, 200), label="N")
+    k = data.draw(st.integers(1, N), label="k")
+    e = data.draw(st.integers(0, 40), label="e")
+    p = data.draw(st.integers(-N << e, N << e), label="p")
+    assert _leading_minor(N, k, p, e) << k == roots_mod._sign_at_dyadic(N, k, (N << e) - p, e + 1)
