@@ -10,8 +10,11 @@ at its first non-positive coefficient, and the degree of regularity is the
 index of that coefficient.  Every truncation index is decided with exact
 integer arithmetic.  A float may *seed* one (`_root_seed` proposes where the
 transposed search of `degree_of_regularity_exact` looks first), but only
-exact signs decide it.  This module is the base of the package: it imports
-no other module of it but `intervals`.
+exact signs decide it.  `_root_seed` is the package's one Newton seed, for
+this search and for the root and eigenvalue brackets of `roots`, and the one
+place where a seed's floats are formed: a seed that cannot be formed is NaN.
+This module is the base of the package: it imports no other module of it
+but `intervals`.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import partial
+from fractions import Fraction
 from itertools import islice
 
-from .intervals import integer_bisect, newton_seed
+from .intervals import integer_bisect
 
 __all__ = [
     "SystemShape",
@@ -160,10 +163,8 @@ def _transposed_dreg(N: int, t: int) -> int:
 
     # c_0..c_t > 0 stands in for (a) at t; (a) fails where K_1 = N - 2x <= 0
     lo, hi = t, (N + 1) // 2
-    try:  # a seed that is not finite, or N past the float range, starts at lo
-        x = min(max(math.floor(_root_seed(N, t, 0.0, N / 2)), lo), hi - 1)
-    except (ArithmeticError, ValueError):
-        x = lo
+    seed = _root_seed(N, t)  # NaN past the float range: start at lo
+    x = min(max(math.floor(seed), lo), hi - 1) if math.isfinite(seed) else lo
     # probe x and x + 1, gallop away from x in doubling steps while the
     # answer lies further out, then bisect what is left
     step = 1
@@ -205,22 +206,43 @@ def _krawtchouk_slope(N: int, k: int, x: float) -> tuple[float, float]:
     return cur, dcur
 
 
-def _root_seed(N: int, k: int, lo: float, hi: float) -> float:
-    """Float estimate of d_k^N(1) in [lo, hi] by Newton's method.
+def _root_seed(N: int, k: int, lo: Fraction | float = 0,
+               hi: Fraction | None = None) -> float:
+    """Float estimate of d_k^N(1) in [lo, hi] (hi = N / 2 if None) by Newton's method.
 
     It starts at kz_root_bound, which is below d_k(1), when 2k < N and the
     bound lies inside, else at lo, which a caller with a better start passes
     in (the root chain's warm start).  K_k has k real roots, so from any x
     left of the smallest one the Newton steps 1 / sum(1 / (r_i - x)) are
     positive and shrink as the iterates climb to it; from x just right of
-    it the first step points down and x comes back unmoved.  Iteration
-    stops once a step is at most 2^-40 max(1, |x|) (`newton_seed`).  Only
-    a seed: nothing is decided from this value.
+    it the first step points down and x comes back unmoved, as it does at
+    the first step that does not shrink, where rounding has taken over.
+    Iteration stops right after a step of at most 2^-40 max(1, |x|): Newton
+    converges quadratically there, so a further step would move x by about
+    the square of that, below a float's rounding.  Every float is formed
+    here, so N or an end past the float range gives NaN.  Only a seed:
+    nothing is decided from this value.
     """
-    x = kz_root_bound(N, k) if 2 * k < N else lo
-    if not lo < x < hi:
-        x = lo
-    return newton_seed(partial(_krawtchouk_slope, N, k), x, 1)
+    try:
+        lo = float(lo)
+        hi = N / 2 if hi is None else float(hi)
+        x = kz_root_bound(N, k) if 2 * k < N else lo
+        if not lo < x < hi:
+            x = lo
+        size = math.inf
+        while True:
+            value, slope = _krawtchouk_slope(N, k, x)
+            if not slope:
+                return x
+            step = -value / slope
+            if not 0 < step < size:
+                return x
+            size = step
+            x += step
+            if step <= 2.0 ** -40 * max(1.0, abs(x)):
+                return x
+    except (ArithmeticError, ValueError):
+        return math.nan
 
 
 def kz_root_bound(N: int, k: int) -> float:

@@ -4,7 +4,8 @@ Everything here manipulates pairs of exact rationals [lo, hi] guaranteed to
 contain the target real number.  Widths shrink as the `bits` argument grows;
 nothing is ever rounded in an uncontrolled direction.  Every certified root
 is located by DyadicBracket, every edge of a monotone integer predicate by
-`integer_bisect`.
+`integer_bisect`.  The one float that enters is a caller's guess, which
+`DyadicBracket.narrow` tries as a window and two exact signs accept or refuse.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 __all__ = ["iroot", "integer_bisect", "Enclosure", "DyadicBracket", "positive_width",
-           "newton_seed", "sqrt_enclosure", "nth_root_enclosure"]
+           "sqrt_enclosure", "nth_root_enclosure"]
 
 
 def iroot(x: int, r: int) -> int:
@@ -121,12 +122,6 @@ class DyadicBracket:
     def enclosure(self) -> Enclosure:
         return Enclosure(self.lo, self.hi)
 
-    def _width_sign(self, width: Fraction) -> int:
-        """Sign of (hi - lo - width), compared in integers."""
-        a = (self.num_hi - self.num_lo) * width.denominator
-        b = width.numerator << self.e
-        return (a > b) - (a < b)
-
     def _steps_to(self, width: Fraction) -> int:
         """Bisection steps until the width is at most `width` (0 if it already is).
 
@@ -159,25 +154,19 @@ class DyadicBracket:
         self.e += 1
         self._cut(mid, sign)
 
-    def refine(self, width: Fraction | float,
-               seed: Callable[[], float] | None = None) -> None:
+    def refine(self, width: Fraction | float, guess: float = math.nan) -> None:
         """Narrow until the width is at most `width` or the root is hit.
 
         `width` is taken exactly as a Fraction and must be positive.  While
-        the bracket is wider than `width`, the float guess of `seed()` is
-        tried first through `narrow`; a refused guess, or a seed that fails
-        in float arithmetic, leaves the work to bisection, whose step count
-        `_steps_to` reads off the bracket once.
+        the bracket is wider than `width`, the float `guess` is tried first
+        through `narrow`; a refused guess (NaN, the default, always is)
+        leaves the work to bisection, whose step count `_steps_to` reads off
+        the bracket once.
         """
         width = positive_width(width)
         steps = self._steps_to(width)
-        if steps and seed is not None:
-            try:
-                guess = seed()
-            except (ArithmeticError, ValueError):
-                guess = math.nan
-            if self.narrow(guess, width):
-                steps = self._steps_to(width)
+        if steps and self.narrow(guess, width):
+            steps = self._steps_to(width)
         for _ in range(steps):
             self.step()
 
@@ -229,7 +218,7 @@ class DyadicBracket:
                 return 1
             if x_num >= self.num_hi:
                 return -1
-            if self._width_sign(width) > 0:
+            if self._steps_to(width):
                 self.step()
             else:
                 self._cut(x_num, self.sign_at(x, 0))
@@ -244,36 +233,6 @@ def positive_width(width: Fraction | float) -> Fraction:
     if width.numerator <= 0:
         raise ValueError(f"requires a positive width; got {width}")
     return width
-
-
-_NEWTON_STOP = 2.0 ** -40
-
-
-def newton_seed(f: Callable[[float], tuple[float, float]], x: float,
-                direction: int) -> float:
-    """Float Newton iterates of f from x, moving in `direction` (+1 up, -1 down).
-
-    f(x) returns (value, slope).  Started on the side of a root where the
-    iterates approach it monotonically, each step -value/slope moves x toward
-    the root and shrinks; iteration stops at the first step that does not
-    move in `direction` or does not shrink, where rounding has taken over,
-    and right after a step of at most 2^-40 max(1, |x|): Newton converges
-    quadratically there, so a further step would move x by about the square
-    of that on the same scale, below a float's rounding.  Only a seed:
-    nothing is decided from this value.
-    """
-    size = math.inf
-    while True:
-        value, slope = f(x)
-        if not slope:
-            return x
-        step = -value / slope
-        if not 0 < direction * step < size:
-            return x
-        size = direction * step
-        x += step
-        if size <= _NEWTON_STOP * max(1.0, abs(x)):
-            return x
 
 
 def sqrt_enclosure(x: Fraction | int, bits: int) -> Enclosure:

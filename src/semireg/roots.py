@@ -16,15 +16,16 @@ Both signs run the cleared recurrence of `krawtchouk.cleared_values` in one
 loop that keeps only its last two values and multiplies by 4^e as a shift.
 
 All evaluation points are dyadic rationals, so every sign is an exact
-integer computation.  Floats only seed: a Newton estimate of d_k(1) on the
-package's one float recurrence, `exact._krawtchouk_slope`, picks a short
-dyadic window (`DyadicBracket.narrow`), which is used only when two exact
-signs certify it, and bisection takes over when they do not; no decision
-reads a float.  A chain built after those of N - 1 and N - 2 starts Newton
-from their seeds (`_RootChain._seed`): d_k^(N-1)(1) is provably left of
-d_k^N(1), and the extrapolation through both is tried first.  Newton stops
-right after a step of at most 2^-40 max(1, |x|), so a seed takes about half
-the float evaluations of a cold start.
+integer computation.  Floats only seed: `exact._root_seed`, the package's
+one Newton seed, estimates d_k(1) once, when its bracket is made, and picks
+a short dyadic window (`DyadicBracket.narrow`), which is used only when two
+exact signs certify it; bisection takes over when they do not, and no
+decision reads a float.  Refining the bracket, and the bracket of lambda_k,
+reuse that seed (`_RootChain.seeds`).  A chain built after those of N - 1
+and N - 2 starts Newton from their seeds (`_RootChain._seed`): d_k^(N-1)(1)
+is provably left of d_k^N(1), and the extrapolation through both is tried
+first, so a seed takes about half the float evaluations of a cold start.
+A seed that cannot be formed is NaN, and bisection alone encloses the root.
 """
 
 from __future__ import annotations
@@ -103,12 +104,6 @@ def _root_sign(N: int, k: int):
     return sign
 
 
-def _guess_in(N: int, k: int, br: DyadicBracket) -> float:
-    """Newton seed for d_k(1) from the float endpoints of its bracket."""
-    scale = 1 << br.e
-    return _root_seed(N, k, br.num_lo / scale, br.num_hi / scale)
-
-
 class _RootChain:
     """Enclosures of d_k^N(1) for k = 1, 2, ... built through interlacing.
 
@@ -120,7 +115,7 @@ class _RootChain:
     def __init__(self, N: int):
         self.N = N
         self._brackets: list[DyadicBracket] = []
-        self.seeds: dict[int, float] = {}  # k >= 2: the float seed of d_k(1), for lambda_k
+        self.seeds: dict[int, float] = {}  # k >= 2: the float seed of d_k(1), kept to refine
         # the seeds of the chains of N - 1 and N - 2, set by a caller that built them
         self.warm: tuple[dict[int, float], dict[int, float]] = ({}, {})
 
@@ -138,9 +133,9 @@ class _RootChain:
         made at: made from the refined bracket, it would start at that
         exponent, and refining k by k would add the width's bits every k.
         """
-        N, br = self.N, self.bracket(k)
-        self.bracket(min(k + 1, N))
-        br.refine(width, lambda: _guess_in(N, k, br))
+        br = self.bracket(k)
+        self.bracket(min(k + 1, self.N))
+        br.refine(width, self.seeds.get(k, math.nan))  # k = 1 is exact
         return br
 
     def _extend(self) -> None:
@@ -186,12 +181,11 @@ class _RootChain:
         """
         last = self.warm[0].get(k)
         if last is None:
-            return _guess_in(self.N, k, br)
-        hi = br.num_hi / (1 << br.e)
+            return _root_seed(self.N, k, br.lo, br.hi)
         start = 2 * last - self.warm[1].get(k, last)
-        seed = _root_seed(self.N, k, start, hi)
+        seed = _root_seed(self.N, k, start, br.hi)
         if seed == start != last:
-            seed = _root_seed(self.N, k, last, hi)
+            seed = _root_seed(self.N, k, last, br.hi)
         return seed
 
 
@@ -271,9 +265,11 @@ def _eigen_brackets(N: int) -> dict[int, DyadicBracket]:
 def _refine_eigen(N: int, k: int, bracket: DyadicBracket, width: Fraction | float,
                   root_seed: float) -> DyadicBracket:
     """The bracket of lambda_k (k >= 2), refined to `width`."""
-    # lambda_k = N - 2 d_k(1) < N: the root's float seed seeds the
-    # eigenvalue, kept below N where a tiny root would round it onto N
-    bracket.refine(width, lambda: min(N - 2 * root_seed, math.nextafter(N, 0)))
+    # lambda_k = N - 2 d_k(1) < N: the root's float seed seeds the eigenvalue,
+    # kept below N where a tiny root would round it onto N.  A finite seed
+    # means `_root_seed` formed float(N); a NaN one is refused by `narrow`.
+    guess = min(N - 2 * root_seed, math.nextafter(N, 0)) if math.isfinite(root_seed) else math.nan
+    bracket.refine(width, guess)
     return bracket
 
 
@@ -287,8 +283,7 @@ def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) 
     if k == 1:
         positive_width(width)  # refused like any k, though lambda_1 = 0 is exact
         return Enclosure.point(0)
-    return _refine_eigen(N, k, _eigen_bracket(N, k), width,
-                         _root_seed(N, k, 0.0, N / 2)).enclosure()
+    return _refine_eigen(N, k, _eigen_bracket(N, k), width, _root_seed(N, k)).enclosure()
 
 
 def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:

@@ -1,6 +1,7 @@
 """Tests for the exact coefficient stream and degree of regularity."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +15,7 @@ from semireg.exact import (
     f5_cost_log2,
     hilbert_truncation,
 )
+from semireg.krawtchouk import KrawtchoukParams, eval_exact
 
 from oracle_utils import (alternating_sum_value, convolution_coefficient, direct_stream_dreg,
                           exact_f5_cost_log2, expand_product, pascal_binomial)
@@ -218,9 +220,9 @@ def test_transposed_route_survives_a_refused_seed(monkeypatch, seed, m, n):
     shape = SystemShape(m, n)
     expected = direct_stream_dreg(shape)
     assert shape.t < expected  # the transposed search runs
-    guess = seed(exact_mod._root_seed(shape.N, shape.t, 0.0, shape.N / 2), shape.N)
+    guess = seed(exact_mod._root_seed(shape.N, shape.t), shape.N)
     probes = _counted_probes(monkeypatch)
-    monkeypatch.setattr(exact_mod, "_root_seed", lambda N, k, lo, hi: guess)
+    monkeypatch.setattr(exact_mod, "_root_seed", lambda N, k: guess)
     assert degree_of_regularity_exact(shape) == expected
     assert probes  # decided by exact probes, whatever the seed said
 
@@ -252,6 +254,62 @@ def test_transposed_route_refuses_a_positive_tail(monkeypatch):
     monkeypatch.setattr(exact_mod, "krawtchouk_stream", corrupted)
     with pytest.raises(AssertionError, match="non-positive"):
         degree_of_regularity_exact(shape)
+
+
+# ---------------------------------------------------------------- root seed
+#
+# _root_seed(N, k, lo, hi) is the package's one Newton seed: float iterates
+# climbing to d_k^N(1) from its left, NaN where its floats cannot be formed.
+
+
+def _recorded_slopes(monkeypatch):
+    """The points at which _root_seed evaluates the float recurrence."""
+    points = []
+    slope = exact_mod._krawtchouk_slope
+
+    def recorded(N, k, x):
+        points.append(x)
+        return slope(N, k, x)
+
+    monkeypatch.setattr(exact_mod, "_krawtchouk_slope", recorded)
+    return points
+
+
+@pytest.mark.parametrize("N,k", [(36, 3), (36, 20), (200, 150), (512, 511)])
+def test_root_seed_stops_after_a_step_of_2_pow_minus_40(monkeypatch, N, k):
+    # each step climbs from one evaluation to the next; the last is at most
+    # 2^-40 max(1, |x|) (absolute below one: d_511^512(1) is about 1e-149),
+    # so no evaluation follows it
+    points = _recorded_slopes(monkeypatch)
+    x = exact_mod._root_seed(N, k)
+    steps = [(b - a, b) for a, b in zip(points, points[1:] + [x])]
+    assert all(0 < step for step, _ in steps)
+    assert steps[-1][0] <= 2.0 ** -40 * max(1.0, x)
+    assert all(step > 2.0 ** -40 * max(1.0, b) for step, b in steps[:-1])
+    # K_k changes sign within 1e-4 x of the seed, so d_k(1) is there (past
+    # k = N/2 the float recurrence loses digits: d_150^200(1) to about 1e-5)
+    kernel, r = KrawtchoukParams(N, k), Fraction(x)
+    assert eval_exact(kernel, r * (1 - Fraction(1, 10**4))) > 0
+    assert eval_exact(kernel, r * (1 + Fraction(1, 10**4))) < 0
+
+
+def test_root_seed_returns_a_start_right_of_the_root_unmoved(monkeypatch):
+    # d_3^36(1) = (36 - sqrt(106)) / 2 = 12.85...: from 13 the first step
+    # points down, which the root chain's warm start reads as "the start lies
+    # right of the root"
+    points = _recorded_slopes(monkeypatch)
+    assert exact_mod._root_seed(36, 3, 13.0, Fraction(18)) == 13.0
+    assert points == [13.0]
+
+
+@pytest.mark.parametrize("N,k,lo,hi", [
+    (10**400, 2, 0, None),  # N / 2 past the float range
+    (10**400, 2, 0, Fraction(10**400, 3)),  # a bracket end past it
+    (3 * 10**308, 2, 0, None),  # N / 2 is a float, N is not
+    (3 * 10**308, 3 * 10**308, 1.0, Fraction(10**300)),  # the recurrence's float(N)
+])
+def test_root_seed_past_the_float_range_is_nan(N, k, lo, hi):
+    assert math.isnan(exact_mod._root_seed(N, k, lo, hi))
 
 
 # ---------------------------------------------------------------- F5 cost

@@ -11,7 +11,6 @@ from semireg.intervals import (
     Enclosure,
     integer_bisect,
     iroot,
-    newton_seed,
     nth_root_enclosure,
     sqrt_enclosure,
 )
@@ -190,16 +189,6 @@ def _width_target(data, width: Fraction, e: int) -> Fraction:
 @settings(max_examples=400, deadline=None)
 @given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 1 << 80),
        st.integers(0, 300), st.data())
-def test_width_sign_matches_the_fraction_comparison(num_lo, span, e, data):
-    br = DyadicBracket(lambda p, e: 1, num_lo, num_lo + span, e)
-    w = br.hi - br.lo
-    width = _width_target(data, w, e)
-    assert br._width_sign(width) == (w > width) - (w < width)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 1 << 80),
-       st.integers(0, 300), st.data())
 def test_steps_to_matches_halving_the_fraction_width(num_lo, span, e, data):
     # refine counts its bisection steps up front: each step halves the width
     br = DyadicBracket(lambda p, e: 1, num_lo, num_lo + span, e)
@@ -209,46 +198,6 @@ def test_steps_to_matches_halving_the_fraction_width(num_lo, span, e, data):
     while w > width:
         w, steps = w / 2, steps + 1
     assert br._steps_to(width) == steps
-
-
-# ---------------------------------------------------------------- newton_seed
-
-
-def _recorded_newton(f):
-    """f, and the list of points it is evaluated at."""
-    points = []
-
-    def recorded(x):
-        points.append(x)
-        return f(x)
-
-    return recorded, points
-
-
-def test_newton_seed_stops_after_a_step_of_2_pow_minus_40():
-    # sqrt(2) from above: the steps shrink 0.5, 0.083, ..., 1.6e-12, 1.6e-24;
-    # the last is at most 2^-40 x, so no evaluation follows it
-    f, points = _recorded_newton(lambda x: (x * x - 2, 2 * x))
-    x = newton_seed(f, 2.0, -1)
-    steps = [a - b for a, b in zip(points, points[1:] + [x])]
-    assert steps[-1] <= 2.0 ** -40 * x
-    assert all(step > 2.0 ** -40 * x for step in steps[:-1])
-    assert abs(x - math.sqrt(2)) <= 2 * math.ulp(math.sqrt(2))
-
-
-def test_newton_seed_stop_is_absolute_below_one():
-    # a root at 1e-20: the first step is below 2^-40, so one evaluation
-    f, points = _recorded_newton(lambda x: (x - 1e-20, 1.0))
-    assert newton_seed(f, 0.0, 1) == 1e-20
-    assert points == [0.0]
-
-
-def test_newton_seed_returns_a_start_past_the_root_unmoved():
-    # the first step points against `direction`: the root chain's warm start
-    # reads this as "the start lies right of the root"
-    f, points = _recorded_newton(lambda x: (x * x - 2, 2 * x))
-    assert newton_seed(f, 1.5, 1) == 1.5
-    assert points == [1.5]
 
 
 # ---------------------------------------------------------------- compare
@@ -404,30 +353,24 @@ def test_narrow_collapses_onto_an_exact_root():
     assert br.exact and br.lo == br.hi == Fraction(3, 2)
 
 
-def _overflowing_seed():
-    return 1e300 ** 2
-
-
-def _domain_error_seed():
-    return math.sqrt(-1.0)
-
-
-@pytest.mark.parametrize("seed, evaluations", [
-    (lambda: 2 ** 0.5, 2),  # accepted window: two exact signs
-    (lambda: 1.5, 1 + 22),  # refused by one sign, then bisection of [0, 4]
-    (_overflowing_seed, 22),  # refused without evaluating
-    (_domain_error_seed, 22),  # a ValueError is refused the same way
-])
-def test_refine_tries_the_seed_then_bisects(seed, evaluations):
+@pytest.mark.parametrize("guess, evaluations", [
+    (2 ** 0.5, 2),  # accepted window: two exact signs
+    (1.5, 1 + 22),  # refused by one sign, then bisection of [0, 4]
+    (math.nan, 22),  # refused without evaluating: the default guess
+    (math.inf, 22),
+], ids=["accepted", "refused", "nan", "inf"])
+def test_refine_tries_the_guess_then_bisects(guess, evaluations):
     sign_at, points = _recording(_square_sign(2, 1))
     br = DyadicBracket(sign_at, 0, 4, 0)
     width = Fraction(1, 1 << 20)
-    br.refine(width, seed)
+    br.refine(width, guess)
     assert len(points) == evaluations
     assert br.hi - br.lo == width and br.lo ** 2 < 2 < br.hi ** 2
 
 
 def test_refine_calls_no_seed_on_a_narrow_bracket():
-    br = DyadicBracket(_square_sign(2, 1), 0, 4, 0)
-    br.refine(Fraction(4), lambda: pytest.fail("seed called"))
-    assert (br.num_lo, br.num_hi, br.e) == (0, 4, 0)
+    # the guess 2 ** 0.5 would be accepted, but nothing is left to narrow
+    sign_at, points = _recording(_square_sign(2, 1))
+    br = DyadicBracket(sign_at, 0, 4, 0)
+    br.refine(Fraction(4), 2 ** 0.5)
+    assert points == [] and (br.num_lo, br.num_hi, br.e) == (0, 4, 0)

@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import semireg.exact
 import semireg.roots as roots_mod
 from semireg.exact import SystemShape, degree_of_regularity_exact
+from semireg.intervals import Enclosure
 from semireg.krawtchouk import KrawtchoukParams, cleared_values, eval_exact, eval_integer
 from semireg.roots import (
+    DEFAULT_WIDTH,
     dreg_via_eigenvalues,
     dreg_via_roots,
     largest_eigenvalue,
@@ -318,10 +321,10 @@ def bisected():
 
 
 @pytest.mark.parametrize("seed", [
-    lambda N, k, lo, hi: lo + 0.375,  # wrong: a window away from the root
-    lambda N, k, lo, hi: math.nan,
-    lambda N, k, lo, hi: math.inf,
-    lambda N, k, lo, hi: -1.0,        # outside every root and eigenvalue bracket
+    lambda N, k, lo=0, hi=None: lo + 0.375,  # wrong: a window away from the root
+    lambda N, k, lo=0, hi=None: math.nan,
+    lambda N, k, lo=0, hi=None: math.inf,
+    lambda N, k, lo=0, hi=None: -1.0,        # outside every root and eigenvalue bracket
 ], ids=["wrong", "nan", "inf", "outside"])
 def test_bad_float_seed_falls_back_to_bisection(monkeypatch, bisected, seed):
     accepted = []
@@ -380,7 +383,7 @@ def test_warm_start_right_of_the_root_restarts_at_the_last_root(monkeypatch):
     starts = []
     real = roots_mod._root_seed
 
-    def recorded(N, k, lo, hi):
+    def recorded(N, k, lo=0, hi=None):
         starts.append((k, lo))
         return real(N, k, lo, hi)
 
@@ -389,6 +392,64 @@ def test_warm_start_right_of_the_root_restarts_at_the_last_root(monkeypatch):
     assert [lo for k, lo in starts if k == 5] == [root + 0.01, last]
     assert abs(chain.seeds[5] - root) < 1e-9
     assert br.hi - br.lo == SEED_WIDTH and br.lo < Fraction(root) < br.hi
+
+
+def test_refining_a_made_bracket_runs_no_newton(monkeypatch):
+    # each bracket keeps the seed it was made with; refining past its 2^-20
+    # window tries that float again, so no float recurrence runs
+    chain = roots_mod._RootChain(36)
+    chain.bracket(36)
+    evaluations = []
+    real = roots_mod._sign_at_dyadic
+
+    def counted(*args):
+        evaluations.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(semireg.exact, "_krawtchouk_slope",
+                        lambda N, k, x: pytest.fail("Newton ran"))
+    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", counted)
+    width = Fraction(1, 1 << 40)
+    for k in range(1, 37):
+        assert chain.refine(k, width).enclosure().width <= width
+    assert len(evaluations) <= 2 * 35  # the kept seeds' windows are accepted
+
+
+def _encloses_sqrt(lo, hi, N):
+    """lo <= sqrt(N) <= hi for rationals 0 <= lo <= hi, by integer comparisons."""
+    return (lo.numerator ** 2 <= N * lo.denominator ** 2
+            and N * hi.denominator ** 2 <= hi.numerator ** 2)
+
+
+def test_smallest_root_past_the_float_range():
+    # K_2(x) = ((N - 2x)^2 - N) / 2, so d_2(1) = (N - sqrt(N)) / 2; the float
+    # seed cannot be formed at this N and bisection alone encloses the root
+    N = 10**400
+    enc = smallest_root(N, 2)
+    assert enc.width <= DEFAULT_WIDTH and 0 <= N - 2 * enc.hi
+    assert _encloses_sqrt(N - 2 * enc.hi, N - 2 * enc.lo, N)
+
+
+def test_largest_eigenvalue_past_the_float_range():
+    # T_2 = [[0, sqrt(N)], [sqrt(N), 0]]
+    N = 10**400
+    enc = largest_eigenvalue(N, 2)
+    assert enc.width <= DEFAULT_WIDTH and _encloses_sqrt(enc.lo, enc.hi, N)
+
+
+def test_smallest_root_chain_past_the_float_range():
+    # K_2 and K_3 in s = N - 2x are (s^2 - N) / 2 and s (s^2 - 3N + 2) / 6;
+    # d_1(1) = N / 2 and d_2(1) = (N - 2^550) / 2 are exact points
+    N = 2**1100
+    kernels = [lambda s: s * s - N, lambda s: s * (s * s - 3 * N + 2)]
+    chain = smallest_root_chain(N, 3)
+    assert chain[:2] == [Enclosure.point(Fraction(N, 2)), Enclosure.point((N - 2**550) // 2)]
+    for kernel, upper, enc in zip(kernels, chain, chain[1:]):
+        assert 0 < enc.lo <= enc.hi < upper.lo and enc.width <= DEFAULT_WIDTH
+        if enc.is_point:
+            assert kernel(N - 2 * enc.lo) == 0
+        else:
+            assert kernel(N - 2 * enc.lo) > 0 > kernel(N - 2 * enc.hi)
 
 
 # ---------------------------------------------------------------- tiny-root signs
