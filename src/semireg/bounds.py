@@ -220,6 +220,17 @@ def _cardano_w4(a: float, b: float) -> tuple[float, float, float]:
     return t_value, u, (math.sqrt(u) + math.sqrt(2 * a / math.sqrt(u) - u)) / 2
 
 
+def _cube_field_norm(p: int, q: int, A: int, B: int, C: int) -> int:
+    """q^2 alpha alpha' alpha'' for alpha = A + B mu + C mu^2, mu^3 = p/q > 0.
+
+    The conjugates alpha', alpha'' (mu -> w mu, w^2 mu over the cube roots of
+    unity w, w^2) multiply to |alpha'|^2, and Im alpha' = (sqrt(3)/2) mu
+    (B - C mu).  So where a caller shows B != C mu, the norm has the sign of
+    alpha and is zero exactly when alpha is.
+    """
+    return q * q * A ** 3 + p * q * B ** 3 + p * p * C ** 3 - 3 * p * q * A * B * C
+
+
 def _ls_refuses_degree(N: int, n: int, P: int, Q: int, f: int) -> bool:
     """Whether y^4 - a y - c > 0 at y = v^(1/6), v = 2f + 1, for i1 = P/Q > 0.
 
@@ -228,20 +239,16 @@ def _ls_refuses_degree(N: int, n: int, P: int, Q: int, f: int) -> bool:
     squared, divided by y^2 and scaled by 2N v Q^2, with mu = (v/6)^(1/3)
     (so y^2 = 6^(1/3) mu, c y^2 = (P/Q) mu and c^2 / y^2 = (P/Q)^2 mu^2 / v),
     acceptance reads alpha = A + B mu + C mu^2 <= 0 with
-    A = (2Nv - n^2) v Q^2, B = -4N P Q v and C = 2N P^2.  As in
-    `_l_degree_norm`, 36 alpha times its two conjugates is the integer
-    36 A^3 + 6 v B^3 + v^2 C^3 - 18 v A B C, and the conjugates have
-    imaginary parts +-(sqrt(3)/2) mu (B - C mu), with B - C mu < 0, so they
-    multiply to a positive number.  The norm is never zero: v is odd, so
-    v/6 is no rational cube, 1, mu, mu^2 are independent over Q, and B != 0.
+    A = (2Nv - n^2) v Q^2, B = -4N P Q v and C = 2N P^2.  B < 0 < C, so
+    B - C mu < 0 and `_cube_field_norm` has the sign of alpha.  It is never
+    zero: v is odd, so v/6 is no rational cube, 1, mu, mu^2 are independent
+    over Q, and B != 0.
     """
     v = 2 * f + 1
     if 6 * v * v * Q ** 3 <= P ** 3:
         return False
     A = (2 * N * v - n * n) * v * Q * Q
-    B = -4 * N * P * Q * v
-    C = 2 * N * P * P
-    return 36 * A ** 3 + 6 * v * B ** 3 + v * v * C ** 3 - 18 * v * A * B * C > 0
+    return _cube_field_norm(v, 6, A, -4 * N * P * Q * v, 2 * N * P * P) > 0
 
 
 def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutcome:
@@ -392,16 +399,12 @@ def _l_degree_norm(N: int, n: int, k: int) -> int:
     """Field norm of alpha = A + B u + C u^2, u = k^(1/3), k < N: sign of alpha.
 
     With Q = 4 (N - k): A = Q k - n^2, B = Q, C = -2 Q, and acceptance of k
-    is alpha >= 0; alpha = 4 s(u) for the sextic s of `l_upper`.  Since
-    u^3 = k, alpha times its two conjugates over the cube roots of unity
-    w, w^2 (u -> w u, w^2 u) is the integer A^3 + k B^3 + k^2 C^3 - 3 k A B C.
-    The conjugates multiply to |alpha'|^2, and alpha' = A + B w u + C w^2 u^2
-    has imaginary part (sqrt(3)/2) u (B - C u) > 0, so the norm has the sign
-    of alpha and is zero exactly when alpha is.
+    is alpha >= 0; alpha = 4 s(u) for the sextic s of `l_upper`.  B - C u =
+    Q (1 + 2u) > 0, so `_cube_field_norm` has the sign of alpha and is zero
+    exactly when alpha is.
     """
     Q = 4 * (N - k)
-    A, B, C = Q * k - n * n, Q, -2 * Q
-    return A ** 3 + k * B ** 3 + k * k * C ** 3 - 3 * k * A * B * C
+    return _cube_field_norm(k, 1, Q * k - n * n, Q, -2 * Q)
 
 
 def _l_max_resultant(N: int, c: int) -> int:

@@ -94,6 +94,8 @@ def build_table_spec(
     pairs: Sequence[tuple[int, int]] | None = None,
 ) -> TableSpec:
     """Resolve a family string ('n+100', '2n', 'nlog2n', 'explicit') to rows."""
+    if not columns:
+        raise ValueError(f"--columns requires at least one of {ALL_COLUMNS}")
     for c in columns:
         if c not in ALL_COLUMNS:
             raise ValueError(f"unknown column {c!r}; choose from {ALL_COLUMNS}")
@@ -323,8 +325,8 @@ def _pair(chunk: str) -> tuple[int, int]:
 def cmd_table(args: argparse.Namespace) -> int:
     pairs = _parse_list(args.pairs or "", "--pairs", _pair, "M:N, e.g. 356:256")
     n_values = _parse_list(args.n_values, "--n-values", int, "an integer n, e.g. 256")
-    columns = [c.strip() for c in args.columns.split(",")] if args.columns \
-        else list(DEFAULT_COLUMNS)
+    columns = (DEFAULT_COLUMNS if args.columns is None
+               else _parse_list(args.columns, "--columns", str, "a column name"))
     spec = build_table_spec(args.family, n_values, columns, pairs)
     rows = [compute_row(m, n, spec.columns, args.airy) for m, n in spec.pairs]
     sys.stdout.write(render_table(spec, rows, args.format, args.airy, args.precision))

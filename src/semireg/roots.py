@@ -14,6 +14,8 @@ Two independent re-derivations of the degree of regularity live here:
 
 Both signs run the cleared recurrence of `krawtchouk.cleared_values` in one
 loop that keeps only its last two values and multiplies by 4^e as a shift.
+One `_RootChain` per N makes the brackets of both routes as they are asked
+for and answers both comparisons; the functions here and `verify` read it.
 
 All evaluation points are dyadic rationals, so every sign is an exact
 integer computation.  Floats only seed: `exact._root_seed`, the package's
@@ -21,9 +23,9 @@ one Newton seed, estimates d_k(1) once, when its bracket is made, and picks
 a short dyadic window (`DyadicBracket.narrow`), which is used only when two
 exact signs certify it; bisection takes over when they do not, and no
 decision reads a float.  Refining the bracket, and the bracket of lambda_k,
-reuse that seed (`_RootChain.seeds`).  A chain built after those of N - 1
-and N - 2 starts Newton from their seeds (`_RootChain._seed`): d_k^(N-1)(1)
-is provably left of d_k^N(1), and the extrapolation through both is tried
+reuse that seed (`_RootChain.seeds`).  The chain of N starts Newton from
+the seeds of N - 1 and N - 2 (`_RootChain._seed`): d_k^(N-1)(1) is
+provably left of d_k^N(1), and the extrapolation through both is tried
 first, so a seed takes about half the float evaluations of a cold start.
 A seed that cannot be formed is NaN, and bisection alone encloses the root.
 """
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .exact import SystemShape, _root_seed
-from .intervals import DyadicBracket, Enclosure, positive_width
+from .intervals import DyadicBracket, Enclosure
 
 __all__ = [
     "DEFAULT_WIDTH",
@@ -63,7 +65,7 @@ def _sign_at_dyadic(N: int, k: int, p: int, e: int) -> int:
     return cur
 
 
-@lru_cache(maxsize=CROSS_VALIDATION_CEILING)
+@lru_cache(maxsize=512)  # one entry per degree k
 def _tiny_constants(k: int) -> tuple[int, int, tuple[int, ...]]:
     """L = lcm(1..k), H_{k-1} L and the weights (L // j) 2^j, j = 1..k, of `_root_sign`."""
     L = math.lcm(*range(1, k + 1))
@@ -104,20 +106,45 @@ def _root_sign(N: int, k: int):
     return sign
 
 
-class _RootChain:
-    """Enclosures of d_k^N(1) for k = 1, 2, ... built through interlacing.
+def _eigen_sign(N: int, k: int, p: int, e: int) -> int:
+    """An integer with the sign of x - lambda_k at x = p / 2^e, zero at lambda_k.
 
-    Each bracket's right endpoint is certified below d_k(2) when it is made,
-    and bisection or a seeded window only moves it left, so the enclosed
-    sign change is the smallest root and no other.
+    The leading minors q_j = det(x I - T_j) obey q_j = x q_{j-1} -
+    (j-1)(N-j+2) q_{j-2}, so 2^(j e) q_j is the cleared Krawtchouk value at
+    s = p, d = 2^e: q_j = j! K_j((N - x)/2), which at the threshold x = n
+    reads j! c_j.  By Sylvester's criterion x > lambda_k exactly when
+    q_1..q_k are all positive.  The top eigenvalue of T_{j-1} lies strictly
+    below that of T_j, so a non-positive q_j, j < k, puts x below lambda_k,
+    and with q_1..q_{k-1} positive q_k has the sign of x - lambda_k.
+    """
+    e2 = 2 * e
+    prev, cur = 1, p
+    for j in range(1, k):
+        if cur <= 0:
+            return -1
+        prev, cur = cur, p * cur - (j * (N - j + 1) * prev << e2)
+    return cur
+
+
+class _RootChain:
+    """The brackets of d_k^N(1) and of lambda_k, each made when first asked for.
+
+    Root brackets are made in order through interlacing: each one's right
+    endpoint is certified below d_k(2) when it is made, and bisection or a
+    seeded window only moves it left, so it encloses the smallest root and
+    no other.  d_1(1) = N/2 and lambda_1 = 0 (the 1 x 1 zero matrix) are
+    points; for k >= 2 lambda_k lies in [0, N], as T_k has zero trace and
+    lambda_k = N - 2 d_k(1).  Of the chain of N - 1 only the float seeds of
+    N - 1 and N - 2 are kept (`warm`), so older chains can be freed.
     """
 
-    def __init__(self, N: int):
+    def __init__(self, N: int, previous: _RootChain | None = None):
         self.N = N
         self._brackets: list[DyadicBracket] = []
-        self.seeds: dict[int, float] = {}  # k >= 2: the float seed of d_k(1), kept to refine
-        # the seeds of the chains of N - 1 and N - 2, set by a caller that built them
-        self.warm: tuple[dict[int, float], dict[int, float]] = ({}, {})
+        self._eigen: dict[int, DyadicBracket] = {}
+        # the float seed of each d_k(1), kept to refine; the point d_1(1) has none
+        self.seeds: dict[int, float] = {1: math.nan}
+        self.warm = (previous.seeds, previous.warm[0]) if previous else ({}, {})
 
     def bracket(self, k: int) -> DyadicBracket:
         if not 1 <= k <= self.N:
@@ -135,8 +162,42 @@ class _RootChain:
         """
         br = self.bracket(k)
         self.bracket(min(k + 1, self.N))
-        br.refine(width, self.seeds.get(k, math.nan))  # k = 1 is exact
+        br.refine(width, self.seeds[k])
         return br
+
+    def eigen(self, k: int, width: Fraction | float | None = None) -> DyadicBracket:
+        """The bracket of lambda_k, refined to `width` when one is given.
+
+        lambda_k = N - 2 d_k(1), so the root's float seed seeds it: the one
+        its root bracket was made with, else a cold `_root_seed`.  The guess
+        is kept below N, where a tiny root would round it onto N; a finite
+        seed means `_root_seed` formed float(N), and a NaN one is refused.
+        """
+        br = self._eigen.get(k)
+        if br is None:
+            if not 1 <= k <= self.N:
+                raise ValueError(f"requires 1 <= k <= N={self.N}; got k={k}")
+            br = self._eigen[k] = DyadicBracket(partial(_eigen_sign, self.N, k), 0,
+                                                0 if k == 1 else self.N, 0, exact=k == 1)
+        if width is not None:
+            seed = self.seeds[k] if k in self.seeds else _root_seed(self.N, k)
+            br.refine(width, min(self.N - 2 * seed, math.nextafter(self.N, 0))
+                      if math.isfinite(seed) else math.nan)
+        return br
+
+    def dreg(self, t: int) -> int:
+        """The first k whose bracket certifies d_k(1) <= t: d_reg at t = m - n."""
+        for k in range(1, self.N + 1):
+            if self.bracket(k).compare(t, DEFAULT_WIDTH) <= 0:
+                return k
+        raise AssertionError("accept set cannot extend past degree N")
+
+    def dreg_eigen(self, n: int) -> int:
+        """The first k whose bracket certifies lambda_k >= n, n >= 1."""
+        for k in range(1, self.N + 1):
+            if (self._eigen.get(k) or self.eigen(k)).compare(n, DEFAULT_WIDTH) >= 0:
+                return k
+        raise AssertionError("accept set cannot extend past degree N")
 
     def _extend(self) -> None:
         N = self.N
@@ -206,6 +267,21 @@ def smallest_root_chain(
     return [chain.refine(k, width).enclosure() for k in range(1, k_max + 1)]
 
 
+def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) -> Enclosure:
+    """Certified enclosure of the largest eigenvalue lambda_k, 1 <= k <= N, width <= width.
+
+    An exact rational eigenvalue hit (for instance lambda_1 = 0) collapses to
+    a point enclosure.
+    """
+    return _RootChain(N).eigen(k, width).enclosure()
+
+
+def _chain(shape: SystemShape, ceiling: int) -> _RootChain:
+    if shape.N > ceiling:
+        raise ValueError(f"N={shape.N} exceeds the cross-validation ceiling {ceiling}")
+    return _RootChain(shape.N)
+
+
 def dreg_via_roots(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:
     """Degree of regularity recovered from certified smallest-root enclosures.
 
@@ -214,96 +290,16 @@ def dreg_via_roots(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) 
     at DEFAULT_WIDTH does the exact sign at t settle the side, and a zero
     there is the tie d_k(1) = t, which the strict comparison excludes.
     """
-    if shape.N > ceiling:
-        raise ValueError(
-            f"N={shape.N} exceeds the cross-validation ceiling {ceiling}"
-        )
-    return _dreg_from_chain(_RootChain(shape.N), shape.t)
-
-
-def _dreg_from_chain(chain: _RootChain, t: int) -> int:
-    """The first k whose bracket certifies d_k(1) <= t."""
-    for k in range(1, chain.N + 1):
-        if chain.bracket(k).compare(t, DEFAULT_WIDTH) <= 0:
-            return k
-    raise AssertionError("accept set cannot extend past degree N")
-
-
-def _eigen_sign(N: int, k: int, p: int, e: int) -> int:
-    """An integer with the sign of x - lambda_k at x = p / 2^e, zero at lambda_k.
-
-    The leading minors q_j = det(x I - T_j) obey q_j = x q_{j-1} -
-    (j-1)(N-j+2) q_{j-2}, so 2^(j e) q_j is the cleared Krawtchouk value at
-    s = p, d = 2^e: q_j = j! K_j((N - x)/2), which at the threshold x = n
-    reads j! c_j.  By Sylvester's criterion x > lambda_k exactly when
-    q_1..q_k are all positive.  The top eigenvalue of T_{j-1} lies strictly
-    below that of T_j, so a non-positive q_j, j < k, puts x below lambda_k,
-    and with q_1..q_{k-1} positive q_k has the sign of x - lambda_k.
-    """
-    e2 = 2 * e
-    prev, cur = 1, p
-    for j in range(1, k):
-        if cur <= 0:
-            return -1
-        prev, cur = cur, p * cur - (j * (N - j + 1) * prev << e2)
-    return cur
-
-
-def _eigen_bracket(N: int, k: int) -> DyadicBracket:
-    """Bracket [0, N] of lambda_k (k >= 2), signed by `_eigen_sign`.
-
-    The matrix has zero trace, so lambda_k > 0, and lambda_k = N - 2 d_k(1) < N.
-    """
-    return DyadicBracket(partial(_eigen_sign, N, k), 0, N, 0)
-
-
-def _eigen_brackets(N: int) -> dict[int, DyadicBracket]:
-    """The brackets of lambda_k for k = 2..N, keyed by k."""
-    return {k: _eigen_bracket(N, k) for k in range(2, N + 1)}
-
-
-def _refine_eigen(N: int, k: int, bracket: DyadicBracket, width: Fraction | float,
-                  root_seed: float) -> DyadicBracket:
-    """The bracket of lambda_k (k >= 2), refined to `width`."""
-    # lambda_k = N - 2 d_k(1) < N: the root's float seed seeds the eigenvalue,
-    # kept below N where a tiny root would round it onto N.  A finite seed
-    # means `_root_seed` formed float(N); a NaN one is refused by `narrow`.
-    guess = min(N - 2 * root_seed, math.nextafter(N, 0)) if math.isfinite(root_seed) else math.nan
-    bracket.refine(width, guess)
-    return bracket
-
-
-def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) -> Enclosure:
-    """Certified enclosure of the largest eigenvalue lambda_k, width <= width.
-
-    An exact rational eigenvalue hit collapses to a point enclosure.
-    """
-    if not 1 <= k <= N:
-        raise ValueError(f"requires 1 <= k <= N={N}; got k={k}")
-    if k == 1:
-        positive_width(width)  # refused like any k, though lambda_1 = 0 is exact
-        return Enclosure.point(0)
-    return _refine_eigen(N, k, _eigen_bracket(N, k), width, _root_seed(N, k)).enclosure()
+    return _chain(shape, ceiling).dreg(shape.t)
 
 
 def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) -> int:
     """Degree of regularity recovered from the Golub-Kahan eigenvalue test.
 
-    lambda_1 = 0 < n always; for k >= 2 the bracket of lambda_k decides
-    lambda_k < n by bisection, and only when n stays inside it at
-    DEFAULT_WIDTH does the eigen sign at n settle the side.  A zero there is
-    the tie lambda_k = n, which the strict inequality excludes.
+    Walks k = 1, 2, ... while the bracket of lambda_k certifies lambda_k < n
+    (lambda_1 = 0 < n always).  The bracket decides by bisection, and only
+    when n stays inside it at DEFAULT_WIDTH does the eigen sign at n settle
+    the side.  A zero there is the tie lambda_k = n, which the strict
+    inequality excludes.
     """
-    if shape.N > ceiling:
-        raise ValueError(
-            f"N={shape.N} exceeds the cross-validation ceiling {ceiling}"
-        )
-    return _dreg_from_eigen(_eigen_brackets(shape.N), shape.n)
-
-
-def _dreg_from_eigen(brackets: dict[int, DyadicBracket], n: int) -> int:
-    """The first k >= 2 whose bracket certifies lambda_k >= n."""
-    for k, bracket in brackets.items():
-        if bracket.compare(n, DEFAULT_WIDTH) >= 0:
-            return k
-    raise AssertionError("accept set cannot extend past degree N")
+    return _chain(shape, ceiling).dreg_eigen(shape.n)

@@ -15,8 +15,7 @@ from operator import attrgetter, mul
 from .bounds import kz_lower, l_upper, ls_lower, ls_upper
 from .exact import SystemShape, binomial, degree_of_regularity_exact, hilbert_truncation
 from .krawtchouk import _gf_products, integer_values
-from .roots import (DEFAULT_WIDTH, _RootChain, _dreg_from_chain, _dreg_from_eigen,
-                    _eigen_brackets, _refine_eigen)
+from .roots import DEFAULT_WIDTH, _RootChain
 
 __all__ = [
     "CheckResult",
@@ -73,31 +72,29 @@ def _shapes_before(max_N: int, first: tuple[int, int]) -> int:
 def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:
     """Run chain suites side by side off one pass per N = 2..max_N.
 
-    The pass for N builds one root chain and one bracket of lambda_k per
-    k >= 2; every suite reads the same ones, and only one N's brackets are
-    alive at a time.  Each chain is warm-started from the float seeds of the
-    chains of N - 1 and N - 2.  Each suite is (name, check) with
-    check(chain, eigen, width) -> (cases passed, failure detail or ""), and
-    stops at its first failure.
+    The pass for N builds one `_RootChain`, which makes the brackets of
+    d_k(1) and of lambda_k as the suites ask for them; every suite reads the
+    same ones, and only one N's brackets are alive at a time.  Each chain is
+    built from that of N - 1, whose float seeds and those of N - 2 start its
+    own.  Each suite is (name, check) with check(chain, width) -> (cases
+    passed, failure detail or ""), and stops at its first failure.
     """
     checked = [0] * len(suites)
     failure = [""] * len(suites)
-    warm = ({}, {})
+    chain = None
     for N in range(2, max_N + 1):
-        chain, eigen = _RootChain(N), _eigen_brackets(N)
-        chain.warm = warm
+        chain = _RootChain(N, chain)
         for i, (_, check) in enumerate(suites):
             if not failure[i]:
-                passed, failure[i] = check(chain, eigen, width)
+                passed, failure[i] = check(chain, width)
                 checked[i] += passed
         if all(failure):
             break
-        warm = (chain.seeds, warm[0])
     return [CheckResult(name, n, not fail, fail)
             for (name, _), n, fail in zip(suites, checked, failure)]
 
 
-def _interlacing(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
+def _interlacing(chain: _RootChain, width: Fraction) -> tuple[int, str]:
     N = chain.N
     for k in range(1, N + 1):
         chain.refine(k, width)
@@ -107,13 +104,11 @@ def _interlacing(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
     return N - 1, ""
 
 
-def _duality(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
+def _duality(chain: _RootChain, width: Fraction) -> tuple[int, str]:
     N = chain.N
     for k in range(1, N + 1):
         root = _nums(chain.refine(k, width))
-        # lambda_1 = 0, the only eigenvalue of the 1 x 1 zero matrix
-        lam = _nums(_refine_eigen(N, k, eigen[k], width, chain.seeds[k])) if k > 1 else (0, 0, 0)
-        if _duality_gap(N, root, lam):
+        if _duality_gap(N, root, _nums(chain.eigen(k, width))):
             return k - 1, f"duality gap at N={N}, k={k}"
     return N, ""
 
@@ -150,7 +145,7 @@ def _three_way(max_N: int, d_regs: dict[SystemShape, int]):
     """
     first = (max_N, 0, "")  # n, m, detail of the first failure; n = max_N is past every shape
 
-    def check(chain: _RootChain, eigen, width: Fraction) -> tuple[int, str]:
+    def check(chain: _RootChain, width: Fraction) -> tuple[int, str]:
         nonlocal first
         N = chain.N
         for n in range(2 - N % 2, min(N, first[0]), 2):
@@ -158,8 +153,7 @@ def _three_way(max_N: int, d_regs: dict[SystemShape, int]):
             d_exact = d_regs[shape] = degree_of_regularity_exact(shape)
             # past t the exact route searched transposed: check the direct stream
             d_direct = len(hilbert_truncation(shape)) if shape.t < d_exact else d_exact
-            d_roots = _dreg_from_chain(chain, shape.t)
-            d_eigen = _dreg_from_eigen(eigen, n)
+            d_roots, d_eigen = chain.dreg(shape.t), chain.dreg_eigen(n)
             if not d_direct == d_exact == d_roots == d_eigen:
                 first = (n, shape.m, f"m={shape.m}, n={n}: exact={d_exact}, direct={d_direct}, "
                                      f"roots={d_roots}, eigenvalues={d_eigen}")

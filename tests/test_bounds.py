@@ -28,8 +28,8 @@ from semireg.bounds import (
     ls_upper_root_bound,
 )
 import semireg.bounds as bounds_mod
-from semireg.bounds import (_cardano_w4, _l_accepts_degree, _l_degree_norm, _l_max_resultant,
-                            _ls_refuses_degree)
+from semireg.bounds import (_cardano_w4, _cube_field_norm, _l_accepts_degree, _l_degree_norm,
+                            _l_max_resultant, _ls_refuses_degree)
 from semireg.intervals import DyadicBracket, iroot, nth_root_enclosure
 from semireg.verify import enumerate_shapes
 
@@ -204,6 +204,19 @@ def test_ls_lower_flagged_shapes_at_narrow_radius():
 def _ls_ends(airy):
     """The two ends of the Airy enclosure as (P, Q) pairs."""
     return [(i.numerator, i.denominator) for i in airy.i1_enclosure()]
+
+
+_COEFF = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**6), _COEFF, _COEFF,
+       _COEFF.filter(lambda c: c != 0))
+def test_cube_field_norm_is_the_resultant(p, q, A, B, C):
+    # Res_x(q x^3 - p, g) = q^2 g(mu) g(w mu) g(w^2 mu) for g of degree 2
+    x = sympy.symbols("x")
+    assert _cube_field_norm(p, q, A, B, C) == sympy.resultant(
+        q * x**3 - p, A + B * x + C * x**2, x)
 
 
 def _ls_top(N, n, P, Q):

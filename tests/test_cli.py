@@ -268,6 +268,17 @@ def test_table_rejects_unknown_column(capsys):
     assert "column" in err
 
 
+@pytest.mark.parametrize("columns", ["", ",", " , "])
+def test_table_rejects_an_empty_column_list(capsys, columns):
+    # an empty list names --columns instead of falling back to the defaults
+    code, out, err = run_cli(capsys, "table", "--family", "2n",
+                             "--n-values", "16", "--columns", columns)
+    assert code == 2 and out == ""
+    assert "--columns requires at least one of" in err
+    with pytest.raises(ValueError, match="--columns"):
+        build_table_spec("2n", [16], [])
+
+
 def test_floor_n_log2_n_exact():
     import math
 

@@ -5,6 +5,7 @@ import math
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,12 +146,40 @@ def test_dreg_via_roots_respects_ceiling():
 
 
 def test_largest_eigenvalue_trivial_sizes():
-    assert largest_eigenvalue(36, 1, WIDTH).is_point
-    assert largest_eigenvalue(36, 1, WIDTH).lo == 0
+    # lambda_1 = 0 is made an exact point, at any N and width
+    for N, width in [(36, WIDTH), (1, 1e-30), (10**400, Fraction(1, 3))]:
+        assert largest_eigenvalue(N, 1, width) == Enclosure.point(0)
+    assert roots_mod._RootChain(36).eigen(1).exact
     e2 = largest_eigenvalue(36, 2, WIDTH)
     assert e2.lo <= 6 <= e2.hi  # eigenvalues of the 2x2 matrix are +-6
     e2_16 = largest_eigenvalue(16, 2, WIDTH)
     assert e2_16.lo <= 4 <= e2_16.hi
+
+
+@pytest.mark.parametrize("k", [0, -1, 37])
+def test_eigen_refuses_k_outside_1_to_n(k):
+    chain = roots_mod._RootChain(36)
+    for ask in (lambda: chain.eigen(k), lambda: chain.eigen(k, WIDTH),
+                lambda: largest_eigenvalue(36, k, 0)):
+        with pytest.raises(ValueError, match=f"requires 1 <= k <= N=36; got k={k}"):
+            ask()
+
+
+def test_routes_make_brackets_only_up_to_the_degree_they_decide(monkeypatch):
+    chains = []
+
+    class Recorded(roots_mod._RootChain):
+        def __init__(self, N, previous=None):
+            super().__init__(N, previous)
+            chains.append(self)
+
+    monkeypatch.setattr(roots_mod, "_RootChain", Recorded)
+    for shape in enumerate_shapes(30):
+        d = degree_of_regularity_exact(shape)
+        assert dreg_via_eigenvalues(shape) == d
+        assert sorted(chains.pop()._eigen) == list(range(1, d + 1))
+        assert dreg_via_roots(shape) == d
+        assert len(chains.pop()._brackets) == d
 
 
 def test_largest_eigenvalue_hand_oracles():
@@ -378,8 +407,9 @@ def test_warm_start_right_of_the_root_restarts_at_the_last_root(monkeypatch):
 
     last = refined(roots_mod._RootChain(29)).seeds[5]
     root = refined(roots_mod._RootChain(30)).seeds[5]
-    chain = roots_mod._RootChain(30)
-    chain.warm = ({5: last}, {5: 2 * last - (root + 0.01)})  # starts at root + 0.01
+    # a chain of N - 1 whose seeds start the extrapolation at root + 0.01
+    previous = SimpleNamespace(seeds={5: last}, warm=({5: 2 * last - (root + 0.01)},))
+    chain = roots_mod._RootChain(30, previous)
     starts = []
     real = roots_mod._root_seed
 
@@ -597,8 +627,9 @@ def test_root_kernel_matches_the_cleared_values(data):
 def _eigen_ends(N):
     """(k, p, e) at both ends of each bracket of lambda_k^N refined to 2^-100."""
     ends = []
+    chain = roots_mod._RootChain(N)
     for k in range(2, N + 1):
-        br = roots_mod._eigen_bracket(N, k)
+        br = chain.eigen(k)
         br.refine(BAND_WIDTH)
         ends += [(k, br.num_lo, br.e), (k, br.num_hi, br.e)]
     return tuple(ends)

@@ -150,36 +150,55 @@ def test_orthogonality_reports_the_pair_the_oracle_finds(monkeypatch, N, i, k):
         "orthogonality", before + j, False, f"failure at N={N}, l={l}, k={k_}")
 
 
-def test_chain_suites_share_one_chain_per_n(monkeypatch):
-    # interlacing, duality and three-way read the same brackets: one root
-    # chain per N and one eigen bracket per (N, k), not one per suite or shape
-    built = Counter()
-    eigen = Counter()
-    chain_class = semireg.verify._RootChain
-    eigen_bracket = semireg.roots._eigen_bracket
-
-    class Counted(chain_class):
-        def __init__(self, N):
-            built[N] += 1
-            super().__init__(N)
-
-    def counted_eigen(N, k):
-        eigen[N, k] += 1
-        return eigen_bracket(N, k)
-
-    monkeypatch.setattr(semireg.verify, "_RootChain", Counted)
-    monkeypatch.setattr(semireg.roots, "_RootChain", Counted)
-    monkeypatch.setattr(semireg.roots, "_eigen_bracket", counted_eigen)
-    results = run_all(30)
-    assert all(r.passed for r in results)
-    assert built == Counter(range(2, 31))
-    assert eigen == Counter((N, k) for N in range(2, 31) for k in range(2, N + 1))
-
-
 def _made_by(bracket, *factories):
     """Was the bracket's sign function made by, or a partial of, one of these functions of roots?"""
     sign = getattr(bracket.sign_at, "func", bracket.sign_at)
     return sign.__qualname__.split(".<locals>.")[0] in factories
+
+
+def _counted_eigen_brackets(monkeypatch):
+    """Count the brackets of lambda_k made, by (N, k)."""
+    made, init = Counter(), DyadicBracket.__init__
+
+    def counted(self, sign_at, *args, **kwargs):
+        init(self, sign_at, *args, **kwargs)
+        if _made_by(self, "_eigen_sign"):
+            made[sign_at.args] += 1
+
+    monkeypatch.setattr(DyadicBracket, "__init__", counted)
+    return made
+
+
+def test_chain_suites_share_one_chain_per_n(monkeypatch):
+    # interlacing, duality and three-way read the same brackets: one root
+    # chain per N and one eigen bracket per (N, k), not one per suite or shape
+    built = Counter()
+    chain_class = semireg.verify._RootChain
+
+    class Counted(chain_class):
+        def __init__(self, N, previous=None):
+            built[N] += 1
+            super().__init__(N, previous)
+
+    eigen = _counted_eigen_brackets(monkeypatch)
+    monkeypatch.setattr(semireg.verify, "_RootChain", Counted)
+    monkeypatch.setattr(semireg.roots, "_RootChain", Counted)
+    results = run_all(30)
+    assert all(r.passed for r in results)
+    assert built == Counter(range(2, 31))
+    assert eigen == Counter((N, k) for N in range(2, 31) for k in range(1, N + 1))
+
+
+def test_three_way_makes_eigen_brackets_up_to_the_degree_it_decides(monkeypatch):
+    # alone, three-way asks each N's chain for lambda_k only until the
+    # largest d_reg of that N's shapes is decided, not for all N of them
+    eigen = _counted_eigen_brackets(monkeypatch)
+    assert check_three_way_agreement(40).passed
+    top = Counter()
+    for shape in enumerate_shapes(40):
+        top[shape.N] = max(top[shape.N], semireg.exact.degree_of_regularity_exact(shape))
+    assert eigen == Counter((N, k) for N, d in top.items() for k in range(1, d + 1))
+    assert sum(top.values()) == 418  # of the 817 an eager pass makes, N per N = 3..40
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +208,8 @@ def shared_pass_60():
     chain_class, narrow, step = semireg.verify._RootChain, DyadicBracket.narrow, DyadicBracket.step
 
     class Recorded(chain_class):
-        def __init__(self, N):
-            super().__init__(N)
+        def __init__(self, N, previous=None):
+            super().__init__(N, previous)
             chains[N] = self
 
     def recorded_narrow(self, guess, width):
@@ -279,9 +298,9 @@ def test_sandwich_computes_the_d_reg_three_way_skipped(monkeypatch):
     # after a failure at N = 7, n = 1, three-way checks no shape of larger n,
     # so the sandwich computes those d_reg itself and still checks them all
     calls = _counted_exact(monkeypatch)
-    from_chain = semireg.verify._dreg_from_chain
-    monkeypatch.setattr(semireg.verify, "_dreg_from_chain",
-                        lambda chain, t: from_chain(chain, t) + (chain.N == 7))
+    dreg = semireg.roots._RootChain.dreg
+    monkeypatch.setattr(semireg.roots._RootChain, "dreg",
+                        lambda chain, t: dreg(chain, t) + (chain.N == 7))
     results = run_all(20)
     assert not results[3].passed
     assert results[5] == CheckResult("sandwich", 90, True)
@@ -348,7 +367,7 @@ def test_interlacing_passes_touching_brackets_at_470():
     # brackets down to 2^-128 did not separate them
     chain = semireg.roots._RootChain(470)
     width = Fraction(1, 10**6)
-    assert _interlacing(chain, None, width) == (469, "")
+    assert _interlacing(chain, width) == (469, "")
     upper, lower = chain.bracket(377), chain.bracket(376)
     assert upper.hi == lower.lo == Fraction(1, 1 << 129)
     assert not upper.exact and not lower.exact
@@ -366,15 +385,15 @@ def test_duality_on_the_edge_of_the_widths():
 
 def test_duality_reports_a_shifted_eigen_bracket(monkeypatch):
     # lambda_4 at N = 10 moved up by one: the suite must stop there
-    refine = semireg.verify._refine_eigen
+    eigen = semireg.roots._RootChain.eigen
 
-    def shifted(N, k, bracket, width, seed):
-        br = refine(N, k, bracket, width, seed)
-        if (N, k) != (10, 4):
+    def shifted(chain, k, width=None):
+        br = eigen(chain, k, width)
+        if (chain.N, k) != (10, 4):
             return br
         return DyadicBracket(None, br.num_lo + (1 << br.e), br.num_hi + (1 << br.e), br.e)
 
-    monkeypatch.setattr(semireg.verify, "_refine_eigen", shifted)
+    monkeypatch.setattr(semireg.roots._RootChain, "eigen", shifted)
     res = check_eigenvalue_root_duality(12)
     assert (res.passed, res.detail) == (False, "duality gap at N=10, k=4")
     assert res.checked == sum(range(2, 10)) + 3
