@@ -39,26 +39,20 @@ from .exact import SystemShape, degree_of_regularity_exact, f5_cost_log2, hilber
 from .roots import CROSS_VALIDATION_CEILING
 from .verify import run_all
 
-ALL_COLUMNS = (
-    "dreg",
-    "kz_lower",
-    "ls_lower",
-    "ls_upper",
-    "l_upper",
-    "f5_log2",
-    "ls_asymptotic",
-)
-DEFAULT_COLUMNS = ("dreg", "kz_lower", "ls_lower", "ls_upper", "l_upper")
-
-_HEADERS = {
-    "dreg": "d_reg",
-    "kz_lower": "KZ_lower",
-    "ls_lower": "LS_lower",
-    "ls_upper": "LS_upper",
-    "l_upper": "L_upper",
-    "f5_log2": "F5_log2",
-    "ls_asymptotic": "LS_asymptotic",
+# name -> (header, cell(shape, dreg, airy)). Each cell looks its function up by
+# module name when called, so a patched `cli.kz_lower` is the one that runs.
+_COLUMNS = {
+    "dreg": ("d_reg", lambda shape, dreg, airy: dreg),
+    "kz_lower": ("KZ_lower", lambda shape, dreg, airy: _bound_cell(kz_lower(shape))),
+    "ls_lower": ("LS_lower", lambda shape, dreg, airy: _bound_cell(ls_lower(shape, airy))),
+    "ls_upper": ("LS_upper", lambda shape, dreg, airy: _bound_cell(ls_upper(shape))),
+    "l_upper": ("L_upper", lambda shape, dreg, airy: _bound_cell(l_upper(shape))),
+    "f5_log2": ("F5_log2", lambda shape, dreg, airy: round(f5_cost_log2(shape, dreg), 2)),
+    "ls_asymptotic": ("LS_asymptotic",
+                      lambda shape, dreg, airy: round(ls_lower_asymptotic(shape), 2)),
 }
+ALL_COLUMNS = tuple(_COLUMNS)
+DEFAULT_COLUMNS = ("dreg", "kz_lower", "ls_lower", "ls_upper", "l_upper")
 
 
 class TableSpec(namedtuple("TableSpec", "family pairs columns m_rounding", defaults=(None,))):
@@ -156,25 +150,10 @@ def _bound_cell(outcome: BoundOutcome) -> dict:
 
 def compute_row(m: int, n: int, columns: Sequence[str], airy: AiryConstant) -> dict:
     shape = SystemShape(m, n)
-    cells: dict[str, object] = {}
     dreg = None
     if "dreg" in columns or "f5_log2" in columns:
         dreg = degree_of_regularity_exact(shape)
-    for col in columns:
-        if col == "dreg":
-            cells[col] = dreg
-        elif col == "kz_lower":
-            cells[col] = _bound_cell(kz_lower(shape))
-        elif col == "ls_lower":
-            cells[col] = _bound_cell(ls_lower(shape, airy))
-        elif col == "ls_upper":
-            cells[col] = _bound_cell(ls_upper(shape))
-        elif col == "l_upper":
-            cells[col] = _bound_cell(l_upper(shape))
-        elif col == "f5_log2":
-            cells[col] = round(f5_cost_log2(shape, dreg), 2)
-        elif col == "ls_asymptotic":
-            cells[col] = round(ls_lower_asymptotic(shape), 2)
+    cells = {col: _COLUMNS[col][1](shape, dreg, airy) for col in columns}
     return {"n": n, "m": m, "cells": cells}
 
 
@@ -206,7 +185,7 @@ def render_table(spec: TableSpec, rows: list[dict], fmt: str, airy: AiryConstant
         }
         return json.dumps(doc, indent=2) + "\n"
 
-    header = ["n", "m"] + [_HEADERS[c] for c in spec.columns]
+    header = ["n", "m"] + [_COLUMNS[c][0] for c in spec.columns]
     text_rows = [
         [str(r["n"]), str(r["m"])] + [_cell_text(r["cells"][c]) for c in spec.columns]
         for r in rows
@@ -427,14 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "airy_i1"):
-        try:
-            args.airy = AiryConstant(i1=args.airy_i1,
-                                     precision_radius=args.airy_radius)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if hasattr(args, "airy_i1"):
+            args.airy = AiryConstant(i1=args.airy_i1, precision_radius=args.airy_radius)
         return args.func(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

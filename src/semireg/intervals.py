@@ -227,9 +227,12 @@ class DyadicBracket:
 
 
 def positive_width(width: Fraction | float) -> Fraction:
-    """`width` taken exactly as a Fraction; ValueError unless it is positive."""
+    """`width` taken exactly as a Fraction; ValueError unless it is positive and finite."""
     if not isinstance(width, Fraction):
-        width = Fraction(width)
+        try:
+            width = Fraction(width)
+        except (OverflowError, ValueError):  # +-inf, NaN
+            raise ValueError(f"requires a positive width; got {width}") from None
     if width.numerator <= 0:
         raise ValueError(f"requires a positive width; got {width}")
     return width

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import semireg.cli
 import semireg.exact
-from semireg.cli import ALL_COLUMNS, build_table_spec, floor_n_log2_n, main
+from semireg.bounds import DEFAULT_AIRY
+from semireg.cli import ALL_COLUMNS, build_table_spec, compute_row, floor_n_log2_n, main
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +113,57 @@ def test_table_nlog2n_row(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1] == ["256", "2048", "8", "5", "8", "20", "14"]
+
+
+_EXPLICIT_ALL_COLUMNS = ("table", "--family", "explicit", "--pairs", "2:1,12:8,40:39,43:35",
+                         "--columns", ",".join(ALL_COLUMNS), "--airy-radius", "1/1000")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (_EXPLICIT_ALL_COLUMNS + ("--format", "md"),
+     "family: explicit\n"
+     "\n"
+     "|  n |  m | d_reg | KZ_lower | LS_lower | LS_upper | L_upper | F5_log2 | LS_asymptotic |\n"
+     "|---:|---:|------:|---------:|---------:|---------:|--------:|--------:|--------------:|\n"
+     "|  1 |  2 |     2 |        1 |        2 |        3 |       - |    2.00 |          0.08 |\n"
+     "|  8 | 12 |     4 |        2 |        4 |        8 |       9 |   25.44 |          1.00 |\n"
+     "| 35 | 43 |    12 |        7 |      10? |        - |       - |   92.49 |          6.00 |\n"
+     "| 39 | 40 |    21 |       15 |       14 |        - |       - |  133.60 |          9.27 |\n"),
+    (_EXPLICIT_ALL_COLUMNS + ("--format", "csv"),
+     "n,m,d_reg,KZ_lower,LS_lower,LS_upper,L_upper,F5_log2,LS_asymptotic\n"
+     "1,2,2,1,2,3,-,2.00,0.08\n"
+     "8,12,4,2,4,8,9,25.44,1.00\n"
+     "35,43,12,7,10?,-,-,92.49,6.00\n"
+     "39,40,21,15,14,-,-,133.60,9.27\n"),
+    (("table", "--family", "nlog2n", "--n-values", "16", "--format", "md"),
+     "family: m=n*log2(n)\n"
+     "\n"
+     "|  n |  m | d_reg | KZ_lower | LS_lower | LS_upper | L_upper |\n"
+     "|---:|---:|------:|---------:|---------:|---------:|--------:|\n"
+     "| 16 | 64 |     3 |        1 |        3 |        5 |       6 |\n"
+     "\n"
+     "m rounding: floor\n"),
+    (("table", "--family", "nlog2n", "--n-values", "16", "--format", "csv"),
+     "n,m,d_reg,KZ_lower,LS_lower,LS_upper,L_upper\n"
+     "16,64,3,1,3,5,6\n"
+     "# m_rounding: floor\n"),
+], ids=["explicit-md", "explicit-csv", "nlog2n-md", "nlog2n-csv"])
+def test_table_md_and_csv_bytes(capsys, argv, expected):
+    # '-' cells from (2, 1) and (40, 39), the near-boundary '?' of (43, 35)
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_cells_look_their_functions_up_when_called(monkeypatch):
+    names = ("kz_lower", "ls_lower", "ls_upper", "l_upper", "degree_of_regularity_exact",
+             "f5_cost_log2", "ls_lower_asymptotic")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _real=getattr(semireg.cli, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(semireg.cli, name, counting)
+    compute_row(24, 12, ALL_COLUMNS, DEFAULT_AIRY)
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_table_not_applicable_renders_dash(capsys):
@@ -361,9 +414,18 @@ def test_airy_i1_huge_still_certifies_ls_lower(capsys, i1):
     assert err == ""
 
 
-@pytest.mark.parametrize("option", [["--airy-radius", "10"], ["--airy-i1", "1e-6"]])
-def test_airy_radius_reaching_i1_is_an_error(capsys, option):
-    code, out, err = run_cli(capsys, "bounds", "24", "12", *option)
+_BOUNDS = ["bounds", "24", "12"]
+_TABLE = ["table", "--family", "2n", "--n-values", "12"]
+
+
+@pytest.mark.parametrize("command,option", [
+    pytest.param(_BOUNDS, ["--airy-radius", "10"], id="option0"),
+    pytest.param(_BOUNDS, ["--airy-i1", "1e-6"], id="option1"),
+    pytest.param(_TABLE, ["--airy-radius", "10"], id="table-option0"),
+    pytest.param(_TABLE, ["--airy-i1", "1e-6"], id="table-option1"),
+])
+def test_airy_radius_reaching_i1_is_an_error(capsys, command, option):
+    code, out, err = run_cli(capsys, *command, *option)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")

@@ -87,8 +87,8 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("width", [0, Fraction(-1, 2), -1e-3],
-                         ids=["zero", "negative", "negative-float"])
+@pytest.mark.parametrize("width", [0, Fraction(-1, 2), -1e-3, math.inf, -math.inf, math.nan],
+                         ids=["zero", "negative", "negative-float", "inf", "minus-inf", "nan"])
 def test_non_positive_width_refused(width):
     with _deadline(30):
         with pytest.raises(ValueError, match="positive width"):
