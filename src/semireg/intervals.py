@@ -189,7 +189,7 @@ class DyadicBracket:
         num, den = guess.as_integer_ratio()
         lo = (num << e) // den
         shift = e - self.e
-        if not self.num_lo << shift <= lo < lo + 1 <= self.num_hi << shift:
+        if not self.num_lo << shift <= lo < self.num_hi << shift:
             return False
         sign_lo = self.sign_at(lo, e)
         if sign_lo > 0:

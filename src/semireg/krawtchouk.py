@@ -7,11 +7,13 @@ goes through the three-term recurrence
     (k+1) K_{k+1}(t) = (N - 2t) K_k(t) - (N - k + 1) K_{k-1}(t),
 
 seeded with K_0 = 1 and K_1 = N - 2t.  Exact evaluation has two integer
-kernels: `exact.krawtchouk_stream` divides as it goes and serves integer
-points; `cleared_values` clears factorials and denominators and serves
-rational points.  The root and eigenvalue signs of `roots` run its
-recurrence at d = 2^e in a loop that keeps only the last two values, and
-the tests check them against it.  The one float recurrence is
+kernels: `exact.krawtchouk_stream` divides as it goes and yields the values
+at integer points (`integer_values`, the Hilbert-series coefficients);
+`cleared_values` clears factorials and denominators and serves rational
+points.  The root and eigenvalue signs of `roots` run the recurrence of
+`cleared_values` at d = 2^e in a loop that keeps only the last two values,
+and the tests check them against it.  The degree of regularity reads only
+signs, from `exact._sign_stream`, cleared too.  The one float recurrence is
 `exact._krawtchouk_slope`, which only seeds.  The explicit sum
 K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j) decides signs in production too:
 left of x = 1, `roots._root_sign` bounds it from both sides in integers and

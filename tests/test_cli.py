@@ -8,6 +8,7 @@ import pytest
 
 import semireg.cli
 import semireg.exact
+import semireg.krawtchouk
 from semireg.bounds import DEFAULT_AIRY
 from semireg.cli import ALL_COLUMNS, build_table_spec, compute_row, floor_n_log2_n, main
 
@@ -113,6 +114,26 @@ def test_table_nlog2n_row(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1] == ["256", "2048", "8", "5", "8", "20", "14"]
+
+
+def test_table_families_read_signs_only(capsys, monkeypatch):
+    # d_reg needs only signs: the published sweep never runs the divided stream
+    calls = []
+    stream = semireg.exact.krawtchouk_stream
+
+    def counted(N, s):
+        calls.append((N, s))
+        return stream(N, s)
+
+    monkeypatch.setattr(semireg.exact, "krawtchouk_stream", counted)
+    monkeypatch.setattr(semireg.krawtchouk, "krawtchouk_stream", counted)
+    for family in ("n+100", "n+256", "2n", "8n", "nlog2n"):
+        code, out, _ = run_cli(capsys, "table", "--family", family, "--n-values",
+                               "256,512,1024,2048,4096,8192,16384,32768", "--format", "json",
+                               "--columns", "dreg,kz_lower,ls_lower,ls_upper,l_upper,f5_log2,"
+                                            "ls_asymptotic")
+        assert code == 0 and len(json.loads(out)["rows"]) == 8
+    assert calls == []
 
 
 _EXPLICIT_ALL_COLUMNS = ("table", "--family", "explicit", "--pairs", "2:1,12:8,40:39,43:35",

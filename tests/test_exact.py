@@ -163,6 +163,45 @@ def test_zero_coefficient_counts_as_truncation():
     pytest.skip("no zero-coefficient shape in the scanned range")
 
 
+# ---------------------------------------------------------------- sign stream
+#
+# _sign_stream(N, s) yields positive multiples of K_0..K_N at N - 2x = s,
+# dividing exactly only once per _SIGN_BLOCK steps; the signs must be the
+# divided stream's.
+
+
+def _signs(values):
+    return [(v > 0) - (v < 0) for v in values]
+
+
+def _assert_signs_match(N, s):
+    assert _signs(exact_mod._sign_stream(N, s)) == _signs(exact_mod.krawtchouk_stream(N, s))
+
+
+@pytest.mark.parametrize("N", sorted({0, 1, 2, 3, 199, 200} | {
+    j * exact_mod._SIGN_BLOCK + d for j in range(1, 4) for d in range(-2, 3)}))
+def test_sign_stream_signs_match_divided_stream_around_block_ends(N):
+    # every integer point 0 <= x <= N, and a few past each end (s < -N, s > N)
+    for x in range(-3, N + 4):
+        _assert_signs_match(N, N - 2 * x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5000), st.data())
+def test_sign_stream_signs_match_divided_stream_sampled(N, data):
+    # x past either end, inside and at the centre: s > N, s < -N, |s| <= N, s = 0
+    x = data.draw(st.integers(-2, N + 2) | st.just(N // 2))
+    _assert_signs_match(N, N - 2 * x)
+
+
+def test_sign_stream_values_are_positive_multiples():
+    N, s = 150, 30  # two block ends
+    for b, c in zip(exact_mod._sign_stream(N, s), exact_mod.krawtchouk_stream(N, s)):
+        assert (b == 0) if c == 0 else (b % c == 0 and b // c > 0)
+    with pytest.raises(ValueError):
+        next(exact_mod._sign_stream(5, 2))
+
+
 # ---------------------------------------------------------------- transposed route
 #
 # Once c_0..c_t (t = m - n) are all positive, degree_of_regularity_exact
@@ -239,11 +278,11 @@ def test_transposed_route_past_the_float_range(m, n):
 
 
 def test_transposed_route_refuses_a_positive_tail(monkeypatch):
-    # (a) holds at d - 1, but a corrupted stream at d fails (a) with K_t(d)
-    # > 0: Chihara's one-zero-per-gap theorem rules this out, so it raises
+    # (a) holds at d - 1, but a corrupted sign stream at d fails (a) with
+    # K_t(d) > 0: Chihara's one-zero-per-gap theorem rules this out, so it raises
     shape = SystemShape(612, 512)
     N, t, d = shape.N, shape.t, direct_stream_dreg(shape)
-    stream = exact_mod.krawtchouk_stream
+    stream = exact_mod._sign_stream
 
     def corrupted(N_, s):
         for k, value in enumerate(stream(N_, s)):
@@ -251,7 +290,7 @@ def test_transposed_route_refuses_a_positive_tail(monkeypatch):
                 value = 0 if k == 0 else abs(value) + 1 if k == t else value
             yield value
 
-    monkeypatch.setattr(exact_mod, "krawtchouk_stream", corrupted)
+    monkeypatch.setattr(exact_mod, "_sign_stream", corrupted)
     with pytest.raises(AssertionError, match="non-positive"):
         degree_of_regularity_exact(shape)
 

@@ -131,6 +131,19 @@ def test_refining_k_by_k_does_not_compound_the_exponent():
     assert chain.bracket(1).exact and chain.bracket(1).lo == 12
 
 
+def test_extend_takes_an_exact_zero_at_the_previous_lo(monkeypatch):
+    # K_3^6(x) = s (s^2 - 16) / 6 with s = 6 - 2x, so d_3^6(1) = 1 exactly.
+    # Given bracket 2 = [1, 2] and no seeded window, bracket 3 meets that zero
+    # at bracket 2's lo: it is the exact point 1, and bracket 2 is not bisected
+    _refuse_windows(monkeypatch)
+    chain = roots_mod._RootChain(6)
+    chain.bracket(1)
+    chain._brackets.append(roots_mod.DyadicBracket(roots_mod._root_sign(6, 2), 1, 2, 0))
+    br = chain.bracket(3)
+    assert br.exact and (br.num_lo, br.num_hi, br.e) == (1, 1, 0)
+    assert (chain.bracket(2).num_lo, chain.bracket(2).num_hi, chain.bracket(2).e) == (1, 2, 0)
+
+
 def test_dreg_via_roots_examples():
     assert dreg_via_roots(SystemShape(24, 12)) == 4
     assert dreg_via_roots(SystemShape(2, 1)) == degree_of_regularity_exact(SystemShape(2, 1))
