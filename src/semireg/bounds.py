@@ -265,22 +265,25 @@ def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutc
     refused (which keeps the bound 1 valid).  w4 grows with c, so the upper
     end first tests the lower end's floor + 1 and searches only when that
     passes.  Differing floors are flagged near-boundary with both
-    candidates.  The float closed form is
+    candidates.  The ends of `airy.i1_enclosure()`, i1 -+ r for i1 = P/Q
+    and r = p/q, are read as the unreduced pairs (P q -+ p Q, Q q): the
+    test is homogeneous in (P, Q) and top reads only floor(P^2 / Q^2), so
+    no Fraction is formed.  The float closed form is
     `QuarticClosedForm.from_shape(shape, airy)`.
     """
     N, n = shape.N, shape.n
 
-    def first_refused(i: Fraction, lo: int) -> int:  # lo = -1: none tested yet
-        P, Q = i.numerator, i.denominator
+    def first_refused(P: int, Q: int, lo: int) -> int:  # lo = -1: none tested yet
         top = (n * n // N + P * P // (Q * Q)) // 2 + 2
         return integer_bisect(lo, top, partial(_ls_refuses_degree, N, n, P, Q))
 
-    low, high = airy.i1_enclosure()
-    f_lo = max(first_refused(low, -1) - 1, 0)
-    if _ls_refuses_degree(N, n, high.numerator, high.denominator, f_lo + 1):
+    (P, Q), (p, q) = airy.i1.as_integer_ratio(), airy.precision_radius.as_integer_ratio()
+    Pq, pQ, Qq = P * q, p * Q, Q * q
+    f_lo = max(first_refused(Pq - pQ, Qq, -1) - 1, 0)
+    if _ls_refuses_degree(N, n, Pq + pQ, Qq, f_lo + 1):
         f_hi = f_lo
     else:
-        f_hi = first_refused(high, f_lo + 1) - 1
+        f_hi = first_refused(Pq + pQ, Qq, f_lo + 1) - 1
     flag = f_lo != f_hi  # the lower candidate stays a valid lower bound
     return BoundOutcome(
         kind=BoundKind.LS_LOWER,

@@ -14,9 +14,11 @@ yields the values themselves, dividing exactly at every step, and
 `_SIGN_BLOCK` steps, for `degree_of_regularity_exact`, which reads only
 their signs.  A float may *seed* one (`_root_seed` proposes where the
 transposed search of `degree_of_regularity_exact` looks first), but only
-exact signs decide it.  `_root_seed` is the package's one Newton seed, for
-this search and for the root and eigenvalue brackets of `roots`, and the one
-place where a seed's floats are formed: a seed that cannot be formed is NaN.
+exact signs decide it.  `_root_seed` is the package's one float seed, a few
+Laguerre steps on the power-of-two-rescaled float recurrence of
+`_krawtchouk_ratios`, for this search and for the root and eigenvalue
+brackets of `roots`, and the one place where a seed's floats are formed: a
+seed that cannot be formed is NaN.
 This module is the base of the package: it imports no other module of it
 but `intervals`.
 """
@@ -225,43 +227,70 @@ def _transposed_dreg(N: int, t: int) -> int:
     return d
 
 
-def _krawtchouk_slope(N: int, k: int, x: float) -> tuple[float, float]:
-    """Float K_k^N(x) / C(N, k) and its derivative, for k >= 1.
+# Steps between the power-of-two rescalings of `_krawtchouk_ratios`.
+_RESCALE_BLOCK = 64
+
+
+def _krawtchouk_ratios(N: int, k: int, x: float) -> tuple[float, float] | None:
+    """(p'/p, p''/p) for p = K_k^N at x, k >= 1, or None if K_j(x) <= 0 for some j <= k.
 
     Dividing K_j by C(N, j) gives the recurrence
-    (N - j) k_{j+1} = (N - 2x) k_j - j k_{j-1}.  For 0 <= x < d_k(1), where
-    the seeds evaluate it, every k_j lies in (0, 1], so the value cannot
-    overflow at any N; the slope, about -1/d_k(1), can once d_k(1) underflows
-    (N = k = 2048), and a non-finite slope stops the Newton seed at its start.
-    Right of d_k(1) it is no oracle: K_j can far exceed C(N, j) between
-    integers, and past k = N/2 the recurrence can lose all accuracy.
+    (N - j) k_{j+1} = a k_j - j k_{j-1}, a = N - 2x, and differentiating it
+    (a' = -2) gives (N - j) k'_{j+1} = a k'_j - 2 k_j - j k'_{j-1} and
+    (N - j) k''_{j+1} = a k''_j - 4 k'_j - j k''_{j-1}.  The six carried
+    floats are homogeneous in (k, k', k''), so every `_RESCALE_BLOCK` steps
+    they are all multiplied by one exact power of two that brings k_j into
+    [1/2, 1): rounding is unchanged, and neither underflow nor overflow
+    can stop the recurrence at any N or k (K_512^33280(x) / C(N, 512) is
+    below the smallest float near its root).  Only the two returned ratios
+    can leave the float range, p'/p once d_k(1) is near 2^-1024.  A value
+    k_j <= 0 ends the recurrence: by the Sturm property, K_0..K_k are all
+    positive exactly left of d_k(1), so None reads "x >= d_k(1)", up to
+    the rounding of a float recurrence.  Right of d_k(1) it is no oracle:
+    K_j can far exceed C(N, j) between integers, and past k = N/2 the
+    recurrence can lose all accuracy there.
     """
     a = N - 2.0 * x
-    prev, cur, dprev, dcur = 1.0, a / N, 0.0, -2.0 / N
+    prev, cur, dprev, dcur, sprev, scur = 1.0, a / N, 0.0, -2.0 / N, 0.0, 0.0
     for j in range(1, k):
-        prev, cur, dprev, dcur = (
+        if cur <= 0:
+            return None
+        if not j % _RESCALE_BLOCK:
+            e = -math.frexp(cur)[1]
+            prev, cur = math.ldexp(prev, e), math.ldexp(cur, e)
+            dprev, dcur = math.ldexp(dprev, e), math.ldexp(dcur, e)
+            sprev, scur = math.ldexp(sprev, e), math.ldexp(scur, e)
+        prev, cur, dprev, dcur, sprev, scur = (
             cur, (a * cur - j * prev) / (N - j),
             dcur, (a * dcur - 2.0 * cur - j * dprev) / (N - j),
+            scur, (a * scur - 4.0 * dcur - j * sprev) / (N - j),
         )
-    return cur, dcur
+    if cur <= 0:
+        return None
+    return dcur / cur, scur / cur
 
 
 def _root_seed(N: int, k: int, lo: Fraction | float = 0,
                hi: Fraction | None = None) -> float:
-    """Float estimate of d_k^N(1) in [lo, hi] (hi = N / 2 if None) by Newton's method.
+    """Float estimate of d_k^N(1) in [lo, hi] (hi = N / 2 if None) by Laguerre's method.
 
     It starts at kz_root_bound, which is below d_k(1), when 2k < N and the
     bound lies inside, else at lo, which a caller with a better start passes
-    in (the root chain's warm start).  K_k has k real roots, so from any x
-    left of the smallest one the Newton steps 1 / sum(1 / (r_i - x)) are
-    positive and shrink as the iterates climb to it; from x just right of
-    it the first step points down and x comes back unmoved, as it does at
-    the first step that does not shrink, where rounding has taken over.
-    Iteration stops right after a step of at most 2^-40 max(1, |x|): Newton
-    converges quadratically there, so a further step would move x by about
-    the square of that, below a float's rounding.  Every float is formed
-    here, so N or an end past the float range gives NaN.  Only a seed:
-    nothing is decided from this value.
+    in (the root chain's warm start).  With G = p'/p and h = p''/p from
+    `_krawtchouk_ratios`, each step is
+
+        k / (|G| + sqrt((k - 1) ((k - 1) G^2 - k h))),
+
+    written over 1/|G| so that G^2 is never formed.  K_k has k real roots,
+    so from any x left of the smallest one the steps are positive and
+    shrink as the iterates climb to it, with cubic convergence.  From x at
+    or right of it the kernel returns None, and x comes back unmoved, as it
+    does at the first step that is not positive and shorter than the last,
+    where rounding has taken over.  Iteration stops right after a step of
+    at most 2^-20 max(1, |x|): a further step would move x by about the
+    cube of that, below a float's rounding.  Every float is formed here,
+    so N or an end past the float range gives NaN.  Only a seed: nothing
+    is decided from this value.
     """
     try:
         lo = float(lo)
@@ -271,15 +300,18 @@ def _root_seed(N: int, k: int, lo: Fraction | float = 0,
             x = lo
         size = math.inf
         while True:
-            value, slope = _krawtchouk_slope(N, k, x)
-            if not slope:
+            ratios = _krawtchouk_ratios(N, k, x)
+            if ratios is None:
                 return x
-            step = -value / slope
+            g, h = ratios
+            u = -1.0 / g  # about the distance to the root; G < 0 left of it
+            r = (k - 1) * ((k - 1) - k * h * u * u)
+            step = k * u / (1.0 + math.sqrt(max(r, 0.0)))
             if not 0 < step < size:
                 return x
             size = step
             x += step
-            if step <= 2.0 ** -40 * max(1.0, abs(x)):
+            if step <= 2.0 ** -20 * max(1.0, abs(x)):
                 return x
     except (ArithmeticError, ValueError):
         return math.nan
@@ -288,7 +320,7 @@ def _root_seed(N: int, k: int, lo: Fraction | float = 0,
 def kz_root_bound(N: int, k: int) -> float:
     """Raw per-degree root lower bound with the (.)^(2/3) correction term.
 
-    Valid for 1 <= k < N/2; it starts the Newton seeds and is never decisive.
+    Valid for 1 <= k < N/2; it starts the Laguerre seeds and is never decisive.
     """
     if not (1 <= k and 2 * k < N):
         raise ValueError(f"requires 1 <= k < N/2; got k={k}, N={N}")

@@ -14,7 +14,8 @@ points.  The root and eigenvalue signs of `roots` run the recurrence of
 `cleared_values` at d = 2^e in a loop that keeps only the last two values,
 and the tests check them against it.  The degree of regularity reads only
 signs, from `exact._sign_stream`, cleared too.  The one float recurrence is
-`exact._krawtchouk_slope`, which only seeds.  The explicit sum
+`exact._krawtchouk_ratios`, divided by C(N, j) and rescaled by powers of
+two, which only seeds Laguerre's method.  The explicit sum
 K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j) decides signs in production too:
 left of x = 1, `roots._root_sign` bounds it from both sides in integers and
 needs the recurrence only near a root.  In integers its cancellation costs

@@ -239,11 +239,14 @@ def test_transposed_route_published_rows(monkeypatch):
             assert degree_of_regularity_exact(shape) == d_reg
             transposed += shape.t < d_reg
     assert transposed == 12  # the m = n + 100 and m = n + 256 rows with d_reg > t
-    # the float seed lands about 12 below the root here: the search gallops
-    # out from it, then bisects
-    probes.clear()
-    assert degree_of_regularity_exact(SystemShape(33768, 32768)) == 11639
-    assert 2 < len(probes) <= 8
+    # at t = 512 and t = 1000, K_t / C(N, t) is below the smallest float near
+    # the root; the rescaled float kernel still seeds d_reg - 1, so the search
+    # makes its first two probes, x and x + 1, and no other
+    for shape, d_reg in [(SystemShape(33280, 32768), 12841),
+                         (SystemShape(33768, 32768), 11639)]:
+        probes.clear()
+        assert degree_of_regularity_exact(shape) == d_reg
+        assert probes == [d_reg - 1, d_reg]
 
 
 @pytest.mark.parametrize("seed", [
@@ -297,34 +300,35 @@ def test_transposed_route_refuses_a_positive_tail(monkeypatch):
 
 # ---------------------------------------------------------------- root seed
 #
-# _root_seed(N, k, lo, hi) is the package's one Newton seed: float iterates
+# _root_seed(N, k, lo, hi) is the package's one float seed: Laguerre iterates
 # climbing to d_k^N(1) from its left, NaN where its floats cannot be formed.
 
 
-def _recorded_slopes(monkeypatch):
+def _recorded_ratios(monkeypatch):
     """The points at which _root_seed evaluates the float recurrence."""
     points = []
-    slope = exact_mod._krawtchouk_slope
+    ratios = exact_mod._krawtchouk_ratios
 
     def recorded(N, k, x):
         points.append(x)
-        return slope(N, k, x)
+        return ratios(N, k, x)
 
-    monkeypatch.setattr(exact_mod, "_krawtchouk_slope", recorded)
+    monkeypatch.setattr(exact_mod, "_krawtchouk_ratios", recorded)
     return points
 
 
-@pytest.mark.parametrize("N,k", [(36, 3), (36, 20), (200, 150), (512, 511)])
-def test_root_seed_stops_after_a_step_of_2_pow_minus_40(monkeypatch, N, k):
+@pytest.mark.parametrize("N,k", [(36, 3), (36, 20), (200, 150), (512, 511), (2048, 700)])
+def test_root_seed_stops_after_a_step_of_2_pow_minus_20(monkeypatch, N, k):
     # each step climbs from one evaluation to the next; the last is at most
-    # 2^-40 max(1, |x|) (absolute below one: d_511^512(1) is about 1e-149),
+    # 2^-20 max(1, |x|) (absolute below one: d_511^512(1) is about 1e-149),
     # so no evaluation follows it
-    points = _recorded_slopes(monkeypatch)
+    points = _recorded_ratios(monkeypatch)
     x = exact_mod._root_seed(N, k)
     steps = [(b - a, b) for a, b in zip(points, points[1:] + [x])]
     assert all(0 < step for step, _ in steps)
-    assert steps[-1][0] <= 2.0 ** -40 * max(1.0, x)
-    assert all(step > 2.0 ** -40 * max(1.0, b) for step, b in steps[:-1])
+    assert all(b < a for (a, _), (b, _) in zip(steps, steps[1:]))
+    assert steps[-1][0] <= 2.0 ** -20 * max(1.0, x)
+    assert all(step > 2.0 ** -20 * max(1.0, b) for step, b in steps[:-1])
     # K_k changes sign within 1e-4 x of the seed, so d_k(1) is there (past
     # k = N/2 the float recurrence loses digits: d_150^200(1) to about 1e-5)
     kernel, r = KrawtchoukParams(N, k), Fraction(x)
@@ -333,10 +337,10 @@ def test_root_seed_stops_after_a_step_of_2_pow_minus_40(monkeypatch, N, k):
 
 
 def test_root_seed_returns_a_start_right_of_the_root_unmoved(monkeypatch):
-    # d_3^36(1) = (36 - sqrt(106)) / 2 = 12.85...: from 13 the first step
-    # points down, which the root chain's warm start reads as "the start lies
+    # d_3^36(1) = (36 - sqrt(106)) / 2 = 12.85...: at 13 the kernel finds
+    # K_3 <= 0 and no step is taken, which the root chain's warm start reads as "the start lies
     # right of the root"
-    points = _recorded_slopes(monkeypatch)
+    points = _recorded_ratios(monkeypatch)
     assert exact_mod._root_seed(36, 3, 13.0, Fraction(18)) == 13.0
     assert points == [13.0]
 

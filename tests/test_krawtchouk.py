@@ -18,7 +18,7 @@ from semireg.krawtchouk import (
     integer_values,
 )
 from semireg.bounds import kz_root_bound
-from semireg.exact import _krawtchouk_slope
+from semireg.exact import _krawtchouk_ratios, _root_seed
 
 from oracle_utils import (alternating_sum_value, eval_general_r, gf_convolution_check,
                           orthogonality_check)
@@ -139,86 +139,103 @@ def test_integer_values_row_matches_coefficient_series():
 
 # ---------------------------------------------------------------- float kernel
 #
-# _krawtchouk_slope(N, k, x) is the package's one float recurrence: it
-# returns K_k(x) / C(N, k) and its derivative, and only ever seeds Newton.
+# _krawtchouk_ratios(N, k, x) is the package's one float recurrence: it
+# returns p'/p and p''/p for p = K_k, or None once some K_j(x), j <= k, is
+# not positive, and only ever seeds Laguerre's method.
 
 
 def _exact_sequence(N, k, t):
-    """K_0..K_k(t) and their derivatives by the exact differentiated recurrence."""
-    vals, slopes = [Fraction(1), Fraction(N - 2 * t)], [Fraction(0), Fraction(-2)]
+    """K_0..K_k(t) and their first and second derivatives, by the exact recurrence."""
+    a = N - 2 * t
+    vals, slopes, curves = [Fraction(1), Fraction(a)], [Fraction(0), Fraction(-2)], [Fraction(0)] * 2
     for j in range(1, k):
-        vals.append(((N - 2 * t) * vals[j] - (N - j + 1) * vals[j - 1]) / (j + 1))
-        slopes.append(((N - 2 * t) * slopes[j] - 2 * vals[j]
-                       - (N - j + 1) * slopes[j - 1]) / (j + 1))
-    return vals[:k + 1], slopes[:k + 1]
+        vals.append((a * vals[j] - (N - j + 1) * vals[j - 1]) / (j + 1))
+        slopes.append((a * slopes[j] - 2 * vals[j] - (N - j + 1) * slopes[j - 1]) / (j + 1))
+        curves.append((a * curves[j] - 4 * slopes[j] - (N - j + 1) * curves[j - 1]) / (j + 1))
+    return vals[:k + 1], slopes[:k + 1], curves[:k + 1]
 
 
-def _cleared_slope(N, k, x):
-    """k! d^k K_k'(x) in integers, x = num/d: the cleared recurrence differentiated."""
+def _cleared_ratios(N, k, x):
+    """(K_k'/K_k, K_k''/K_k)(x) exactly, x = num/d, by the cleared recurrence differentiated.
+
+    B_j = j! d^j K_j(x) and its x-derivatives B'_j, B''_j stay integers, and
+    the common factor k! d^k cancels from both ratios.
+    """
     d = x.denominator
     s, d2 = d * N - 2 * x.numerator, d * d
     b = cleared_values(N, s, d2, k)
-    prev, cur = 0, -2 * d
+    prev, cur, cprev, ccur = 0, -2 * d, 0, 0
     for j in range(1, k):
-        prev, cur = cur, s * cur - j * (N - j + 1) * d2 * prev - 2 * d * b[j]
-    return cur
+        c = j * (N - j + 1) * d2
+        prev, cur, cprev, ccur = (cur, s * cur - c * prev - 2 * d * b[j],
+                                  ccur, s * ccur - c * cprev - 4 * d * cur)
+    return Fraction(cur, b[k]), Fraction(ccur, b[k])
+
+
+def _assert_ratios(got, exact, rel):
+    assert got is not None
+    for value, ref in zip(got, exact):
+        assert value == pytest.approx(float(ref), rel=rel, abs=0)
 
 
 def test_float_kernel_examples():
-    assert _krawtchouk_slope(36, 1, 18.0) == (0.0, -2 / 36)
-    value, _ = _krawtchouk_slope(36, 3, 12.85)
-    assert abs(value * math.comb(36, 3)) < 0.2
-    value, _ = _krawtchouk_slope(36, 4, 12.0)
-    assert value * math.comb(36, 4) == pytest.approx(-231.0, rel=1e-12)
+    # K_1 = N - 2x: p'/p = -2/N and p'' = 0 at x = 0; K_1(18) = 0 at N = 36
+    assert _krawtchouk_ratios(36, 1, 0.0) == (-2 / 36, 0.0)
+    assert _krawtchouk_ratios(36, 1, 18.0) is None
+    # 12.85 is just left of d_3^36(1) = (36 - sqrt(106)) / 2 = 12.852...,
+    # where p'/p is about -1/(d_3(1) - x); 13 is right of it
+    _assert_ratios(_krawtchouk_ratios(36, 3, 12.85), _cleared_ratios(36, 3, Fraction(12.85)), 1e-9)
+    assert -700 < _krawtchouk_ratios(36, 3, 12.85)[0] < -400
+    assert _krawtchouk_ratios(36, 3, 13.0) is None
+    # K_4(12) = -231 < 0
+    assert eval_exact(KrawtchoukParams(36, 4), 12) == -231
+    assert _krawtchouk_ratios(36, 4, 12.0) is None
 
 
 def test_float_kernel_stability_envelope():
-    # Forward-recurrence envelope at documented scales: the absolute error
-    # stays far below the largest intermediate value of the scaled sequence,
-    # and the pointwise relative error is <= 1e-9 away from the cancellation
-    # regime; the slope obeys the same absolute envelope.
+    # On a grid of half-integer points at documented scales, both sides of
+    # d_k(1): where K_0..K_k are all positive (left of d_k(1), by the Sturm
+    # property) both ratios match the exact ones to 1e-9 relative, and
+    # where one is not the kernel returns None.
     for N in (10, 36, 60, 100):
         for k in range(1, N + 1, max(1, N // 7)):
             for num in range(0, 2 * N + 1, max(1, N // 4)):
                 t = Fraction(num, 2)
-                vals, slopes = _exact_sequence(N, k, t)
-                scaled = [v / math.comb(N, j) for j, v in enumerate(vals)]
-                d_scaled = [v / math.comb(N, j) for j, v in enumerate(slopes)]
-                value, slope = _krawtchouk_slope(N, k, float(t))
-                path_max = max(1.0, max(abs(float(v)) for v in scaled))
-                err = abs(value - float(scaled[-1]))
-                assert err <= 1e-12 * path_max
-                if abs(float(scaled[-1])) >= 1e-6 * path_max and scaled[-1] != 0:
-                    assert err / abs(float(scaled[-1])) <= 1e-9
-                d_max = max(1.0, max(abs(float(v)) for v in d_scaled))
-                assert abs(slope - float(d_scaled[-1])) <= 1e-12 * d_max
+                vals, slopes, curves = _exact_sequence(N, k, t)
+                got = _krawtchouk_ratios(N, k, float(t))
+                if min(vals) <= 0:
+                    assert got is None, (N, k, t)
+                else:
+                    _assert_ratios(got, (slopes[-1] / vals[-1], curves[-1] / vals[-1]), 1e-9)
 
 
-@pytest.mark.parametrize("N", [512, 2048])
-def test_float_kernel_left_of_smallest_root_at_large_N(N):
-    # K_k(0) = C(N, k) passes 1e308 at N = 2048 (C(2048, 1024) ~ 1e615), so
-    # the unscaled recurrence overflows there.  Left of the smallest root,
-    # where the Newton seed evaluates the kernel, the scaled value lies in
-    # (0, 1]; kz_root_bound is below d_k(1) when 2k < N.  Only the slope
-    # can leave the float range, at N = 2048 for k = N.
-    for k in (1, N // 8, N // 4, 3 * N // 8, N // 2, 3 * N // 4, N):
+@pytest.mark.parametrize("N,ks", [
+    (512, None), (2048, None),
+    # K_k / C(N, k) is below the smallest float at the right point here
+    (33280, (512,)), (34768, (1000,)),
+], ids=["512", "2048", "33280-512", "34768-1000"])
+def test_float_kernel_left_of_smallest_root_at_large_N(N, ks):
+    # K_k(0) = C(N, k) passes 1e308 at N = 2048 (C(2048, 1024) ~ 1e615), and
+    # K_k / C(N, k) passes below 1e-308 left of d_512^33280(1): the carried
+    # values are rescaled by powers of two, so neither stops the kernel.
+    # Left of the smallest root, where the seed evaluates the kernel, both
+    # ratios match the exact ones; kz_root_bound is below d_k(1) when 2k < N.
+    for k in ks or (1, N // 8, N // 4, 3 * N // 8, N // 2, 3 * N // 4, N):
         points = [Fraction(0)]
         if 2 * k < N:
             bound = Fraction(kz_root_bound(N, k))
             points += [bound / 2, bound]
         for x in points:
-            value, slope = _krawtchouk_slope(N, k, float(x))
-            scale = math.comb(N, k)
-            exact = eval_exact(KrawtchoukParams(N, k), x) / scale
-            d_exact = Fraction(_cleared_slope(N, k, x),
-                               math.factorial(k) * x.denominator ** k * scale)
-            assert 0 < exact <= 1 and 0 < value <= 1
-            assert abs(value - float(exact)) <= 1e-9 * float(exact)
-            if abs(d_exact) < sys.float_info.max:
-                assert abs(slope - float(d_exact)) <= 1e-9 * abs(float(d_exact))
+            exact = _cleared_ratios(N, k, x)
+            if abs(exact[0]) < sys.float_info.max:
+                _assert_ratios(_krawtchouk_ratios(N, k, float(x)), exact, 1e-9)
             else:
-                # the slope, about -1/d_k(1), leaves the float range with d_k(1)
-                assert not math.isfinite(slope)
+                # p'/p is -sum_j 2^j / j, about -2^2038, at N = k = 2048 and
+                # x = 0; d_k(1), about 2^-2038, is below every float, so the
+                # ratio is no float and the seed stays at 0.0
+                assert (N, k, x) == (2048, 2048, 0)
+                assert not math.isfinite(_krawtchouk_ratios(N, k, 0.0)[0])
+                assert _root_seed(N, k) == 0.0
 
 
 # ---------------------------------------------------------------- identities

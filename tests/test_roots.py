@@ -411,7 +411,7 @@ def test_float_seed_settles_most_brackets(monkeypatch):
 
 
 def test_warm_start_right_of_the_root_restarts_at_the_last_root(monkeypatch):
-    # an extrapolation just right of d_5^30(1) comes back from Newton
+    # an extrapolation just right of d_5^30(1) comes back from the seed
     # unmoved, so the seed restarts at d_5^29(1), which is left of it
     def refined(chain):  # brackets 1..5, each refined before the next is made
         for k in range(1, 6):
@@ -449,13 +449,56 @@ def test_refining_a_made_bracket_runs_no_newton(monkeypatch):
         evaluations.append(args)
         return real(*args)
 
-    monkeypatch.setattr(semireg.exact, "_krawtchouk_slope",
-                        lambda N, k, x: pytest.fail("Newton ran"))
+    monkeypatch.setattr(semireg.exact, "_krawtchouk_ratios",
+                        lambda N, k, x: pytest.fail("a float seed ran"))
     monkeypatch.setattr(roots_mod, "_sign_at_dyadic", counted)
     width = Fraction(1, 1 << 40)
     for k in range(1, 37):
         assert chain.refine(k, width).enclosure().width <= width
     assert len(evaluations) <= 2 * 35  # the kept seeds' windows are accepted
+
+
+def test_lift_off_bound_holds_at_512_511():
+    # d_511^512(1) is about 1e-149: bisecting (0, 1] lifts lo off 0 within
+    # the proven ceil(log2(B0 / C(N, k))) + 1 steps, and the bound is tight
+    N, k = 512, 511
+    budget = roots_mod._lift_off_steps(N, k, 1, 0)
+    br = roots_mod.DyadicBracket(roots_mod._root_sign(N, k), 0, 1, 0)
+    steps = 0
+    while br.num_lo == 0:
+        br.step()
+        steps += 1
+    assert budget - 1 <= steps <= budget
+    assert 1e-150 < br.lo < 1e-148
+    # the chain's own lift-off loop at the same degree stays within its bound
+    budgets, real = [], roots_mod._lift_off_steps
+
+    def recorded(*args):
+        budgets.append(real(*args))
+        return budgets[-1]
+
+    chain = roots_mod._RootChain(N)
+    chain.bracket(k - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots_mod, "_lift_off_steps", recorded)
+        assert 1e-150 < chain.bracket(k).lo < 1e-148
+    assert budgets and budgets[0] > 0
+
+
+def test_lift_off_stops_a_wrong_kernel(monkeypatch):
+    # with j (N - j + 2) for j (N - j + 1) and no tiny-root bounds, the wrong
+    # K_3^3(0) is -3: bisection of (0, prev.lo] would halve toward 0 forever
+    def wrong(N, k):
+        def sign(p, e):
+            s, prev, cur = (N << e) - 2 * p, 1, (N << e) - 2 * p
+            for j in range(1, k):
+                prev, cur = cur, s * cur - (j * (N - j + 2) * prev << 2 * e)
+            return -cur
+        return sign
+
+    monkeypatch.setattr(roots_mod, "_root_sign", wrong)
+    with pytest.raises(AssertionError, match="N=3, k=3: lo stayed 0"):
+        roots_mod._RootChain(3).bracket(3)
 
 
 def _encloses_sqrt(lo, hi, N):
