@@ -563,6 +563,34 @@ def test_l_accepts_degree_norm_matches_interval_oracle(N, data):
     assert _l_accepts_degree(N, n, k) == interval_l_accepts_degree(N, n, k)
 
 
+def _bound_keys(shape):
+    keys = []
+    for out in (ls_lower(shape), l_upper(shape)):
+        cert = out.certification
+        keys.append((out.value, out.not_applicable_reason, cert.method,
+                     cert.near_boundary, cert.candidates))
+    return keys
+
+
+def _domain_error(a, b):
+    raise ValueError("math domain error")
+
+
+@pytest.mark.parametrize("refuse", ["narrow", "closed form", math.nan, math.inf, 1.5])
+def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
+    # the bounds read no float: a refused seeded window, or a Cardano closed
+    # form that fails or returns a wrong w4, changes no outcome
+    shapes = list(enumerate_shapes(40))
+    expected = [_bound_keys(shape) for shape in shapes]
+    if refuse == "narrow":
+        monkeypatch.setattr(DyadicBracket, "narrow", lambda self, guess, width: False)
+    elif refuse == "closed form":
+        monkeypatch.setattr(bounds_mod, "_cardano_w4", _domain_error)
+    else:
+        monkeypatch.setattr(bounds_mod, "_cardano_w4", lambda a, b: (refuse,) * 3)
+    assert [_bound_keys(shape) for shape in shapes] == expected
+
+
 def test_certified_bounds_decide_in_integers(monkeypatch):
     # the four certified bounds read no float: with `bounds.math` reduced to
     # the one integer function they use, every outcome over N <= 40 is the same
