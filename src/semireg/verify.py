@@ -77,7 +77,9 @@ def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:
     same ones, and only one N's brackets are alive at a time.  Each chain is
     built from that of N - 1, whose float seeds and those of N - 2 start its
     own.  Each suite is (name, check) with check(chain, width) -> (cases
-    passed, failure detail or ""), and stops at its first failure.
+    passed, failure detail or ""), and stops at its first failure.  An
+    AssertionError raised while a suite reads the chain of N (a kernel
+    fault) is that suite's failure, its message naming N.
     """
     checked = [0] * len(suites)
     failure = [""] * len(suites)
@@ -86,7 +88,13 @@ def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:
         chain = _RootChain(N, chain)
         for i, (_, check) in enumerate(suites):
             if not failure[i]:
-                passed, failure[i] = check(chain, width)
+                try:
+                    passed, failure[i] = check(chain, width)
+                except AssertionError as exc:
+                    # a kernel fault: this suite fails, and so does every
+                    # other one that reads the same chain
+                    passed, msg = 0, str(exc)
+                    failure[i] = msg if msg.startswith(f"N={N},") else f"N={N}: {msg}"
                 checked[i] += passed
         if all(failure):
             break
@@ -205,25 +213,40 @@ def check_gf_identity(max_N: int) -> CheckResult:
 
 
 def check_orthogonality(max_N: int) -> CheckResult:
-    """Exact binomial-weighted orthogonality for every pair (l, k), N <= 40."""
+    """Exact binomial-weighted orthogonality for every pair (l, k), N <= 40.
+
+    G[l][k] = sum_i C(N, i) K_l(i) K_k(i) must equal 2^N C(N, l) [l == k].
+    Each Gram row l is one packed integer: with X_i = sum_k K_k(i) 2^(B k),
+    R_l = sum_i K_l(i) C(N, i) X_i holds G[l][k] in field k, and is
+    compared whole with 2^N C(N, l) 2^(B l).  The stride B comes from the
+    values read: with M the largest |K_k(i)|, |G| <= 2^N M^2 and the
+    expected |E| <= 4^N, so B = max(N + 2 bits(M), 2N) + 2 keeps every
+    signed field |G - E| below 2^(B - 1), and a wrong value cannot carry
+    into a neighbouring field.  Rows are compared in order l = 0..N, and a
+    pair (l, k) counts as checked for k >= l.  On a mismatch the fields
+    below l are zero, since G[l][k] = G[k][l] passed in row k, so the first
+    non-zero signed field from l upward, the failing k, holds the lowest
+    set bit of the difference.
+    """
     top = min(max_N, ORTHOGONALITY_ENVELOPE)
     checked = 0
     for N in range(1, top + 1):
-        # cols[k][i] = K_k(i); each row l is weighted by C(N, i) once
-        cols = list(zip(*(integer_values(N, i, N) for i in range(N + 1))))
-        weights = [binomial(N, i) for i in range(N + 1)]
-        for l in range(N + 1):
-            expected_diag = (1 << N) * binomial(N, l)
-            wl = list(map(mul, cols[l], weights))
-            for k in range(l, N + 1):
-                total = sum(map(mul, wl, cols[k]))
-                expected = expected_diag if l == k else 0
-                if total != expected:
-                    return CheckResult(
-                        "orthogonality", checked, False,
-                        f"failure at N={N}, l={l}, k={k}",
-                    )
-                checked += 1
+        rows = [integer_values(N, i, N) for i in range(N + 1)]  # rows[i][k] = K_k(i)
+        M = max(abs(v) for row in rows for v in row)
+        B = max(N + 2 * M.bit_length(), 2 * N) + 2
+        packed = []
+        for i, row in enumerate(rows):
+            x = 0
+            for v in reversed(row):
+                x = (x << B) + v
+            packed.append(binomial(N, i) * x)
+        for l, col in enumerate(zip(*rows)):
+            diff = sum(map(mul, col, packed)) - (binomial(N, l) << (N + B * l))
+            if diff:
+                k = ((diff & -diff).bit_length() - 1) // B
+                return CheckResult("orthogonality", checked + k - l, False,
+                                   f"failure at N={N}, l={l}, k={k}")
+            checked += N + 1 - l
     return CheckResult("orthogonality", checked, True)
 
 

@@ -383,6 +383,33 @@ def orthogonality_check(N: int, l: int, k: int) -> bool:
     return total == expected
 
 
+def orthogonality_reference(max_N: int) -> CheckResult:
+    """The orthogonality suite pair by pair, one scalar dot product per (l, k).
+
+    The integer values are read through `semireg.verify`, so a test that
+    patches them there patches this reference too.
+    """
+    top = min(max_N, semireg.verify.ORTHOGONALITY_ENVELOPE)
+    checked = 0
+    for N in range(1, top + 1):
+        # cols[k][i] = K_k(i); each row l is weighted by C(N, i) once
+        cols = list(zip(*(semireg.verify.integer_values(N, i, N) for i in range(N + 1))))
+        weights = [binomial(N, i) for i in range(N + 1)]
+        for l in range(N + 1):
+            expected_diag = (1 << N) * binomial(N, l)
+            wl = list(map(mul, cols[l], weights))
+            for k in range(l, N + 1):
+                total = sum(map(mul, wl, cols[k]))
+                expected = expected_diag if l == k else 0
+                if total != expected:
+                    return CheckResult(
+                        "orthogonality", checked, False,
+                        f"failure at N={N}, l={l}, k={k}",
+                    )
+                checked += 1
+    return CheckResult("orthogonality", checked, True)
+
+
 def sturm_count_below(N: int, k: int, p: int, e: int) -> tuple[int, bool]:
     """Eigenvalues of the k x k Golub-Kahan matrix strictly below p / 2^e.
 

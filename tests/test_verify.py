@@ -4,15 +4,16 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semireg.exact
 import semireg.krawtchouk
 import semireg.roots
 import semireg.verify
+from semireg import cli
 import oracle_utils
 from oracle_utils import gf_convolution_check, gf_identity_reference, orthogonality_check, \
-    three_way_reference
+    orthogonality_reference, three_way_reference
 from semireg.exact import SystemShape
 from semireg.intervals import DyadicBracket
 from semireg.krawtchouk import cleared_values, gf_identity_check, integer_values
@@ -148,6 +149,99 @@ def test_orthogonality_reports_the_pair_the_oracle_finds(monkeypatch, N, i, k):
     before = sum((M + 1) * (M + 2) // 2 for M in range(1, N))  # the pairs of smaller N
     assert check_orthogonality(60) == CheckResult(
         "orthogonality", before + j, False, f"failure at N={N}, l={l}, k={k_}")
+
+
+def _aliased_pair(N, i, k, shift):
+    """{(N, i, k): K_k(i) + 2^shift, (N, i, k - 1): K_(k-1)(i) - 2^(shift + B)}.
+
+    B is the stride the true values give at N, a stride fixed by N alone;
+    at B the two entries pack to the true row.
+    """
+    true = [integer_values(N, j, N) for j in range(N + 1)]
+    B = max(N + 2 * max(abs(v) for row in true for v in row).bit_length(), 2 * N) + 2
+    return {(N, i, k): true[i][k] + (1 << shift), (N, i, k - 1): true[i][k - 1] - (1 << shift + B)}
+
+
+@st.composite
+def _table_corruption(draw):
+    """(max_N, {(N, i, k): value}): 1 to 3 entries K_k(i) replaced, at N <= max_N <= 40."""
+    max_N = draw(st.integers(1, 40), label="max_N")
+    values = {}
+    for _ in range(draw(st.integers(1, 3), label="entries")):
+        N = draw(st.integers(1, max_N), label="N")
+        i, k = draw(st.integers(0, N), label="i"), draw(st.integers(0, N), label="k")
+        values[N, i, k] = draw(st.one_of(
+            st.integers(-8, 8), st.integers(-(1 << 300), 1 << 300),
+            st.sampled_from([1 << 300, -(1 << 300), 1 << (2 * N + 2), -(1 << (2 * N + 2))]),
+        ), label="value")
+    return max_N, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_corruption())
+@example((12, _aliased_pair(12, 7, 4, 0)))
+@example((40, _aliased_pair(40, 0, 40, 300)))
+def test_orthogonality_matches_the_scalar_sweep_under_wide_corruptions(corruption):
+    # the packed rows must report what one dot product per pair reports,
+    # however wide the values read: a stride fixed by N would alias them
+    max_N, values = corruption
+
+    def corrupted(N, i, k_max):
+        row = integer_values(N, i, k_max)
+        for k in range(k_max + 1):
+            row[k] = values.get((N, i, k), row[k])
+        return row
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semireg.verify, "integer_values", corrupted)
+        expected = orthogonality_reference(max_N)
+        assert check_orthogonality(max_N) == expected
+    assert expected.passed == all(integer_values(N, i, N)[k] == v for (N, i, k), v in values.items())
+
+
+@pytest.mark.parametrize("max_N, checked", [(0, 0), (1, 3), (2, 9), (3, 19), (20, 1770),
+                                             (39, 11479), (40, 12340), (41, 12340), (60, 12340)])
+def test_orthogonality_counts_every_pair_up_to_the_envelope(max_N, checked):
+    assert checked == sum((N + 1) * (N + 2) // 2 for N in range(1, min(max_N, 40) + 1))
+    res = check_orthogonality(max_N)
+    assert (res.checked, res.passed) == (checked, checked > 0)
+    assert res.detail == ("" if checked else "no cases checked")
+
+
+def test_verify_reports_a_kernel_fault_as_a_failure(monkeypatch, capsys):
+    # the j (N - j + 2) kernel of test_roots.py::test_lift_off_stops_a_wrong_kernel
+    # makes the chain raise AssertionError at N = 3: a FAIL line, not a traceback
+    def wrong(N, k):
+        def sign(p, e):
+            s, prev, cur = (N << e) - 2 * p, 1, (N << e) - 2 * p
+            for j in range(1, k):
+                prev, cur = cur, s * cur - (j * (N - j + 2) * prev << 2 * e)
+            return -cur
+        return sign
+
+    monkeypatch.setattr(semireg.roots, "_root_sign", wrong)
+    assert cli.main(["verify", "10"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:6]] == [
+        "interlacing", "gf_identity", "orthogonality", "three_way_agreement",
+        "eigenvalue_root_duality", "sandwich"]
+    assert lines[0].startswith("interlacing: FAIL (1 cases)  N=3, k=3: lo stayed 0 ")
+    assert lines[1] == "gf_identity: PASS (20 cases)"
+    assert lines[2] == "orthogonality: PASS (285 cases)"
+    assert lines[4] == "eigenvalue_root_duality: FAIL (1 cases)  duality gap at N=2, k=2"
+    assert lines[6:] == ["4/6 suites passed"]
+
+
+def test_chain_suites_name_n_for_a_fault_without_it():
+    # every suite that reads the faulty chain fails with the fault, named by N
+    def faulty(chain, width):
+        if chain.N == 4:
+            raise AssertionError("K_k must be negative at the exact previous smallest root")
+        return 1, ""
+
+    res = semireg.verify._chain_suites(6, Fraction(1, 1024), ("a", faulty), ("b", faulty))
+    assert res == [CheckResult(name, 2, False, "N=4: K_k must be negative at the exact "
+                                               "previous smallest root") for name in "ab"]
 
 
 def _made_by(bracket, *factories):
