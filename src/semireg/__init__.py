@@ -15,8 +15,6 @@ from .exact import (
     f5_cost_log2,
 )
 from .krawtchouk import (
-    KrawtchoukParams,
-    eval_exact,
     eval_integer,
     gf_identity_check,
 )
@@ -32,7 +30,6 @@ from .bounds import (
     BoundKind,
     BoundOutcome,
     NotApplicableReason,
-    QuarticClosedForm,
     kz_lower,
     ls_lower,
     ls_lower_asymptotic,
@@ -51,8 +48,6 @@ __all__ = [
     "hilbert_truncation",
     "degree_of_regularity_exact",
     "f5_cost_log2",
-    "KrawtchoukParams",
-    "eval_exact",
     "eval_integer",
     "gf_identity_check",
     "smallest_root",
@@ -64,7 +59,6 @@ __all__ = [
     "BoundKind",
     "BoundOutcome",
     "NotApplicableReason",
-    "QuarticClosedForm",
     "kz_lower",
     "ls_lower",
     "ls_lower_asymptotic",

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import partial
 
 from .exact import SystemShape, kz_root_bound
-from .intervals import Enclosure, integer_bisect
+from .intervals import integer_bisect
 
 __all__ = [
     "BoundKind",
@@ -47,7 +47,6 @@ __all__ = [
     "BoundOutcome",
     "AiryConstant",
     "DEFAULT_AIRY",
-    "QuarticClosedForm",
     "kz_lower",
     "kz_root_bound",
     "ls_lower",
@@ -144,9 +143,6 @@ class AiryConstant(namedtuple("AiryConstant", "i1 precision_radius")):
     def c(self) -> float:
         return float(self.i1) * 6.0 ** (-1.0 / 3.0)
 
-    def i1_enclosure(self) -> Enclosure:
-        return Enclosure(self.i1 - self.precision_radius, self.i1 + self.precision_radius)
-
 
 DEFAULT_AIRY = AiryConstant()
 
@@ -183,41 +179,6 @@ def kz_lower(shape: SystemShape) -> BoundOutcome:
 # --------------------------------------------------------------------------
 # LS lower bound (quartic / Airy constant)
 # --------------------------------------------------------------------------
-
-
-class QuarticClosedForm(namedtuple("QuarticClosedForm", "a b t_value u_value w4")):
-    """Radical expression of the positive quartic root, float diagnostics.
-
-    For q(w) = w^4 - a w + b (a > 0 > b) the resolvent cubic U^3 - 4 b U = a^2
-    has the Cardano root U = T^(1/3) + (4b/3) T^(-1/3) with
-    T = a^2/2 + sqrt(a^4 - (256/27) b^3)/2, and the unique positive root is
-
-        w4 = (sqrt(U) + sqrt(2 a / sqrt(U) - U)) / 2.
-
-    The radicand under the inner square root is positive because U^3 < a^2
-    implies U^(3/2) < a < 2a.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def from_shape(cls, shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> "QuarticClosedForm":
-        a, b = shape.n / math.sqrt(2 * shape.N), -airy.c
-        return cls(a, b, *_cardano_w4(a, b))
-
-    def residual(self) -> float:
-        return self.w4 ** 4 - self.a * self.w4 + self.b
-
-    def half_w4_pow6_minus_1(self) -> float:
-        return (self.w4 ** 6 - 1) / 2
-
-
-def _cardano_w4(a: float, b: float) -> tuple[float, float, float]:
-    """(T, U, w4) of `QuarticClosedForm`; the floats may leave the radicals' domain."""
-    t_value = a * a / 2 + math.sqrt(a ** 4 - 256.0 / 27.0 * b ** 3) / 2
-    p = t_value ** (1.0 / 3.0)
-    u = p + (4 * b / 3) / p
-    return t_value, u, (math.sqrt(u) + math.sqrt(2 * a / math.sqrt(u) - u)) / 2
 
 
 def _cube_field_norm(p: int, q: int, A: int, B: int, C: int) -> int:
@@ -265,11 +226,10 @@ def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutc
     refused (which keeps the bound 1 valid).  w4 grows with c, so the upper
     end first tests the lower end's floor + 1 and searches only when that
     passes.  Differing floors are flagged near-boundary with both
-    candidates.  The ends of `airy.i1_enclosure()`, i1 -+ r for i1 = P/Q
-    and r = p/q, are read as the unreduced pairs (P q -+ p Q, Q q): the
-    test is homogeneous in (P, Q) and top reads only floor(P^2 / Q^2), so
-    no Fraction is formed.  The float closed form is
-    `QuarticClosedForm.from_shape(shape, airy)`.
+    candidates.  The ends of the Airy enclosure, i1 -+ r for i1 = P/Q and
+    r = p/q, are read as the unreduced pairs (P q -+ p Q, Q q): the test is
+    homogeneous in (P, Q) and top reads only floor(P^2 / Q^2), so no
+    Fraction is formed.
     """
     N, n = shape.N, shape.n
 

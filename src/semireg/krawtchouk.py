@@ -6,77 +6,37 @@ goes through the three-term recurrence
 
     (k+1) K_{k+1}(t) = (N - 2t) K_k(t) - (N - k + 1) K_{k-1}(t),
 
-seeded with K_0 = 1 and K_1 = N - 2t.  Exact evaluation has two integer
-kernels: `exact.krawtchouk_stream` divides as it goes and yields the values
-at integer points (`integer_values`, the Hilbert-series coefficients);
-`cleared_values` clears factorials and denominators and serves rational
-points.  The root and eigenvalue signs of `roots` run the recurrence of
-`cleared_values` at d = 2^e in a loop that keeps only the last two values,
-and the tests check them against it.  The degree of regularity reads only
-signs, from `exact._sign_stream`, cleared too.  The one float recurrence is
-`exact._krawtchouk_ratios`, divided by C(N, j) and rescaled by powers of
-two, which only seeds Laguerre's method.  The explicit sum
-K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j) decides signs in production too:
-left of x = 1, `roots._root_sign` bounds it from both sides in integers and
-needs the recurrence only near a root.  In integers its cancellation costs
-bits, not accuracy.  Tests evaluate the whole sum as an oracle.
+seeded with K_0 = 1 and K_1 = N - 2t.  Values are exact integers at integer
+points only: `exact.krawtchouk_stream` divides as it goes and yields them
+(`integer_values`, the Hilbert-series coefficients).  The other kernels
+read signs.  The degree of regularity reads them from `exact._sign_stream`;
+the roots and eigenvalues of `roots` from `_sign_at_dyadic` and
+`_eigen_sign`, which run the recurrence cleared of factorials and
+denominators at d = 2^e, keeping only the last two values.  The tests check
+them against a list-returning reference, `tests/oracle_utils.cleared_values`.
+The one float recurrence is `exact._krawtchouk_ratios`, divided by C(N, j)
+and rescaled by powers of two, which only seeds Laguerre's method.  The
+explicit sum K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j) decides signs in
+production too: left of x = 1, `roots._root_sign` bounds it from both sides
+in integers and needs the recurrence only near a root.  In integers its
+cancellation costs bits, not accuracy.  Tests evaluate the whole sum as an
+oracle.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import add
 
 from .exact import SystemShape, krawtchouk_stream
 
 __all__ = [
-    "KrawtchoukParams",
-    "cleared_values",
-    "eval_exact",
     "eval_integer",
     "integer_values",
     "gf_identity_check",
 ]
-
-
-class KrawtchoukParams(namedtuple("KrawtchoukParams", "N k")):
-    """Family size N and degree k, with the alphabet parameter pinned to 2."""
-
-    __slots__ = ()
-
-    def __new__(cls, N: int, k: int) -> "KrawtchoukParams":
-        if N < 1:
-            raise ValueError(f"requires N >= 1; got N={N}")
-        if not 0 <= k <= N:
-            raise ValueError(f"requires 0 <= k <= N; got k={k}, N={N}")
-        return super().__new__(cls, N, k)
-
-
-def cleared_values(N: int, s: int, d2: int, k: int) -> list[int]:
-    """[B_0, ..., B_k] with B_j = j! d^j K_j^N(x), where s = d (N - 2x), d2 = d^2.
-
-    The cleared recurrence B_{j+1} = s B_j - j (N - j + 1) d2 B_{j-1}, B_0 = 1,
-    stays in integers at every rational x.  At s = p, d2 = 4^e the B_j are
-    also the leading minors of the Golub-Kahan matrix at p / 2^e.
-    """
-    prev, cur = 1, s
-    b = [1, s]
-    for j in range(1, k):
-        prev, cur = cur, s * cur - j * (N - j + 1) * d2 * prev
-        b.append(cur)
-    return b if k else [1]
-
-
-def eval_exact(params: KrawtchoukParams, t: Fraction | int) -> Fraction:
-    """K_k^N(t) in exact rational arithmetic."""
-    t = Fraction(t)
-    d, k = t.denominator, params.k
-    b_k = cleared_values(params.N, d * params.N - 2 * t.numerator, d * d, k)[k]
-    return Fraction(b_k, math.factorial(k) * d ** k)
 
 
 def integer_values(N: int, t: int, k_max: int) -> list[int]:

@@ -12,8 +12,10 @@ Two independent re-derivations of the degree of regularity live here:
   leading minors of x I - T_k by Sylvester's criterion: x > lambda_k exactly
   when all of them are positive.
 
-Both signs run the cleared recurrence of `krawtchouk.cleared_values` in one
-loop that keeps only its last two values and multiplies by 4^e as a shift.
+Both signs, `_sign_at_dyadic` (behind `_root_sign`) and `_eigen_sign`, run
+the cleared recurrence in a loop that keeps only its last two values and
+multiplies by 4^e as a shift; the tests check both against the
+list-returning reference `tests/oracle_utils.cleared_values`.
 One `_RootChain` per N makes the brackets of both routes as they are asked
 for and answers both comparisons; the functions here and `verify` read it.
 

@@ -4,12 +4,20 @@ Each function here recomputes a quantity by a different route than the
 production code: brute-force polynomial expansion, Pascal's triangle,
 the explicit alternating sum, the general-alphabet recurrence, rational
 bisection, interval arithmetic, mpmath root finding.  They exist so expected values in tests are
-never produced by the code under test.
+never produced by the code under test.  The references the package no
+longer carries live here too: the cleared recurrence as a list
+(`cleared_values`, `eval_exact`) and the float Cardano closed form of
+`ls_lower` (`QuarticClosedForm`), beside one deliberately wrong root kernel
+(`wrong_root_sign`) that the fault tests patch in, and a `time_limit` that
+turns a hang into a failure.
 """
 
 from __future__ import annotations
 
 import math
+import signal
+from collections import namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -19,10 +27,10 @@ from dataclasses import dataclass
 import mpmath
 
 import semireg.verify
-from semireg.bounds import DEFAULT_AIRY, CertificationMethod, _l_accepts_degree
-from semireg.exact import binomial, krawtchouk_stream
+from semireg.bounds import DEFAULT_AIRY, AiryConstant, CertificationMethod, _l_accepts_degree
+from semireg.exact import SystemShape, binomial, krawtchouk_stream
 from semireg.intervals import Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
-from semireg.krawtchouk import cleared_values, integer_values
+from semireg.krawtchouk import integer_values
 from semireg.roots import DEFAULT_WIDTH, dreg_via_eigenvalues, dreg_via_roots, largest_eigenvalue
 from semireg.verify import CheckResult, enumerate_shapes
 
@@ -64,6 +72,98 @@ class Interval(Enclosure):
         return Interval(min(products), max(products))
 
     __rmul__ = __mul__
+
+
+def cleared_values(N: int, s: int, d2: int, k: int) -> list[int]:
+    """[B_0, ..., B_k] with B_j = j! d^j K_j^N(x), where s = d (N - 2x), d2 = d^2.
+
+    The cleared recurrence B_{j+1} = s B_j - j (N - j + 1) d2 B_{j-1}, B_0 = 1,
+    stays in integers at every rational x.  At s = p, d2 = 4^e the B_j are
+    also the leading minors of the Golub-Kahan matrix at p / 2^e.
+    """
+    prev, cur = 1, s
+    b = [1, s]
+    for j in range(1, k):
+        prev, cur = cur, s * cur - j * (N - j + 1) * d2 * prev
+        b.append(cur)
+    return b if k else [1]
+
+
+def eval_exact(N: int, k: int, t: Fraction | int) -> Fraction:
+    """K_k^N(t) in exact rational arithmetic."""
+    t = Fraction(t)
+    d = t.denominator
+    b_k = cleared_values(N, d * N - 2 * t.numerator, d * d, k)[k]
+    return Fraction(b_k, math.factorial(k) * d ** k)
+
+
+def wrong_root_sign(N: int, k: int):
+    """A faulty `roots._root_sign`: j (N - j + 2) for j (N - j + 1), no tiny-root bounds.
+
+    Its K_3^3(0) is -3, so the root chain's lift-off at N = 3 finds no
+    positive value left of the previous root.
+    """
+    def sign(p: int, e: int) -> int:
+        s, prev, cur = (N << e) - 2 * p, 1, (N << e) - 2 * p
+        for j in range(1, k):
+            prev, cur = cur, s * cur - (j * (N - j + 2) * prev << 2 * e)
+        return -cur
+    return sign
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in a call that runs past `seconds`, instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def i1_enclosure(airy: AiryConstant) -> Enclosure:
+    """The Airy enclosure [i1 - precision_radius, i1 + precision_radius]."""
+    return Enclosure(airy.i1 - airy.precision_radius, airy.i1 + airy.precision_radius)
+
+
+class QuarticClosedForm(namedtuple("QuarticClosedForm", "a b t_value u_value w4")):
+    """Radical expression of the positive quartic root, float diagnostics.
+
+    For q(w) = w^4 - a w + b (a > 0 > b) the resolvent cubic U^3 - 4 b U = a^2
+    has the Cardano root U = T^(1/3) + (4b/3) T^(-1/3) with
+    T = a^2/2 + sqrt(a^4 - (256/27) b^3)/2, and the unique positive root is
+
+        w4 = (sqrt(U) + sqrt(2 a / sqrt(U) - U)) / 2.
+
+    The radicand under the inner square root is positive because U^3 < a^2
+    implies U^(3/2) < a < 2a.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_shape(cls, shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> "QuarticClosedForm":
+        a, b = shape.n / math.sqrt(2 * shape.N), -airy.c
+        return cls(a, b, *_cardano_w4(a, b))
+
+    def residual(self) -> float:
+        return self.w4 ** 4 - self.a * self.w4 + self.b
+
+    def half_w4_pow6_minus_1(self) -> float:
+        return (self.w4 ** 6 - 1) / 2
+
+
+def _cardano_w4(a: float, b: float) -> tuple[float, float, float]:
+    """(T, U, w4) of `QuarticClosedForm`; the floats may leave the radicals' domain."""
+    t_value = a * a / 2 + math.sqrt(a ** 4 - 256.0 / 27.0 * b ** 3) / 2
+    p = t_value ** (1.0 / 3.0)
+    u = p + (4 * b / 3) / p
+    return t_value, u, (math.sqrt(u) + math.sqrt(2 * a / math.sqrt(u) - u)) / 2
 
 
 def pascal_binomial(a: int, b: int) -> int:
@@ -216,7 +316,7 @@ def c_enclosure(airy, bits: int) -> Enclosure:
     Both factors are non-negative, so the product's ends are the ends'
     products.
     """
-    root, i1 = nth_root_enclosure(Fraction(1, 6), 3, bits), airy.i1_enclosure()
+    root, i1 = nth_root_enclosure(Fraction(1, 6), 3, bits), i1_enclosure(airy)
     return Enclosure(root.lo * i1.lo, root.hi * i1.hi)
 
 

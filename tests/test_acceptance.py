@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 
 from semireg.bounds import (
-    QuarticClosedForm,
     kz_lower,
     kz_root_bound,
     l_upper,
@@ -29,7 +28,7 @@ from semireg.verify import (
 )
 
 import reference_tables as ref
-from oracle_utils import sextic_value
+from oracle_utils import QuarticClosedForm, sextic_value
 
 
 def _report(line: str) -> None:

@@ -16,7 +16,6 @@ from semireg.bounds import (
     CertificationMethod,
     DEFAULT_AIRY,
     NotApplicableReason,
-    QuarticClosedForm,
     kz_lower,
     kz_root_bound,
     l_upper,
@@ -29,7 +28,7 @@ from semireg.bounds import (
     ls_upper_root_bound,
 )
 import semireg.bounds as bounds_mod
-from semireg.bounds import (_cardano_w4, _cube_field_norm, _l_accepts_degree, _l_degree_norm,
+from semireg.bounds import (_cube_field_norm, _l_accepts_degree, _l_degree_norm,
                             _l_max_resultant, _ls_refuses_degree)
 from semireg.intervals import DyadicBracket, iroot, nth_root_enclosure
 from semireg.verify import enumerate_shapes
@@ -37,8 +36,11 @@ from semireg.verify import enumerate_shapes
 from oracle_utils import (
     LS_BITS_SCHEDULE,
     Interval,
+    QuarticClosedForm,
+    _cardano_w4,
     c_enclosure,
     fraction_ls_lower,
+    i1_enclosure,
     interval_l_accepts_degree,
     interval_ls_refuses_degree,
     l_max_sign,
@@ -204,7 +206,7 @@ def test_ls_lower_flagged_shapes_at_narrow_radius():
 
 def _ls_ends(airy):
     """The two ends of the Airy enclosure as (P, Q) pairs."""
-    return [(i.numerator, i.denominator) for i in airy.i1_enclosure()]
+    return [(i.numerator, i.denominator) for i in i1_enclosure(airy)]
 
 
 _COEFF = st.integers(-10**6, 10**6)
@@ -279,7 +281,7 @@ def test_ls_lower_floors_of_huge_shapes_match_interval_oracle(m, n):
     cert = out.certification
     floors = (out.value - 1, (cert.candidates[1] if cert.near_boundary else out.value) - 1)
     N = 2 * m - n
-    for f, i1 in zip(floors, DEFAULT_AIRY.i1_enclosure()):
+    for f, i1 in zip(floors, i1_enclosure(DEFAULT_AIRY)):
         assert f > 0
         assert not interval_ls_refuses_degree(N, n, i1, f)
         assert interval_ls_refuses_degree(N, n, i1, f + 1)
@@ -295,7 +297,7 @@ def test_airy_constant_default_contains_true_zero():
     mpmath.mp.dps = 30
     true_i1 = mpmath.cbrt(3) * (-mpmath.airyaizero(1))
     airy = DEFAULT_AIRY
-    enc = airy.i1_enclosure()
+    enc = i1_enclosure(airy)
     assert float(enc.lo) < float(true_i1) < float(enc.hi)
     assert airy.c == pytest.approx(1.85575, abs=5e-5)
 
@@ -341,7 +343,7 @@ def test_c_enclosure_is_the_corner_product(airy):
     # end, against the smallest and largest of all four corner products
     for bits in LS_BITS_SCHEDULE:
         root = Interval.of(nth_root_enclosure(Fraction(1, 6), 3, bits))
-        corners = root * Interval.of(airy.i1_enclosure())
+        corners = root * Interval.of(i1_enclosure(airy))
         c = c_enclosure(airy, bits)
         assert (c.lo, c.hi) == (corners.lo, corners.hi)
 
@@ -563,41 +565,15 @@ def test_l_accepts_degree_norm_matches_interval_oracle(N, data):
     assert _l_accepts_degree(N, n, k) == interval_l_accepts_degree(N, n, k)
 
 
-def _bound_keys(shape):
-    keys = []
-    for out in (ls_lower(shape), l_upper(shape)):
-        cert = out.certification
-        keys.append((out.value, out.not_applicable_reason, cert.method,
-                     cert.near_boundary, cert.candidates))
-    return keys
-
-
-def _domain_error(a, b):
-    raise ValueError("math domain error")
-
-
-@pytest.mark.parametrize("refuse", ["narrow", "closed form", math.nan, math.inf, 1.5])
-def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
-    # the bounds read no float: a refused seeded window, or a Cardano closed
-    # form that fails or returns a wrong w4, changes no outcome
-    shapes = list(enumerate_shapes(40))
-    expected = [_bound_keys(shape) for shape in shapes]
-    if refuse == "narrow":
-        monkeypatch.setattr(DyadicBracket, "narrow", lambda self, guess, width: False)
-    elif refuse == "closed form":
-        monkeypatch.setattr(bounds_mod, "_cardano_w4", _domain_error)
-    else:
-        monkeypatch.setattr(bounds_mod, "_cardano_w4", lambda a, b: (refuse,) * 3)
-    assert [_bound_keys(shape) for shape in shapes] == expected
-
-
 def test_certified_bounds_decide_in_integers(monkeypatch):
-    # the four certified bounds read no float: with `bounds.math` reduced to
-    # the one integer function they use, every outcome over N <= 40 is the same
+    # the four certified bounds read no float and need no seeded window:
+    # with `bounds.math` reduced to the one integer function they use and
+    # every `DyadicBracket.narrow` refused, each outcome over N <= 40 is the same
     shapes = list(enumerate_shapes(40))
     certified = (kz_lower, ls_lower, ls_upper, l_upper)
     expected = [[bound(shape) for bound in certified] for shape in shapes]
     monkeypatch.setattr(bounds_mod, "math", SimpleNamespace(isqrt=math.isqrt))
+    monkeypatch.setattr(DyadicBracket, "narrow", lambda self, guess, width: False)
     assert [[bound(shape) for bound in certified] for shape in shapes] == expected
 
 

@@ -15,10 +15,9 @@ from semireg.exact import (
     f5_cost_log2,
     hilbert_truncation,
 )
-from semireg.krawtchouk import KrawtchoukParams, eval_exact
 
 from oracle_utils import (alternating_sum_value, convolution_coefficient, direct_stream_dreg,
-                          exact_f5_cost_log2, expand_product, pascal_binomial)
+                          eval_exact, exact_f5_cost_log2, expand_product, pascal_binomial)
 from reference_tables import FAMILIES
 
 
@@ -331,9 +330,9 @@ def test_root_seed_stops_after_a_step_of_2_pow_minus_20(monkeypatch, N, k):
     assert all(step > 2.0 ** -20 * max(1.0, b) for step, b in steps[:-1])
     # K_k changes sign within 1e-4 x of the seed, so d_k(1) is there (past
     # k = N/2 the float recurrence loses digits: d_150^200(1) to about 1e-5)
-    kernel, r = KrawtchoukParams(N, k), Fraction(x)
-    assert eval_exact(kernel, r * (1 - Fraction(1, 10**4))) > 0
-    assert eval_exact(kernel, r * (1 + Fraction(1, 10**4))) < 0
+    r = Fraction(x)
+    assert eval_exact(N, k, r * (1 - Fraction(1, 10**4))) > 0
+    assert eval_exact(N, k, r * (1 + Fraction(1, 10**4))) < 0
 
 
 def test_root_seed_returns_a_start_right_of_the_root_unmoved(monkeypatch):

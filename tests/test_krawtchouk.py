@@ -9,38 +9,22 @@ from hypothesis import given, settings, strategies as st
 
 import semireg.krawtchouk as krawtchouk_mod
 from semireg.exact import SystemShape, coefficient, krawtchouk_stream
-from semireg.krawtchouk import (
-    KrawtchoukParams,
-    cleared_values,
-    eval_exact,
-    eval_integer,
-    gf_identity_check,
-    integer_values,
-)
+from semireg.krawtchouk import eval_integer, gf_identity_check, integer_values
 from semireg.bounds import kz_root_bound
 from semireg.exact import _krawtchouk_ratios, _root_seed
 
-from oracle_utils import (alternating_sum_value, eval_general_r, gf_convolution_check,
-                          orthogonality_check)
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        KrawtchoukParams(0, 0)
-    with pytest.raises(ValueError):
-        KrawtchoukParams(5, 6)
-    with pytest.raises(ValueError):
-        KrawtchoukParams(5, -1)
+from oracle_utils import (alternating_sum_value, cleared_values, eval_exact, eval_general_r,
+                          gf_convolution_check, orthogonality_check)
 
 
 # ---------------------------------------------------------------- evaluation
 
 
 def test_eval_exact_examples():
-    assert eval_exact(KrawtchoukParams(36, 1), 12) == 12
-    assert eval_exact(KrawtchoukParams(40, 0), Fraction(7, 3)) == 1
+    assert eval_exact(36, 1, 12) == 12
+    assert eval_exact(40, 0, Fraction(7, 3)) == 1
     # degree-2 closed form: ((N - 2t)^2 - N) / 2
-    assert eval_exact(KrawtchoukParams(36, 2), 12) == ((36 - 24) ** 2 - 36) // 2 == 54
+    assert eval_exact(36, 2, 12) == ((36 - 24) ** 2 - 36) // 2 == 54
 
 
 def test_low_degree_closed_forms_at_generic_rational():
@@ -48,10 +32,10 @@ def test_low_degree_closed_forms_at_generic_rational():
     N = 36
     for t in (Fraction(5, 3), Fraction(12), Fraction(35, 2)):
         y = N - 2 * t
-        assert eval_exact(KrawtchoukParams(N, 1), t) == y
-        assert eval_exact(KrawtchoukParams(N, 2), t) == (y**2 - N) / 2
-        assert eval_exact(KrawtchoukParams(N, 3), t) == (y**3 - (3 * N - 2) * y) / 6
-        assert eval_exact(KrawtchoukParams(N, 4), t) == (
+        assert eval_exact(N, 1, t) == y
+        assert eval_exact(N, 2, t) == (y**2 - N) / 2
+        assert eval_exact(N, 3, t) == (y**3 - (3 * N - 2) * y) / 6
+        assert eval_exact(N, 4, t) == (
             y**4 - (6 * N - 8) * y**2 + 3 * (N - 2) * N
         ) / 24
 
@@ -60,12 +44,12 @@ def test_evaluations_at_threshold_match_closed_forms():
     # the four low-degree values at t = m - n, written in terms of m and n
     m, n = 24, 12
     N, t = 2 * m - n, m - n
-    assert eval_exact(KrawtchoukParams(N, 1), t) == n
-    assert eval_exact(KrawtchoukParams(N, 2), t) == Fraction(n**2 + n - 2 * m, 2)
-    assert eval_exact(KrawtchoukParams(N, 3), t) == Fraction(
+    assert eval_exact(N, 1, t) == n
+    assert eval_exact(N, 2, t) == Fraction(n**2 + n - 2 * m, 2)
+    assert eval_exact(N, 3, t) == Fraction(
         n**3 + 3 * n**2 + 2 * n - 6 * m * n, 6
     )
-    assert eval_exact(KrawtchoukParams(N, 4), t) == Fraction(
+    assert eval_exact(N, 4, t) == Fraction(
         n**4 + 6 * n**3 + (11 - 12 * m) * n**2 + (6 - 12 * m) * n + 12 * m * (m - 1),
         24,
     )
@@ -78,7 +62,7 @@ def test_eval_exact_matches_alternating_sum(N, data):
     t = Fraction(
         data.draw(st.integers(-2 * N, 4 * N)), data.draw(st.integers(1, 7))
     )
-    assert eval_exact(KrawtchoukParams(N, k), t) == alternating_sum_value(N, k, t)
+    assert eval_exact(N, k, t) == alternating_sum_value(N, k, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,7 +70,7 @@ def test_eval_exact_matches_alternating_sum(N, data):
 def test_general_r_recurrence_specializes_to_binary(N, data):
     k = data.draw(st.integers(0, N))
     t = Fraction(data.draw(st.integers(0, 3 * N)), data.draw(st.integers(1, 5)))
-    assert eval_general_r(N, k, 2, t) == eval_exact(KrawtchoukParams(N, k), t)
+    assert eval_general_r(N, k, 2, t) == eval_exact(N, k, t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,7 +78,7 @@ def test_general_r_recurrence_specializes_to_binary(N, data):
 def test_integer_argument_yields_integer(N, data):
     k = data.draw(st.integers(0, N))
     t = data.draw(st.integers(0, N))
-    v = eval_exact(KrawtchoukParams(N, k), t)
+    v = eval_exact(N, k, t)
     assert v.denominator == 1
     assert eval_integer(N, k, t) == v
 
@@ -128,7 +112,7 @@ def test_stream_requires_integer_point():
 def test_degree_one_linearity_in_rational_argument():
     for N in (5, 36, 101):
         for t in (Fraction(1, 3), Fraction(-7, 2), Fraction(99, 8)):
-            assert eval_exact(KrawtchoukParams(N, 1), t) == N - 2 * t
+            assert eval_exact(N, 1, t) == N - 2 * t
 
 
 def test_integer_values_row_matches_coefficient_series():
@@ -188,7 +172,7 @@ def test_float_kernel_examples():
     assert -700 < _krawtchouk_ratios(36, 3, 12.85)[0] < -400
     assert _krawtchouk_ratios(36, 3, 13.0) is None
     # K_4(12) = -231 < 0
-    assert eval_exact(KrawtchoukParams(36, 4), 12) == -231
+    assert eval_exact(36, 4, 12) == -231
     assert _krawtchouk_ratios(36, 4, 12.0) is None
 
 

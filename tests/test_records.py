@@ -1,7 +1,9 @@
-"""The nine record types: validation, equality, hash, repr and immutability.
+"""The record types: validation, equality, hash, repr and immutability.
 
-Each record is a named tuple, so it unpacks and equals the plain tuple of
-its fields; `Enclosure` still refuses the tuple's + and *.
+Seven records are the package's; `QuarticClosedForm`, the float oracle of
+`ls_lower`, is the tests' own.  Each record is a named tuple, so it unpacks
+and equals the plain tuple of its fields; `Enclosure` still refuses the
+tuple's + and *.
 """
 
 from fractions import Fraction
@@ -9,12 +11,13 @@ from fractions import Fraction
 import pytest
 
 from semireg.bounds import (AiryConstant, BoundKind, BoundOutcome, Certification,
-                            CertificationMethod, NotApplicableReason, QuarticClosedForm)
+                            CertificationMethod, NotApplicableReason)
 from semireg.cli import TableSpec
 from semireg.exact import SystemShape
 from semireg.intervals import Enclosure
-from semireg.krawtchouk import KrawtchoukParams
 from semireg.verify import CheckResult
+
+from oracle_utils import QuarticClosedForm
 
 EXACT = Certification(CertificationMethod.EXACT_INTEGER_PREDICATE)
 
@@ -24,7 +27,6 @@ RECORDS = [
     (lambda: SystemShape(24, 12), "SystemShape(m=24, n=12)"),
     (lambda: Enclosure(Fraction(1, 3), Fraction(1, 2)),
      "Enclosure(lo=Fraction(1, 3), hi=Fraction(1, 2))"),
-    (lambda: KrawtchoukParams(6, 2), "KrawtchoukParams(N=6, k=2)"),
     (lambda: Certification(CertificationMethod.INTERVAL_CERTIFIED, True, (3, 4)),
      "Certification(method=<CertificationMethod.INTERVAL_CERTIFIED: 'interval_certified'>, "
      "near_boundary=True, candidates=(3, 4))"),
@@ -106,9 +108,6 @@ def test_defaults():
     (lambda: SystemShape(2, 0), r"requires n >= 1 \(at least one variable\); got n=0"),
     (lambda: SystemShape(3, 3), r"requires m > n \(overdetermined system\); got m=3, n=3"),
     (lambda: Enclosure(Fraction(2), Fraction(1)), "empty enclosure: lo=2 > hi=1"),
-    (lambda: KrawtchoukParams(0, 0), "requires N >= 1; got N=0"),
-    (lambda: KrawtchoukParams(3, 4), "requires 0 <= k <= N; got k=4, N=3"),
-    (lambda: KrawtchoukParams(3, -1), "requires 0 <= k <= N; got k=-1, N=3"),
     (lambda: BoundOutcome(BoundKind.KZ_LOWER, None, None, EXACT),
      "exactly one of value / not_applicable_reason required"),
     (lambda: BoundOutcome(BoundKind.LS_UPPER, 3, NotApplicableReason.NEGATIVE_DISCRIMINANT,

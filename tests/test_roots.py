@@ -2,8 +2,6 @@
 
 import functools
 import math
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,7 +13,7 @@ import semireg.exact
 import semireg.roots as roots_mod
 from semireg.exact import SystemShape, degree_of_regularity_exact
 from semireg.intervals import Enclosure
-from semireg.krawtchouk import KrawtchoukParams, cleared_values, eval_exact, eval_integer
+from semireg.krawtchouk import eval_integer
 from semireg.roots import (
     DEFAULT_WIDTH,
     dreg_via_eigenvalues,
@@ -26,7 +24,8 @@ from semireg.roots import (
 )
 from semireg.verify import check_three_way_agreement, enumerate_shapes, run_all
 
-from oracle_utils import GolubKahanSpectrum, eigenvalue_count_below, sturm_count_below
+from oracle_utils import (GolubKahanSpectrum, cleared_values, eigenvalue_count_below, eval_exact,
+                          sturm_count_below, time_limit, wrong_root_sign)
 
 WIDTH = Fraction(1, 10**6)
 
@@ -59,10 +58,10 @@ def test_smallest_root_width_and_signs():
         ri = smallest_root(N, k, WIDTH)
         assert ri.width <= WIDTH
         if not ri.is_point:
-            assert eval_exact(KrawtchoukParams(N, k), ri.lo) > 0
-            assert eval_exact(KrawtchoukParams(N, k), ri.hi) < 0
+            assert eval_exact(N, k, ri.lo) > 0
+            assert eval_exact(N, k, ri.hi) < 0
         else:
-            assert eval_exact(KrawtchoukParams(N, k), ri.lo) == 0
+            assert eval_exact(N, k, ri.lo) == 0
 
 
 def test_smallest_root_validates_k():
@@ -72,25 +71,10 @@ def test_smallest_root_validates_k():
         smallest_root(36, 37)
 
 
-@contextmanager
-def _deadline(seconds):
-    # a call that never returns fails the test instead of stalling the suite
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("width", [0, Fraction(-1, 2), -1e-3, math.inf, -math.inf, math.nan],
                          ids=["zero", "negative", "negative-float", "inf", "minus-inf", "nan"])
 def test_non_positive_width_refused(width):
-    with _deadline(30):
+    with time_limit(30):
         with pytest.raises(ValueError, match="positive width"):
             smallest_root(36, 3, width)
         with pytest.raises(ValueError, match="positive width"):
@@ -102,7 +86,7 @@ def test_non_positive_width_refused(width):
 
 
 def test_float_width_taken_exactly():
-    with _deadline(60):
+    with time_limit(60):
         assert smallest_root(36, 3, 1e-3) == smallest_root(36, 3, Fraction(1e-3))
         assert largest_eigenvalue(36, 3, 1e-3) == largest_eigenvalue(36, 3, Fraction(1e-3))
         assert run_all(12, 1e-3) == run_all(12, Fraction(1e-3)) == run_all(12, Fraction(1, 1000))
@@ -123,7 +107,7 @@ def test_refining_k_by_k_does_not_compound_the_exponent():
     # about 200 k
     chain = roots_mod._RootChain(24)
     width = Fraction(1, 1 << 200)
-    with _deadline(60):
+    with time_limit(60):
         for k in range(1, 25):
             br = chain.refine(k, width)
             assert br.hi - br.lo <= width
@@ -266,7 +250,7 @@ def test_tie_shapes_where_threshold_is_hit_exactly():
     for m, n in [(3, 2), (6, 3), (5, 4), (10, 4)]:
         s = SystemShape(m, n)
         d = degree_of_regularity_exact(s)
-        assert eval_exact(KrawtchoukParams(s.N, d), s.t) == 0
+        assert eval_exact(s.N, d, s.t) == 0
         assert dreg_via_roots(s) == d
         assert dreg_via_eigenvalues(s) == d
 
@@ -488,15 +472,7 @@ def test_lift_off_bound_holds_at_512_511():
 def test_lift_off_stops_a_wrong_kernel(monkeypatch):
     # with j (N - j + 2) for j (N - j + 1) and no tiny-root bounds, the wrong
     # K_3^3(0) is -3: bisection of (0, prev.lo] would halve toward 0 forever
-    def wrong(N, k):
-        def sign(p, e):
-            s, prev, cur = (N << e) - 2 * p, 1, (N << e) - 2 * p
-            for j in range(1, k):
-                prev, cur = cur, s * cur - (j * (N - j + 2) * prev << 2 * e)
-            return -cur
-        return sign
-
-    monkeypatch.setattr(roots_mod, "_root_sign", wrong)
+    monkeypatch.setattr(roots_mod, "_root_sign", wrong_root_sign)
     with pytest.raises(AssertionError, match="N=3, k=3: lo stayed 0"):
         roots_mod._RootChain(3).bracket(3)
 

@@ -12,11 +12,11 @@ import semireg.roots
 import semireg.verify
 from semireg import cli
 import oracle_utils
-from oracle_utils import gf_convolution_check, gf_identity_reference, orthogonality_check, \
-    orthogonality_reference, three_way_reference
+from oracle_utils import cleared_values, gf_convolution_check, gf_identity_reference, \
+    orthogonality_check, orthogonality_reference, three_way_reference, wrong_root_sign
 from semireg.exact import SystemShape
 from semireg.intervals import DyadicBracket
-from semireg.krawtchouk import cleared_values, gf_identity_check, integer_values
+from semireg.krawtchouk import gf_identity_check, integer_values
 from semireg.verify import CheckResult, _duality_gap, _interlacing, _nums, _overlaps, \
     _shapes_before, check_eigenvalue_root_duality, check_gf_identity, check_orthogonality, \
     check_sandwich, check_three_way_agreement, enumerate_shapes, run_all
@@ -211,15 +211,7 @@ def test_orthogonality_counts_every_pair_up_to_the_envelope(max_N, checked):
 def test_verify_reports_a_kernel_fault_as_a_failure(monkeypatch, capsys):
     # the j (N - j + 2) kernel of test_roots.py::test_lift_off_stops_a_wrong_kernel
     # makes the chain raise AssertionError at N = 3: a FAIL line, not a traceback
-    def wrong(N, k):
-        def sign(p, e):
-            s, prev, cur = (N << e) - 2 * p, 1, (N << e) - 2 * p
-            for j in range(1, k):
-                prev, cur = cur, s * cur - (j * (N - j + 2) * prev << 2 * e)
-            return -cur
-        return sign
-
-    monkeypatch.setattr(semireg.roots, "_root_sign", wrong)
+    monkeypatch.setattr(semireg.roots, "_root_sign", wrong_root_sign)
     assert cli.main(["verify", "10"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[:6]] == [
