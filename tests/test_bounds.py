@@ -565,16 +565,26 @@ def test_l_accepts_degree_norm_matches_interval_oracle(N, data):
     assert _l_accepts_degree(N, n, k) == interval_l_accepts_degree(N, n, k)
 
 
-def test_certified_bounds_decide_in_integers(monkeypatch):
-    # the four certified bounds read no float and need no seeded window:
-    # with `bounds.math` reduced to the one integer function they use and
-    # every `DyadicBracket.narrow` refused, each outcome over N <= 40 is the same
+CERTIFIED = (kz_lower, ls_lower, ls_upper, l_upper)
+
+
+@pytest.mark.parametrize("refuse", ["narrow"])
+def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
+    # the four certified bounds need no seeded window: with every
+    # `DyadicBracket.narrow` refused, each outcome over N <= 40 is the same
     shapes = list(enumerate_shapes(40))
-    certified = (kz_lower, ls_lower, ls_upper, l_upper)
-    expected = [[bound(shape) for bound in certified] for shape in shapes]
+    expected = [[bound(shape) for bound in CERTIFIED] for shape in shapes]
+    monkeypatch.setattr(DyadicBracket, refuse, lambda self, guess, width: False)
+    assert [[bound(shape) for bound in CERTIFIED] for shape in shapes] == expected
+
+
+def test_certified_bounds_decide_in_integers(monkeypatch):
+    # the four certified bounds read no float: with `bounds.math` reduced to
+    # the one integer function they use, every outcome over N <= 40 is the same
+    shapes = list(enumerate_shapes(40))
+    expected = [[bound(shape) for bound in CERTIFIED] for shape in shapes]
     monkeypatch.setattr(bounds_mod, "math", SimpleNamespace(isqrt=math.isqrt))
-    monkeypatch.setattr(DyadicBracket, "narrow", lambda self, guess, width: False)
-    assert [[bound(shape) for bound in certified] for shape in shapes] == expected
+    assert [[bound(shape) for bound in CERTIFIED] for shape in shapes] == expected
 
 
 def test_l_upper_root_bound_figure_value():
