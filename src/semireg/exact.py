@@ -13,8 +13,9 @@ yields the values themselves, dividing exactly at every step, and
 `_sign_stream` yields positive multiples of them, dividing once per
 `_SIGN_BLOCK` steps, for `degree_of_regularity_exact`, which reads only
 their signs.  A float may *seed* one (`_root_seed` proposes where the
-transposed search of `degree_of_regularity_exact` looks first), but only
-exact signs decide it.  `_root_seed` is the package's one float seed, a few
+transposed search of `degree_of_regularity_exact` looks first, and
+`kz_root_bound` whether it looks before the scan), but only exact signs
+decide it.  `_root_seed` is the package's one float seed, a few
 Laguerre steps on the power-of-two-rescaled float recurrence of
 `_krawtchouk_ratios`, for this search and for the root and eigenvalue
 brackets of `roots`, and the one place where a seed's floats are formed: a
@@ -165,13 +166,29 @@ def degree_of_regularity_exact(shape: SystemShape) -> int:
 
     Scans the signs of c_0, ..., c_t (t = m - n) off `_sign_stream` with
     O(1) memory; if all are positive, `_transposed_dreg` finds the index in
-    O(t) steps per probe, not O(d_reg).
+    O(t) steps per probe, not O(d_reg).  Where the O(1) float
+    `kz_root_bound(N, t)` exceeds t + 1, d_reg > t is likely, and the
+    search's first probe comes before the scan.  A probe that holds at
+    x >= t gives t <= x < d_t(1), so c_0, ..., c_t > 0 (the Sturm
+    property, see `_transposed_dreg`) and the scan is skipped.  A probe
+    that fails is kept, and the scan runs as before.  The float only picks
+    the order; past the float range the scan comes first.
     """
     N, t = shape.N, shape.t
+    first = None
+    try:
+        probe_first = kz_root_bound(N, t) > t + 1
+    except OverflowError:  # past the float range
+        probe_first = False
+    if probe_first:
+        x = _first_probe(N, t)
+        first = x, _probe(N, t, x)
+        if first[1][0]:  # (a) holds at x >= t: c_0..c_t > 0 without the scan
+            return _transposed_dreg(N, t, first)
     for k, c in zip(range(t + 1), _sign_stream(N, shape.n)):
         if c <= 0:
             return k
-    return _transposed_dreg(N, t)
+    return _transposed_dreg(N, t, first)
 
 
 def _probe(N: int, t: int, x: int) -> tuple[bool, int]:
@@ -182,7 +199,21 @@ def _probe(N: int, t: int, x: int) -> tuple[bool, int]:
     return positive, value
 
 
-def _transposed_dreg(N: int, t: int) -> int:
+def _first_probe(N: int, t: int) -> int:
+    """Where the transposed search probes first: the floor of the seed of d_t(1).
+
+    The seed is asked only for the integer it gives (`_root_seed`'s
+    `accuracy` of 1), and its floor is clamped into [t, (N + 1) // 2 - 1],
+    the search's range; a seed that is not finite (N past the float range)
+    gives t.
+    """
+    seed = _root_seed(N, t, accuracy=1.0)
+    if not math.isfinite(seed):
+        return t
+    return min(max(math.floor(seed), t), (N + 1) // 2 - 1)
+
+
+def _transposed_dreg(N: int, t: int, first: tuple[int, tuple[bool, int]] | None = None) -> int:
     """The first integer k with K_t(k) <= 0, given K_t(k) > 0 for k <= t.
 
     By the reciprocity C(N, x) K_k(x) = C(N, k) K_x(k) (MacWilliams & Sloane,
@@ -194,19 +225,21 @@ def _transposed_dreg(N: int, t: int) -> int:
     (a) at d - 1, so c_k > 0 for k < d, and (b) K_t(d) <= 0, the last term
     of the probe at d.  A gap between mass points holds at most one zero
     (T. S. Chihara, An Introduction to Orthogonal Polynomials, 1978, ch. I),
-    so (b) follows; AssertionError reports it failing.  The float seed only
-    picks where the search looks.
+    so (b) follows; AssertionError reports it failing.  The search starts
+    at `first`, a probe (x, `_probe(N, t, x)`) already made, which it does
+    not make again; if None, it starts at `_first_probe(N, t)`.  The float
+    seed only picks where the search looks.
     """
-    tail = {}
+    made = dict([first]) if first else {}
 
     def holds(x: int) -> bool:
-        positive, tail[x] = _probe(N, t, x)
-        return positive
+        if x not in made:
+            made[x] = _probe(N, t, x)
+        return made[x][0]
 
     # c_0..c_t > 0 stands in for (a) at t; (a) fails where K_1 = N - 2x <= 0
     lo, hi = t, (N + 1) // 2
-    seed = _root_seed(N, t)  # NaN past the float range: start at lo
-    x = min(max(math.floor(seed), lo), hi - 1) if math.isfinite(seed) else lo
+    x = first[0] if first else _first_probe(N, t)
     # probe x and x + 1, gallop away from x in doubling steps while the
     # answer lies further out, then bisect what is left
     step = 1
@@ -222,7 +255,8 @@ def _transposed_dreg(N: int, t: int) -> int:
         lo = max(lo, hi - step)
     # d - 1 is the largest x in [lo, hi) where (a) holds; on -x, probes round up
     d = 1 - integer_bisect(-hi, -lo, lambda y: holds(-y))
-    if (tail[d] if d in tail else _probe(N, t, d)[1]) > 0:
+    holds(d)
+    if made[d][1] > 0:
         raise AssertionError(f"K_t must be non-positive at {d}, next to its smallest root")
     return d
 
@@ -271,7 +305,7 @@ def _krawtchouk_ratios(N: int, k: int, x: float) -> tuple[float, float] | None:
 
 
 def _root_seed(N: int, k: int, lo: Fraction | float = 0,
-               hi: Fraction | None = None) -> float:
+               hi: Fraction | None = None, *, accuracy: float | None = None) -> float:
     """Float estimate of d_k^N(1) in [lo, hi] (hi = N / 2 if None) by Laguerre's method.
 
     It starts at kz_root_bound, which is below d_k(1), when 2k < N and the
@@ -287,10 +321,13 @@ def _root_seed(N: int, k: int, lo: Fraction | float = 0,
     or right of it the kernel returns None, and x comes back unmoved, as it
     does at the first step that is not positive and shorter than the last,
     where rounding has taken over.  Iteration stops right after a step of
-    at most 2^-20 max(1, |x|): a further step would move x by about the
-    cube of that, below a float's rounding.  Every float is formed here,
-    so N or an end past the float range gives NaN.  Only a seed: nothing
-    is decided from this value.
+    at most `accuracy`, which the caller sets to what it needs: the
+    transposed search of `degree_of_regularity_exact` reads only the
+    floor, and asks for 1.  By default, for the root chain, it stops right
+    after a step of at most 2^-20 max(1, |x|): a further step would move x
+    by about the cube of that, below a float's rounding.  Every float is
+    formed here, so N or an end past the float range gives NaN.  Only a
+    seed: nothing is decided from this value.
     """
     try:
         lo = float(lo)
@@ -311,7 +348,7 @@ def _root_seed(N: int, k: int, lo: Fraction | float = 0,
                 return x
             size = step
             x += step
-            if step <= 2.0 ** -20 * max(1.0, abs(x)):
+            if step <= (2.0 ** -20 * max(1.0, abs(x)) if accuracy is None else accuracy):
                 return x
     except (ArithmeticError, ValueError):
         return math.nan
@@ -320,7 +357,8 @@ def _root_seed(N: int, k: int, lo: Fraction | float = 0,
 def kz_root_bound(N: int, k: int) -> float:
     """Raw per-degree root lower bound with the (.)^(2/3) correction term.
 
-    Valid for 1 <= k < N/2; it starts the Laguerre seeds and is never decisive.
+    Valid for 1 <= k < N/2; it starts the Laguerre seeds and orders the scan and
+    the first probe of `degree_of_regularity_exact`, and is never decisive.
     """
     if not (1 <= k and 2 * k < N):
         raise ValueError(f"requires 1 <= k < N/2; got k={k}, N={N}")

@@ -279,10 +279,17 @@ def check_sandwich(shapes: Iterable[SystemShape]) -> CheckResult:
 
 
 def _sandwich(shapes: Iterable[SystemShape], d_regs: dict[SystemShape, int]) -> CheckResult:
-    """`check_sandwich`, reading d_reg from `d_regs` where it is there."""
+    """`check_sandwich`, reading d_reg from `d_regs` where it is there.
+
+    An AssertionError raised while computing a shape's d_reg (a fault in
+    route 1) is the suite's failure, its message naming m and n.
+    """
     checked = 0
     for shape in shapes:
-        d = d_regs.get(shape) or degree_of_regularity_exact(shape)
+        try:
+            d = d_regs.get(shape) or degree_of_regularity_exact(shape)
+        except AssertionError as exc:
+            return CheckResult("sandwich", checked, False, f"m={shape.m}, n={shape.n}: {exc}")
         lo_kz = kz_lower(shape).value
         lo_ls = ls_lower(shape).value
         up_ls = ls_upper(shape)

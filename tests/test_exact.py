@@ -15,6 +15,7 @@ from semireg.exact import (
     f5_cost_log2,
     hilbert_truncation,
 )
+from semireg.verify import enumerate_shapes
 
 from oracle_utils import (alternating_sum_value, convolution_coefficient, direct_stream_dreg,
                           eval_exact, exact_f5_cost_log2, expand_product, pascal_binomial)
@@ -248,6 +249,70 @@ def test_transposed_route_published_rows(monkeypatch):
         assert probes == [d_reg - 1, d_reg]
 
 
+def _transposed_rows():
+    """The 12 published rows with d_reg > t, and n = 32768 at t = 512 and t = 1000."""
+    rows = [(SystemShape(family["m_of_n"](n), n), d_reg)
+            for family in FAMILIES.values() for n, d_reg, *_ in family["rows"]]
+    return [(shape, d) for shape, d in rows if shape.t < d] + [
+        (SystemShape(33280, 32768), 12841), (SystemShape(33768, 32768), 11639)]
+
+
+def test_transposed_route_probes_before_the_scan(monkeypatch):
+    # kz_root_bound(N, t) > t + 1 on all 14 rows, so the first probe comes
+    # first; it holds at d - 1 >= t, which proves c_0..c_t > 0, so no scan
+    # runs; the seed needs only its integer, from two float evaluations
+    rows = _transposed_rows()
+    assert len(rows) == 14
+    points = _recorded_ratios(monkeypatch)
+    probes = _counted_probes(monkeypatch)
+    streams = []
+    stream = exact_mod._sign_stream
+    monkeypatch.setattr(exact_mod, "_sign_stream", lambda N, s: streams.append(s) or stream(N, s))
+    for shape, d_reg in rows:
+        probes.clear()
+        streams.clear()
+        assert degree_of_regularity_exact(shape) == d_reg
+        assert probes == [d_reg - 1, d_reg]
+        assert shape.n not in streams  # neither the scan nor a probe at t
+    assert len(points) == 28  # 42 when every seed stopped at a step of 2^-20 x
+
+
+def test_transposed_route_keeps_a_failed_first_probe(monkeypatch):
+    # a seed 5 right of the root fails the first probe: the scan runs, and the
+    # search goes on below that probe, with no second seed
+    calls = []
+    seed = exact_mod._root_seed
+
+    def late(N, k, *args, **kwargs):
+        calls.append((N, k))
+        return seed(N, k, *args, **kwargs) + 5
+
+    monkeypatch.setattr(exact_mod, "_root_seed", late)
+    probes = _counted_probes(monkeypatch)
+    for shape, d_reg in _transposed_rows():
+        calls.clear()
+        probes.clear()
+        assert degree_of_regularity_exact(shape) == d_reg
+        assert calls == [(shape.N, shape.t)]
+        assert probes.count(probes[0]) == 1 and probes[0] > d_reg
+
+
+@pytest.mark.parametrize("bound,n_max", [(lambda N, k: 0.0, 32768), (lambda N, k: N / 2, 4096)],
+                         ids=["scan-first", "probe-first"])
+def test_transposed_route_ignores_a_lying_order(monkeypatch, bound, n_max):
+    # kz_root_bound only orders the scan and the first probe: patched to say
+    # "scan first" or "probe first" everywhere, every d_reg stays the same.
+    # A lie costs time: where d_reg << t, a first probe runs all t + 1 terms
+    # before the scan stops at d_reg (tens of seconds at m = n log2 n, n = 32768), so
+    # "probe first" takes the published rows up to n = 4096
+    monkeypatch.setattr(exact_mod, "kz_root_bound", bound)
+    shapes = [shape for shape, _ in _transposed_rows()] + list(enumerate_shapes(60)) + [
+        SystemShape(family["m_of_n"](n), n)
+        for family in FAMILIES.values() for n, *_ in family["rows"] if n <= n_max]
+    for shape in shapes:
+        assert degree_of_regularity_exact(shape) == direct_stream_dreg(shape), shape
+
+
 @pytest.mark.parametrize("seed", [
     lambda root, N: math.nan,
     lambda root, N: math.inf,
@@ -263,7 +328,7 @@ def test_transposed_route_survives_a_refused_seed(monkeypatch, seed, m, n):
     assert shape.t < expected  # the transposed search runs
     guess = seed(exact_mod._root_seed(shape.N, shape.t), shape.N)
     probes = _counted_probes(monkeypatch)
-    monkeypatch.setattr(exact_mod, "_root_seed", lambda N, k: guess)
+    monkeypatch.setattr(exact_mod, "_root_seed", lambda N, k, **_: guess)
     assert degree_of_regularity_exact(shape) == expected
     assert probes  # decided by exact probes, whatever the seed said
 

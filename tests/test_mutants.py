@@ -9,8 +9,10 @@ import re
 
 import pytest
 
+import semireg.exact
 import semireg.roots
 import semireg.verify
+from semireg import cli
 from semireg.bounds import kz_lower
 from semireg.verify import CheckResult, check_sandwich, enumerate_shapes, run_all
 
@@ -55,6 +57,53 @@ def test_root_kernel_of_the_next_family(monkeypatch):
     # family's roots interlace too (ROADMAP item 2's open gap)
     assert results["interlacing"] == CheckResult("interlacing", 435, True)
     # gf_identity, orthogonality and the sandwich read no root, as above
+
+
+def test_probe_that_always_holds(monkeypatch, capsys):
+    # route 1's predicate (a) reported true whatever K_0..K_t are: the
+    # transposed search runs to the end of its range
+    probe = semireg.exact._probe
+    monkeypatch.setattr(semireg.exact, "_probe", lambda N, t, x: (True, probe(N, t, x)[1]))
+    results = _battery(30)
+    assert _failed(results) == {"three_way_agreement", "sandwich"}
+    assert results["three_way_agreement"].detail == \
+        "m=5, n=3: exact=4, direct=3, roots=3, eigenvalues=3"
+    # a shape three-way skipped after its failure: the search's own check
+    # raises, and the sandwich reports it instead of ending the run
+    assert results["sandwich"] == CheckResult(
+        "sandwich", 80, False,
+        "m=10, n=7: K_t must be non-positive at 7, next to its smallest root")
+    # survivors: gf_identity, orthogonality and the three root suites read
+    # no d_reg of route 1
+    assert cli.main(["verify", "30"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "interlacing", "gf_identity", "orthogonality", "three_way_agreement",
+        "eigenvalue_root_duality", "sandwich", "4/6 suites passed"]
+
+
+def _duality_gap_without_factor_2(N, root, lam):
+    """`verify._duality_gap` with width(root) where 2 width(root) belongs."""
+    (r_lo, r_hi, er), (l_lo, l_hi, el) = root, lam
+    dr, dl = max(el - er, 0), max(er - el, 0)
+    diff = (N << (max(er, el) + 1)) - ((r_lo + r_hi) << (dr + 1)) - ((l_lo + l_hi) << dl)
+    return abs(diff) > ((r_hi - r_lo) << (dr + 1)) + ((l_hi - l_lo) << (dl + 1))
+
+
+@pytest.mark.parametrize("name,mutant", [
+    ("_duality_gap", _duality_gap_without_factor_2),
+    ("_overlaps", lambda upper, lower: False),
+], ids=["duality-gap-without-factor-2", "overlaps-never"])
+def test_expected_survivors(monkeypatch, name, mutant):
+    monkeypatch.setattr(semireg.verify, name, mutant)
+    assert _failed(_battery(30)) == set()
+    # _duality_gap: N - 2 d_k(1) and lambda_k lie in enclosures of widths
+    # 2 width(root) and width(lam), so true midpoints are at most
+    # width(root) + width(lam) / 2 apart, inside even the mutant's
+    # width(root) + width(lam); the suite's threshold is twice what it needs.
+    # _overlaps: `_RootChain._extend` makes bracket k inside [0, lo(k - 1)],
+    # so it fires only when two brackets are one exact point (ROADMAP item 2)
 
 
 def test_kz_lower_plus_one_is_caught_by_the_tables_not_the_sandwich(monkeypatch):
