@@ -10,16 +10,19 @@ at its first non-positive coefficient, and the degree of regularity is the
 index of that coefficient.  Every truncation index is decided with exact
 integer arithmetic, by two kernels of one recurrence: `krawtchouk_stream`
 yields the values themselves, dividing exactly at every step, and
-`_sign_stream` yields positive multiples of them, dividing once per
-`_SIGN_BLOCK` steps, for `degree_of_regularity_exact`, which reads only
-their signs.  A float may *seed* one (`_root_seed` proposes where the
-transposed search of `degree_of_regularity_exact` looks first, and
-`kz_root_bound` whether it looks before the scan), but only exact signs
-decide it.  `_root_seed` is the package's one float seed, a few
-Laguerre steps on the power-of-two-rescaled float recurrence of
-`_krawtchouk_ratios`, for this search and for the root and eigenvalue
-brackets of `roots`, and the one place where a seed's floats are formed: a
-seed that cannot be formed is NaN.
+`_sign_scan` reads only their signs, for `degree_of_regularity_exact`.  It
+steps two degrees at a time, on the even degrees alone, and divides once
+per `_SIGN_BLOCK` degrees: for s > 0 a first non-positive value at an odd
+degree makes the next even one negative, so the first non-positive even
+value and the sign of one odd value beside it give the index.  A float
+may *seed* one (`_root_seed` proposes where the transposed search of
+`degree_of_regularity_exact` looks first, and `kz_root_bound` whether it
+looks before the scan), but only exact signs decide it.  `_root_seed` is
+the package's one float seed, a few Laguerre steps on the
+power-of-two-rescaled float recurrence of `_krawtchouk_ratios`, for this
+search and for the root and eigenvalue brackets of `roots`, and the one
+place where a seed's floats are formed: a seed that cannot be formed is
+NaN.
 This module is the base of the package: it imports no other module of it
 but `intervals`.
 """
@@ -105,39 +108,76 @@ def krawtchouk_stream(N: int, s: int) -> Iterator[int]:
     yield cur
 
 
-# Steps between the exact divisions of `_sign_stream`.  Over the 40 published
-# table rows, d_reg took 12.5 ms at 64 and at 128 and 13.2 ms at 32 (2-core
-# x86-64, CPython 3.11); of the two, 64 carries values fewer bits wide.
-_SIGN_BLOCK = 64
+# Degrees between the exact divisions of `_sign_scan`; even, as the kernel
+# steps two degrees at a time.  Over 40 alternating in-process passes of the
+# five benchmark table commands, a pass took 28.0 ms at 64 and 27.8 ms at 96
+# and at 128, and the `2n` command 11.4 ms at 64 and 11.1-11.2 ms at 96 to
+# 192 (2-core x86-64, CPython 3.11): a division costs about the same per
+# degree at any block, and a longer block carries wider values.
+_SIGN_BLOCK = 128
 
 
-def _sign_stream(N: int, s: int) -> Iterator[int]:
-    """Positive multiples of K_0^N(x), ..., K_N^N(x) at N - 2x = s: their signs.
+def _sign_scan(N: int, s: int, K: int) -> Iterator[int]:
+    """Signs of K_0^N(x), ..., K_K^N(x) at N - 2x = s, K <= N, two degrees a step.
 
-    The cleared recurrence, with B_k = (k!/b!) K_k for the last base b:
+    Yields two values, lazily: first j, the index of the first
+    non-positive K_j(x) with j <= K, or K + 1 if all are positive; then a
+    positive multiple of K_K(x) (zero where K_K(x) is).  The direct scan
+    of `degree_of_regularity_exact` reads only j, and the kernel stops
+    with it, at degree j or j + 1; `_probe` reads both, and the kernel
+    runs to degree K.
 
-        B_{k+1} = s B_k - k (N - k + 1) B_{k-1}
+    With B_k = (k!/b!) K_k for the last base b, the cleared recurrence
+    B_{k+1} = s B_k - a_k B_{k-1}, a_k = k (N - k + 1), loses its odd
+    terms, since s B_{k+1} = B_{k+2} + a_{k+1} B_k and
+    s B_{k-1} = B_k + a_{k-1} B_{k-2}:
 
-    multiplies only.  Every `_SIGN_BLOCK` steps both carried values are
-    divided by k!/b!, which leaves (K_k, (k+1) K_{k+1}), and k becomes the
-    base; a non-zero remainder raises AssertionError, as in
-    `krawtchouk_stream`.  No sign needs a division: a scan that stops inside
-    its first block runs no such check, but skips no decision.  The values
-    serve only their signs; `krawtchouk_stream` yields the K_k themselves.
+        B_{k+2} = (s^2 - a_k - a_{k+1}) B_k - a_k a_{k-1} B_{k-2},
+
+    one multiply-subtract on wide integers per two degrees, not two.  The
+    signs need only the even values.  Let s > 0.  If the first
+    non-positive value is K_j at an odd j <= N, then
+    (j + 1) K_{j+1} = s K_j - (N - j + 1) K_{j-1} < 0, as K_{j-1} > 0.
+    So if k + 2 is the first even degree with B_{k+2} <= 0, the first
+    non-positive value is at k + 1 or at k + 2: one at an odd degree
+    below k + 1 would make an even one below k + 2 negative.  It is at
+    k + 1 exactly when K_{k+1} <= 0, that is when
+    B_{k+2} + a_{k+1} B_k = s B_{k+1} <= 0, which needs no division.  For
+    s <= 0, K_1 = s is the first non-positive value, so j = 1 (= K + 1
+    at K = 0).  The kernel runs to degree K, or K + 1 for odd K, where
+    s (B_{K+1} + a_K B_{K-1}) = s^2 B_K is the multiple of K_K it yields.
+
+    Every `_SIGN_BLOCK` degrees both carried values, B_k and B_{k+2}, are
+    divided by k!/b!, which leaves (K_k, (k+2) (k+1) K_{k+2}), and k
+    becomes the base; a non-zero remainder raises AssertionError, as in
+    `krawtchouk_stream`.  No sign needs a division: a scan that stops
+    inside its first block runs no such check, but skips no decision.
     """
     if (N - s) & 1:
         raise ValueError(f"requires N - s even (an integer point); got N={N}, s={s}")
-    prev, cur, base = 0, 1, 0
-    for k in range(N):
-        yield cur
-        prev, cur = cur, s * cur - k * (N - k + 1) * prev
+    told = s <= 0
+    if told:
+        yield 1
+    ss = s * s
+    prev, cur, base, a_prev = 0, 1, 0, 0  # B_{k-2}, B_k, b, a_{k-1} at k = 0
+    for k in range(0, K, 2):
+        a0, a1 = k * (N - k + 1), (k + 1) * (N - k)
+        prev, cur = cur, (ss - a0 - a1) * cur - a0 * a_prev * prev
+        a_prev = a1
+        if cur <= 0 and not told:
+            j = k + 1 if cur + a1 * prev <= 0 else k + 2
+            if j <= K:
+                told = True
+                yield j
         if k - base == _SIGN_BLOCK:
             d = math.perm(k, _SIGN_BLOCK)
             (prev, r), (cur, q) = divmod(prev, d), divmod(cur, d)
             if r or q:
                 raise AssertionError(f"cleared recurrence not divisible by {k}!/{base}!")
             base = k
-    yield cur
+    if not told:
+        yield K + 1
+    yield s * (cur + K * (N - K + 1) * prev) if K & 1 else cur
 
 
 def coefficient(shape: SystemShape, k: int) -> int:
@@ -164,11 +204,12 @@ def hilbert_truncation(shape: SystemShape) -> list[int]:
 def degree_of_regularity_exact(shape: SystemShape) -> int:
     """Index of the first non-positive coefficient, i.e. 1 + deg HS(z).
 
-    Scans the signs of c_0, ..., c_t (t = m - n) off `_sign_stream` with
-    O(1) memory; if all are positive, `_transposed_dreg` finds the index in
-    O(t) steps per probe, not O(d_reg).  Where the O(1) float
-    `kz_root_bound(N, t)` exceeds t + 1, d_reg > t is likely, and the
-    search's first probe comes before the scan.  A probe that holds at
+    Scans the signs of c_0, ..., c_t (t = m - n) with `_sign_scan` in
+    O(1) memory, up to the first non-positive one; if all are positive,
+    `_transposed_dreg` finds the index in O(t) steps per probe, not
+    O(d_reg).  Where the O(1) float `kz_root_bound(N, t)` exceeds t + 1,
+    d_reg > t is likely, and the search's first probe comes before the
+    scan.  A probe that holds at
     x >= t gives t <= x < d_t(1), so c_0, ..., c_t > 0 (the Sturm
     property, see `_transposed_dreg`) and the scan is skipped.  A probe
     that fails is kept, and the scan runs as before.  The float only picks
@@ -185,18 +226,14 @@ def degree_of_regularity_exact(shape: SystemShape) -> int:
         first = x, _probe(N, t, x)
         if first[1][0]:  # (a) holds at x >= t: c_0..c_t > 0 without the scan
             return _transposed_dreg(N, t, first)
-    for k, c in zip(range(t + 1), _sign_stream(N, shape.n)):
-        if c <= 0:
-            return k
-    return _transposed_dreg(N, t, first)
+    d = next(_sign_scan(N, shape.n, t))
+    return d if d <= t else _transposed_dreg(N, t, first)
 
 
 def _probe(N: int, t: int, x: int) -> tuple[bool, int]:
     """(K_0(x), ..., K_t(x) are all positive, a positive multiple of K_t(x))."""
-    positive = True
-    for _, value in zip(range(t + 1), _sign_stream(N, N - 2 * x)):
-        positive = positive and value > 0
-    return positive, value
+    j, value = _sign_scan(N, N - 2 * x, t)
+    return j > t, value
 
 
 def _first_probe(N: int, t: int) -> int:

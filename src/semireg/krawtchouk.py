@@ -9,11 +9,13 @@ goes through the three-term recurrence
 seeded with K_0 = 1 and K_1 = N - 2t.  Values are exact integers at integer
 points only: `exact.krawtchouk_stream` divides as it goes and yields them
 (`integer_values`, the Hilbert-series coefficients).  The other kernels
-read signs.  The degree of regularity reads them from `exact._sign_stream`;
-the roots and eigenvalues of `roots` from `_sign_at_dyadic` and
-`_eigen_sign`, which run the recurrence cleared of factorials and
-denominators at d = 2^e, keeping only the last two values.  The tests check
-them against a list-returning reference, `tests/oracle_utils.cleared_values`.
+read signs.  The degree of regularity reads them from `exact._sign_scan`,
+which steps the cleared recurrence two degrees at a time and reads the
+even degrees alone; the roots and eigenvalues of `roots` from
+`_sign_at_dyadic` and `_eigen_sign`, which run the recurrence cleared of
+factorials and denominators at d = 2^e, keeping only the last two values.
+The tests check them against a list-returning reference,
+`tests/oracle_utils.cleared_values`.
 The one float recurrence is `exact._krawtchouk_ratios`, divided by C(N, j)
 and rescaled by powers of two, which only seeds Laguerre's method.  The
 explicit sum K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j) decides signs in

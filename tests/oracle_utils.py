@@ -8,14 +8,18 @@ never produced by the code under test.  The references the package no
 longer carries live here too: the cleared recurrence as a list
 (`cleared_values`, `eval_exact`) and the float Cardano closed form of
 `ls_lower` (`QuarticClosedForm`), beside one deliberately wrong root kernel
-(`wrong_root_sign`) that the fault tests patch in, and a `time_limit` that
-turns a hang into a failure.
+(`wrong_root_sign`) that the fault tests patch in, `mutant`, which compiles
+a package function with one fragment of its source replaced, and a
+`time_limit` that turns a hang into a failure.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import signal
+import sys
+import textwrap
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
@@ -109,6 +113,20 @@ def wrong_root_sign(N: int, k: int):
             prev, cur = cur, s * cur - (j * (N - j + 2) * prev << 2 * e)
         return -cur
     return sign
+
+
+def mutant(function, old: str, new: str):
+    """`function` compiled from its own source with the one `old` replaced by `new`.
+
+    It runs in a copy of its module's namespace, taken now.  A source that
+    no longer holds `old` exactly once fails here, so a mutant cannot
+    silently become the original.
+    """
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, f"{function.__qualname__} does not hold {old!r} once"
+    namespace = dict(vars(sys.modules[function.__module__]))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
 
 
 @contextmanager

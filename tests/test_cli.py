@@ -1,6 +1,7 @@
 """CLI behaviour: output formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -377,6 +378,14 @@ def test_verify_small_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "12")
     assert code == 0
     assert "6/6 suites passed" in out
+
+
+def test_verify_128_prints_its_recorded_bytes(capsys):
+    # the md5 of the whole stdout, recorded before the two-degree sign kernel;
+    # the benchmark's golden file pins only `verify 60`
+    code, out, err = run_cli(capsys, "verify", "128")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == "efc475475e0b7076eaba04df8ad295de"
 
 
 @pytest.mark.parametrize("max_n", ["0", "-3", "1", "2"])

@@ -1,6 +1,7 @@
 """Tests for the exact coefficient stream and degree of regularity."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from semireg.exact import (
 from semireg.verify import enumerate_shapes
 
 from oracle_utils import (alternating_sum_value, convolution_coefficient, direct_stream_dreg,
-                          eval_exact, exact_f5_cost_log2, expand_product, pascal_binomial)
+                          eval_exact, exact_f5_cost_log2, expand_product, mutant,
+                          pascal_binomial)
 from reference_tables import FAMILIES
 
 
@@ -163,27 +165,54 @@ def test_zero_coefficient_counts_as_truncation():
     pytest.skip("no zero-coefficient shape in the scanned range")
 
 
-# ---------------------------------------------------------------- sign stream
+# ---------------------------------------------------------------- sign kernel
 #
-# _sign_stream(N, s) yields positive multiples of K_0..K_N at N - 2x = s,
-# dividing exactly only once per _SIGN_BLOCK steps; the signs must be the
-# divided stream's.
+# _sign_scan(N, s, K) yields j, the first index <= K with K_j(x) <= 0 at
+# N - 2x = s (K + 1 if none), then a positive multiple of K_K(x); it steps
+# two degrees at a time and divides exactly once per _SIGN_BLOCK degrees.
+# Both must agree with the divided stream, for every prefix K.
 
 
-def _signs(values):
-    return [(v > 0) - (v < 0) for v in values]
+def _reference(values, K):
+    """(first non-positive index <= K or K + 1, K_K) off the divided stream."""
+    j = next((k for k, c in enumerate(values[:K + 1]) if c <= 0), K + 1)
+    return j, values[K]
 
 
-def _assert_signs_match(N, s):
-    assert _signs(exact_mod._sign_stream(N, s)) == _signs(exact_mod.krawtchouk_stream(N, s))
+def _assert_scan_matches(N, s, prefixes):
+    values = list(exact_mod.krawtchouk_stream(N, s))
+    for K in prefixes:
+        j, c = _reference(values, K)
+        assert next(exact_mod._sign_scan(N, s, K)) == j, (N, s, K)
+        got_j, v = exact_mod._sign_scan(N, s, K)
+        assert got_j == j, (N, s, K)
+        assert (v == 0) if c == 0 else (v % c == 0 and v // c > 0), (N, s, K)
 
 
 @pytest.mark.parametrize("N", sorted({0, 1, 2, 3, 199, 200} | {
-    j * exact_mod._SIGN_BLOCK + d for j in range(1, 4) for d in range(-2, 3)}))
-def test_sign_stream_signs_match_divided_stream_around_block_ends(N):
-    # every integer point 0 <= x <= N, and a few past each end (s < -N, s > N)
+    j * 64 + d for j in range(1, 4) for d in range(-2, 3)}))
+def test_sign_stream_signs_match_divided_stream_around_block_ends(monkeypatch, N):
+    # every integer point 0 <= x <= N, and a few past each end (s < -N,
+    # s > N, s <= 0), at a block of 64: the kernel divides after degree
+    # 64 i + 2, which the prefixes K >= 64 i + 1 reach.  Up to N = 66 every
+    # prefix; past it the prefixes around each division, around the first
+    # non-positive index and at the end (the real block: the next test)
+    monkeypatch.setattr(exact_mod, "_SIGN_BLOCK", 64)
     for x in range(-3, N + 4):
-        _assert_signs_match(N, N - 2 * x)
+        s = N - 2 * x
+        prefixes = set(range(N + 1))
+        if N > 66:
+            j, _ = _reference(list(exact_mod.krawtchouk_stream(N, s)), N)
+            prefixes &= {*range(4), *range(j - 2, j + 3), *range(N - 2, N + 1), *(
+                64 * i + d for i in range(1, N // 64 + 1) for d in range(-2, 4))}
+        _assert_scan_matches(N, s, sorted(prefixes))
+
+
+@pytest.mark.parametrize("N", [exact_mod._SIGN_BLOCK + 1, exact_mod._SIGN_BLOCK + 2])
+def test_sign_scan_every_prefix_past_the_first_division(N):
+    # the real block: the first division comes in the last prefixes
+    for x in range(-3, N + 4):
+        _assert_scan_matches(N, N - 2 * x, range(N + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,15 +220,41 @@ def test_sign_stream_signs_match_divided_stream_around_block_ends(N):
 def test_sign_stream_signs_match_divided_stream_sampled(N, data):
     # x past either end, inside and at the centre: s > N, s < -N, |s| <= N, s = 0
     x = data.draw(st.integers(-2, N + 2) | st.just(N // 2))
-    _assert_signs_match(N, N - 2 * x)
+    K = data.draw(st.integers(0, N))
+    _assert_scan_matches(N, N - 2 * x, {K, N})
+
+
+def test_sign_scan_decides_odd_degrees_and_zeros():
+    # the parity rule's two outcomes: a first non-positive value at an odd
+    # degree, and an exact zero at an odd and at an even one
+    odd = zero_odd = zero_even = 0
+    for N in range(1, 41):
+        for x in range((N + 1) // 2):  # s >= 1
+            s = N - 2 * x
+            values = list(exact_mod.krawtchouk_stream(N, s))
+            j, _ = _reference(values, N)
+            assert next(exact_mod._sign_scan(N, s, N)) == j
+            if j <= N:
+                odd += j % 2
+                zero_odd += j % 2 and values[j] == 0
+                zero_even += not j % 2 and values[j] == 0
+    assert (odd, zero_odd, zero_even) == (167, 16, 17)
+
+
+def test_sign_scan_checks_its_divisions():
+    # a divisor one too large leaves a remainder at the first division
+    scan = mutant(exact_mod._sign_scan, "d = math.perm(k, _SIGN_BLOCK)",
+                  "d = math.perm(k, _SIGN_BLOCK) + 1")
+    block = exact_mod._SIGN_BLOCK
+    with pytest.raises(AssertionError, match=re.escape(f"not divisible by {block}!/0!")):
+        list(scan(300, 30, 300))
 
 
 def test_sign_stream_values_are_positive_multiples():
-    N, s = 150, 30  # two block ends
-    for b, c in zip(exact_mod._sign_stream(N, s), exact_mod.krawtchouk_stream(N, s)):
-        assert (b == 0) if c == 0 else (b % c == 0 and b // c > 0)
+    N, s = 300, 30  # two block ends, every prefix
+    _assert_scan_matches(N, s, range(N + 1))
     with pytest.raises(ValueError):
-        next(exact_mod._sign_stream(5, 2))
+        next(exact_mod._sign_scan(5, 2, 5))
 
 
 # ---------------------------------------------------------------- transposed route
@@ -265,15 +320,15 @@ def test_transposed_route_probes_before_the_scan(monkeypatch):
     assert len(rows) == 14
     points = _recorded_ratios(monkeypatch)
     probes = _counted_probes(monkeypatch)
-    streams = []
-    stream = exact_mod._sign_stream
-    monkeypatch.setattr(exact_mod, "_sign_stream", lambda N, s: streams.append(s) or stream(N, s))
+    scans = []
+    scan = exact_mod._sign_scan
+    monkeypatch.setattr(exact_mod, "_sign_scan", lambda N, s, K: scans.append(s) or scan(N, s, K))
     for shape, d_reg in rows:
         probes.clear()
-        streams.clear()
+        scans.clear()
         assert degree_of_regularity_exact(shape) == d_reg
         assert probes == [d_reg - 1, d_reg]
-        assert shape.n not in streams  # neither the scan nor a probe at t
+        assert shape.n not in scans  # neither the scan nor a probe at t
     assert len(points) == 28  # 42 when every seed stopped at a step of 2^-20 x
 
 
@@ -345,21 +400,36 @@ def test_transposed_route_past_the_float_range(m, n):
 
 
 def test_transposed_route_refuses_a_positive_tail(monkeypatch):
-    # (a) holds at d - 1, but a corrupted sign stream at d fails (a) with
+    # (a) holds at d - 1, but a corrupted sign kernel at d fails (a) with
     # K_t(d) > 0: Chihara's one-zero-per-gap theorem rules this out, so it raises
     shape = SystemShape(612, 512)
     N, t, d = shape.N, shape.t, direct_stream_dreg(shape)
-    stream = exact_mod._sign_stream
+    scan = exact_mod._sign_scan
 
-    def corrupted(N_, s):
-        for k, value in enumerate(stream(N_, s)):
-            if s == N - 2 * d:
-                value = 0 if k == 0 else abs(value) + 1 if k == t else value
-            yield value
+    def corrupted(N_, s, K):
+        if s != N - 2 * d:
+            yield from scan(N_, s, K)
+            return
+        assert K == t
+        _, value = scan(N_, s, K)
+        yield from (0, abs(value) + 1)  # K_0 <= 0, and K_t > 0
 
-    monkeypatch.setattr(exact_mod, "_sign_stream", corrupted)
+    monkeypatch.setattr(exact_mod, "_sign_scan", corrupted)
     with pytest.raises(AssertionError, match="non-positive"):
         degree_of_regularity_exact(shape)
+
+
+# ---------------------------------------------------------------- route 1 at scale
+#
+# Past the published rows, route 1 (the sign kernel's scan and probes) must
+# still agree with the divided stream, a separate kernel.
+
+
+@pytest.mark.parametrize("family", ["m=2n", "m=8n", "m=n*log2(n)"])
+@pytest.mark.parametrize("n", [2**16, 2**17])
+def test_route_1_at_scale_matches_the_divided_stream(family, n):
+    shape = SystemShape(FAMILIES[family]["m_of_n"](n), n)
+    assert degree_of_regularity_exact(shape) == len(hilbert_truncation(shape))
 
 
 # ---------------------------------------------------------------- root seed

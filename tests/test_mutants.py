@@ -10,6 +10,7 @@ import re
 import pytest
 
 import semireg.exact
+import semireg.krawtchouk
 import semireg.roots
 import semireg.verify
 from semireg import cli
@@ -17,7 +18,7 @@ from semireg.bounds import kz_lower
 from semireg.verify import CheckResult, check_sandwich, enumerate_shapes, run_all
 
 import test_acceptance
-from oracle_utils import time_limit, wrong_root_sign
+from oracle_utils import mutant, time_limit, wrong_root_sign
 
 
 def _battery(max_N: int) -> dict[str, CheckResult]:
@@ -81,6 +82,72 @@ def test_probe_that_always_holds(monkeypatch, capsys):
     assert [line.split(":")[0] for line in out.splitlines()] == [
         "interlacing", "gf_identity", "orthogonality", "three_way_agreement",
         "eigenvalue_root_duality", "sandwich", "4/6 suites passed"]
+
+
+def test_sign_kernel_odd_rule_off_by_one(monkeypatch):
+    # route 1's parity rule always takes the even degree k + 2, where the
+    # first non-positive value at the odd degree k + 1 belongs
+    monkeypatch.setattr(semireg.exact, "_sign_scan", mutant(
+        semireg.exact._sign_scan,
+        "j = k + 1 if cur + a1 * prev <= 0 else k + 2", "j = k + 2"))
+    results = _battery(30)
+    assert _failed(results) == {"three_way_agreement"}
+    assert results["three_way_agreement"].detail == \
+        "m=7, n=4: exact=4, direct=3, roots=3, eigenvalues=3"
+    # survivors: the sandwich, since every d_reg the mutant gives for these
+    # 210 shapes still lies inside the four bounds; the other four suites
+    # read no sign of route 1
+    assert results["sandwich"] == CheckResult("sandwich", 210, True)
+
+
+def test_divided_stream_wrong_at_one_degree(monkeypatch):
+    # K_3 one too large at every point, wherever the divided stream is read
+    stream = semireg.exact.krawtchouk_stream
+
+    def wrong(N, s):
+        for k, value in enumerate(stream(N, s)):
+            yield value + (k == 3)
+
+    monkeypatch.setattr(semireg.exact, "krawtchouk_stream", wrong)
+    monkeypatch.setattr(semireg.krawtchouk, "krawtchouk_stream", wrong)
+    results = _battery(30)
+    assert _failed(results) == {"gf_identity", "orthogonality", "three_way_agreement"}
+    assert results["gf_identity"] == CheckResult("gf_identity", 0, False, "mismatch at m=2, n=1")
+    assert results["orthogonality"].detail == "failure at N=3, l=0, k=3"
+    assert results["three_way_agreement"].detail == \
+        "m=5, n=4: exact=3, direct=4, roots=3, eigenvalues=3"
+    # survivors: route 1 reads its own sign kernel, not this stream, so the
+    # sandwich passes; interlacing and duality read only root kernels
+    assert results["sandwich"] == CheckResult("sandwich", 210, True)
+
+
+def test_gf_product_step_without_running_sums(monkeypatch):
+    # each next product times (1+z) alone, not (1+z)/(1-z)
+    monkeypatch.setattr(semireg.verify, "_gf_products", mutant(
+        semireg.krawtchouk._gf_products,
+        "coeffs = list(accumulate(_times_one_plus_z(coeffs)))",
+        "coeffs = list(_times_one_plus_z(coeffs))"))
+    results = _battery(30)
+    assert _failed(results) == {"gf_identity"}
+    # the first product of each N is built from binomials, so the first
+    # wrong one is the second: n = 3 at N = 5
+    assert results["gf_identity"] == CheckResult("gf_identity", 28, False, "mismatch at m=4, n=3")
+    # survivors: no other suite reads the products
+
+
+def test_kz_lower_plus_two_violates_the_sandwich(monkeypatch):
+    def kz_plus_two(shape):
+        out = kz_lower(shape)
+        return out._replace(value=out.value + 2)
+
+    monkeypatch.setattr(semireg.verify, "kz_lower", kz_plus_two)
+    results = _battery(30)
+    assert _failed(results) == {"sandwich"}
+    # kz_lower = d_reg - 1 on the first shape, so two more is above d_reg
+    assert results["sandwich"] == CheckResult(
+        "sandwich", 0, False,
+        "violated at m=2, n=1: d_reg=2, kz=3, ls_lower=2, ls_upper=3, l_upper=None")
+    # survivors: no other suite reads a bound
 
 
 def _duality_gap_without_factor_2(N, root, lam):
