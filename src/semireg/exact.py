@@ -239,12 +239,18 @@ def _probe(N: int, t: int, x: int) -> tuple[bool, int]:
 def _first_probe(N: int, t: int) -> int:
     """Where the transposed search probes first: the floor of the seed of d_t(1).
 
-    The seed is asked only for the integer it gives (`_root_seed`'s
-    `accuracy` of 1), and its floor is clamped into [t, (N + 1) // 2 - 1],
-    the search's range; a seed that is not finite (N past the float range)
-    gives t.
+    The seed stops after its first Laguerre step (`_root_seed`'s `accuracy`
+    of infinity), one float evaluation at `kz_root_bound`.  Laguerre's
+    iterates climb to the smallest root from its left, and on the 12
+    transposed table rows, and at t = 512 and t = 1000 for n = 32768, that
+    one step stops 0.03 to 0.41 short of it: the floor is d - 1 on 11 of
+    those 14 rows and d - 2 on 3, which costs one more probe than d - 1.
+    It is not rounded up: that puts the first probe at d about half the
+    time, where it fails, and the scan runs.  The floor is clamped into
+    [t, (N + 1) // 2 - 1], the search's range; a seed that is not finite
+    (N past the float range) gives t.
     """
-    seed = _root_seed(N, t, accuracy=1.0)
+    seed = _root_seed(N, t, accuracy=math.inf)
     if not math.isfinite(seed):
         return t
     return min(max(math.floor(seed), t), (N + 1) // 2 - 1)
@@ -264,7 +270,12 @@ def _transposed_dreg(N: int, t: int, first: tuple[int, tuple[bool, int]] | None 
     (T. S. Chihara, An Introduction to Orthogonal Polynomials, 1978, ch. I),
     so (b) follows; AssertionError reports it failing.  The search starts
     at `first`, a probe (x, `_probe(N, t, x)`) already made, which it does
-    not make again; if None, it starts at `_first_probe(N, t)`.  The float
+    not make again; if None, it starts at `_first_probe(N, t)`.  From x it
+    gallops outward to x +- 1, 2, 4, ..., each offset measured from x,
+    while (a) says the answer lies further out, and then bisects the last
+    gap.  A start j >= 1 places below d - 1, or above d, costs at most
+    3 + 2 log2 j probes, and one at d - 1 or d costs 2: from d - 1 the
+    probes are [d - 1, d], and from d - 2 [d - 2, d - 1, d].  The float
     seed only picks where the search looks.
     """
     made = dict([first]) if first else {}
@@ -277,19 +288,19 @@ def _transposed_dreg(N: int, t: int, first: tuple[int, tuple[bool, int]] | None 
     # c_0..c_t > 0 stands in for (a) at t; (a) fails where K_1 = N - 2x <= 0
     lo, hi = t, (N + 1) // 2
     x = first[0] if first else _first_probe(N, t)
-    # probe x and x + 1, gallop away from x in doubling steps while the
+    # probe x, then gallop away from it at x +- 1, 2, 4, ... while the
     # answer lies further out, then bisect what is left
     step = 1
     if holds(x):
         lo = x
-        while lo + step < hi and holds(lo + step):
-            lo, step = lo + step, 2 * step
-        hi = min(hi, lo + step)
+        while x + step < hi and holds(x + step):
+            lo, step = x + step, 2 * step
+        hi = min(hi, x + step)
     else:
         hi = x
-        while hi - step > lo and not holds(hi - step):
-            hi, step = hi - step, 2 * step
-        lo = max(lo, hi - step)
+        while x - step > lo and not holds(x - step):
+            hi, step = x - step, 2 * step
+        lo = max(lo, x - step)
     # d - 1 is the largest x in [lo, hi) where (a) holds; on -x, probes round up
     d = 1 - integer_bisect(-hi, -lo, lambda y: holds(-y))
     holds(d)
@@ -359,8 +370,10 @@ def _root_seed(N: int, k: int, lo: Fraction | float = 0,
     does at the first step that is not positive and shorter than the last,
     where rounding has taken over.  Iteration stops right after a step of
     at most `accuracy`, which the caller sets to what it needs: the
-    transposed search of `degree_of_regularity_exact` reads only the
-    floor, and asks for 1.  By default, for the root chain, it stops right
+    transposed search of `degree_of_regularity_exact` takes the floor of
+    the first step's end and asks for infinity, one float evaluation: a
+    second costs about as much as an exact probe, and would save one only
+    where the floor is d - 2.  By default, for the root chain, it stops right
     after a step of at most 2^-20 max(1, |x|): a further step would move x
     by about the cube of that, below a float's rounding.  Every float is
     formed here, so N or an end past the float range gives NaN.  Only a

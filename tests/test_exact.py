@@ -275,6 +275,14 @@ def _counted_probes(monkeypatch):
     return probes
 
 
+def _counted_scans(monkeypatch):
+    """The s of every `_sign_scan`; a probe at x = t reads the same s = n as the scan."""
+    scans = []
+    scan = exact_mod._sign_scan
+    monkeypatch.setattr(exact_mod, "_sign_scan", lambda N, s, K: scans.append(s) or scan(N, s, K))
+    return scans
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 1900), st.data())
 def test_transposed_route_matches_direct_stream(n, data):
@@ -286,7 +294,6 @@ def test_transposed_route_matches_direct_stream(n, data):
 
 
 def test_transposed_route_published_rows(monkeypatch):
-    probes = _counted_probes(monkeypatch)
     transposed = 0
     for family in FAMILIES.values():
         for n, d_reg, *_ in family["rows"]:
@@ -294,14 +301,30 @@ def test_transposed_route_published_rows(monkeypatch):
             assert degree_of_regularity_exact(shape) == d_reg
             transposed += shape.t < d_reg
     assert transposed == 12  # the m = n + 100 and m = n + 256 rows with d_reg > t
-    # at t = 512 and t = 1000, K_t / C(N, t) is below the smallest float near
-    # the root; the rescaled float kernel still seeds d_reg - 1, so the search
-    # makes its first two probes, x and x + 1, and no other
-    for shape, d_reg in [(SystemShape(33280, 32768), 12841),
-                         (SystemShape(33768, 32768), 11639)]:
+    # on those rows, and at t = 512 and t = 1000, where K_t / C(N, t) is below
+    # the smallest float near the root, one Laguerre step of the rescaled
+    # float kernel seeds d_reg - 1 or d_reg - 2, and the search probes from
+    # there to d_reg and no further
+    _assert_probes_from_the_floor(monkeypatch)
+
+
+def _assert_probes_from_the_floor(monkeypatch):
+    """Each of the 14 `_transposed_rows` probes [d - 1, d] or [d - 2, d - 1, d], 31 in all.
+
+    The first probe holds at x >= t, which proves c_0..c_t > 0, so no scan
+    runs, and there is no probe at t: nothing reads s = n.
+    """
+    probes = _counted_probes(monkeypatch)
+    scans = _counted_scans(monkeypatch)
+    total = 0
+    for shape, d_reg in _transposed_rows():
         probes.clear()
+        scans.clear()
         assert degree_of_regularity_exact(shape) == d_reg
-        assert probes == [d_reg - 1, d_reg]
+        assert probes in ([d_reg - 1, d_reg], [d_reg - 2, d_reg - 1, d_reg]), shape
+        assert shape.n not in scans
+        total += len(probes)
+    assert total == 31  # d_reg - 2 at m = 612, n = 512 and at t = 100 and 1000, n = 32768
 
 
 def _transposed_rows():
@@ -314,42 +337,49 @@ def _transposed_rows():
 
 def test_transposed_route_probes_before_the_scan(monkeypatch):
     # kz_root_bound(N, t) > t + 1 on all 14 rows, so the first probe comes
-    # first; it holds at d - 1 >= t, which proves c_0..c_t > 0, so no scan
-    # runs; the seed needs only its integer, from two float evaluations
-    rows = _transposed_rows()
-    assert len(rows) == 14
+    # first, and no scan runs; the seed stops after one Laguerre step, one
+    # float evaluation per row
+    assert len(_transposed_rows()) == 14
     points = _recorded_ratios(monkeypatch)
-    probes = _counted_probes(monkeypatch)
-    scans = []
-    scan = exact_mod._sign_scan
-    monkeypatch.setattr(exact_mod, "_sign_scan", lambda N, s, K: scans.append(s) or scan(N, s, K))
-    for shape, d_reg in rows:
-        probes.clear()
-        scans.clear()
-        assert degree_of_regularity_exact(shape) == d_reg
-        assert probes == [d_reg - 1, d_reg]
-        assert shape.n not in scans  # neither the scan nor a probe at t
-    assert len(points) == 28  # 42 when every seed stopped at a step of 2^-20 x
+    _assert_probes_from_the_floor(monkeypatch)
+    assert len(points) == 14
 
 
-def test_transposed_route_keeps_a_failed_first_probe(monkeypatch):
-    # a seed 5 right of the root fails the first probe: the scan runs, and the
-    # search goes on below that probe, with no second seed
+@pytest.mark.parametrize("offset", [-9, -2, -1, 0, 1, 5, 9], ids=lambda offset: f"root{offset:+d}")
+def test_transposed_route_gallops_from_an_offset_seed(monkeypatch, offset):
+    # the seed moved by `offset`: a first probe x that holds proves
+    # c_0..c_t > 0, so no scan runs; one that fails (x >= d) is kept, the
+    # scan runs once, and the search goes on below x with no second seed.
+    # Let j = d - 1 - x from an x that holds and j = x - d from one that
+    # fails, and 2^(i-1) <= j < 2^i.  From x the gallop probes x +- 1, 2,
+    # ..., 2^i, the first on the far side of d - 1/2, and leaves a gap of
+    # 2^(i-1) that bisection closes in i - 1 probes: 1 + (i + 1) + (i - 1)
+    # = 2 i + 1 <= 3 + 2 log2 j probes in all for j >= 1, and [d - 1, d] or
+    # [d, d - 1] for j = 0; the ends of the range only cut the gallop short
     calls = []
     seed = exact_mod._root_seed
 
-    def late(N, k, *args, **kwargs):
+    def moved(N, k, *args, **kwargs):
         calls.append((N, k))
-        return seed(N, k, *args, **kwargs) + 5
+        return seed(N, k, *args, **kwargs) + offset
 
-    monkeypatch.setattr(exact_mod, "_root_seed", late)
+    monkeypatch.setattr(exact_mod, "_root_seed", moved)
     probes = _counted_probes(monkeypatch)
+    scans = _counted_scans(monkeypatch)
     for shape, d_reg in _transposed_rows():
         calls.clear()
         probes.clear()
+        scans.clear()
         assert degree_of_regularity_exact(shape) == d_reg
         assert calls == [(shape.N, shape.t)]
-        assert probes.count(probes[0]) == 1 and probes[0] > d_reg
+        x = probes[0]
+        assert len(set(probes)) == len(probes)  # no probe is made twice
+        if offset != 1:  # unmoved, the floor is d - 2 or d - 1
+            assert (x < d_reg) == (offset <= 0)
+        j = d_reg - 1 - x if x < d_reg else x - d_reg
+        assert len(probes) <= (2 if j == 0 else 3 + 2 * math.log2(j)), (shape, x, probes)
+        # every probe lies right of t, so only the direct scan reads s = n
+        assert min(probes) > shape.t and scans.count(shape.n) == (x >= d_reg)
 
 
 @pytest.mark.parametrize("bound,n_max", [(lambda N, k: 0.0, 32768), (lambda N, k: N / 2, 4096)],
@@ -425,9 +455,12 @@ def test_transposed_route_refuses_a_positive_tail(monkeypatch):
 # still agree with the divided stream, a separate kernel.
 
 
-@pytest.mark.parametrize("family", ["m=2n", "m=8n", "m=n*log2(n)"])
-@pytest.mark.parametrize("n", [2**16, 2**17])
-def test_route_1_at_scale_matches_the_divided_stream(family, n):
+# The m = n + 100 and m = n + 256 rows run the transposed search; their
+# divided streams grow about quadratically (0.6-0.8 s at 2^16), so they stop there.
+@pytest.mark.parametrize("n,family", [
+    (n, family) for n in (2**16, 2**17) for family in ("m=2n", "m=8n", "m=n*log2(n)")
+] + [(2**16, "m=n+100"), (2**16, "m=n+256")])
+def test_route_1_at_scale_matches_the_divided_stream(n, family):
     shape = SystemShape(FAMILIES[family]["m_of_n"](n), n)
     assert degree_of_regularity_exact(shape) == len(hilbert_truncation(shape))
 

@@ -43,6 +43,24 @@ def test_wrong_root_kernel(monkeypatch):
     # and the sandwich compares the bounds with route 1's d_reg; none reads a root
 
 
+def test_wrong_root_kernel_under_the_tiny_root_bounds(monkeypatch):
+    # the same j (N - j + 2) in `_sign_at_dyadic`, which the tiny-root bounds
+    # of `_root_sign` consult only where they cannot decide
+    monkeypatch.setattr(semireg.roots, "_sign_at_dyadic", mutant(
+        semireg.roots._sign_at_dyadic, "(N - j + 1)", "(N - j + 2)"))
+    results = _battery(30)
+    assert _failed(results) == {"three_way_agreement", "eigenvalue_root_duality"}
+    assert results["three_way_agreement"].detail == \
+        "m=9, n=6: exact=4, direct=4, roots=3, eigenvalues=4"
+    assert results["eigenvalue_root_duality"].detail == "duality gap at N=2, k=2"
+    # survivors: interlacing, since the bounds decide the signs near x = 0
+    # from the explicit sum, so the lift-off at N = 3 that the mutant without
+    # them trips on lifts off, and `_extend` makes bracket k inside
+    # [0, lo(k - 1)] whatever the kernel
+    assert results["interlacing"] == CheckResult("interlacing", 435, True)
+    # gf_identity, orthogonality and the sandwich read no root, as above
+
+
 def test_root_kernel_of_the_next_family(monkeypatch):
     # every root sign taken from K_k^(N+1) in place of K_k^N
     sign_at_dyadic = semireg.roots._sign_at_dyadic
