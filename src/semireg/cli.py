@@ -14,6 +14,7 @@ Output is deterministic: identical invocations produce byte-identical text.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import re
 import sys
@@ -168,10 +169,62 @@ def _cell_text(value: object) -> str:
     return str(value)
 
 
+# float.__repr__ of the specials -> json's spelling of them
+_JSON_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(doc: object) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte, for a document keyed by str.
+
+    With an indent, json.dumps runs its pure-Python encoder; this writes the
+    same text directly.  Keys and strings go through json's
+    `encode_basestring_ascii`, ints through `int.__repr__`, and floats are
+    spelled as json's `floatstr` spells them: `float.__repr__`, with NaN,
+    Infinity and -Infinity for the specials.  A non-str key raises TypeError
+    in `encode_basestring_ascii`, and a value json cannot write raises it here.
+    """
+    from json.encoder import encode_basestring_ascii as encode
+    out = []
+
+    def write(value: object, newline: str) -> None:
+        # newline: the line break and indent of the level value starts at
+        if isinstance(value, str):
+            out.append(encode(value))
+        elif value is None:
+            out.append("null")
+        elif value is True:
+            out.append("true")
+        elif value is False:
+            out.append("false")
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, float):
+            text = float.__repr__(value)
+            out.append(_JSON_FLOAT_SPECIALS.get(text, text))
+        elif isinstance(value, dict):
+            inner, sep = newline + "  ", "{"
+            for key, item in value.items():
+                out.append(f"{sep}{inner}{encode(key)}: ")
+                write(item, inner)
+                sep = ","
+            out.append(newline + "}" if value else "{}")
+        elif isinstance(value, (list, tuple)):
+            inner, sep = newline + "  ", "["
+            for item in value:
+                out.append(sep + inner)
+                write(item, inner)
+                sep = ","
+            out.append(newline + "]" if value else "[]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    write(doc, "\n")
+    return "".join(out)
+
+
 def render_table(spec: TableSpec, rows: list[dict], fmt: str, airy: AiryConstant,
                  precision: Fraction) -> str:
     if fmt == "json":
-        import json
         doc = {
             "family": spec.family,
             "metadata": {
@@ -183,7 +236,7 @@ def render_table(spec: TableSpec, rows: list[dict], fmt: str, airy: AiryConstant
             "columns": list(spec.columns),
             "rows": rows,
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return _json_text(doc) + "\n"
 
     header = ["n", "m"] + [_COLUMNS[c][0] for c in spec.columns]
     text_rows = [
@@ -353,13 +406,23 @@ def _add_airy_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Left to itself, argparse asks the terminal for its width in every help
+    # formatter it makes (25 per build on Python 3.11), and formats the main
+    # usage only to name the subcommands "semireg ...".  Both values are
+    # handed over here as argparse computes them, so every text is unchanged.
+    import shutil
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="semireg",
         description="Degree of regularity of overdetermined quadratic "
                     "semi-regular systems: exact values, certified "
                     "cross-checks and closed-form bounds.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog="semireg",
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
 
     p_exact = sub.add_parser("exact", help="exact degree of regularity")
     p_exact.add_argument("m", type=int)

@@ -20,7 +20,15 @@ __all__ = ["iroot", "integer_bisect", "Enclosure", "DyadicBracket", "positive_wi
 
 
 def iroot(x: int, r: int) -> int:
-    """Floor of the r-th root of a non-negative integer (Newton on integers)."""
+    """Floor a of the r-th root of a non-negative integer (Newton on integers).
+
+    The step g -> floor(((r - 1) g + floor(x / g^(r-1))) / r) equals the
+    floor of the real Newton step ((r - 1) g + x / g^(r-1)) / r, which by
+    AM-GM is at least x^(1/r): no iterate drops below a.  While g > a,
+    g^r > x makes the real step less than g, so the next iterate is smaller.
+    The seed 2^ceil(bits(x) / r) exceeds x^(1/r), so the iterates fall
+    strictly and the first that does not fall is a itself.
+    """
     if x < 0:
         raise ValueError("iroot requires x >= 0")
     if r < 1:
@@ -29,16 +37,12 @@ def iroot(x: int, r: int) -> int:
         return x
     if r == 2:
         return math.isqrt(x)
-    # Seed above the true root, then Newton descends monotonically.
     guess = 1 << -(-x.bit_length() // r)
     while True:
         nxt = ((r - 1) * guess + x // guess ** (r - 1)) // r
         if nxt >= guess:
-            break
+            return guess
         guess = nxt
-    while guess ** r > x:
-        guess -= 1
-    return guess
 
 
 def integer_bisect(lo: int, hi: int, accepts: Callable[[int], bool]) -> int:

@@ -33,6 +33,7 @@ from semireg.bounds import (_cube_field_norm, _l_accepts_degree, _l_degree_norm,
 from semireg.intervals import DyadicBracket, iroot, nth_root_enclosure
 from semireg.verify import enumerate_shapes
 
+import reference_tables as ref
 from oracle_utils import (
     LS_BITS_SCHEDULE,
     Interval,
@@ -733,6 +734,29 @@ def test_sandwich_sampled(n, data):
     up = ls_upper(shape)
     if up.applicable:
         assert d <= up.value
+
+
+@pytest.mark.parametrize("family", list(ref.FAMILIES.values()),
+                         ids=[family["family_arg"] for family in ref.FAMILIES.values()])
+def test_published_families_far_past_the_tables(family):
+    # n = 2^16..2^18, eight to thirty-two times the last published n; the
+    # published rows are left as they are
+    i1, radius = DEFAULT_AIRY
+    for n in (2**16, 2**17, 2**18):
+        shape = SystemShape(family["m_of_n"](n), n)
+        d = degree_of_regularity_exact(shape)
+        kz, lsl, lsu, lu = outcomes = (kz_lower(shape), ls_lower(shape),
+                                       ls_upper(shape), l_upper(shape))
+        # no row this far out is certified near a boundary
+        assert [out.certification.near_boundary for out in outcomes] == [False] * 4, n
+        assert kz.value <= d and lsl.value <= d
+        # the m = n + alpha families have no upper bound; the others have both
+        assert lsu.applicable == lu.applicable == (family["family_arg"] in ("2n", "8n", "nlog2n"))
+        assert all(d <= out.value for out in (lsu, lu) if out.applicable)
+        # each end of the Airy enclosure alone: floors at most one apart,
+        # and the certified bound is the lower end's
+        ends = [ls_lower(shape, AiryConstant(i1 + sign * radius, 0)).value for sign in (-1, 1)]
+        assert 0 <= ends[1] - ends[0] <= 1 and lsl.value == ends[0], n
 
 
 def test_asymptotic_consistency_beta2():

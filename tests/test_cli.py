@@ -1,17 +1,28 @@
-"""CLI behaviour: output formats, determinism, exit codes."""
+"""CLI behaviour: output formats, determinism, exit codes, and the parser and
+JSON writer against argparse's and json's own output."""
 
+import argparse
 import csv
+import enum
 import hashlib
 import io
 import json
+import shutil
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semireg.cli
 import semireg.exact
 import semireg.krawtchouk
 from semireg.bounds import DEFAULT_AIRY
 from semireg.cli import ALL_COLUMNS, build_table_spec, compute_row, floor_n_log2_n, main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import TABLE_FAMILIES, table_argv  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +271,61 @@ def test_table_json_null_with_reason(capsys):
     assert cell["reason"] == "negative_discriminant"
 
 
+@pytest.mark.parametrize("argv", [table_argv(family) for family in TABLE_FAMILIES]
+                         + [_EXPLICIT_ALL_COLUMNS + ("--format", "json")],
+                         ids=list(TABLE_FAMILIES) + ["explicit"])
+def test_table_json_writer_is_json_dumps(monkeypatch, capsys, argv):
+    # the benchmark's five table commands, and the explicit table whose
+    # (40, 39) row has an inapplicable bound (a reason string) and whose
+    # (43, 35) row a near-boundary ls_lower under --airy-radius 1/1000
+    docs, write = [], semireg.cli._json_text
+    monkeypatch.setattr(semireg.cli, "_json_text", lambda doc: docs.append(doc) or write(doc))
+    code, out, err = run_cli(capsys, *argv)
+    [doc] = docs
+    assert (code, err, out) == (0, "", json.dumps(doc, indent=2) + "\n")
+    if argv[2] == "explicit":
+        cells = {row["m"]: row["cells"] for row in doc["rows"]}
+        assert cells[40]["ls_upper"]["reason"] == "negative_discriminant"
+        assert cells[43]["ls_lower"]["near_boundary"] is True
+
+
+# every scalar json writes (floats with NaN and +-inf, strings with control,
+# non-ASCII and lone surrogate characters), nested in lists, tuples and
+# str-keyed dicts
+_JSON_TEXT = st.text(st.characters(exclude_categories=()))
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert semireg.cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+class _Shouting(float):
+    def __repr__(self):
+        return "SHOUT"
+
+
+def test_json_writer_spells_int_and_float_subclasses_as_json_does():
+    # by int.__repr__ and float.__repr__, not by the subclass's own repr
+    doc = {"flag": enum.IntFlag("Flag", "A B").B, "float": _Shouting(0.5), "bool": True}
+    assert semireg.cli._json_text(doc) == json.dumps(doc, indent=2)
+    assert '"flag": 2' in semireg.cli._json_text(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: 2}, [Fraction(1, 2)], {"a": {1, 2}}],
+                         ids=["int-key", "fraction", "set"])
+def test_json_writer_refuses_what_it_cannot_write(doc):
+    # json.dumps would write the int key as "1"; the table's keys are all str
+    with pytest.raises(TypeError):
+        semireg.cli._json_text(doc)
+
+
 def test_table_explicit_pairs_and_extra_columns(capsys):
     code, out, _ = run_cli(capsys, "table", "--family", "explicit",
                            "--pairs", "24:12", "--columns",
@@ -466,3 +532,72 @@ def test_airy_i1_overflowing_curve_is_an_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------- parser
+
+
+def _parser_with_argparse_defaults(monkeypatch):
+    """`build_parser()` built with neither the formatter width nor the
+    subcommand prog handed to argparse, so that it computes both itself."""
+    handed = []
+    init, add_subparsers = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_subparsers
+
+    def plain_init(self, *args, formatter_class=None, **kwargs):
+        handed.append(formatter_class)
+        init(self, *args, **kwargs)
+
+    def plain_add_subparsers(self, *, prog=None, parser_class=None, **kwargs):
+        handed.append(prog)
+        return add_subparsers(self, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", plain_init)
+        patch.setattr(argparse.ArgumentParser, "add_subparsers", plain_add_subparsers)
+        parser = semireg.cli.build_parser()
+    # the main parser's formatter and the subcommands' prog were handed over
+    # and dropped; the subcommands, built by the default parser class, got none
+    assert [value is not None for value in handed] == [True, True] + [False] * 4
+    return parser
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_PARSER_ARGVS = [
+    ["-h"], *([command, "-h"] for command in ("exact", "bounds", "table", "verify")),
+    [], ["frobnicate"],
+    ["exact", "x", "12"], ["bounds", "24", "12", "--frobnicate"], ["exact", "24"],
+    ["verify", "10", "--precision", "-1"],
+]
+
+
+@pytest.mark.parametrize("columns", [None, "30", "60", "200"],
+                         ids=["COLUMNS-unset", "COLUMNS-30", "COLUMNS-60", "COLUMNS-200"])
+def test_parser_prints_what_argparse_defaults_print(monkeypatch, capsys, columns):
+    # help, usage and error text, and the exit code, at every terminal width
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    for argv in _PARSER_ARGVS:
+        got = _outcome(capsys, argv)
+        reference = _parser_with_argparse_defaults(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(semireg.cli, "build_parser", lambda: reference)
+            assert got == _outcome(capsys, argv), argv
+        assert got[0] == (0 if "-h" in argv else 2)
+
+
+def test_parser_asks_the_terminal_once(monkeypatch, capsys):
+    calls, size = [], shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    code, out, _ = _outcome(capsys, ["table", "-h"])
+    assert code == 0 and out.startswith("usage: semireg table ")
+    assert len(calls) == 1

@@ -78,6 +78,23 @@ def test_root_kernel_of_the_next_family(monkeypatch):
     # gf_identity, orthogonality and the sandwich read no root, as above
 
 
+def test_wrong_eigen_kernel(monkeypatch):
+    # j (N - j + 2) for j (N - j + 1) in the leading-minor recurrence that
+    # decides every eigenvalue sign
+    monkeypatch.setattr(semireg.roots, "_eigen_sign", mutant(
+        semireg.roots._eigen_sign, "(N - j + 1)", "(N - j + 2)"))
+    results = _battery(30)
+    assert _failed(results) == {"three_way_agreement", "eigenvalue_root_duality"}
+    assert results["three_way_agreement"].detail == \
+        "m=9, n=6: exact=4, direct=4, roots=4, eigenvalues=3"
+    assert results["eigenvalue_root_duality"].detail == "duality gap at N=2, k=2"
+    # survivors: interlacing reads only root brackets, gf_identity and
+    # orthogonality only the divided stream, and the sandwich route 1's d_reg;
+    # none reads an eigenvalue
+    assert results["interlacing"] == CheckResult("interlacing", 435, True)
+    assert results["sandwich"] == CheckResult("sandwich", 210, True)
+
+
 def test_probe_that_always_holds(monkeypatch, capsys):
     # route 1's predicate (a) reported true whatever K_0..K_t are: the
     # transposed search runs to the end of its range
