@@ -8,9 +8,7 @@ import hashlib
 import io
 import json
 import shutil
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +18,6 @@ import semireg.exact
 import semireg.krawtchouk
 from semireg.bounds import DEFAULT_AIRY
 from semireg.cli import ALL_COLUMNS, build_table_spec, compute_row, floor_n_log2_n, main
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import TABLE_FAMILIES, table_argv  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -271,22 +266,18 @@ def test_table_json_null_with_reason(capsys):
     assert cell["reason"] == "negative_discriminant"
 
 
-@pytest.mark.parametrize("argv", [table_argv(family) for family in TABLE_FAMILIES]
-                         + [_EXPLICIT_ALL_COLUMNS + ("--format", "json")],
-                         ids=list(TABLE_FAMILIES) + ["explicit"])
-def test_table_json_writer_is_json_dumps(monkeypatch, capsys, argv):
-    # the benchmark's five table commands, and the explicit table whose
-    # (40, 39) row has an inapplicable bound (a reason string) and whose
-    # (43, 35) row a near-boundary ls_lower under --airy-radius 1/1000
+def test_table_json_writer_is_json_dumps(monkeypatch, capsys):
+    # the explicit table whose (40, 39) row has an inapplicable bound (a reason
+    # string) and whose (43, 35) row a near-boundary ls_lower under
+    # --airy-radius 1/1000; tests/test_golden.py pins the benchmark's tables
     docs, write = [], semireg.cli._json_text
     monkeypatch.setattr(semireg.cli, "_json_text", lambda doc: docs.append(doc) or write(doc))
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *_EXPLICIT_ALL_COLUMNS, "--format", "json")
     [doc] = docs
     assert (code, err, out) == (0, "", json.dumps(doc, indent=2) + "\n")
-    if argv[2] == "explicit":
-        cells = {row["m"]: row["cells"] for row in doc["rows"]}
-        assert cells[40]["ls_upper"]["reason"] == "negative_discriminant"
-        assert cells[43]["ls_lower"]["near_boundary"] is True
+    cells = {row["m"]: row["cells"] for row in doc["rows"]}
+    assert cells[40]["ls_upper"]["reason"] == "negative_discriminant"
+    assert cells[43]["ls_lower"]["near_boundary"] is True
 
 
 # every scalar json writes (floats with NaN and +-inf, strings with control,
