@@ -9,8 +9,10 @@ the smallest Krawtchouk root d_k^N(1) against the threshold t = m - n:
   the quartic w^4 - a w - c built from the first zero of an Airy-type
   function.  The floor is the last degree that passes the per-degree test,
   decided by the sign of one integer (a field norm in Q((v/6)^(1/3))); one
-  integer bisection per end of the Airy enclosure finds it, and the value
-  is flagged near-boundary exactly when the two ends give different floors.
+  integer search per end of the Airy enclosure finds it, the lower end's
+  from an integer estimate of its floor and the upper end's from the lower
+  end's floor, so two to four tests decide most shapes.  The value is
+  flagged near-boundary exactly when the two ends give different floors.
 * ls_upper  : ceiling formula from a quadratic discriminant condition,
   certified by an exact integer predicate; may be structurally inapplicable.
 * l_upper   : ceiling of x5^3 where x5 is the root of a sextic on its
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import partial
 
 from .exact import SystemShape, kz_root_bound
-from .intervals import integer_bisect
+from .intervals import integer_bisect, integer_gallop, iroot
 
 __all__ = [
     "BoundKind",
@@ -221,29 +223,35 @@ def ls_lower(shape: SystemShape, airy: AiryConstant = DEFAULT_AIRY) -> BoundOutc
     exact per-degree test `_ls_refuses_degree`, and acceptance is monotone
     in f.  At i1 = P/Q, degree top = (n^2 // N + P^2 // Q^2) // 2 + 2 is
     refused: w4^6 < 1 or w4^3 <= a + c, and 2 top + 1 > n^2/N + i1^2 >
-    (a + c)^2.  So one integer bisection per end of the i1 enclosure finds
+    (a + c)^2.  So one `integer_gallop` per end of the i1 enclosure finds
     its floor, the last accepted degree, clamped at 0 when degree 0 is
-    refused (which keeps the bound 1 valid).  w4 grows with c, so the upper
-    end first tests the lower end's floor + 1 and searches only when that
-    passes.  Differing floors are flagged near-boundary with both
-    candidates.  The ends of the Airy enclosure, i1 -+ r for i1 = P/Q and
-    r = p/q, are read as the unreduced pairs (P q -+ p Q, Q q): the test is
-    homogeneous in (P, Q) and top reads only floor(P^2 / Q^2), so no
-    Fraction is formed.
+    refused (which keeps the bound 1 valid).  The lower end starts at an
+    integer estimate of its first refused degree, (v + 1) // 2 for
+    v = n^2 // (2N) + 2 iroot(n^2 P^3 // (12 N Q^3), 3): w4^3 = a + c / w4
+    and w4 >= a^(1/3), so w4^6 is about a^2 + 2 c a^(2/3), and the first
+    refused degree floor((w4^6 + 1) / 2).  On 6,540 shapes (N <= 120, and
+    3,000 random ones up to n = 2^18) the start lands 0, 1 or 2 below it,
+    where 2 or 3 tests decide.  w4 grows with c, so the upper end starts
+    at the lower end's floor + 1, above a degree it accepts, and one test
+    decides unless the floors differ.  The start only picks where the
+    search looks: no float is read, and the tests decide.  Differing floors
+    are flagged near-boundary with both candidates.  The ends of the Airy
+    enclosure, i1 -+ r for i1 = P/Q and r = p/q, are read as the
+    unreduced pairs (P q -+ p Q, Q q): the test is homogeneous in (P, Q),
+    and top and the start read only integer quotients, so no Fraction is
+    formed.
     """
     N, n = shape.N, shape.n
 
-    def first_refused(P: int, Q: int, lo: int) -> int:  # lo = -1: none tested yet
+    def first_refused(P: int, Q: int, lo: int, start: int) -> int:
         top = (n * n // N + P * P // (Q * Q)) // 2 + 2
-        return integer_bisect(lo, top, partial(_ls_refuses_degree, N, n, P, Q))
+        return integer_gallop(lo, top, partial(_ls_refuses_degree, N, n, P, Q), start)
 
     (P, Q), (p, q) = airy.i1.as_integer_ratio(), airy.precision_radius.as_integer_ratio()
-    Pq, pQ, Qq = P * q, p * Q, Q * q
-    f_lo = max(first_refused(Pq - pQ, Qq, -1) - 1, 0)
-    if _ls_refuses_degree(N, n, Pq + pQ, Qq, f_lo + 1):
-        f_hi = f_lo
-    else:
-        f_hi = first_refused(Pq + pQ, Qq, f_lo + 1) - 1
+    P_lo, P_hi, Qq = P * q - p * Q, P * q + p * Q, Q * q
+    v = n * n // (2 * N) + 2 * iroot(n * n * P_lo ** 3 // (12 * N * Qq ** 3), 3)
+    f_lo = max(first_refused(P_lo, Qq, -1, (v + 1) // 2) - 1, 0)
+    f_hi = first_refused(P_hi, Qq, f_lo, f_lo + 1) - 1
     flag = f_lo != f_hi  # the lower candidate stays a valid lower bound
     return BoundOutcome(
         kind=BoundKind.LS_LOWER,

@@ -18,11 +18,11 @@ value and the sign of one odd value beside it give the index.  A float
 may *seed* one (`_root_seed` proposes where the transposed search of
 `degree_of_regularity_exact` looks first, and `kz_root_bound` whether it
 looks before the scan), but only exact signs decide it.  `_root_seed` is
-the package's one float seed, a few Laguerre steps on the
+the package's one Laguerre seed, a few Laguerre steps on the
 power-of-two-rescaled float recurrence of `_krawtchouk_ratios`, for this
-search and for the root and eigenvalue brackets of `roots`, and the one
-place where a seed's floats are formed: a seed that cannot be formed is
-NaN.
+search and for the root and eigenvalue brackets of `roots` (which seeds
+tiny roots from its integer bounds instead), and it forms every float it
+reads: a seed that cannot be formed is NaN.
 This module is the base of the package: it imports no other module of it
 but `intervals`.
 """
@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
 
-from .intervals import integer_bisect
+from .intervals import integer_gallop
 
 __all__ = [
     "SystemShape",
@@ -270,13 +270,15 @@ def _transposed_dreg(N: int, t: int, first: tuple[int, tuple[bool, int]] | None 
     (T. S. Chihara, An Introduction to Orthogonal Polynomials, 1978, ch. I),
     so (b) follows; AssertionError reports it failing.  The search starts
     at `first`, a probe (x, `_probe(N, t, x)`) already made, which it does
-    not make again; if None, it starts at `_first_probe(N, t)`.  From x it
-    gallops outward to x +- 1, 2, 4, ..., each offset measured from x,
-    while (a) says the answer lies further out, and then bisects the last
-    gap.  A start j >= 1 places below d - 1, or above d, costs at most
-    3 + 2 log2 j probes, and one at d - 1 or d costs 2: from d - 1 the
-    probes are [d - 1, d], and from d - 2 [d - 2, d - 1, d].  The float
-    seed only picks where the search looks.
+    not make again; if None, it starts at `_first_probe(N, t)`.  From x,
+    `intervals.integer_gallop` gallops outward to x +- 1, 2, 4, ..., each
+    offset measured from x, while (a) says the answer lies further out, and
+    then bisects the last gap.  It runs on -x, so that its answer is
+    -(d - 1) and its bisection rounds each probe up.  A start j >= 1 places
+    below d - 1, or above d, costs at most 3 + 2 log2 j probes, and one at
+    d - 1 or d costs 2: from d - 1 the probes are [d - 1, d], and from
+    d - 2 [d - 2, d - 1, d].  The float seed only picks where the search
+    looks.
     """
     made = dict([first]) if first else {}
 
@@ -285,24 +287,10 @@ def _transposed_dreg(N: int, t: int, first: tuple[int, tuple[bool, int]] | None 
             made[x] = _probe(N, t, x)
         return made[x][0]
 
-    # c_0..c_t > 0 stands in for (a) at t; (a) fails where K_1 = N - 2x <= 0
-    lo, hi = t, (N + 1) // 2
+    # d - 1 is the largest x in [t, (N + 1) // 2) where (a) holds: c_0..c_t
+    # > 0 stands in for (a) at t, and (a) fails where K_1 = N - 2x <= 0
     x = first[0] if first else _first_probe(N, t)
-    # probe x, then gallop away from it at x +- 1, 2, 4, ... while the
-    # answer lies further out, then bisect what is left
-    step = 1
-    if holds(x):
-        lo = x
-        while x + step < hi and holds(x + step):
-            lo, step = x + step, 2 * step
-        hi = min(hi, x + step)
-    else:
-        hi = x
-        while x - step > lo and not holds(x - step):
-            hi, step = x - step, 2 * step
-        lo = max(lo, x - step)
-    # d - 1 is the largest x in [lo, hi) where (a) holds; on -x, probes round up
-    d = 1 - integer_bisect(-hi, -lo, lambda y: holds(-y))
+    d = 1 - integer_gallop(-((N + 1) // 2), -t, lambda y: holds(-y), -x)
     holds(d)
     if made[d][1] > 0:
         raise AssertionError(f"K_t must be non-positive at {d}, next to its smallest root")
@@ -320,10 +308,10 @@ def _krawtchouk_ratios(N: int, k: int, x: float) -> tuple[float, float] | None:
     (N - j) k_{j+1} = a k_j - j k_{j-1}, a = N - 2x, and differentiating it
     (a' = -2) gives (N - j) k'_{j+1} = a k'_j - 2 k_j - j k'_{j-1} and
     (N - j) k''_{j+1} = a k''_j - 4 k'_j - j k''_{j-1}.  The six carried
-    floats are homogeneous in (k, k', k''), so every `_RESCALE_BLOCK` steps
-    they are all multiplied by one exact power of two that brings k_j into
-    [1/2, 1): rounding is unchanged, and neither underflow nor overflow
-    can stop the recurrence at any N or k (K_512^33280(x) / C(N, 512) is
+    floats are homogeneous in (k, k', k''), so at the start of every block
+    of `_RESCALE_BLOCK` steps they are all multiplied by one exact power of
+    two that brings k_j into [1/2, 1): rounding is unchanged, and neither
+    underflow nor overflow can stop the recurrence at any N or k (K_512^33280(x) / C(N, 512) is
     below the smallest float near its root).  Only the two returned ratios
     can leave the float range, p'/p once d_k(1) is near 2^-1024.  A value
     k_j <= 0 ends the recurrence: by the Sturm property, K_0..K_k are all
@@ -334,19 +322,20 @@ def _krawtchouk_ratios(N: int, k: int, x: float) -> tuple[float, float] | None:
     """
     a = N - 2.0 * x
     prev, cur, dprev, dcur, sprev, scur = 1.0, a / N, 0.0, -2.0 / N, 0.0, 0.0
-    for j in range(1, k):
-        if cur <= 0:
-            return None
-        if not j % _RESCALE_BLOCK:
+    for block in range(0, k, _RESCALE_BLOCK):
+        if block:  # the sign of cur is kept, and the step below reads it
             e = -math.frexp(cur)[1]
             prev, cur = math.ldexp(prev, e), math.ldexp(cur, e)
             dprev, dcur = math.ldexp(dprev, e), math.ldexp(dcur, e)
             sprev, scur = math.ldexp(sprev, e), math.ldexp(scur, e)
-        prev, cur, dprev, dcur, sprev, scur = (
-            cur, (a * cur - j * prev) / (N - j),
-            dcur, (a * dcur - 2.0 * cur - j * dprev) / (N - j),
-            scur, (a * scur - 4.0 * dcur - j * sprev) / (N - j),
-        )
+        # s reads the old dcur and d the old cur, so s steps first, then d
+        for j in range(block or 1, min(block + _RESCALE_BLOCK, k)):
+            if cur <= 0:
+                return None
+            w = N - j
+            sprev, scur = scur, (a * scur - 4.0 * dcur - j * sprev) / w
+            dprev, dcur = dcur, (a * dcur - 2.0 * cur - j * dprev) / w
+            prev, cur = cur, (a * cur - j * prev) / w
     if cur <= 0:
         return None
     return dcur / cur, scur / cur

@@ -1,11 +1,13 @@
-"""Rational enclosures: directed integer roots and the two bisection loops.
+"""Rational enclosures: directed integer roots, and the searches that find them.
 
 Everything here manipulates pairs of exact rationals [lo, hi] guaranteed to
 contain the target real number.  Widths shrink as the `bits` argument grows;
 nothing is ever rounded in an uncontrolled direction.  Every certified root
 is located by DyadicBracket, every edge of a monotone integer predicate by
-`integer_bisect`.  The one float that enters is a caller's guess, which
-`DyadicBracket.narrow` tries as a window and two exact signs accept or refuse.
+`integer_bisect`, cold, or by `integer_gallop` from a caller's start, which
+then bisects with `integer_bisect`.  A start only picks where the search
+looks, and a float enters only as a guess, which `DyadicBracket.narrow`
+tries as a window and two exact signs accept or refuse.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 
-__all__ = ["iroot", "integer_bisect", "Enclosure", "DyadicBracket", "positive_width",
-           "sqrt_enclosure", "nth_root_enclosure"]
+__all__ = ["iroot", "integer_bisect", "integer_gallop", "Enclosure", "DyadicBracket",
+           "positive_width", "sqrt_enclosure", "nth_root_enclosure"]
 
 
 def iroot(x: int, r: int) -> int:
@@ -59,6 +61,36 @@ def integer_bisect(lo: int, hi: int, accepts: Callable[[int], bool]) -> int:
         else:
             lo = mid
     return hi
+
+
+def integer_gallop(lo: int, hi: int, accepts: Callable[[int], bool], start: int) -> int:
+    """The least x in (lo, hi] that a monotone predicate `accepts` takes, from `start`.
+
+    As for `integer_bisect`, `accepts` must refuse lo and take hi, and lo is
+    never evaluated.  The search probes `start`, clamped into (lo, hi] (so
+    hi is evaluated only when start clamps to it), then gallops away
+    from it to start -+ 1, 2, 4, ..., each offset measured from start,
+    while the answer lies further out, and bisects the last gap.  A start
+    at the answer or just below it costs at most 2 probes.  One j >= 1
+    places below answer - 1, or above the answer, with 2^(i-1) <= j < 2^i,
+    costs 1 + (i + 1) + (i - 1) = 2 i + 1 <= 3 + 2 log2 j: the gallop
+    probes the offsets 1, ..., 2^i, the last on the far side of the
+    answer, and leaves a gap of 2^(i-1) that bisection closes in i - 1
+    probes.  The ends of the range only cut the gallop short.
+    """
+    x = min(max(start, lo + 1), hi)
+    step = 1
+    if accepts(x):
+        hi = x
+        while x - step > lo and accepts(x - step):
+            hi, step = x - step, 2 * step
+        lo = max(lo, x - step)
+    else:
+        lo = x
+        while x + step < hi and not accepts(x + step):
+            lo, step = x + step, 2 * step
+        hi = min(hi, x + step)
+    return integer_bisect(lo, hi, accepts)
 
 
 class Enclosure(namedtuple("Enclosure", "lo hi")):

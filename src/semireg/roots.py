@@ -21,8 +21,9 @@ for and answers both comparisons; the functions here and `verify` read it.
 
 All evaluation points are dyadic rationals, so every sign is an exact
 integer computation.  Floats only seed: `exact._root_seed`, the package's
-one Laguerre seed, estimates d_k(1) once, when its bracket is made, and picks
-a short dyadic window (`DyadicBracket.narrow`), which is used only when two
+one Laguerre seed, estimates d_k(1) once, when its bracket is made (a tiny
+root takes C(N, k) / B0 of its integer bounds instead), and picks a short
+dyadic window (`DyadicBracket.narrow`), which is used only when two
 exact signs certify it; bisection takes over when they do not, and no
 decision reads a float.  Refining the bracket, and the bracket of lambda_k,
 reuse that seed (`_RootChain.seeds`).  The chain of N starts Laguerre from
@@ -218,10 +219,21 @@ class _RootChain:
         br = DyadicBracket(sign_at, 0, prev.num_lo, prev.e)
         self.seeds[k] = self._seed(k, br)
         if not br.narrow(self.seeds[k], DEFAULT_WIDTH):
+            # d_k(1) < d_(k-1)(1), so stepping prev lifts prev.lo past d_k(1)
+            # once prev is narrower than their gap.  Over k, the least gap is
+            # 26% of min(1, d_(k-1)(1)) at N = 32 and 6.9% at N = 512,
+            # shrinking about like N^(-1/2), so a prev narrower than 2^-64
+            # min(1, lo) means a wrong kernel, not a narrow gap.  lo > 0
+            # never falls, so the loop ends
             while (sign := sign_at(prev.num_lo, prev.e)) < 0:
                 if prev.exact:
                     raise AssertionError(
                         "K_k must be negative at the exact previous smallest root"
+                    )
+                if (prev.num_hi - prev.num_lo) << 64 <= min(prev.num_lo, 1 << prev.e):
+                    raise AssertionError(
+                        f"N={N}, k={k}: K_k > 0 at the lower end of the bracket of "
+                        "d_(k-1)(1), narrower than 2^-64 min(1, lo)"
                     )
                 prev.step()
             # If K_k < 0 at prev.lo, the bracket (0, prev.lo) isolates
@@ -243,16 +255,28 @@ class _RootChain:
         self._brackets.append(br)
 
     def _seed(self, k: int, br: DyadicBracket) -> float:
-        """Laguerre seed of d_k^N(1) in br, warm-started from the seeds of N - 1, N - 2.
+        """Float seed of d_k^N(1) in br: the tiny-root bound, or Laguerre, warm-started.
 
-        K_k^N = K_k^(N-1) + K_(k-1)^(N-1), and both terms are positive left
-        of d_k^(N-1)(1) < d_(k-1)^(N-1)(1), so d_k^(N-1)(1) < d_k^N(1): a
-        left start.  Laguerre starts at the extrapolation 2 d_k^(N-1) -
-        d_k^(N-2) instead when K_k^N is positive there.  The first float
-        evaluation is that test: at or right of d_k^N(1) some K_j^N is not
-        positive there, so the seed comes back unmoved and Laguerre starts
-        again at d_k^(N-1).  Without warm seeds it starts in the bracket.
+        Left of 1 the bounds of `_root_sign` put d_k(1) in [r, r / (1 - d H)],
+        r = C(N, k) / B0 and H = H_{k-1}: from C(N, k) = d B(d) >=
+        d B0 (1 - d H).  Where br.hi < 1 and r H < 2^-20, the relative
+        accuracy `_root_seed` stops at, r itself is the seed, with no float
+        recurrence: past k = N/2 that recurrence is unstable left of tiny
+        roots, and its seeds there could land right of the root (refused
+        windows: 493 of 65,280 at N <= 256 with Laguerre there, 1 with r).
+        Elsewhere Laguerre runs.  K_k^N = K_k^(N-1) + K_(k-1)^(N-1), and both
+        terms are positive left of d_k^(N-1)(1) < d_(k-1)^(N-1)(1), so
+        d_k^(N-1)(1) < d_k^N(1): a left start.  Laguerre starts at the
+        extrapolation 2 d_k^(N-1) - d_k^(N-2) instead when K_k^N is positive
+        there.  The first float evaluation is that test: at or right of
+        d_k^N(1) some K_j^N is not positive there, so the seed comes back
+        unmoved and Laguerre starts again at d_k^(N-1).  Without warm seeds
+        it starts in the bracket.
         """
+        if br.num_hi >> br.e == 0:
+            c, L, b0, h = _tiny_terms(self.N, k)
+            if c * h << 20 < b0:  # r H < 2^-20, in integers
+                return c * L / b0  # correctly rounded, and below 1
         last = self.warm[0].get(k)
         if last is None:
             return _root_seed(self.N, k, br.lo, br.hi)

@@ -101,6 +101,33 @@ def eval_exact(N: int, k: int, t: Fraction | int) -> Fraction:
     return Fraction(b_k, math.factorial(k) * d ** k)
 
 
+def krawtchouk_ratios_reference(N: int, k: int, x: float) -> tuple[float, float] | None:
+    """`exact._krawtchouk_ratios` as one loop over j, rescaling where j % 64 == 0.
+
+    The package kernel runs the same float operations in the same order
+    in blocks of `_RESCALE_BLOCK` = 64 steps, with no per-step remainder
+    and no six-value tuple; its results must be bit-identical to these.
+    """
+    a = N - 2.0 * x
+    prev, cur, dprev, dcur, sprev, scur = 1.0, a / N, 0.0, -2.0 / N, 0.0, 0.0
+    for j in range(1, k):
+        if cur <= 0:
+            return None
+        if not j % 64:
+            e = -math.frexp(cur)[1]
+            prev, cur = math.ldexp(prev, e), math.ldexp(cur, e)
+            dprev, dcur = math.ldexp(dprev, e), math.ldexp(dcur, e)
+            sprev, scur = math.ldexp(sprev, e), math.ldexp(scur, e)
+        prev, cur, dprev, dcur, sprev, scur = (
+            cur, (a * cur - j * prev) / (N - j),
+            dcur, (a * dcur - 2.0 * cur - j * dprev) / (N - j),
+            scur, (a * scur - 4.0 * dcur - j * sprev) / (N - j),
+        )
+    if cur <= 0:
+        return None
+    return dcur / cur, scur / cur
+
+
 def wrong_root_sign(N: int, k: int):
     """A faulty `roots._root_sign`: j (N - j + 2) for j (N - j + 1), no tiny-root bounds.
 

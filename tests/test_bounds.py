@@ -273,6 +273,46 @@ def test_ls_lower_is_one_integer_search_per_end(monkeypatch):
             assert 1 <= len(probes) <= 2 * (top.bit_length() + 2), (shape, airy)
 
 
+def _ls_start_shapes(max_N):
+    """enumerate_shapes(max_N), the published rows, and the families at n = 2^16..2^18."""
+    return [*enumerate_shapes(max_N)] + [
+        SystemShape(family["m_of_n"](n), n) for family in ref.FAMILIES.values()
+        for n in [row[0] for row in family["rows"]] + [2**16, 2**17, 2**18]]
+
+
+@pytest.mark.parametrize("lie", [
+    lambda start, hi: 0,
+    lambda start, hi: -1,
+    lambda start, hi: hi + 5,
+    lambda start, hi: start + 1,
+    lambda start, hi: start - 1,
+    lambda start, hi: start + 9,
+    lambda start, hi: start - 9,
+], ids=["zero", "minus-one", "top+5", "start+1", "start-1", "start+9", "start-9"])
+def test_ls_lower_ignores_a_lying_start(monkeypatch, lie):
+    # the integer start only picks where each end's search looks: moved
+    # anywhere, at both ends, every outcome is the same
+    shapes = _ls_start_shapes(60)
+    expected = [ls_lower(shape) for shape in shapes]
+    gallop = bounds_mod.integer_gallop
+    monkeypatch.setattr(bounds_mod, "integer_gallop",
+                        lambda lo, hi, accepts, start: gallop(lo, hi, accepts, lie(start, hi)))
+    assert [ls_lower(shape) for shape in shapes] == expected
+
+
+def test_ls_lower_start_lands_next_to_the_floor(monkeypatch):
+    # the lower end's start is 0, 1 or 2 below its first refused degree, so
+    # it makes 2 or 3 tests, and the upper end, starting just above the
+    # lower end's floor, 1 where the floors agree: 3 or 4 tests a shape
+    tests, test = [], bounds_mod._ls_refuses_degree
+    monkeypatch.setattr(bounds_mod, "_ls_refuses_degree",
+                        lambda *args: tests.append(args) or test(*args))
+    for shape in _ls_start_shapes(120):
+        tests.clear()
+        assert not ls_lower(shape).certification.near_boundary
+        assert len(tests) in (3, 4), shape
+
+
 @pytest.mark.parametrize("m,n", [(2**150 + 3, 2**150), (10**309 + 1, 10**309)],
                          ids=["2^150", "10^309"])
 def test_ls_lower_floors_of_huge_shapes_match_interval_oracle(m, n):

@@ -10,6 +10,7 @@ from semireg.intervals import (
     DyadicBracket,
     Enclosure,
     integer_bisect,
+    integer_gallop,
     iroot,
     nth_root_enclosure,
     sqrt_enclosure,
@@ -63,6 +64,63 @@ def test_integer_bisect_finds_the_edge_inside_the_ends(lo, span, data):
     probes.clear()
     assert integer_bisect(0, 6, lambda x: probes.append(x) or x >= 4) == 4
     assert probes == [3, 4]
+
+
+# ---------------------------------------------------------------- integer_gallop
+
+
+def _gallop_probe_bound(start, lo, hi, edge):
+    """3 + 2 log2 j for a start j places below edge - 1 or above edge, else 2."""
+    x = min(max(start, lo + 1), hi)
+    j = edge - 1 - x if x < edge else x - edge
+    return 2 if j <= 0 else 3 + 2 * math.log2(j)
+
+
+def test_integer_gallop_is_integer_bisect_from_any_start():
+    # every range up to 12 wide, every edge in it and every start from 3
+    # below lo to 3 past hi: the same answer, lo never probed, hi only from
+    # a start that clamps to it, no probe twice, and the gallop's probe bound
+    for lo in range(-3, 3):
+        for hi in range(lo + 1, lo + 13):
+            for edge in range(lo + 1, hi + 1):
+                expected = integer_bisect(lo, hi, lambda x: x >= edge)
+                for start in range(lo - 3, hi + 4):
+                    probes = []
+                    got = integer_gallop(lo, hi, lambda x: probes.append(x) or x >= edge, start)
+                    assert got == expected == edge, (lo, hi, edge, start)
+                    assert all(lo < x <= hi for x in probes)
+                    assert hi not in probes or min(max(start, lo + 1), hi) == hi
+                    assert len(set(probes)) == len(probes)
+                    assert len(probes) <= _gallop_probe_bound(start, lo, hi, edge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30), st.data())
+def test_integer_gallop_from_a_drawn_start(lo, span, data):
+    # spans past sys.maxsize included, the start anywhere near the range
+    hi = lo + span
+    edge = data.draw(st.integers(lo + 1, hi))
+    start = data.draw(st.one_of(st.integers(lo - 10, hi + 10), st.integers(edge - 9, edge + 9)))
+    probes = []
+    assert integer_gallop(lo, hi, lambda x: probes.append(x) or x >= edge, start) == edge
+    assert all(lo < x <= hi for x in probes)
+    assert len(probes) <= _gallop_probe_bound(start, lo, hi, edge)
+
+
+def test_integer_gallop_probe_sequences():
+    # from the edge or just below it, two probes; from further off, the
+    # gallop measures each offset from the start, then bisects the gap
+    def run(start, edge, lo=0, hi=100):
+        probes = []
+        integer_gallop(lo, hi, lambda x: probes.append(x) or x >= edge, start)
+        return probes
+
+    assert run(40, 40) == [40, 39]
+    assert run(39, 40) == [39, 40]
+    assert run(37, 40) == [37, 38, 39, 41, 40]
+    assert run(45, 40) == [45, 44, 43, 41, 37, 39, 40]
+    assert run(1, 1) == [1]  # lo = 0 is never probed
+    assert run(150, 100) == [100, 99]  # a start past hi probes hi
 
 
 # ---------------------------------------------------------------- enclosures

@@ -11,10 +11,10 @@ import semireg.krawtchouk as krawtchouk_mod
 from semireg.exact import SystemShape, coefficient, krawtchouk_stream
 from semireg.krawtchouk import eval_integer, gf_identity_check, integer_values
 from semireg.bounds import kz_root_bound
-from semireg.exact import _krawtchouk_ratios, _root_seed
+from semireg.exact import _RESCALE_BLOCK, _krawtchouk_ratios, _root_seed
 
 from oracle_utils import (alternating_sum_value, cleared_values, eval_exact, eval_general_r,
-                          gf_convolution_check, orthogonality_check)
+                          gf_convolution_check, krawtchouk_ratios_reference, orthogonality_check)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -220,6 +220,31 @@ def test_float_kernel_left_of_smallest_root_at_large_N(N, ks):
                 assert (N, k, x) == (2048, 2048, 0)
                 assert not math.isfinite(_krawtchouk_ratios(N, k, 0.0)[0])
                 assert _root_seed(N, k) == 0.0
+
+
+def _same_bits(got, expected):
+    """None to None, or two float pairs with the same bits (NaN and signed zeros included)."""
+    return repr(got) == repr(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 70_000), st.data())
+def test_float_kernel_is_bit_identical_to_the_one_loop_reference(N, data):
+    # the blocked kernel does the reference's float operations in its order:
+    # left of the root, right of it, at tiny x and past N / 2
+    k = data.draw(st.integers(1, min(N, 4000)))
+    x = data.draw(st.one_of(st.floats(0, N / 2), st.floats(0, N),
+                            st.floats(0, 1).map(lambda u: u * 1e-12), st.just(0.0)))
+    assert _same_bits(_krawtchouk_ratios(N, k, x), krawtchouk_ratios_reference(N, k, x))
+
+
+def test_float_kernel_is_bit_identical_at_the_block_ends():
+    assert _RESCALE_BLOCK == 64
+    for N in (130, 2048, 33280):
+        for k in (1, 2, 63, 64, 65, 127, 128, 129, 130):
+            for x in (0.0, 1e-9, kz_root_bound(N, 2) if N > 4 else 0.0, N / 4, N / 2):
+                got = _krawtchouk_ratios(N, k, x)
+                assert _same_bits(got, krawtchouk_ratios_reference(N, k, x)), (N, k, x)
 
 
 # ---------------------------------------------------------------- identities

@@ -442,6 +442,48 @@ def test_refining_a_made_bracket_runs_no_newton(monkeypatch):
     assert len(evaluations) <= 2 * 35  # the kept seeds' windows are accepted
 
 
+@pytest.mark.parametrize("max_N,accepted", [(60, 3540), (128, 16256)])
+def test_every_seeded_window_is_accepted(monkeypatch, max_N, accepted):
+    # every root and eigen bracket of run_all tries its float seed's window
+    # once, and two exact signs accept each: a float kernel or a seed that
+    # lands worse shows here as a refused window
+    results = []
+    narrow = roots_mod.DyadicBracket.narrow
+    monkeypatch.setattr(roots_mod.DyadicBracket, "narrow",
+                        lambda self, guess, width: results.append(narrow(self, guess, width))
+                        or results[-1])
+    run_all(max_N)
+    assert (results.count(True), results.count(False)) == (accepted, 0)
+
+
+@pytest.mark.parametrize("N", [171, 200, 256])
+def test_tiny_roots_are_seeded_by_the_tiny_root_bound(monkeypatch, N):
+    # past k = N/2 the float recurrence is unstable left of tiny roots, and
+    # Laguerre seeds from warm starts landed right of them (N = 171,
+    # k = 138: 9.31e-15 against a bracket hi of 7.11e-15).  Where hi < 1
+    # and r H_(k-1) < 2^-20, r = C(N, k) / B0 <= d_k(1) seeds instead, and
+    # in the chains verify makes, warm from N - 2 and N - 1, no window of
+    # degree k >= 2 is refused
+    chain = roots_mod._RootChain(N - 1, roots_mod._RootChain(N - 2))
+    chain.bracket(N - 1)
+    results = []
+    narrow = roots_mod.DyadicBracket.narrow
+    monkeypatch.setattr(roots_mod.DyadicBracket, "narrow",
+                        lambda self, guess, width: results.append(narrow(self, guess, width))
+                        or results[-1])
+    chain = roots_mod._RootChain(N, chain)
+    chain.bracket(N)
+    assert results == [True] * (N - 1)
+    tiny = 0
+    for k in range(2, N + 1):
+        br = chain.bracket(k)
+        c, L, b0, h = roots_mod._tiny_terms(N, k)
+        if br.num_hi >> br.e == 0 and c * h << 20 < b0:
+            tiny += 1
+            assert chain.seeds[k] == c * L / b0 and Fraction(c * L, b0) <= br.hi
+    assert tiny >= N // 4
+
+
 def test_lift_off_bound_holds_at_512_511():
     # d_511^512(1) is about 1e-149: bisecting (0, 1] lifts lo off 0 within
     # the proven ceil(log2(B0 / C(N, k))) + 1 steps, and the bound is tight
@@ -475,6 +517,46 @@ def test_lift_off_stops_a_wrong_kernel(monkeypatch):
     monkeypatch.setattr(roots_mod, "_root_sign", wrong_root_sign)
     with pytest.raises(AssertionError, match="N=3, k=3: lo stayed 0"):
         roots_mod._RootChain(3).bracket(3)
+
+
+def _never_positive_at(degree):
+    """`roots._root_sign` with K_degree > 0 everywhere: its bracket's sign never turns."""
+    real = roots_mod._root_sign
+    return lambda N, k: (lambda p, e: -1) if k == degree else real(N, k)
+
+
+def test_separation_loop_stops_a_kernel_that_never_turns_positive(monkeypatch):
+    # a refused window sends _extend to step bracket k - 1 until K_k <= 0 at
+    # its lower end; a K_k that stays positive would step it forever
+    monkeypatch.setattr(roots_mod, "_root_sign", _never_positive_at(5))
+    chain = roots_mod._RootChain(12)
+    prev = chain.bracket(4)
+    before = prev.e
+    with time_limit(60), pytest.raises(AssertionError, match="N=12, k=5: K_k > 0 at the lower end"):
+        chain.bracket(5)
+    # it stops once bracket 4 is narrower than 2^-64 of its lower end
+    assert (prev.num_hi - prev.num_lo) << 64 <= min(prev.num_lo, 1 << prev.e)
+    assert prev.e - before <= 64 + 24
+
+
+def test_verify_fails_a_kernel_that_never_turns_positive(monkeypatch, capsys):
+    import semireg.cli as cli
+
+    monkeypatch.setattr(roots_mod, "_root_sign", _never_positive_at(5))
+    with time_limit(60):
+        assert cli.main(["verify", "12"]) == 1
+    # the three suites that read the chain fail, each naming where; the
+    # sandwich reads route 1 alone
+    fault = "K_k > 0 at the lower end of the bracket of d_(k-1)(1), narrower than 2^-64 min(1, lo)"
+    assert capsys.readouterr().out.splitlines() == [
+        f"interlacing: FAIL (6 cases)  N=5, k=5: {fault}",
+        "gf_identity: PASS (30 cases)",
+        "orthogonality: PASS (454 cases)",
+        f"three_way_agreement: FAIL (0 cases)  N=9, k=5: {fault}",
+        f"eigenvalue_root_duality: FAIL (9 cases)  N=5, k=5: {fault}",
+        "sandwich: PASS (30 cases)",
+        "3/6 suites passed",
+    ]
 
 
 def _encloses_sqrt(lo, hi, N):
