@@ -405,6 +405,91 @@ def _add_airy_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_exact_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("m", type=int)
+    parser.add_argument("n", type=int)
+    parser.add_argument("--coefficients", action="store_true",
+                        help="also print the positive coefficient prefix")
+    parser.set_defaults(func=cmd_exact)
+
+
+def _add_bounds_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("m", type=int)
+    parser.add_argument("n", type=int)
+    parser.add_argument("--curve", action="store_true",
+                        help="emit per-degree bound curves as CSV instead")
+    _add_airy_options(parser)
+    parser.set_defaults(func=cmd_bounds)
+
+
+def _add_table_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", required=True,
+                        help="n+<int>, <int>n, nlog2n, or explicit")
+    parser.add_argument("--n-values", default="", metavar="LIST",
+                        help="comma-separated n values, e.g. 256,512,1024")
+    parser.add_argument("--pairs", default=None, metavar="LIST",
+                        help="explicit m:n pairs, e.g. 356:256,512:256")
+    parser.add_argument("--columns", default=None, metavar="LIST",
+                        help=f"subset of {','.join(ALL_COLUMNS)}")
+    parser.add_argument("--format", choices=("md", "csv", "json"), default="md")
+    parser.add_argument("--precision", type=_fraction_arg,
+                        default=Fraction(1, 10 ** 6), metavar="RATIONAL")
+    _add_airy_options(parser)
+    parser.set_defaults(func=cmd_table)
+
+
+def _add_verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("max_N", type=int)
+    parser.add_argument("--ceiling", type=int, default=CROSS_VALIDATION_CEILING,
+                        help="cross-validation size ceiling (default %(default)s)")
+    parser.add_argument("--precision", type=_fraction_arg,
+                        default=Fraction(1, 10 ** 6), metavar="RATIONAL",
+                        help="enclosure width of the interlacing and duality "
+                             "suites (default %(default)s)")
+    parser.set_defaults(func=cmd_verify)
+
+
+# name -> (help, the function that adds its arguments and its `func` default),
+# in the order the main help lists them
+_SUBCOMMANDS = {
+    "exact": ("exact degree of regularity", _add_exact_arguments),
+    "bounds": ("four bounds, exact value, sandwich", _add_bounds_arguments),
+    "table": ("parameter-family sweeps", _add_table_arguments),
+    "verify": ("run the cross-validation battery", _add_verify_arguments),
+}
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when first used.
+
+    `add_arguments` runs the first time this parser parses or formats its
+    usage or help, so a command builds the arguments of its own subcommand
+    only; `_SubParsersAction` hands the rest of argv to `parse_known_args`,
+    and every help, usage and error text passes through the two formatters.
+    """
+
+    def __init__(self, *args, add_arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def _add_pending_arguments(self) -> None:
+        add, self._add_arguments = self._add_arguments, None
+        if add is not None:
+            add(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_pending_arguments()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._add_pending_arguments()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._add_pending_arguments()
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Left to itself, argparse asks the terminal for its width in every help
     # formatter it makes (25 per build on Python 3.11), and formats the main
@@ -422,47 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(
         dest="command", required=True, prog="semireg",
-        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
-
-    p_exact = sub.add_parser("exact", help="exact degree of regularity")
-    p_exact.add_argument("m", type=int)
-    p_exact.add_argument("n", type=int)
-    p_exact.add_argument("--coefficients", action="store_true",
-                         help="also print the positive coefficient prefix")
-    p_exact.set_defaults(func=cmd_exact)
-
-    p_bounds = sub.add_parser("bounds", help="four bounds, exact value, sandwich")
-    p_bounds.add_argument("m", type=int)
-    p_bounds.add_argument("n", type=int)
-    p_bounds.add_argument("--curve", action="store_true",
-                          help="emit per-degree bound curves as CSV instead")
-    _add_airy_options(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_table = sub.add_parser("table", help="parameter-family sweeps")
-    p_table.add_argument("--family", required=True,
-                         help="n+<int>, <int>n, nlog2n, or explicit")
-    p_table.add_argument("--n-values", default="", metavar="LIST",
-                         help="comma-separated n values, e.g. 256,512,1024")
-    p_table.add_argument("--pairs", default=None, metavar="LIST",
-                         help="explicit m:n pairs, e.g. 356:256,512:256")
-    p_table.add_argument("--columns", default=None, metavar="LIST",
-                         help=f"subset of {','.join(ALL_COLUMNS)}")
-    p_table.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    p_table.add_argument("--precision", type=_fraction_arg,
-                         default=Fraction(1, 10 ** 6), metavar="RATIONAL")
-    _add_airy_options(p_table)
-    p_table.set_defaults(func=cmd_table)
-
-    p_verify = sub.add_parser("verify", help="run the cross-validation battery")
-    p_verify.add_argument("max_N", type=int)
-    p_verify.add_argument("--ceiling", type=int, default=CROSS_VALIDATION_CEILING,
-                          help="cross-validation size ceiling (default %(default)s)")
-    p_verify.add_argument("--precision", type=_fraction_arg,
-                          default=Fraction(1, 10 ** 6), metavar="RATIONAL",
-                          help="enclosure width of the interlacing and duality "
-                               "suites (default %(default)s)")
-    p_verify.set_defaults(func=cmd_verify)
+        parser_class=functools.partial(_SubcommandParser, formatter_class=formatter))
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
 
 

@@ -217,8 +217,25 @@ class _RootChain:
         # changes sign isolates d_k(1); the seeded window is tried first.
         sign_at = _root_sign(N, k)
         br = DyadicBracket(sign_at, 0, prev.num_lo, prev.e)
-        self.seeds[k] = self._seed(k, br)
-        if not br.narrow(self.seeds[k], DEFAULT_WIDTH):
+        seed = self.seeds[k] = self._seed(k, br)
+        # A seed inside prev's bracket lies left of d_(k-1)(1) when it is
+        # right (d_k(1) < d_(k-1)(1)), so stepping prev carries prev.lo past
+        # it and the window below prev.lo can hold it; a wrong seed ends up
+        # right of prev.hi, and is refused as before.  seed 2^e is exact and
+        # compares exactly with the integer ends; a NaN is inside nothing, and
+        # a seed that overflows the float range there is left as it is.  A
+        # float has 53 bits, so within about 53 steps it is an end of prev or
+        # outside it; the separation loop's budget bounds this loop too.
+        e = prev.e
+        try:
+            while (prev.num_lo < math.ldexp(seed, prev.e) < prev.num_hi
+                   and not _past_budget(prev)):
+                prev.step()
+        except OverflowError:
+            pass
+        if prev.e != e:
+            br = DyadicBracket(sign_at, 0, prev.num_lo, prev.e)
+        if not br.narrow(seed, DEFAULT_WIDTH):
             # d_k(1) < d_(k-1)(1), so stepping prev lifts prev.lo past d_k(1)
             # once prev is narrower than their gap.  Over k, the least gap is
             # 26% of min(1, d_(k-1)(1)) at N = 32 and 6.9% at N = 512,
@@ -230,7 +247,7 @@ class _RootChain:
                     raise AssertionError(
                         "K_k must be negative at the exact previous smallest root"
                     )
-                if (prev.num_hi - prev.num_lo) << 64 <= min(prev.num_lo, 1 << prev.e):
+                if _past_budget(prev):
                     raise AssertionError(
                         f"N={N}, k={k}: K_k > 0 at the lower end of the bracket of "
                         "d_(k-1)(1), narrower than 2^-64 min(1, lo)"
@@ -285,6 +302,11 @@ class _RootChain:
         if seed == start != last:
             seed = _root_seed(self.N, k, last, br.hi)
         return seed
+
+
+def _past_budget(br: DyadicBracket) -> bool:
+    """Whether br is narrower than 2^-64 min(1, lo), where `_extend` stops stepping it."""
+    return (br.num_hi - br.num_lo) << 64 <= min(br.num_lo, 1 << br.e)
 
 
 def _lift_off_steps(N: int, k: int, num_hi: int, e: int) -> int:

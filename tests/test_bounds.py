@@ -30,7 +30,7 @@ from semireg.bounds import (
 import semireg.bounds as bounds_mod
 from semireg.bounds import (_cube_field_norm, _l_accepts_degree, _l_degree_norm,
                             _l_max_resultant, _ls_refuses_degree)
-from semireg.intervals import DyadicBracket, iroot, nth_root_enclosure
+from semireg.intervals import DyadicBracket, integer_bisect, iroot, nth_root_enclosure
 from semireg.verify import enumerate_shapes
 
 import reference_tables as ref
@@ -553,7 +553,7 @@ def test_l_upper_method_follows_the_norm_at_its_ceiling():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5000), st.data())
 def test_l_acceptance_is_monotone_up_to_half_n(n, data):
-    # the premise of l_upper's bisection: s increases over the cube roots of
+    # the premise of l_upper's search: s increases over the cube roots of
     # k = 1..N/2, so acceptance reads False...False True...True, and
     # s(1) = -n^2/4 < 0 refuses k = 1
     shape = SystemShape(data.draw(st.integers(n + 1, max(n + 1, 10**4 // 2 + n // 2))), n)
@@ -566,7 +566,7 @@ def test_l_acceptance_is_monotone_up_to_half_n(n, data):
 @pytest.mark.parametrize("m,n", [(24, 12), (512, 256), (10**20, 4)])
 def test_l_upper_applicable_path_is_one_integer_search(monkeypatch, m, n):
     # an applicable shape needs neither the resultant nor a bracket step,
-    # and the bisection over k = 1..N/2 reads O(log N) norms
+    # and the search over k = 1..N/2 reads O(log N) norms
     def refused(*args):
         raise AssertionError("not on the applicable path")
 
@@ -578,6 +578,72 @@ def test_l_upper_applicable_path_is_one_integer_search(monkeypatch, m, n):
     shape = SystemShape(m, n)
     assert l_upper(shape).applicable
     assert 1 <= len(norms) <= shape.N.bit_length() + 2
+
+
+def _l_upper_by_cold_bisection(shape):
+    """`l_upper` with its seeded gallop replaced by an integer bisection of [1, N/2]."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds_mod, "integer_gallop",
+                      lambda lo, hi, accepts, start: integer_bisect(lo, hi, accepts))
+        return l_upper(shape)
+
+
+def test_l_upper_equals_the_cold_bisection():
+    # value, method and flags, on every shape with N <= 200, the published
+    # rows and the families at n = 2^16..2^18
+    for shape in [*enumerate_shapes(200), *_ls_start_shapes(0)]:
+        assert l_upper(shape) == _l_upper_by_cold_bisection(shape), shape
+
+
+@pytest.mark.parametrize("lie", [
+    lambda start, N: 0,
+    lambda start, N: -1,
+    lambda start, N: N,
+    lambda start, N: 10**30,
+    lambda start, N: start + 1,
+    lambda start, N: start - 1,
+    lambda start, N: start + 9,
+    lambda start, N: start - 9,
+], ids=["zero", "minus-one", "N", "10^30", "start+1", "start-1", "start+9", "start-9"])
+def test_l_upper_ignores_a_lying_start(monkeypatch, lie):
+    # the float start only picks where the search looks
+    shapes = _ls_start_shapes(60)
+    expected = [l_upper(shape) for shape in shapes]
+    start = bounds_mod._l_start
+    monkeypatch.setattr(bounds_mod, "_l_start", lambda N, n: lie(start(N, n), N))
+    assert [l_upper(shape) for shape in shapes] == expected
+
+
+def test_l_upper_start_lands_on_the_ceiling(monkeypatch):
+    # the start is the first accepted degree, so after the test of N/2 two
+    # norms decide (one where it is 2): on N <= 60, the published rows and
+    # the far families
+    norms, norm = [], bounds_mod._l_degree_norm
+    monkeypatch.setattr(bounds_mod, "_l_degree_norm",
+                        lambda *args: norms.append(args) or norm(*args))
+    applicable = 0
+    for shape in _ls_start_shapes(60):
+        norms.clear()
+        out = l_upper(shape)
+        if out.applicable:
+            applicable += 1
+            assert bounds_mod._l_start(shape.N, shape.n) == out.value - 1, shape
+            assert len(norms) in (3, 4), shape  # the method reads one more
+    assert applicable == 547 + 32 + 9
+
+
+@pytest.mark.parametrize("m,n", [(2 * 10**309, 10**309), (10**30, 10**15)],
+                         ids=["10^309", "10^30"])
+def test_l_upper_past_the_float_range_starts_in_the_middle(m, n):
+    # n^2 / 4 overflows a float at n = 10^309, so the search starts where the
+    # bisection did; at 10^30 the float start is formed
+    shape = SystemShape(m, n)
+    N = shape.N
+    assert (bounds_mod._l_start(N, n) == (1 + N // 2) // 2) == (n > 10**300)
+    out = l_upper(shape)
+    assert out == _l_upper_by_cold_bisection(shape)
+    k = out.value - 1
+    assert _l_accepts_degree(N, n, k) and not _l_accepts_degree(N, n, k - 1)
 
 
 def test_l_accepts_degree_exact_ties():

@@ -528,27 +528,16 @@ def test_airy_i1_overflowing_curve_is_an_error(capsys):
 # ---------------------------------------------------------------- parser
 
 
-def _parser_with_argparse_defaults(monkeypatch):
-    """`build_parser()` built with neither the formatter width nor the
-    subcommand prog handed to argparse, so that it computes both itself."""
-    handed = []
-    init, add_subparsers = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_subparsers
-
-    def plain_init(self, *args, formatter_class=None, **kwargs):
-        handed.append(formatter_class)
-        init(self, *args, **kwargs)
-
-    def plain_add_subparsers(self, *, prog=None, parser_class=None, **kwargs):
-        handed.append(prog)
-        return add_subparsers(self, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(argparse.ArgumentParser, "__init__", plain_init)
-        patch.setattr(argparse.ArgumentParser, "add_subparsers", plain_add_subparsers)
-        parser = semireg.cli.build_parser()
-    # the main parser's formatter and the subcommands' prog were handed over
-    # and dropped; the subcommands, built by the default parser class, got none
-    assert [value is not None for value in handed] == [True, True] + [False] * 4
+def _parser_with_argparse_defaults():
+    """The semireg parser as argparse builds it by default: no handed
+    formatter width, no subcommand prog, and plain `ArgumentParser`
+    subparsers, each given its arguments at once from `_SUBCOMMANDS`."""
+    parser = argparse.ArgumentParser(prog="semireg",
+                                     description=semireg.cli.build_parser().description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in semireg.cli._SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    assert all(type(p) is argparse.ArgumentParser for p in sub.choices.values())
     return parser
 
 
@@ -566,6 +555,7 @@ _PARSER_ARGVS = [
     [], ["frobnicate"],
     ["exact", "x", "12"], ["bounds", "24", "12", "--frobnicate"], ["exact", "24"],
     ["verify", "10", "--precision", "-1"],
+    ["bounds", "24", "12", "-h"], ["table", "--help"], ["verify", "10", "--ceiling", "x"],
 ]
 
 
@@ -579,11 +569,11 @@ def test_parser_prints_what_argparse_defaults_print(monkeypatch, capsys, columns
         monkeypatch.setenv("COLUMNS", columns)
     for argv in _PARSER_ARGVS:
         got = _outcome(capsys, argv)
-        reference = _parser_with_argparse_defaults(monkeypatch)
+        reference = _parser_with_argparse_defaults()
         with monkeypatch.context() as patch:
             patch.setattr(semireg.cli, "build_parser", lambda: reference)
             assert got == _outcome(capsys, argv), argv
-        assert got[0] == (0 if "-h" in argv else 2)
+        assert got[0] == (0 if {"-h", "--help"} & set(argv) else 2)
 
 
 def test_parser_asks_the_terminal_once(monkeypatch, capsys):
@@ -592,3 +582,29 @@ def test_parser_asks_the_terminal_once(monkeypatch, capsys):
     code, out, _ = _outcome(capsys, ["table", "-h"])
     assert code == 0 and out.startswith("usage: semireg table ")
     assert len(calls) == 1
+
+
+def test_subcommands_add_their_arguments_when_first_used():
+    # build_parser makes every subparser with its -h alone; a parse adds the
+    # arguments of the subcommand it dispatches to, and no other's
+    parser = semireg.cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    subparsers = action.choices
+    assert list(subparsers) == list(semireg.cli._SUBCOMMANDS)
+
+    def dests():
+        return {name: [a.dest for a in sub._actions] for name, sub in subparsers.items()}
+
+    assert dests() == {name: ["help"] for name in subparsers}
+    for _ in range(2):  # a second parse adds nothing
+        args = parser.parse_args(["bounds", "24", "12"])
+        assert (args.command, args.m, args.n, args.func) == ("bounds", 24, 12,
+                                                             semireg.cli.cmd_bounds)
+        assert dests() == {"exact": ["help"], "table": ["help"], "verify": ["help"],
+                           "bounds": ["help", "m", "n", "curve", "airy_i1", "airy_radius"]}
+    # formatting usage or help adds them too
+    assert subparsers["verify"].format_usage().startswith("usage: semireg verify ")
+    assert "--ceiling" in subparsers["verify"].format_usage()
+    assert "--family" in subparsers["table"].format_help()
+    assert dests()["exact"] == ["help"]
+    assert dests()["verify"] == ["help", "max_N", "ceiling", "precision"]

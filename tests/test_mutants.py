@@ -9,14 +9,17 @@ import re
 
 import pytest
 
+import semireg.bounds
 import semireg.exact
 import semireg.krawtchouk
 import semireg.roots
 import semireg.verify
 from semireg import cli
-from semireg.bounds import kz_lower
+from semireg.bounds import kz_lower, ls_lower
+from semireg.exact import SystemShape
 from semireg.verify import CheckResult, check_sandwich, enumerate_shapes, run_all
 
+import reference_tables as ref
 import test_acceptance
 from oracle_utils import mutant, time_limit, wrong_root_sign
 
@@ -222,3 +225,23 @@ def test_kz_lower_plus_one_is_caught_by_the_tables_not_the_sandwich(monkeypatch)
     first_row = "m=n+100 n=256: got (48, 41, 44, None, 75), expected (48, 40, 44, None, 75)"
     with pytest.raises(AssertionError, match=re.escape(first_row)):
         test_acceptance.test_criterion_1_table_reproduction()
+
+
+def test_float_a_in_the_ls_test_survives(monkeypatch):
+    # `_ls_refuses_degree` deciding q(y) = y^4 - a y - c > 0 in floats, with
+    # a = n / sqrt(2N), in place of the integer field norm
+    float_test = mutant(
+        semireg.bounds._ls_refuses_degree,
+        "return _cube_field_norm(v, 6, A, -4 * N * P * Q * v, 2 * N * P * P) > 0",
+        "return v ** (4 / 6) - n / math.sqrt(2 * N) * v ** (1 / 6) - 6 ** (-1 / 3) * P / Q > 0")
+    shapes = [SystemShape(family["m_of_n"](n), n)
+              for family in ref.FAMILIES.values() for n in (2**16, 2**17, 2**18)]
+    shapes += enumerate_shapes(120)
+    expected = [ls_lower(shape) for shape in shapes]
+    monkeypatch.setattr(semireg.bounds, "_ls_refuses_degree", float_test)
+    assert [ls_lower(shape) for shape in shapes] == expected
+    assert _failed(_battery(30)) == set()
+    # survivor: at the floor f and at f + 1, |q| is at least 9.0e-8 of
+    # y^4 + a y + c at each end of the default Airy enclosure on the 15
+    # far-family rows (least at m = n + 100, n = 2^16), and 3.8e-6 on N <= 120,
+    # where a float errs by about 1e-16; no such row tells them apart

@@ -456,14 +456,16 @@ def test_every_seeded_window_is_accepted(monkeypatch, max_N, accepted):
     assert (results.count(True), results.count(False)) == (accepted, 0)
 
 
-@pytest.mark.parametrize("N", [171, 200, 256])
+@pytest.mark.parametrize("N", [171, 200, 256, 320, 512])
 def test_tiny_roots_are_seeded_by_the_tiny_root_bound(monkeypatch, N):
     # past k = N/2 the float recurrence is unstable left of tiny roots, and
     # Laguerre seeds from warm starts landed right of them (N = 171,
     # k = 138: 9.31e-15 against a bracket hi of 7.11e-15).  Where hi < 1
-    # and r H_(k-1) < 2^-20, r = C(N, k) / B0 <= d_k(1) seeds instead, and
-    # in the chains verify makes, warm from N - 2 and N - 1, no window of
-    # degree k >= 2 is refused
+    # and r H_(k-1) < 2^-20, r = C(N, k) / B0 <= d_k(1) seeds instead.  That
+    # r can lie right of the bracket's hi = prev.lo, inside the bracket of
+    # d_(k-1)(1) (N = 320, k = 208; N = 512, k = 318..338), and prev is
+    # stepped until its lo passes r.  So in the chains verify makes, warm
+    # from N - 2 and N - 1, no window of degree k >= 2 is refused
     chain = roots_mod._RootChain(N - 1, roots_mod._RootChain(N - 2))
     chain.bracket(N - 1)
     results = []
@@ -482,6 +484,52 @@ def test_tiny_roots_are_seeded_by_the_tiny_root_bound(monkeypatch, N):
             tiny += 1
             assert chain.seeds[k] == c * L / b0 and Fraction(c * L, b0) <= br.hi
     assert tiny >= N // 4
+
+
+def _prev_point(where):
+    """A `_RootChain._seed` stand-in: `where` of the bracket of d_(k-1)(1), as a float."""
+    return lambda self, k, br: float(where(self._brackets[-1]))
+
+
+@pytest.mark.parametrize("where", [
+    lambda prev: prev.lo,
+    lambda prev: prev.hi,
+    lambda prev: (prev.lo + prev.hi) / 2,
+    lambda prev: prev.lo + (prev.hi - prev.lo) / 1000,
+    lambda prev: prev.hi - (prev.hi - prev.lo) / 1000,
+    lambda prev: 2 * prev.hi,
+    lambda prev: 1e308,  # seed 2^e overflows a float
+], ids=["lo", "hi", "middle", "just-right-of-lo", "just-left-of-hi", "past-hi", "1e308"])
+def test_seed_at_the_previous_bracket_falls_back(monkeypatch, where):
+    # a seed inside the bracket of d_(k-1)(1) steps it until the seed is
+    # outside; a seed that is wrong, or on or past its ends, is refused and
+    # bisection takes over, and every bracket still encloses its root
+    N = 40
+    reference = smallest_root_chain(N, N, SEED_WIDTH)
+    monkeypatch.setattr(roots_mod._RootChain, "_seed", _prev_point(where))
+    chain = roots_mod._RootChain(N)
+    for k, ref in enumerate(reference, 1):
+        enc = chain.refine(k, SEED_WIDTH).enclosure()
+        assert enc.width <= SEED_WIDTH and _overlap(enc, ref), k
+
+
+def test_seed_next_to_the_previous_root_ends_the_stepping(monkeypatch):
+    # bracket 5 stands in for a root 2^-100 right of the seed.  A float has
+    # 53 bits, so stepping makes the seed prev's lower end long before prev
+    # is narrower than the 2^-64 min(1, lo) budget; the window at the seed
+    # is then refused, bisection takes over and nothing raises
+    N, k = 40, 6
+    reference = smallest_root(N, k, SEED_WIDTH)
+    chain = roots_mod._RootChain(N)
+    prev = chain.bracket(k - 1)
+    seed = float(prev.lo + (prev.hi - prev.lo) / 3)
+    root = Fraction(seed) + Fraction(1, 1 << 100)
+    prev.sign_at = lambda p, e: (Fraction(p, 1 << e) > root) - (Fraction(p, 1 << e) < root)
+    monkeypatch.setattr(roots_mod._RootChain, "_seed", lambda self, k, br: seed)
+    enc = chain.refine(k, SEED_WIDTH).enclosure()
+    assert enc.width <= SEED_WIDTH and _overlap(enc, reference)
+    assert prev.lo == seed
+    assert (prev.num_hi - prev.num_lo) << 64 > min(prev.num_lo, 1 << prev.e)
 
 
 def test_lift_off_bound_holds_at_512_511():
