@@ -60,6 +60,7 @@ __all__ = [
     "ls_upper_root_bound",
     "l_upper",
     "l_upper_root_bound",
+    "sandwich_verdict",
 ]
 
 
@@ -465,3 +466,17 @@ def l_upper_root_bound(N: int, k: int) -> float:
     if not (1 <= k and 2 * k <= N):
         raise ValueError(f"requires 1 <= k <= N/2; got k={k}, N={N}")
     return N / 2 - (math.sqrt(k) - k ** (1.0 / 6.0)) * math.sqrt(N - k)
+
+
+def sandwich_verdict(dreg: int, kz: BoundOutcome, ls_low: BoundOutcome,
+                     ls_up: BoundOutcome, l_up: BoundOutcome) -> tuple[int, int | None, bool]:
+    """(greatest lower bound, least applicable upper bound, lower <= d_reg <= upper).
+
+    kz_lower and ls_lower always apply.  The upper bound is None when
+    neither ls_upper nor l_upper applies, and the verdict then reads the
+    lower bound alone.  `semireg bounds` and the sandwich suite both decide
+    by it.
+    """
+    lower = max(kz.value, ls_low.value)
+    upper = min((o.value for o in (ls_up, l_up) if o.applicable), default=None)
+    return lower, upper, lower <= dreg and (upper is None or dreg <= upper)

@@ -35,6 +35,7 @@ from .bounds import (
     ls_lower_root_bound,
     ls_upper,
     ls_upper_root_bound,
+    sandwich_verdict,
 )
 from .exact import SystemShape, degree_of_regularity_exact, f5_cost_log2, hilbert_truncation
 from .roots import CROSS_VALIDATION_CEILING
@@ -279,8 +280,16 @@ def cmd_exact(args: argparse.Namespace) -> int:
     print(f"d_reg = {dreg}")
     if args.coefficients:
         prefix = hilbert_truncation(shape)
-        print(f"coefficients (degrees 0..{len(prefix) - 1}): "
-              + " ".join(str(c) for c in prefix))
+        # lift Python's int-to-str digit limit (3.10.7 on) for the prefix alone
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            text = " ".join(map(str, prefix))
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        print(f"coefficients (degrees 0..{len(prefix) - 1}): {text}")
     return 0
 
 
@@ -309,11 +318,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     print(_format_bound_line("LS lower", ">=", lsl))
     print(_format_bound_line("LS upper", "<=", lsu))
     print(_format_bound_line("L  upper", "<=", lu))
-    parts = [str(kz.value), str(lsl.value), str(dreg)]
-    uppers = [o.value for o in (lu, lsu) if o.applicable]
-    parts += [str(v) for v in sorted(uppers)]
-    ok = kz.value <= dreg and lsl.value <= dreg and all(dreg <= v for v in uppers)
-    print(f"sandwich {' <= '.join(parts)} : {'OK' if ok else 'VIOLATED'}")
+    uppers = sorted(o.value for o in (lu, lsu) if o.applicable)
+    chain = " <= ".join(map(str, [kz.value, lsl.value, dreg, *uppers]))
+    ok = sandwich_verdict(dreg, kz, lsl, lsu, lu)[2]
+    print(f"sandwich {chain} : {'OK' if ok else 'VIOLATED'}")
     return 0 if ok else 1
 
 
@@ -370,7 +378,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_N > ceiling:
         raise ValueError(f"MAX_N={args.max_N} exceeds the cross-validation "
                          f"ceiling {ceiling} (raise with --ceiling)")
-    results = run_all(args.max_N, width=args.precision)
+    results = run_all(args.max_N)
     for res in results:
         print(res.summary())
     failed = [r for r in results if not r.passed]
@@ -442,10 +450,6 @@ def _add_verify_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("max_N", type=int)
     parser.add_argument("--ceiling", type=int, default=CROSS_VALIDATION_CEILING,
                         help="cross-validation size ceiling (default %(default)s)")
-    parser.add_argument("--precision", type=_fraction_arg,
-                        default=Fraction(1, 10 ** 6), metavar="RATIONAL",
-                        help="enclosure width of the interlacing and duality "
-                             "suites (default %(default)s)")
     parser.set_defaults(func=cmd_verify)
 
 

@@ -171,13 +171,16 @@ class _RootChain:
         br.refine(width, self.seeds[k])
         return br
 
-    def eigen(self, k: int, width: Fraction | float | None = None) -> DyadicBracket:
-        """The bracket of lambda_k, refined to `width` when one is given.
+    def eigen(self, k: int, width: Fraction | float = DEFAULT_WIDTH) -> DyadicBracket:
+        """The bracket of lambda_k, refined to `width`.
 
-        lambda_k = N - 2 d_k(1), so the root's float seed seeds it: the one
-        its root bracket was made with, else a cold `_root_seed`.  The guess
-        is kept below N, where a tiny root would round it onto N; a finite
-        seed means `_root_seed` formed float(N), and a NaN one is refused.
+        It is made when first asked for, and narrowed to `DEFAULT_WIDTH` then,
+        as `_extend` narrows a root bracket; nothing widens it, so asking for
+        `DEFAULT_WIDTH` again costs nothing.  lambda_k = N - 2 d_k(1), so the
+        root's float seed seeds it: the one its root bracket was made with,
+        else a cold `_root_seed`.  The guess is kept below N, where a tiny
+        root would round it onto N; a finite seed means `_root_seed` formed
+        float(N), and a NaN one is refused.
         """
         br = self._eigen.get(k)
         if br is None:
@@ -185,10 +188,11 @@ class _RootChain:
                 raise ValueError(f"requires 1 <= k <= N={self.N}; got k={k}")
             br = self._eigen[k] = DyadicBracket(partial(_eigen_sign, self.N, k), 0,
                                                 0 if k == 1 else self.N, 0, exact=k == 1)
-        if width is not None:
             seed = self.seeds[k] if k in self.seeds else _root_seed(self.N, k)
-            br.refine(width, min(self.N - 2 * seed, math.nextafter(self.N, 0))
+            br.refine(DEFAULT_WIDTH, min(self.N - 2 * seed, math.nextafter(self.N, 0))
                       if math.isfinite(seed) else math.nan)
+        if width is not DEFAULT_WIDTH:
+            br.refine(width)
         return br
 
     def dreg(self, t: int) -> int:
@@ -201,7 +205,7 @@ class _RootChain:
     def dreg_eigen(self, n: int) -> int:
         """The first k whose bracket certifies lambda_k >= n, n >= 1."""
         for k in range(1, self.N + 1):
-            if (self._eigen.get(k) or self.eigen(k)).compare(n, DEFAULT_WIDTH) >= 0:
+            if self.eigen(k).compare(n, DEFAULT_WIDTH) >= 0:
                 return k
         raise AssertionError("accept set cannot extend past degree N")
 
@@ -343,7 +347,8 @@ def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) 
     """Certified enclosure of the largest eigenvalue lambda_k, 1 <= k <= N, width <= width.
 
     An exact rational eigenvalue hit (for instance lambda_1 = 0) collapses to
-    a point enclosure.
+    a point enclosure.  The bracket is made at `DEFAULT_WIDTH`, so a coarser
+    `width` gets that enclosure.
     """
     return _RootChain(N).eigen(k, width).enclosure()
 

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from operator import attrgetter, mul
 
-from .bounds import kz_lower, l_upper, ls_lower, ls_upper
+from .bounds import kz_lower, l_upper, ls_lower, ls_upper, sandwich_verdict
 from .exact import SystemShape, binomial, degree_of_regularity_exact, hilbert_truncation
 from .krawtchouk import _gf_products, integer_values
 from .roots import DEFAULT_WIDTH, _RootChain
@@ -69,15 +68,15 @@ def _shapes_before(max_N: int, first: tuple[int, int]) -> int:
     return earlier + max(min(m - 1, (max_N + n) // 2) - n, 0)
 
 
-def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:
+def _chain_suites(max_N: int, *suites) -> list[CheckResult]:
     """Run chain suites side by side off one pass per N = 2..max_N.
 
     The pass for N builds one `_RootChain`, which makes the brackets of
     d_k(1) and of lambda_k as the suites ask for them; every suite reads the
     same ones, and only one N's brackets are alive at a time.  Each chain is
     built from that of N - 1, whose float seeds and those of N - 2 start its
-    own.  Each suite is (name, check) with check(chain, width) -> (cases
-    passed, failure detail or ""), and stops at its first failure.  An
+    own.  Each suite is (name, check) with check(chain) -> (cases passed,
+    failure detail or ""), and stops at its first failure.  An
     AssertionError raised while a suite reads the chain of N (a kernel
     fault) is that suite's failure, its message naming N.
     """
@@ -89,7 +88,7 @@ def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:
         for i, (_, check) in enumerate(suites):
             if not failure[i]:
                 try:
-                    passed, failure[i] = check(chain, width)
+                    passed, failure[i] = check(chain)
                 except AssertionError as exc:
                     # a kernel fault: this suite fails, and so does every
                     # other one that reads the same chain
@@ -102,21 +101,21 @@ def _chain_suites(max_N: int, width: Fraction, *suites) -> list[CheckResult]:
             for (name, _), n, fail in zip(suites, checked, failure)]
 
 
-def _interlacing(chain: _RootChain, width: Fraction) -> tuple[int, str]:
+def _interlacing(chain: _RootChain) -> tuple[int, str]:
     N = chain.N
     for k in range(1, N + 1):
-        chain.refine(k, width)
+        chain.refine(k, DEFAULT_WIDTH)
     for k in range(2, N + 1):
         if _overlaps(_nums(chain.bracket(k)), _nums(chain.bracket(k - 1))):
             return k - 2, f"could not separate roots at N={N}, k={k}"
     return N - 1, ""
 
 
-def _duality(chain: _RootChain, width: Fraction) -> tuple[int, str]:
+def _duality(chain: _RootChain) -> tuple[int, str]:
     N = chain.N
     for k in range(1, N + 1):
-        root = _nums(chain.refine(k, width))
-        if _duality_gap(N, root, _nums(chain.eigen(k, width))):
+        root = _nums(chain.refine(k, DEFAULT_WIDTH))
+        if _duality_gap(N, root, _nums(chain.eigen(k, DEFAULT_WIDTH))):
             return k - 1, f"duality gap at N={N}, k={k}"
     return N, ""
 
@@ -153,7 +152,7 @@ def _three_way(max_N: int, d_regs: dict[SystemShape, int]):
     """
     first = (max_N, 0, "")  # n, m, detail of the first failure; n = max_N is past every shape
 
-    def check(chain: _RootChain, width: Fraction) -> tuple[int, str]:
+    def check(chain: _RootChain) -> tuple[int, str]:
         nonlocal first
         N = chain.N
         for n in range(2 - N % 2, min(N, first[0]), 2):
@@ -177,14 +176,14 @@ _INTERLACING = ("interlacing", _interlacing)
 _DUALITY = ("eigenvalue_root_duality", _duality)
 
 
-def check_interlacing(max_N: int, width: Fraction = Fraction(1, 1024)) -> CheckResult:
+def check_interlacing(max_N: int) -> CheckResult:
     """Strictly decreasing smallest roots: d_{k+1}(1) < d_k(1) for all k < N.
 
-    Each bracket is refined to `width` once, and adjacent ones are compared
-    as open intervals (`_overlaps`), so the comparison is certified, not
-    approximate.
+    Each bracket is refined to `DEFAULT_WIDTH` once, and adjacent ones are
+    compared as open intervals (`_overlaps`), so the comparison is
+    certified, not approximate.
     """
-    return _chain_suites(max_N, width, _INTERLACING)[0]
+    return _chain_suites(max_N, _INTERLACING)[0]
 
 
 def check_gf_identity(max_N: int) -> CheckResult:
@@ -256,13 +255,11 @@ def check_three_way_agreement(max_N: int) -> CheckResult:
     Where the exact route searched transposed (t < d_reg), it must also
     equal the direct stream's index, `len(hilbert_truncation(shape))`.
     """
-    return _chain_suites(max_N, DEFAULT_WIDTH, _three_way(max_N, {}))[0]
+    return _chain_suites(max_N, _three_way(max_N, {}))[0]
 
 
-def check_eigenvalue_root_duality(
-    max_N: int, width: Fraction = Fraction(1, 1024)
-) -> CheckResult:
-    """lambda_k = N - 2 d_k(1), checked on enclosures of width <= `width`.
+def check_eigenvalue_root_duality(max_N: int) -> CheckResult:
+    """lambda_k = N - 2 d_k(1), checked on enclosures of width <= `DEFAULT_WIDTH`.
 
     Passes when |(N - 2 mid(d_k(1))) - mid(lambda_k)| <= 2 width(d_k(1)) +
     width(lambda_k): the sum of the widths of the two enclosures of
@@ -270,7 +267,7 @@ def check_eigenvalue_root_duality(
     (hence the factor 2).  Two enclosures of one value have midpoints at
     most half that sum apart, so a pass is certain when both enclosures hold.
     """
-    return _chain_suites(max_N, width, _DUALITY)[0]
+    return _chain_suites(max_N, _DUALITY)[0]
 
 
 def check_sandwich(shapes: Iterable[SystemShape]) -> CheckResult:
@@ -290,30 +287,21 @@ def _sandwich(shapes: Iterable[SystemShape], d_regs: dict[SystemShape, int]) -> 
             d = d_regs.get(shape) or degree_of_regularity_exact(shape)
         except AssertionError as exc:
             return CheckResult("sandwich", checked, False, f"m={shape.m}, n={shape.n}: {exc}")
-        lo_kz = kz_lower(shape).value
-        lo_ls = ls_lower(shape).value
-        up_ls = ls_upper(shape)
-        up_l = l_upper(shape)
-        ok = lo_kz <= d and lo_ls <= d
-        if up_ls.applicable:
-            ok = ok and d <= up_ls.value
-        if up_l.applicable:
-            ok = ok and d <= up_l.value
-        if not ok:
-            return CheckResult(
-                "sandwich", checked, False,
-                f"violated at m={shape.m}, n={shape.n}: d_reg={d}, "
-                f"kz={lo_kz}, ls_lower={lo_ls}, "
-                f"ls_upper={up_ls.value}, l_upper={up_l.value}",
-            )
+        outcomes = kz_lower(shape), ls_lower(shape), ls_upper(shape), l_upper(shape)
+        if not sandwich_verdict(d, *outcomes)[2]:
+            kz, lo_ls, up_ls, up_l = (o.value for o in outcomes)
+            return CheckResult("sandwich", checked, False,
+                               f"violated at m={shape.m}, n={shape.n}: d_reg={d}, kz={kz}, "
+                               f"ls_lower={lo_ls}, ls_upper={up_ls}, l_upper={up_l}")
         checked += 1
     return CheckResult("sandwich", checked, True)
 
 
-def run_all(max_N: int, width: Fraction = Fraction(1, 1024)) -> list[CheckResult]:
+def run_all(max_N: int) -> list[CheckResult]:
     """The verification battery behind `semireg verify`.
 
-    `width` is the enclosure width of the interlacing and duality suites.
+    Interlacing and duality refine their brackets to `DEFAULT_WIDTH`, the
+    width a seeded bracket is made at, and three-way decides at it.
     """
     if max_N < 3:
         raise ValueError(f"MAX_N={max_N} is below 3, the smallest size "
@@ -322,7 +310,7 @@ def run_all(max_N: int, width: Fraction = Fraction(1, 1024)) -> list[CheckResult
     # the sandwich reads the d_reg three-way computed
     d_regs: dict[SystemShape, int] = {}
     interlacing, duality, three_way = _chain_suites(
-        max_N, width, _INTERLACING, _DUALITY, _three_way(max_N, d_regs))
+        max_N, _INTERLACING, _DUALITY, _three_way(max_N, d_regs))
     return [
         interlacing,
         check_gf_identity(max_N),

@@ -26,6 +26,7 @@ from semireg.bounds import (
     ls_lower_root_bound,
     ls_upper,
     ls_upper_root_bound,
+    sandwich_verdict,
 )
 import semireg.bounds as bounds_mod
 from semireg.bounds import (_cube_field_norm, _l_accepts_degree, _l_degree_norm,
@@ -807,6 +808,25 @@ def test_sandwich_on_grid():
         for out in (ls_upper(shape), l_upper(shape)):
             if out.applicable:
                 assert d <= out.value
+
+
+def test_sandwich_verdict_agrees_with_the_decisions_it_replaced():
+    # `semireg bounds` and the sandwich suite each decided in their own code;
+    # both decisions are replayed at d_reg and just past each end
+    for shape in enumerate_shapes(60):
+        kz, lsl, lsu, lu = kz_lower(shape), ls_lower(shape), ls_upper(shape), l_upper(shape)
+        uppers = [o.value for o in (lu, lsu) if o.applicable]
+        lower, upper, _ = sandwich_verdict(1, kz, lsl, lsu, lu)
+        assert (lower, upper) == (max(kz.value, lsl.value), min(uppers, default=None))
+        d_reg = degree_of_regularity_exact(shape)
+        for d in {d_reg, lower - 1, lower, *(u + i for u in uppers for i in (0, 1))}:
+            cli = kz.value <= d and lsl.value <= d and all(d <= v for v in uppers)
+            suite = kz.value <= d and lsl.value <= d
+            if lsu.applicable:
+                suite = suite and d <= lsu.value
+            if lu.applicable:
+                suite = suite and d <= lu.value
+            assert sandwich_verdict(d, kz, lsl, lsu, lu)[2] == cli == suite, (shape, d)
 
 
 def test_transfer_soundness_on_grid():

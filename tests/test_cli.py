@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import shutil
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,28 @@ def test_exact_with_coefficients(capsys):
     assert "1 12 54 76" in out
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_exact_prints_coefficients_past_the_int_to_str_limit(capsys):
+    # at the least limit, 640 digits, this command stopped after d_reg
+    shape = semireg.exact.SystemShape(2200, 2199)
+    limit = sys.get_int_max_str_digits()
+    prefix = semireg.exact.hilbert_truncation(shape)
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [str(c) for c in prefix]
+        sys.set_int_max_str_digits(640)
+        code, out, err = run_cli(capsys, "exact", "2200", "2199", "--coefficients")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert max(map(len, expected)) > 640
+    first, second = out.splitlines()
+    assert first == "d_reg = 1101"
+    assert second == f"coefficients (degrees 0..{len(prefix) - 1}): " + " ".join(expected)
+
+
 def test_exact_rejects_bad_shape(capsys):
     code, out, err = run_cli(capsys, "exact", "12", "24")
     assert code == 2
@@ -60,6 +83,22 @@ def test_bounds_report(capsys):
     assert "LS upper <= 100" in out
     assert "L  upper <= 46" in out
     assert "sandwich 22 <= 28 <= 29 <= 46 <= 100 : OK" in out
+
+
+def test_bounds_and_the_sandwich_suite_take_one_verdict(capsys, monkeypatch):
+    import semireg.verify
+
+    def violated(dreg, *outcomes):
+        return 1, None, False
+
+    monkeypatch.setattr(semireg.cli, "sandwich_verdict", violated)
+    monkeypatch.setattr(semireg.verify, "sandwich_verdict", violated)
+    code, out, _ = run_cli(capsys, "bounds", "24", "12")
+    assert code == 1
+    assert out.splitlines()[-1].endswith(": VIOLATED")
+    res = semireg.verify.check_sandwich([semireg.exact.SystemShape(24, 12)])
+    assert (res.passed, res.checked) == (False, 0)
+    assert res.detail.startswith("violated at m=24, n=12: d_reg=4, ")
 
 
 def test_shapes_past_sys_maxsize(capsys):
@@ -464,7 +503,7 @@ def test_verify_reports_failure_exit_code(capsys, monkeypatch):
     from semireg import cli as cli_mod
     from semireg.verify import CheckResult
 
-    def fake_run_all(max_N, width=None):  # run_all's signature: a stale keyword fails
+    def fake_run_all(max_N):  # run_all's signature: a stale keyword fails
         return [CheckResult("interlacing", 3, True),
                 CheckResult("sandwich", 7, False, "violated at m=9, n=4")]
 
@@ -554,7 +593,7 @@ _PARSER_ARGVS = [
     ["-h"], *([command, "-h"] for command in ("exact", "bounds", "table", "verify")),
     [], ["frobnicate"],
     ["exact", "x", "12"], ["bounds", "24", "12", "--frobnicate"], ["exact", "24"],
-    ["verify", "10", "--precision", "-1"],
+    ["verify", "10", "--precision", "-1"], ["verify", "10", "--precision", "1/3"],
     ["bounds", "24", "12", "-h"], ["table", "--help"], ["verify", "10", "--ceiling", "x"],
 ]
 
@@ -607,4 +646,4 @@ def test_subcommands_add_their_arguments_when_first_used():
     assert "--ceiling" in subparsers["verify"].format_usage()
     assert "--family" in subparsers["table"].format_help()
     assert dests()["exact"] == ["help"]
-    assert dests()["verify"] == ["help", "max_N", "ceiling", "precision"]
+    assert dests()["verify"] == ["help", "max_N", "ceiling"]

@@ -226,12 +226,12 @@ def test_verify_reports_a_kernel_fault_as_a_failure(monkeypatch, capsys):
 
 def test_chain_suites_name_n_for_a_fault_without_it():
     # every suite that reads the faulty chain fails with the fault, named by N
-    def faulty(chain, width):
+    def faulty(chain):
         if chain.N == 4:
             raise AssertionError("K_k must be negative at the exact previous smallest root")
         return 1, ""
 
-    res = semireg.verify._chain_suites(6, Fraction(1, 1024), ("a", faulty), ("b", faulty))
+    res = semireg.verify._chain_suites(6, ("a", faulty), ("b", faulty))
     assert res == [CheckResult(name, 2, False, "N=4: K_k must be negative at the exact "
                                                "previous smallest root") for name in "ab"]
 
@@ -331,7 +331,7 @@ def test_warm_start_is_left_of_the_root(shared_pass_60):
 def test_shared_pass_accepts_every_seeded_window(shared_pass_60):
     # every root and eigenvalue bracket is settled by its seeded window, and
     # a root bracket is bisected only to lift its lower end off 0 (a root
-    # below the window): never below the requested width, 1/1024 here
+    # below the window), and never once it is narrower than 1/1024
     _, narrows, root_steps = shared_pass_60
     assert len(narrows) > 3000 and all(narrows)
     width = Fraction(1, 1024)
@@ -452,8 +452,7 @@ def test_interlacing_passes_touching_brackets_at_470():
     # neither is a point: the order is certified, where halving both
     # brackets down to 2^-128 did not separate them
     chain = semireg.roots._RootChain(470)
-    width = Fraction(1, 10**6)
-    assert _interlacing(chain, width) == (469, "")
+    assert _interlacing(chain) == (469, "")
     upper, lower = chain.bracket(377), chain.bracket(376)
     assert upper.hi == lower.lo == Fraction(1, 1 << 129)
     assert not upper.exact and not lower.exact
