@@ -7,7 +7,8 @@ Subcommands:
   table              benchmark-style sweeps over parameter families
   verify MAX_N       certified cross-validation battery up to family size MAX_N
 
-Exit codes: 0 ok, 1 verification failure, 2 usage or precondition violation.
+Exit codes: 0 ok, 1 verification failure, 2 usage or precondition violation,
+141 stdout closed by its reader (what a shell reports for a writer SIGPIPE ended).
 Output is deterministic: identical invocations produce byte-identical text.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import os
 import re
 import sys
 from collections import namedtuple
@@ -463,38 +465,9 @@ _SUBCOMMANDS = {
 }
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments when first used.
-
-    `add_arguments` runs the first time this parser parses or formats its
-    usage or help, so a command builds the arguments of its own subcommand
-    only; `_SubParsersAction` hands the rest of argv to `parse_known_args`,
-    and every help, usage and error text passes through the two formatters.
-    """
-
-    def __init__(self, *args, add_arguments, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_arguments = add_arguments
-
-    def _add_pending_arguments(self) -> None:
-        add, self._add_arguments = self._add_arguments, None
-        if add is not None:
-            add(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._add_pending_arguments()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._add_pending_arguments()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._add_pending_arguments()
-        return super().format_help()
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The semireg parser; only the subparser that argv[0] names gets its arguments,
+    or all four do when argv[0] names none (no argv, -h, --, a typo)."""
     # Left to itself, argparse asks the terminal for its width in every help
     # formatter it makes (25 per build on Python 3.11), and formats the main
     # usage only to name the subcommands "semireg ...".  Both values are
@@ -509,24 +482,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "cross-checks and closed-form bounds.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, prog="semireg",
-        parser_class=functools.partial(_SubcommandParser, formatter_class=formatter))
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
+    sub = parser.add_subparsers(dest="command", required=True, prog="semireg")
+    subparsers = {name: sub.add_parser(name, help=help_text, formatter_class=formatter)
+                  for name, (help_text, _) in _SUBCOMMANDS.items()}
+    named = argv[0] if argv else None
+    for name in [named] if named in _SUBCOMMANDS else _SUBCOMMANDS:
+        _SUBCOMMANDS[name][1](subparsers[name])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         if hasattr(args, "airy_i1"):
             args.airy = AiryConstant(i1=args.airy_i1, precision_radius=args.airy_radius)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the interpreter's
+        # last flush is silent, and exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

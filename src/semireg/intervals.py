@@ -240,26 +240,20 @@ class DyadicBracket:
             self._cut(lo + 1, 0)
         return True
 
-    def compare(self, x: int, width: Fraction) -> int:
+    def compare(self, x: int) -> int:
         """Sign of (root - x) for an integer x, certified by the bracket.
 
-        Bisects while x lies strictly inside a bracket wider than `width`.
-        If x is still inside after that, x itself becomes the bisection
-        point: its exact sign moves an endpoint onto x, and a zero is the
-        tie root == x.  sign_at is only ever called inside the bracket.
+        An x strictly inside the bracket is cut by its own exact sign: an
+        endpoint moves onto x, and a zero is the tie root == x.  sign_at is
+        only ever called inside the bracket.
         """
-        while not self.exact:
-            x_num = x << self.e
-            if x_num <= self.num_lo:
-                return 1
-            if x_num >= self.num_hi:
-                return -1
-            if self._steps_to(width):
-                self.step()
-            else:
-                self._cut(x_num, self.sign_at(x, 0))
-        root = self.num_lo - (x << self.e)
-        return (root > 0) - (root < 0)
+        x_num = x << self.e
+        if self.num_lo < x_num < self.num_hi:
+            self._cut(x_num, self.sign_at(x, 0))
+        if self.exact:
+            root = self.num_lo - x_num
+            return (root > 0) - (root < 0)
+        return 1 if x_num <= self.num_lo else -1
 
 
 def positive_width(width: Fraction | float) -> Fraction:

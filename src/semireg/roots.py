@@ -138,9 +138,10 @@ class _RootChain:
     Root brackets are made in order through interlacing: each one's right
     endpoint is certified below d_k(2) when it is made, and bisection or a
     seeded window only moves it left, so it encloses the smallest root and
-    no other.  d_1(1) = N/2 and lambda_1 = 0 (the 1 x 1 zero matrix) are
-    points; for k >= 2 lambda_k lies in [0, N], as T_k has zero trace and
-    lambda_k = N - 2 d_k(1).  Of the chain of N - 1 only the float seeds of
+    no other.  Every bracket, of a root or of an eigenvalue, is made at most
+    `DEFAULT_WIDTH` wide.  d_1(1) = N/2 and lambda_1 = 0 (the 1 x 1 zero
+    matrix) are points; for k >= 2 lambda_k lies in [0, N], as T_k has zero
+    trace and lambda_k = N - 2 d_k(1).  Of the chain of N - 1 only the float seeds of
     N - 1 and N - 2 are kept (`warm`), so older chains can be freed.
     """
 
@@ -171,12 +172,11 @@ class _RootChain:
         br.refine(width, self.seeds[k])
         return br
 
-    def eigen(self, k: int, width: Fraction | float = DEFAULT_WIDTH) -> DyadicBracket:
-        """The bracket of lambda_k, refined to `width`.
+    def eigen(self, k: int) -> DyadicBracket:
+        """The bracket of lambda_k, at most `DEFAULT_WIDTH` wide.
 
-        It is made when first asked for, and narrowed to `DEFAULT_WIDTH` then,
-        as `_extend` narrows a root bracket; nothing widens it, so asking for
-        `DEFAULT_WIDTH` again costs nothing.  lambda_k = N - 2 d_k(1), so the
+        It is made when first asked for, and refined to `DEFAULT_WIDTH` then,
+        as `_extend` refines a root bracket.  lambda_k = N - 2 d_k(1), so the
         root's float seed seeds it: the one its root bracket was made with,
         else a cold `_root_seed`.  The guess is kept below N, where a tiny
         root would round it onto N; a finite seed means `_root_seed` formed
@@ -191,21 +191,19 @@ class _RootChain:
             seed = self.seeds[k] if k in self.seeds else _root_seed(self.N, k)
             br.refine(DEFAULT_WIDTH, min(self.N - 2 * seed, math.nextafter(self.N, 0))
                       if math.isfinite(seed) else math.nan)
-        if width is not DEFAULT_WIDTH:
-            br.refine(width)
         return br
 
     def dreg(self, t: int) -> int:
         """The first k whose bracket certifies d_k(1) <= t: d_reg at t = m - n."""
         for k in range(1, self.N + 1):
-            if self.bracket(k).compare(t, DEFAULT_WIDTH) <= 0:
+            if self.bracket(k).compare(t) <= 0:
                 return k
         raise AssertionError("accept set cannot extend past degree N")
 
     def dreg_eigen(self, n: int) -> int:
         """The first k whose bracket certifies lambda_k >= n, n >= 1."""
         for k in range(1, self.N + 1):
-            if self.eigen(k).compare(n, DEFAULT_WIDTH) >= 0:
+            if self.eigen(k).compare(n) >= 0:
                 return k
         raise AssertionError("accept set cannot extend past degree N")
 
@@ -273,6 +271,8 @@ class _RootChain:
                     f"N={N}, k={k}: lo stayed 0 past the lift-off bound, "
                     "but K_k > 0 below min(1, C(N, k) / B0)"
                 )
+        # a no-op where the seeded window was accepted
+        br.refine(DEFAULT_WIDTH, seed)
         self._brackets.append(br)
 
     def _seed(self, k: int, br: DyadicBracket) -> float:
@@ -350,7 +350,9 @@ def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) 
     a point enclosure.  The bracket is made at `DEFAULT_WIDTH`, so a coarser
     `width` gets that enclosure.
     """
-    return _RootChain(N).eigen(k, width).enclosure()
+    br = _RootChain(N).eigen(k)
+    br.refine(width)
+    return br.enclosure()
 
 
 def _chain(shape: SystemShape, ceiling: int) -> _RootChain:
@@ -363,9 +365,9 @@ def dreg_via_roots(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEILING) 
     """Degree of regularity recovered from certified smallest-root enclosures.
 
     Walks k = 1, 2, ... while the bracket of d_k(1) certifies d_k(1) > t,
-    t = m - n.  The bracket decides by bisection; only when t stays inside it
-    at DEFAULT_WIDTH does the exact sign at t settle the side, and a zero
-    there is the tie d_k(1) = t, which the strict comparison excludes.
+    t = m - n.  The bracket, at most DEFAULT_WIDTH wide, decides; only when t
+    lies strictly inside it does the exact sign at t settle the side, and a
+    zero there is the tie d_k(1) = t, which the strict comparison excludes.
     """
     return _chain(shape, ceiling).dreg(shape.t)
 
@@ -374,9 +376,9 @@ def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEI
     """Degree of regularity recovered from the Golub-Kahan eigenvalue test.
 
     Walks k = 1, 2, ... while the bracket of lambda_k certifies lambda_k < n
-    (lambda_1 = 0 < n always).  The bracket decides by bisection, and only
-    when n stays inside it at DEFAULT_WIDTH does the eigen sign at n settle
-    the side.  A zero there is the tie lambda_k = n, which the strict
+    (lambda_1 = 0 < n always).  The bracket, at most DEFAULT_WIDTH wide,
+    decides, and only when n lies strictly inside it does the eigen sign at n
+    settle the side.  A zero there is the tie lambda_k = n, which the strict
     inequality excludes.
     """
     return _chain(shape, ceiling).dreg_eigen(shape.n)

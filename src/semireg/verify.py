@@ -14,7 +14,7 @@ from operator import attrgetter, mul
 from .bounds import kz_lower, l_upper, ls_lower, ls_upper, sandwich_verdict
 from .exact import SystemShape, binomial, degree_of_regularity_exact, hilbert_truncation
 from .krawtchouk import _gf_products, integer_values
-from .roots import DEFAULT_WIDTH, _RootChain
+from .roots import _RootChain
 
 __all__ = [
     "CheckResult",
@@ -103,8 +103,6 @@ def _chain_suites(max_N: int, *suites) -> list[CheckResult]:
 
 def _interlacing(chain: _RootChain) -> tuple[int, str]:
     N = chain.N
-    for k in range(1, N + 1):
-        chain.refine(k, DEFAULT_WIDTH)
     for k in range(2, N + 1):
         if _overlaps(_nums(chain.bracket(k)), _nums(chain.bracket(k - 1))):
             return k - 2, f"could not separate roots at N={N}, k={k}"
@@ -114,8 +112,7 @@ def _interlacing(chain: _RootChain) -> tuple[int, str]:
 def _duality(chain: _RootChain) -> tuple[int, str]:
     N = chain.N
     for k in range(1, N + 1):
-        root = _nums(chain.refine(k, DEFAULT_WIDTH))
-        if _duality_gap(N, root, _nums(chain.eigen(k, DEFAULT_WIDTH))):
+        if _duality_gap(N, _nums(chain.bracket(k)), _nums(chain.eigen(k))):
             return k - 1, f"duality gap at N={N}, k={k}"
     return N, ""
 
@@ -179,7 +176,7 @@ _DUALITY = ("eigenvalue_root_duality", _duality)
 def check_interlacing(max_N: int) -> CheckResult:
     """Strictly decreasing smallest roots: d_{k+1}(1) < d_k(1) for all k < N.
 
-    Each bracket is refined to `DEFAULT_WIDTH` once, and adjacent ones are
+    Each bracket is made at most `DEFAULT_WIDTH` wide, and adjacent ones are
     compared as open intervals (`_overlaps`), so the comparison is
     certified, not approximate.
     """
@@ -300,13 +297,13 @@ def _sandwich(shapes: Iterable[SystemShape], d_regs: dict[SystemShape, int]) -> 
 def run_all(max_N: int) -> list[CheckResult]:
     """The verification battery behind `semireg verify`.
 
-    Interlacing and duality refine their brackets to `DEFAULT_WIDTH`, the
-    width a seeded bracket is made at, and three-way decides at it.
+    Interlacing, duality and three-way read the brackets as the chain makes
+    them, at most `DEFAULT_WIDTH` wide.
     """
     if max_N < 3:
         raise ValueError(f"MAX_N={max_N} is below 3, the smallest size "
                          f"at which every suite checks a case")
-    # duality refines the eigen brackets before three-way compares on them;
+    # duality reads the brackets before three-way's comparisons cut them;
     # the sandwich reads the d_reg three-way computed
     d_regs: dict[SystemShape, int] = {}
     interlacing, duality, three_way = _chain_suites(

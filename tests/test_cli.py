@@ -7,9 +7,12 @@ import enum
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +65,18 @@ def test_exact_prints_coefficients_past_the_int_to_str_limit(capsys):
     first, second = out.splitlines()
     assert first == "d_reg = 1101"
     assert second == f"coefficients (degrees 0..{len(prefix) - 1}): " + " ".join(expected)
+
+
+def test_a_reader_closing_stdout_ends_the_command_quietly():
+    # 3.9 MB of coefficients into a pipe whose reader leaves after 10 bytes
+    env = {**os.environ, "PYTHONPATH": str(Path(semireg.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "semireg.cli", "exact", "6001", "6000",
+                             "--coefficients"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"d_reg = 30"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_exact_rejects_bad_shape(capsys):
@@ -595,6 +610,10 @@ _PARSER_ARGVS = [
     ["exact", "x", "12"], ["bounds", "24", "12", "--frobnicate"], ["exact", "24"],
     ["verify", "10", "--precision", "-1"], ["verify", "10", "--precision", "1/3"],
     ["bounds", "24", "12", "-h"], ["table", "--help"], ["verify", "10", "--ceiling", "x"],
+    # argv[0] names no subcommand, so every subparser gets its arguments
+    ["--", "bounds", "24", "12"], ["-h", "bounds"], ["bound", "24", "12"],
+    # the main parser reports what the bounds subparser left unparsed
+    ["bounds"], ["bounds", "24", "12", "13"],
 ]
 
 
@@ -610,7 +629,7 @@ def test_parser_prints_what_argparse_defaults_print(monkeypatch, capsys, columns
         got = _outcome(capsys, argv)
         reference = _parser_with_argparse_defaults()
         with monkeypatch.context() as patch:
-            patch.setattr(semireg.cli, "build_parser", lambda: reference)
+            patch.setattr(semireg.cli, "build_parser", lambda argv: reference)
             assert got == _outcome(capsys, argv), argv
         assert got[0] == (0 if {"-h", "--help"} & set(argv) else 2)
 
@@ -623,27 +642,26 @@ def test_parser_asks_the_terminal_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_subcommands_add_their_arguments_when_first_used():
-    # build_parser makes every subparser with its -h alone; a parse adds the
-    # arguments of the subcommand it dispatches to, and no other's
-    parser = semireg.cli.build_parser()
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparsers = action.choices
-    assert list(subparsers) == list(semireg.cli._SUBCOMMANDS)
+def test_build_parser_adds_the_arguments_of_the_command_argv_names():
+    # every subparser is made; the one argv[0] names gets its arguments, and
+    # all four do when argv[0] names none
+    def dests(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(action.choices) == list(semireg.cli._SUBCOMMANDS)
+        assert all(type(p) is argparse.ArgumentParser for p in action.choices.values())
+        return {name: [a.dest for a in sub._actions] for name, sub in action.choices.items()}
 
-    def dests():
-        return {name: [a.dest for a in sub._actions] for name, sub in subparsers.items()}
-
-    assert dests() == {name: ["help"] for name in subparsers}
-    for _ in range(2):  # a second parse adds nothing
-        args = parser.parse_args(["bounds", "24", "12"])
-        assert (args.command, args.m, args.n, args.func) == ("bounds", 24, 12,
-                                                             semireg.cli.cmd_bounds)
-        assert dests() == {"exact": ["help"], "table": ["help"], "verify": ["help"],
-                           "bounds": ["help", "m", "n", "curve", "airy_i1", "airy_radius"]}
-    # formatting usage or help adds them too
-    assert subparsers["verify"].format_usage().startswith("usage: semireg verify ")
-    assert "--ceiling" in subparsers["verify"].format_usage()
-    assert "--family" in subparsers["table"].format_help()
-    assert dests()["exact"] == ["help"]
-    assert dests()["verify"] == ["help", "max_N", "ceiling"]
+    every = {"exact": ["help", "m", "n", "coefficients"],
+             "bounds": ["help", "m", "n", "curve", "airy_i1", "airy_radius"],
+             "table": ["help", "family", "n_values", "pairs", "columns", "format",
+                       "precision", "airy_i1", "airy_radius"],
+             "verify": ["help", "max_N", "ceiling"]}
+    parser = semireg.cli.build_parser(["bounds", "24", "12"])
+    assert dests(parser) == {name: every[name] if name == "bounds" else ["help"]
+                             for name in every}
+    args = parser.parse_args(["bounds", "24", "12"])
+    assert (args.command, args.m, args.n, args.func) == ("bounds", 24, 12,
+                                                         semireg.cli.cmd_bounds)
+    for argv in ([], ["-h"], ["--", "bounds"], ["bound", "24", "12"]):
+        assert dests(semireg.cli.build_parser(argv)) == every, argv
+    assert dests(semireg.cli.build_parser()) == every

@@ -282,51 +282,49 @@ def test_compare_outside_the_bracket_evaluates_nothing(x, expected):
     # sqrt(2) in [0, 2]: x at or beyond an endpoint is decided at once
     sign_at, points = _recording(_poly_sign([-2, 0, 1]))
     br = DyadicBracket(sign_at, 0, 2, 0)
-    assert br.compare(x, Fraction(1, 1 << 20)) == expected
+    assert br.compare(x) == expected
     assert points == []
 
 
-def test_compare_decided_by_bisection_alone():
-    # sqrt(2) in [0, 3]: midpoints 3/2, 3/4, 9/8 leave 1 below the bracket
+def test_compare_never_bisects():
+    # sqrt(2) in [0, 2^40]: however wide the bracket, x = 1 inside it is
+    # decided by its own sign alone, and the exponent stays where it was
     sign_at, points = _recording(_poly_sign([-2, 0, 1]))
-    br = DyadicBracket(sign_at, 0, 3, 0)
-    assert br.compare(1, Fraction(1, 1 << 20)) == 1
-    assert points == [Fraction(3, 2), Fraction(3, 4), Fraction(9, 8)]
-    assert br.lo == Fraction(9, 8) and not br.exact
+    br = DyadicBracket(sign_at, 0, 1 << 40, 0)
+    assert br.compare(1) == 1
+    assert points == [1]
+    assert (br.num_lo, br.num_hi, br.e, br.exact) == (1, 1 << 40, 0, False)
 
 
 def test_compare_x_hit_as_midpoint():
-    # sqrt(2) in [0, 2]: the first midpoint is x = 1 itself
+    # sqrt(2) in [0, 2]: x = 1, the midpoint, is cut by its sign, not stepped to
     sign_at, points = _recording(_poly_sign([-2, 0, 1]))
     br = DyadicBracket(sign_at, 0, 2, 0)
-    assert br.compare(1, Fraction(1, 1 << 20)) == 1
+    assert br.compare(1) == 1
     assert points == [1]
-    assert (br.num_lo, br.e) == (2, 1)
+    assert (br.num_lo, br.num_hi, br.e) == (1, 2, 0)
 
 
 @pytest.mark.parametrize("x,expected,lo,hi", [(1, 1, 1, 3), (2, -1, 0, 2)])
 def test_compare_pivot_moves_an_endpoint(x, expected, lo, hi):
-    # the bracket [0, 3] is already narrow enough: x itself is the pivot
+    # sqrt(2) in [0, 3]: x itself is the pivot
     sign_at, points = _recording(_poly_sign([-2, 0, 1]))
     br = DyadicBracket(sign_at, 0, 3, 0)
-    assert br.compare(x, Fraction(3)) == expected
+    assert br.compare(x) == expected
     assert points == [x]
     assert (br.lo, br.hi, br.exact) == (lo, hi, False)
 
 
 def test_compare_tie_settled_by_pivot():
-    # root 1 in [0, 3]: the midpoints 3/2, 3/4, 9/8, ... never reach 1, so
-    # bisection runs to the width and the pivot at 1 finds the zero
+    # root 1 in [1/4, 9/4]: the one sign, at x = 1, is the zero
     sign_at, points = _recording(_poly_sign([-1, 1]))
-    br = DyadicBracket(sign_at, 0, 3, 0)
-    width = Fraction(1, 1 << 10)
-    assert br.compare(1, width) == 0
-    assert 1 not in points[:-1] and points[-1] == 1
-    assert len(points) == 12 + 1  # 3 / 2^12 <= width < 3 / 2^11, then the pivot
+    br = DyadicBracket(sign_at, 1, 9, 2)
+    assert br.compare(1) == 0
+    assert points == [1]
     assert br.exact and br.lo == br.hi == 1
     # the collapsed bracket answers every later comparison without evaluating
-    assert [br.compare(x, width) for x in (0, 1, 2)] == [1, 0, -1]
-    assert len(points) == 13
+    assert [br.compare(x) for x in (0, 1, 2)] == [1, 0, -1]
+    assert points == [1]
 
 
 # ---------------------------------------------------------------- narrow

@@ -153,10 +153,25 @@ def test_largest_eigenvalue_trivial_sizes():
 @pytest.mark.parametrize("k", [0, -1, 37])
 def test_eigen_refuses_k_outside_1_to_n(k):
     chain = roots_mod._RootChain(36)
-    for ask in (lambda: chain.eigen(k), lambda: chain.eigen(k, WIDTH),
-                lambda: largest_eigenvalue(36, k, 0)):
+    for ask in (lambda: chain.eigen(k), lambda: largest_eigenvalue(36, k, 0)):
         with pytest.raises(ValueError, match=f"requires 1 <= k <= N=36; got k={k}"):
             ask()
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "every-seed-NaN"])
+def test_every_bracket_is_made_at_most_default_width_wide(monkeypatch, seeded):
+    # verify and the routes pass no width: the chain makes every bracket of
+    # d_k(1) and of lambda_k that narrow, cold and warm from the chain of N - 1,
+    # also where no seeded window is accepted and bisection does it all
+    if not seeded:
+        monkeypatch.setattr(roots_mod._RootChain, "_seed", lambda self, k, br: math.nan)
+    previous = None
+    for N in range(2, 81 if seeded else 25):
+        cold, previous = roots_mod._RootChain(N), roots_mod._RootChain(N, previous)
+        for chain in (cold, previous):
+            for k in range(1, N + 1):
+                for br in (chain.bracket(k), chain.eigen(k)):
+                    assert br.hi - br.lo <= DEFAULT_WIDTH, (N, k)
 
 
 def test_routes_make_brackets_only_up_to_the_degree_they_decide(monkeypatch):

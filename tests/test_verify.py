@@ -472,8 +472,8 @@ def test_duality_reports_a_shifted_eigen_bracket(monkeypatch):
     # lambda_4 at N = 10 moved up by one: the suite must stop there
     eigen = semireg.roots._RootChain.eigen
 
-    def shifted(chain, k, width=None):
-        br = eigen(chain, k, width)
+    def shifted(chain, k):
+        br = eigen(chain, k)
         if (chain.N, k) != (10, 4):
             return br
         return DyadicBracket(None, br.num_lo + (1 << br.e), br.num_hi + (1 << br.e), br.e)
