@@ -20,9 +20,10 @@ may *seed* one (`_root_seed` proposes where the transposed search of
 looks before the scan), but only exact signs decide it.  `_root_seed` is
 the package's one Laguerre seed, a few Laguerre steps on the
 power-of-two-rescaled float recurrence of `_krawtchouk_ratios`, for this
-search and for the root and eigenvalue brackets of `roots` (which seeds
-tiny roots from its integer bounds instead), and it forms every float it
-reads: a seed that cannot be formed is NaN.
+search and for the root brackets of `roots` (which seeds tiny roots from
+its integer bounds instead, and makes the eigenvalue brackets from the
+root brackets), and it forms every float it reads: a seed that cannot be
+formed is NaN.
 This module is the base of the package: it imports no other module of it
 but `intervals`.
 """

@@ -11,18 +11,17 @@ points only: `exact.krawtchouk_stream` divides as it goes and yields them
 (`integer_values`, the Hilbert-series coefficients).  The other kernels
 read signs.  The degree of regularity reads them from `exact._sign_scan`,
 which steps the cleared recurrence two degrees at a time and reads the
-even degrees alone; the roots and eigenvalues of `roots` from
-`_sign_at_dyadic` and `_eigen_sign`, which run the recurrence cleared of
-factorials and denominators at d = 2^e, keeping only the last two values.
-The tests check them against a list-returning reference,
-`tests/oracle_utils.cleared_values`.
-The one float recurrence is `exact._krawtchouk_ratios`, divided by C(N, j)
-and rescaled by powers of two, which only seeds Laguerre's method.  The
-explicit sum K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j) decides signs in
-production too: left of x = 1, `roots._root_sign` bounds it from both sides
-in integers and needs the recurrence only near a root.  In integers its
-cancellation costs bits, not accuracy.  Tests evaluate the whole sum as an
-oracle.
+even degrees alone; the eigenvalues of `roots` from `_eigen_sign`, which
+runs the recurrence cleared of factorials and denominators at d = 2^e,
+keeping only the last two values.  The roots of `roots` read the explicit
+sum K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j) instead: `_explicit_sum`
+evaluates it in Horner form, cleared to the same integer, and left of
+x = 1 `_root_sign` first bounds it from both sides in integers.  In
+integers its cancellation costs bits, not accuracy.  The tests check the
+kernels against a list-returning reference of the recurrence,
+`tests/oracle_utils.cleared_values`.  The one float recurrence is
+`exact._krawtchouk_ratios`, divided by C(N, j) and rescaled by powers of
+two, which only seeds Laguerre's method.
 """
 
 from __future__ import annotations

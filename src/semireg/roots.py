@@ -4,29 +4,33 @@ Two independent re-derivations of the degree of regularity live here:
 
 * via roots: d_reg = 1 + max{k : d_k(1) > m-n}, where d_k(1) is the smallest
   root of K_k^N.  Roots are enclosed by exact-sign bisection inside brackets
-  supplied by interlacing (d_k(1) < d_{k-1}(1) < d_k(2)); left of 1 two
-  bounds of the explicit sum settle most signs without the recurrence.
+  supplied by interlacing (d_k(1) < d_{k-1}(1) < d_k(2)).  Every sign is the
+  explicit sum K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j) (`_explicit_sum`);
+  left of 1 two bounds of that sum settle most signs without evaluating it.
 * via eigenvalues: d_reg = 1 + max{k : lambda_k < n}, where lambda_k is the
   largest eigenvalue of the k x k Golub-Kahan matrix T_k with zero diagonal
   and off-diagonal entries sqrt((i+1)(N-i)).  Its sign is read off the
   leading minors of x I - T_k by Sylvester's criterion: x > lambda_k exactly
-  when all of them are positive.
+  when all of them are positive.  lambda_k = N - 2 d_k(1), so its bracket is
+  not searched: it is the root's bracket mirrored, accepted only when two
+  minor signs confirm it (`_RootChain.eigen`).
 
-Both signs, `_sign_at_dyadic` (behind `_root_sign`) and `_eigen_sign`, run
-the cleared recurrence in a loop that keeps only its last two values and
-multiplies by 4^e as a shift; the tests check both against the
-list-returning reference `tests/oracle_utils.cleared_values`.
-One `_RootChain` per N makes the brackets of both routes as they are asked
-for and answers both comparisons; the functions here and `verify` read it.
+The two kernels evaluate different formulas of one polynomial:
+`_explicit_sum` runs Horner on the Newton form of the explicit sum,
+`_eigen_sign` the three-term recurrence of the minors, keeping only its last
+two values.  The tests check both against the list-returning reference
+`tests/oracle_utils.cleared_values`.  One `_RootChain` per N makes the
+brackets of both routes as they are asked for and answers both comparisons;
+the functions here and `verify` read it.
 
 All evaluation points are dyadic rationals, so every sign is an exact
-integer computation.  Floats only seed: `exact._root_seed`, the package's
-one Laguerre seed, estimates d_k(1) once, when its bracket is made (a tiny
-root takes C(N, k) / B0 of its integer bounds instead), and picks a short
-dyadic window (`DyadicBracket.narrow`), which is used only when two
-exact signs certify it; bisection takes over when they do not, and no
-decision reads a float.  Refining the bracket, and the bracket of lambda_k,
-reuse that seed (`_RootChain.seeds`).  The chain of N starts Laguerre from
+integer computation.  Floats only seed root brackets: `exact._root_seed`,
+the package's one Laguerre seed, estimates d_k(1) once, when its bracket is
+made (a tiny root takes C(N, k) / B0 of its integer bounds instead), and
+picks a short dyadic window (`DyadicBracket.narrow`), which is used only
+when two exact signs certify it; bisection takes over when they do not, and
+no decision reads a float.  Refining the bracket reuses that seed
+(`_RootChain.seeds`).  The chain of N starts Laguerre from
 the seeds of N - 1 and N - 2 (`_RootChain._seed`): d_k^(N-1)(1) is
 provably left of d_k^N(1), and the extrapolation through both is tried
 first, so a seed takes about 1.9 float evaluations against 2.7 cold.
@@ -59,13 +63,23 @@ DEFAULT_WIDTH = Fraction(1, 1 << 20)
 CROSS_VALIDATION_CEILING = 512
 
 
-def _sign_at_dyadic(N: int, k: int, p: int, e: int) -> int:
-    """B_k at s = N 2^e - 2p, d = 2^e: an integer with the sign of K_k^N(p / 2^e), k >= 1."""
-    s, e2 = (N << e) - 2 * p, 2 * e
-    prev, cur = 1, s
-    for j in range(1, k):
-        prev, cur = cur, s * cur - (j * (N - j + 1) * prev << e2)
-    return cur
+def _explicit_sum(N: int, k: int, p: int, e: int) -> int:
+    """k! 2^(e k) K_k^N(p / 2^e), k >= 1, from the explicit sum.
+
+    K_k(x) = sum_j (-2)^j C(N-j, k-j) C(x, j) is in Newton form on the nodes
+    0, 1, ..., k - 1, so Horner's R <- A_j + (x - j) R, from R = A_k down to
+    j = 0, gives k! K_k(x), with A_j = (k!/j!) (-2)^j C(N-j, k-j)
+    (MacWilliams & Sloane, ch. 5 par. 7).  Cleared of 2^(e (k-j)) it is
+    R <- (A_j << e (k-j)) + (p - j 2^e) R.  The loop carries (-1)^j R, so
+    each A_j enters as |A_j| = 2^j B_j, B_j = (k!/j!) C(N-j, k-j): B_j is
+    formed as it is needed, B_(j+1) (j+1) (N-j) / (k-j) by an exact
+    division, and no table of them is kept.
+    """
+    b, r = 1, 1 << k  # B_k and (-1)^k A_k
+    for j in range(k - 1, -1, -1):
+        b = b * ((j + 1) * (N - j)) // (k - j)
+        r = (b << e * (k - j) + j) + ((j << e) - p) * r
+    return r
 
 
 @lru_cache(maxsize=512)  # one entry per degree k
@@ -96,7 +110,8 @@ def _root_sign(N: int, k: int):
     <= B(x) <= B0 = B(0): x B0 < C(N, k) proves K_k(x) > 0, and
     x B0 (1 - x H_{k-1}) > C(N, k) proves K_k(x) < 0.  Cleared of L = lcm(1..k)
     and 2^e both are integer comparisons.  Near a root neither holds; there,
-    and at x >= 1, the cleared recurrence decides, so only it returns a zero.
+    and at x >= 1, the sum itself decides (`_explicit_sum`), so only it
+    returns a zero.
     """
 
     def sign(p: int, e: int) -> int:
@@ -107,7 +122,7 @@ def _root_sign(N: int, k: int):
                 return -1
             if lhs * ((L << e) - p * h) > rhs * L << e:
                 return 1
-        return -_sign_at_dyadic(N, k, p, e)
+        return -_explicit_sum(N, k, p, e)
 
     return sign
 
@@ -121,9 +136,12 @@ def _eigen_sign(N: int, k: int, p: int, e: int) -> int:
     reads j! c_j.  By Sylvester's criterion x > lambda_k exactly when
     q_1..q_k are all positive.  The top eigenvalue of T_{j-1} lies strictly
     below that of T_j, so a non-positive q_j, j < k, puts x below lambda_k,
-    and with q_1..q_{k-1} positive q_k has the sign of x - lambda_k.
+    and with q_1..q_{k-1} positive q_k has the sign of x - lambda_k.  x is
+    taken in lowest terms first, so a point of a coarse grid costs what that
+    grid costs: the integer N, where a tiny root's mirrored bracket ends.
     """
-    e2 = 2 * e
+    z = min((p & -p).bit_length() - 1, e) if p else e  # x in lowest terms
+    p, e2 = p >> z, 2 * (e - z)
     prev, cur = 1, p
     for j in range(1, k):
         if cur <= 0:
@@ -138,11 +156,11 @@ class _RootChain:
     Root brackets are made in order through interlacing: each one's right
     endpoint is certified below d_k(2) when it is made, and bisection or a
     seeded window only moves it left, so it encloses the smallest root and
-    no other.  Every bracket, of a root or of an eigenvalue, is made at most
-    `DEFAULT_WIDTH` wide.  d_1(1) = N/2 and lambda_1 = 0 (the 1 x 1 zero
-    matrix) are points; for k >= 2 lambda_k lies in [0, N], as T_k has zero
-    trace and lambda_k = N - 2 d_k(1).  Of the chain of N - 1 only the float seeds of
-    N - 1 and N - 2 are kept (`warm`), so older chains can be freed.
+    no other.  Every root bracket is made at most `DEFAULT_WIDTH` wide, and
+    the bracket of lambda_k is made from it (`eigen`).  d_1(1) = N/2 and
+    lambda_1 = 0 (the 1 x 1 zero matrix) are points.  Of the chain of N - 1
+    only the float seeds of N - 1 and N - 2 are kept (`warm`), so older
+    chains can be freed.
     """
 
     def __init__(self, N: int, previous: _RootChain | None = None):
@@ -173,24 +191,27 @@ class _RootChain:
         return br
 
     def eigen(self, k: int) -> DyadicBracket:
-        """The bracket of lambda_k, at most `DEFAULT_WIDTH` wide.
+        """The bracket of lambda_k: N - 2 bracket(k), checked by two minor signs.
 
-        It is made when first asked for, and refined to `DEFAULT_WIDTH` then,
-        as `_extend` refines a root bracket.  lambda_k = N - 2 d_k(1), so the
-        root's float seed seeds it: the one its root bracket was made with,
-        else a cold `_root_seed`.  The guess is kept below N, where a tiny
-        root would round it onto N; a finite seed means `_root_seed` formed
-        float(N), and a NaN one is refused.
+        lambda_k = N - 2 d_k(1), so [N - 2 hi, N - 2 lo] of the root's
+        bracket holds it.  Where that is finer than the 2^-21 grid it is
+        rounded outward to the grid: a tiny root's bracket reaches exponents
+        up to N, and a minor sign there costs as much.  It is kept only if
+        `_eigen_sign` is negative at its lower end and positive at its upper
+        end, or zero at a point; else route 3 refutes route 2's bracket,
+        and AssertionError names the duality gap.  Each end lies within
+        2^-21 of N - 2 bracket(k).
         """
         br = self._eigen.get(k)
         if br is None:
-            if not 1 <= k <= self.N:
-                raise ValueError(f"requires 1 <= k <= N={self.N}; got k={k}")
-            br = self._eigen[k] = DyadicBracket(partial(_eigen_sign, self.N, k), 0,
-                                                0 if k == 1 else self.N, 0, exact=k == 1)
-            seed = self.seeds[k] if k in self.seeds else _root_seed(self.N, k)
-            br.refine(DEFAULT_WIDTH, min(self.N - 2 * seed, math.nextafter(self.N, 0))
-                      if math.isfinite(seed) else math.nan)
+            root, N = self.bracket(k), self.N
+            shift = max(root.e - 21, 0)  # onto the 2^-21 grid
+            lo = ((N << root.e) - 2 * root.num_hi) >> shift  # floor
+            hi = -((2 * root.num_lo - (N << root.e)) >> shift)  # ceiling
+            sign_at, e = partial(_eigen_sign, N, k), root.e - shift
+            if not (sign_at(lo, e) == 0 if lo == hi else sign_at(lo, e) < 0 < sign_at(hi, e)):
+                raise AssertionError(f"duality gap at N={N}, k={k}")
+            br = self._eigen[k] = DyadicBracket(sign_at, lo, hi, e, exact=lo == hi)
         return br
 
     def dreg(self, t: int) -> int:
@@ -347,8 +368,9 @@ def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) 
     """Certified enclosure of the largest eigenvalue lambda_k, 1 <= k <= N, width <= width.
 
     An exact rational eigenvalue hit (for instance lambda_1 = 0) collapses to
-    a point enclosure.  The bracket is made at `DEFAULT_WIDTH`, so a coarser
-    `width` gets that enclosure.
+    a point enclosure.  The bracket is made from those of d_1(1)..d_k(1)
+    (`_RootChain.eigen`) and bisected to `width`, so a coarser `width` gets
+    the bracket as made.
     """
     br = _RootChain(N).eigen(k)
     br.refine(width)
@@ -376,9 +398,9 @@ def dreg_via_eigenvalues(shape: SystemShape, ceiling: int = CROSS_VALIDATION_CEI
     """Degree of regularity recovered from the Golub-Kahan eigenvalue test.
 
     Walks k = 1, 2, ... while the bracket of lambda_k certifies lambda_k < n
-    (lambda_1 = 0 < n always).  The bracket, at most DEFAULT_WIDTH wide,
-    decides, and only when n lies strictly inside it does the eigen sign at n
-    settle the side.  A zero there is the tie lambda_k = n, which the strict
-    inequality excludes.
+    (lambda_1 = 0 < n always).  The bracket, that of d_k(1) mirrored by
+    x -> N - 2x and checked by two eigen signs, decides, and only when n lies
+    strictly inside it does the eigen sign at n settle the side.  A zero
+    there is the tie lambda_k = n, which the strict inequality excludes.
     """
     return _chain(shape, ceiling).dreg_eigen(shape.n)

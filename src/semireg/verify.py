@@ -72,13 +72,15 @@ def _chain_suites(max_N: int, *suites) -> list[CheckResult]:
     """Run chain suites side by side off one pass per N = 2..max_N.
 
     The pass for N builds one `_RootChain`, which makes the brackets of
-    d_k(1) and of lambda_k as the suites ask for them; every suite reads the
-    same ones, and only one N's brackets are alive at a time.  Each chain is
-    built from that of N - 1, whose float seeds and those of N - 2 start its
-    own.  Each suite is (name, check) with check(chain) -> (cases passed,
-    failure detail or ""), and stops at its first failure.  An
-    AssertionError raised while a suite reads the chain of N (a kernel
-    fault) is that suite's failure, its message naming N.
+    d_k(1), and of lambda_k from them, as the suites ask for them; every
+    suite reads the same ones, and only one N's brackets are alive at a
+    time.  Each chain is built from that of N - 1, whose float seeds and
+    those of N - 2 start its own.  Each suite is (name, check) with
+    check(chain) -> (cases passed, failure detail or ""), and stops at its
+    first failure.  An AssertionError raised while a suite reads the chain
+    of N (a kernel fault, or a duality gap that `_RootChain.eigen` found) is
+    that suite's failure, its message naming N, and the chain of N counts no
+    case of it.
     """
     checked = [0] * len(suites)
     failure = [""] * len(suites)
@@ -90,10 +92,10 @@ def _chain_suites(max_N: int, *suites) -> list[CheckResult]:
                 try:
                     passed, failure[i] = check(chain)
                 except AssertionError as exc:
-                    # a kernel fault: this suite fails, and so does every
-                    # other one that reads the same chain
+                    # a kernel fault or a duality gap: this suite fails,
+                    # and so does every other one that reads the same chain
                     passed, msg = 0, str(exc)
-                    failure[i] = msg if msg.startswith(f"N={N},") else f"N={N}: {msg}"
+                    failure[i] = msg if f"N={N}," in msg else f"N={N}: {msg}"
                 checked[i] += passed
         if all(failure):
             break
@@ -110,11 +112,9 @@ def _interlacing(chain: _RootChain) -> tuple[int, str]:
 
 
 def _duality(chain: _RootChain) -> tuple[int, str]:
-    N = chain.N
-    for k in range(1, N + 1):
-        if _duality_gap(N, _nums(chain.bracket(k)), _nums(chain.eigen(k))):
-            return k - 1, f"duality gap at N={N}, k={k}"
-    return N, ""
+    for k in range(1, chain.N + 1):
+        chain.eigen(k)  # raises the duality gap where route 3 refutes route 2
+    return chain.N, ""
 
 
 def _overlaps(upper: tuple, lower: tuple) -> bool:
@@ -129,14 +129,6 @@ def _overlaps(upper: tuple, lower: tuple) -> bool:
     (u_lo, hi, e), (lo, l_hi, f) = upper, lower
     a, b = hi << max(f - e, 0), lo << max(e - f, 0)
     return a > b or (a == b and u_lo == hi and lo == l_hi)
-
-
-def _duality_gap(N: int, root: tuple, lam: tuple) -> bool:
-    """|(N - 2 mid(root)) - mid(lam)| > 2 width(root) + width(lam), times 2^(max e + 1)."""
-    (r_lo, r_hi, er), (l_lo, l_hi, el) = root, lam
-    dr, dl = max(el - er, 0), max(er - el, 0)
-    diff = (N << (max(er, el) + 1)) - ((r_lo + r_hi) << (dr + 1)) - ((l_lo + l_hi) << dl)
-    return abs(diff) > ((r_hi - r_lo) << (dr + 2)) + ((l_hi - l_lo) << (dl + 1))
 
 
 def _three_way(max_N: int, d_regs: dict[SystemShape, int]):
@@ -256,13 +248,13 @@ def check_three_way_agreement(max_N: int) -> CheckResult:
 
 
 def check_eigenvalue_root_duality(max_N: int) -> CheckResult:
-    """lambda_k = N - 2 d_k(1), checked on enclosures of width <= `DEFAULT_WIDTH`.
+    """lambda_k = N - 2 d_k(1), checked exactly on each bracket of d_k(1).
 
-    Passes when |(N - 2 mid(d_k(1))) - mid(lambda_k)| <= 2 width(d_k(1)) +
-    width(lambda_k): the sum of the widths of the two enclosures of
-    lambda_k, where N - 2 d_k(1) doubles the width of the root's enclosure
-    (hence the factor 2).  Two enclosures of one value have midpoints at
-    most half that sum apart, so a pass is certain when both enclosures hold.
+    `_RootChain.eigen` mirrors the bracket of d_k(1), made at most
+    `DEFAULT_WIDTH` wide by the explicit sum, to N - 2 [hi, lo], rounded
+    outward to 2^-21, and passes k only when the leading-minor sign of
+    route 3 changes across it (or is zero at a point): a containment
+    check, by a formula route 2 does not use.
     """
     return _chain_suites(max_N, _DUALITY)[0]
 
@@ -298,7 +290,8 @@ def run_all(max_N: int) -> list[CheckResult]:
     """The verification battery behind `semireg verify`.
 
     Interlacing, duality and three-way read the brackets as the chain makes
-    them, at most `DEFAULT_WIDTH` wide.
+    them: those of d_k(1) at most `DEFAULT_WIDTH` wide, those of lambda_k
+    mirrored from them.
     """
     if max_N < 3:
         raise ValueError(f"MAX_N={max_N} is below 3, the smallest size "

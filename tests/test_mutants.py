@@ -39,40 +39,45 @@ def test_wrong_root_kernel(monkeypatch):
     results = _battery(30)
     assert _failed(results) == {"interlacing", "three_way_agreement", "eigenvalue_root_duality"}
     assert results["interlacing"].detail.startswith("N=3, k=3: lo stayed 0 ")
-    assert results["three_way_agreement"].detail == \
-        "m=9, n=6: exact=4, direct=4, roots=3, eigenvalues=4"
+    # route 3's minor signs refute the bracket of d_2(1) at N = 2, and
+    # three-way's eigenvalue route reads that check at its first shape
+    assert results["three_way_agreement"] == CheckResult(
+        "three_way_agreement", 0, False, "duality gap at N=3, k=2")
     assert results["eigenvalue_root_duality"].detail == "duality gap at N=2, k=2"
     # survivors: gf_identity and orthogonality read only the divided stream,
     # and the sandwich compares the bounds with route 1's d_reg; none reads a root
 
 
 def test_wrong_root_kernel_under_the_tiny_root_bounds(monkeypatch):
-    # the same j (N - j + 2) in `_sign_at_dyadic`, which the tiny-root bounds
-    # of `_root_sign` consult only where they cannot decide
-    monkeypatch.setattr(semireg.roots, "_sign_at_dyadic", mutant(
-        semireg.roots._sign_at_dyadic, "(N - j + 1)", "(N - j + 2)"))
+    # the term A_2 of `_explicit_sum` with its sign flipped, in the kernel
+    # the tiny-root bounds of `_root_sign` consult where they cannot decide
+    monkeypatch.setattr(semireg.roots, "_explicit_sum", mutant(
+        semireg.roots._explicit_sum, "r = (b <<", "r = ((-b if j == 2 else b) <<"))
     results = _battery(30)
     assert _failed(results) == {"three_way_agreement", "eigenvalue_root_duality"}
-    assert results["three_way_agreement"].detail == \
-        "m=9, n=6: exact=4, direct=4, roots=3, eigenvalues=4"
-    assert results["eigenvalue_root_duality"].detail == "duality gap at N=2, k=2"
-    # survivors: interlacing, since the bounds decide the signs near x = 0
-    # from the explicit sum, so the lift-off at N = 3 that the mutant without
-    # them trips on lifts off, and `_extend` makes bracket k inside
-    # [0, lo(k - 1)] whatever the kernel
+    # the kernel is right at k <= 2, so route 3 first refutes the bracket
+    # of d_3(1), at N = 3; three-way's first shape that reads it is at N = 5
+    assert results["three_way_agreement"] == CheckResult(
+        "three_way_agreement", 0, False, "duality gap at N=5, k=3")
+    assert results["eigenvalue_root_duality"] == CheckResult(
+        "eigenvalue_root_duality", 2, False, "duality gap at N=3, k=3")
+    # survivors: interlacing, since `_extend` makes bracket k inside
+    # [0, lo(k - 1)] whatever the kernel, and the bounds decide the signs
+    # near x = 0, so every bracket lifts off 0
     assert results["interlacing"] == CheckResult("interlacing", 435, True)
     # gf_identity, orthogonality and the sandwich read no root, as above
 
 
 def test_root_kernel_of_the_next_family(monkeypatch):
-    # every root sign taken from K_k^(N+1) in place of K_k^N
-    sign_at_dyadic = semireg.roots._sign_at_dyadic
-    monkeypatch.setattr(semireg.roots, "_sign_at_dyadic",
-                        lambda N, k, p, e: sign_at_dyadic(N + 1, k, p, e))
+    # every root sign the tiny-root bounds leave open taken from K_k^(N+1)
+    # in place of K_k^N
+    explicit_sum = semireg.roots._explicit_sum
+    monkeypatch.setattr(semireg.roots, "_explicit_sum",
+                        lambda N, k, p, e: explicit_sum(N + 1, k, p, e))
     results = _battery(30)
     assert _failed(results) == {"three_way_agreement", "eigenvalue_root_duality"}
-    assert results["three_way_agreement"].detail == \
-        "m=3, n=2: exact=2, direct=2, roots=3, eigenvalues=2"
+    assert results["three_way_agreement"] == CheckResult(
+        "three_way_agreement", 0, False, "duality gap at N=3, k=2")
     assert results["eigenvalue_root_duality"].detail == "duality gap at N=2, k=2"
     # survivors: interlacing holds by construction, since `_extend` makes
     # bracket k inside [0, lo(k - 1)] whatever the kernel, so the wrong
@@ -88,8 +93,10 @@ def test_wrong_eigen_kernel(monkeypatch):
         semireg.roots._eigen_sign, "(N - j + 1)", "(N - j + 2)"))
     results = _battery(30)
     assert _failed(results) == {"three_way_agreement", "eigenvalue_root_duality"}
-    assert results["three_way_agreement"].detail == \
-        "m=9, n=6: exact=4, direct=4, roots=4, eigenvalues=3"
+    # the wrong minors refute the true bracket of d_2(1) at N = 2, where
+    # duality stops; three-way's eigenvalue route reads that check at N = 3
+    assert results["three_way_agreement"] == CheckResult(
+        "three_way_agreement", 0, False, "duality gap at N=3, k=2")
     assert results["eigenvalue_root_duality"].detail == "duality gap at N=2, k=2"
     # survivors: interlacing reads only root brackets, gf_identity and
     # orthogonality only the divided stream, and the sandwich route 1's d_reg;
@@ -188,25 +195,12 @@ def test_kz_lower_plus_two_violates_the_sandwich(monkeypatch):
     # survivors: no other suite reads a bound
 
 
-def _duality_gap_without_factor_2(N, root, lam):
-    """`verify._duality_gap` with width(root) where 2 width(root) belongs."""
-    (r_lo, r_hi, er), (l_lo, l_hi, el) = root, lam
-    dr, dl = max(el - er, 0), max(er - el, 0)
-    diff = (N << (max(er, el) + 1)) - ((r_lo + r_hi) << (dr + 1)) - ((l_lo + l_hi) << dl)
-    return abs(diff) > ((r_hi - r_lo) << (dr + 1)) + ((l_hi - l_lo) << (dl + 1))
-
-
 @pytest.mark.parametrize("name,mutant", [
-    ("_duality_gap", _duality_gap_without_factor_2),
     ("_overlaps", lambda upper, lower: False),
-], ids=["duality-gap-without-factor-2", "overlaps-never"])
+], ids=["overlaps-never"])
 def test_expected_survivors(monkeypatch, name, mutant):
     monkeypatch.setattr(semireg.verify, name, mutant)
     assert _failed(_battery(30)) == set()
-    # _duality_gap: N - 2 d_k(1) and lambda_k lie in enclosures of widths
-    # 2 width(root) and width(lam), so true midpoints are at most
-    # width(root) + width(lam) / 2 apart, inside even the mutant's
-    # width(root) + width(lam); the suite's threshold is twice what it needs.
     # _overlaps: `_RootChain._extend` makes bracket k inside [0, lo(k - 1)],
     # so it fires only when two brackets are one exact point (ROADMAP item 2)
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import semireg.exact
 import semireg.roots as roots_mod
-from semireg.exact import SystemShape, degree_of_regularity_exact
+from semireg.exact import SystemShape, degree_of_regularity_exact, krawtchouk_stream
 from semireg.intervals import Enclosure
 from semireg.krawtchouk import eval_integer
 from semireg.roots import (
@@ -161,17 +161,24 @@ def test_eigen_refuses_k_outside_1_to_n(k):
 @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "every-seed-NaN"])
 def test_every_bracket_is_made_at_most_default_width_wide(monkeypatch, seeded):
     # verify and the routes pass no width: the chain makes every bracket of
-    # d_k(1) and of lambda_k that narrow, cold and warm from the chain of N - 1,
-    # also where no seeded window is accepted and bisection does it all
+    # d_k(1) that narrow, cold and warm from the chain of N - 1, also where no
+    # seeded window is accepted and bisection does it all.  The bracket of
+    # lambda_k holds N - 2 times it, each end less than 2^-21 outside, and is
+    # rounded to the 2^-21 grid where it is finer: its minor signs never run
+    # at a tiny root's exponent
     if not seeded:
         monkeypatch.setattr(roots_mod._RootChain, "_seed", lambda self, k, br: math.nan)
+    grid = Fraction(1, 1 << 21)
     previous = None
     for N in range(2, 81 if seeded else 25):
         cold, previous = roots_mod._RootChain(N), roots_mod._RootChain(N, previous)
         for chain in (cold, previous):
             for k in range(1, N + 1):
-                for br in (chain.bracket(k), chain.eigen(k)):
-                    assert br.hi - br.lo <= DEFAULT_WIDTH, (N, k)
+                root, lam = chain.bracket(k), chain.eigen(k)
+                assert root.hi - root.lo <= DEFAULT_WIDTH, (N, k)
+                assert 0 <= (N - 2 * root.hi) - lam.lo < grid, (N, k)
+                assert 0 <= lam.hi - (N - 2 * root.lo) < grid, (N, k)
+                assert lam.e == min(root.e, 21), (N, k)
 
 
 def test_routes_make_brackets_only_up_to_the_degree_they_decide(monkeypatch):
@@ -275,7 +282,7 @@ def _misleading_kernels(monkeypatch, at_threshold):
     integers the exact route reads.  Negated, they would mislead a route
     that decides from them.
     """
-    real_root, real_eigen = roots_mod._sign_at_dyadic, roots_mod._eigen_sign
+    real_root, real_eigen = roots_mod._explicit_sum, roots_mod._eigen_sign
     reads = []
 
     def root(N, k, p, e):
@@ -292,7 +299,7 @@ def _misleading_kernels(monkeypatch, at_threshold):
             return -out
         return out
 
-    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", root)
+    monkeypatch.setattr(roots_mod, "_explicit_sum", root)
     monkeypatch.setattr(roots_mod, "_eigen_sign", eigen)
     return reads
 
@@ -389,13 +396,13 @@ def test_float_seed_settles_most_brackets(monkeypatch):
     # the real seed's windows are accepted: two signs per bracket instead of
     # about twenty bisection steps
     evaluations = []
-    real = roots_mod._sign_at_dyadic
+    real = roots_mod._explicit_sum
 
     def counted(*args):
         evaluations.append(args)
         return real(*args)
 
-    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", counted)
+    monkeypatch.setattr(roots_mod, "_explicit_sum", counted)
     assert [(r.name, r.checked, r.passed) for r in run_all(20)] == RUN_ALL_20
     del evaluations[:]
     smallest_root_chain(36, 36, SEED_WIDTH)
@@ -439,7 +446,7 @@ def test_refining_a_made_bracket_runs_no_newton(monkeypatch):
     chain = roots_mod._RootChain(36)
     chain.bracket(36)
     evaluations = []
-    real = roots_mod._sign_at_dyadic
+    real = roots_mod._explicit_sum
 
     def counted(*args):
         evaluations.append(args)
@@ -447,18 +454,19 @@ def test_refining_a_made_bracket_runs_no_newton(monkeypatch):
 
     monkeypatch.setattr(semireg.exact, "_krawtchouk_ratios",
                         lambda N, k, x: pytest.fail("a float seed ran"))
-    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", counted)
+    monkeypatch.setattr(roots_mod, "_explicit_sum", counted)
     width = Fraction(1, 1 << 40)
     for k in range(1, 37):
         assert chain.refine(k, width).enclosure().width <= width
     assert len(evaluations) <= 2 * 35  # the kept seeds' windows are accepted
 
 
-@pytest.mark.parametrize("max_N,accepted", [(60, 3540), (128, 16256)])
+@pytest.mark.parametrize("max_N,accepted", [(60, 1770), (128, 8128)])
 def test_every_seeded_window_is_accepted(monkeypatch, max_N, accepted):
-    # every root and eigen bracket of run_all tries its float seed's window
-    # once, and two exact signs accept each: a float kernel or a seed that
-    # lands worse shows here as a refused window
+    # every root bracket of degree k >= 2 that run_all makes tries its float
+    # seed's window once, and two exact signs accept each: a float kernel or
+    # a seed that lands worse shows here as a refused window.  No eigenvalue
+    # bracket tries one: each is its root's bracket mirrored
     results = []
     narrow = roots_mod.DyadicBracket.narrow
     monkeypatch.setattr(roots_mod.DyadicBracket, "narrow",
@@ -704,10 +712,10 @@ def test_tiny_root_sign_matches_the_recurrence(data):
 
 def test_tiny_root_sign_falls_back_in_the_band(monkeypatch):
     # at the ends of a narrow bracket of d_40^60(1) ~ 0.031 neither bound
-    # decides, so the recurrence must; twice the root or half of it, a bound does
+    # decides, so the explicit sum must; twice the root or half of it, a bound does
     calls = []
-    real = roots_mod._sign_at_dyadic
-    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", lambda *a: calls.append(a) or real(*a))
+    real = roots_mod._explicit_sum
+    monkeypatch.setattr(roots_mod, "_explicit_sum", lambda *a: calls.append(a) or real(*a))
     br = roots_mod._RootChain(60).refine(40, BAND_WIDTH)
     assert 0 < br.lo < br.hi < 1
     sign = roots_mod._root_sign(60, 40)
@@ -724,7 +732,7 @@ def test_chain_fallback_reads_the_bracket_sign(monkeypatch):
     # where d_k(1) lies; it must read the one sign function its bracket
     # keeps, so the tiny-root bounds serve it too
     made, inside = {}, []
-    real_root_sign, real_sign_at = roots_mod._root_sign, roots_mod._sign_at_dyadic
+    real_root_sign, real_sign_at = roots_mod._root_sign, roots_mod._explicit_sum
 
     def root_sign(N, k):
         real = real_root_sign(N, k)
@@ -739,13 +747,13 @@ def test_chain_fallback_reads_the_bracket_sign(monkeypatch):
         made.setdefault(k, []).append(sign)
         return sign
 
-    def sign_at_dyadic(N, k, p, e):
+    def explicit_sum(N, k, p, e):
         assert inside == [k], "a root sign read past the bracket's sign function"
         return real_sign_at(N, k, p, e)
 
     _refuse_windows(monkeypatch)
     monkeypatch.setattr(roots_mod, "_root_sign", root_sign)
-    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", sign_at_dyadic)
+    monkeypatch.setattr(roots_mod, "_explicit_sum", explicit_sum)
     chain = roots_mod._RootChain(40)
     for k in range(1, 41):
         sign_at = chain.bracket(k).sign_at
@@ -754,9 +762,10 @@ def test_chain_fallback_reads_the_bracket_sign(monkeypatch):
 
 
 def test_tiny_root_signs_skip_the_recurrence_at_256(monkeypatch):
-    # the full chain at N = 256: most signs left of 1 never run the recurrence
-    below_one, recurrence = [0], [0]
-    real_root_sign, real = roots_mod._root_sign, roots_mod._sign_at_dyadic
+    # the full chain at N = 256: most signs left of 1 never evaluate the
+    # explicit sum's Horner recurrence
+    below_one, evaluated = [0], [0]
+    real_root_sign, real = roots_mod._root_sign, roots_mod._explicit_sum
 
     def root_sign(N, k):
         inner = real_root_sign(N, k)
@@ -766,15 +775,15 @@ def test_tiny_root_signs_skip_the_recurrence_at_256(monkeypatch):
             return inner(p, e)
         return sign
 
-    def sign_at_dyadic(N, k, p, e):
-        recurrence[0] += p >> e == 0
+    def explicit_sum(N, k, p, e):
+        evaluated[0] += p >> e == 0
         return real(N, k, p, e)
 
     monkeypatch.setattr(roots_mod, "_root_sign", root_sign)
-    monkeypatch.setattr(roots_mod, "_sign_at_dyadic", sign_at_dyadic)
+    monkeypatch.setattr(roots_mod, "_explicit_sum", explicit_sum)
     smallest_root_chain(256, 256)
     assert below_one[0] > 400
-    assert recurrence[0] <= 0.2 * below_one[0]
+    assert evaluated[0] <= 0.2 * below_one[0]
 
 
 def test_tiny_root_bounds_leave_the_enclosures_unchanged(monkeypatch):
@@ -789,12 +798,23 @@ def test_tiny_root_bounds_leave_the_enclosures_unchanged(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_root_kernel_matches_the_cleared_values(data):
+    # the explicit sum in Horner form against the three-term recurrence:
+    # both are k! 2^(e k) K_k(p / 2^e)
     N = data.draw(st.integers(1, 120), label="N")
     k = data.draw(st.integers(1, N), label="k")
     e = data.draw(st.integers(0, 160), label="e")
     p = data.draw(st.integers(0, N << e), label="p")
-    assert roots_mod._sign_at_dyadic(N, k, p, e) == cleared_values(
+    assert roots_mod._explicit_sum(N, k, p, e) == cleared_values(
         N, (N << e) - 2 * p, 1 << (2 * e), k)[k]
+
+
+def test_root_kernel_at_integer_points_is_k_factorial_times_the_stream():
+    # at e = 0 the kernel is k! K_k(x), and the divided stream yields K_k(x)
+    for N in (1, 2, 7, 36, 61):
+        for x in range(N + 1):
+            values = list(krawtchouk_stream(N, N - 2 * x))
+            for k in range(1, N + 1):
+                assert roots_mod._explicit_sum(N, k, x, 0) == math.factorial(k) * values[k]
 
 
 @functools.lru_cache(maxsize=None)
@@ -852,4 +872,4 @@ def test_leading_minor_is_the_root_kernel_at_the_mirrored_point(data):
     k = data.draw(st.integers(1, N), label="k")
     e = data.draw(st.integers(0, 40), label="e")
     p = data.draw(st.integers(-N << e, N << e), label="p")
-    assert _leading_minor(N, k, p, e) << k == roots_mod._sign_at_dyadic(N, k, (N << e) - p, e + 1)
+    assert _leading_minor(N, k, p, e) << k == roots_mod._explicit_sum(N, k, (N << e) - p, e + 1)

@@ -17,7 +17,7 @@ from oracle_utils import cleared_values, gf_convolution_check, gf_identity_refer
 from semireg.exact import SystemShape
 from semireg.intervals import DyadicBracket
 from semireg.krawtchouk import gf_identity_check, integer_values
-from semireg.verify import CheckResult, _duality_gap, _interlacing, _nums, _overlaps, \
+from semireg.verify import CheckResult, _interlacing, _nums, _overlaps, \
     _shapes_before, check_eigenvalue_root_duality, check_gf_identity, check_orthogonality, \
     check_sandwich, check_three_way_agreement, enumerate_shapes, run_all
 
@@ -210,7 +210,9 @@ def test_orthogonality_counts_every_pair_up_to_the_envelope(max_N, checked):
 
 def test_verify_reports_a_kernel_fault_as_a_failure(monkeypatch, capsys):
     # the j (N - j + 2) kernel of test_roots.py::test_lift_off_stops_a_wrong_kernel
-    # makes the chain raise AssertionError at N = 3: a FAIL line, not a traceback
+    # makes the chain raise AssertionError at N = 3: a FAIL line, not a traceback.
+    # Route 3's minor signs refute its bracket of d_2(1) at N = 2 already, and
+    # three-way, whose eigenvalue route reads that check, fails on it at N = 3
     monkeypatch.setattr(semireg.roots, "_root_sign", wrong_root_sign)
     assert cli.main(["verify", "10"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -220,8 +222,9 @@ def test_verify_reports_a_kernel_fault_as_a_failure(monkeypatch, capsys):
     assert lines[0].startswith("interlacing: FAIL (1 cases)  N=3, k=3: lo stayed 0 ")
     assert lines[1] == "gf_identity: PASS (20 cases)"
     assert lines[2] == "orthogonality: PASS (285 cases)"
-    assert lines[4] == "eigenvalue_root_duality: FAIL (1 cases)  duality gap at N=2, k=2"
-    assert lines[6:] == ["4/6 suites passed"]
+    assert lines[3] == "three_way_agreement: FAIL (0 cases)  duality gap at N=3, k=2"
+    assert lines[4] == "eigenvalue_root_duality: FAIL (0 cases)  duality gap at N=2, k=2"
+    assert lines[5:] == ["sandwich: PASS (20 cases)", "3/6 suites passed"]
 
 
 def test_chain_suites_name_n_for_a_fault_without_it():
@@ -329,11 +332,12 @@ def test_warm_start_is_left_of_the_root(shared_pass_60):
 
 
 def test_shared_pass_accepts_every_seeded_window(shared_pass_60):
-    # every root and eigenvalue bracket is settled by its seeded window, and
-    # a root bracket is bisected only to lift its lower end off 0 (a root
+    # every root bracket of degree k >= 2 is settled by its seeded window,
+    # no eigenvalue bracket tries one (each is its root's bracket mirrored),
+    # and a root bracket is bisected only to lift its lower end off 0 (a root
     # below the window), and never once it is narrower than 1/1024
     _, narrows, root_steps = shared_pass_60
-    assert len(narrows) > 3000 and all(narrows)
+    assert len(narrows) == sum(N - 1 for N in range(2, 61)) and all(narrows)
     width = Fraction(1, 1024)
     assert all(lo == 0 or Fraction(hi - lo, 1 << e) > width for lo, hi, e in root_steps)
 
@@ -407,24 +411,6 @@ def _frac(p, e):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 64), _brackets(), _brackets(),
-       st.sampled_from(["drawn", "k = 1", "mirrored"]), st.integers(-3, 3), st.integers(0, 3))
-def test_duality_gap_matches_the_fraction_formula(N, root, lam, kind, shift, extra):
-    if kind == "k = 1":
-        lam = (0, 0, 0)  # lambda_1 = 0
-    elif kind == "mirrored":
-        # N - 2 root, moved and widened by a few units of a finer grid: the
-        # cases where the two sides of the test are close or equal
-        r_lo, r_hi, e = root
-        lam = (((N << e) - 2 * r_hi << extra) + shift,
-               ((N << e) - 2 * r_lo << extra) + shift + extra, e + extra)
-    r_lo, r_hi = _frac(root[0], root[2]), _frac(root[1], root[2])
-    l_lo, l_hi = _frac(lam[0], lam[2]), _frac(lam[1], lam[2])
-    gap = abs((N - (r_lo + r_hi)) - (l_lo + l_hi) / 2) > 2 * (r_hi - r_lo) + (l_hi - l_lo)
-    assert _duality_gap(N, root, lam) == gap
-
-
-@settings(max_examples=300, deadline=None)
 @given(_brackets(), _brackets(), st.integers(0, 3), st.booleans())
 def test_overlap_matches_the_fraction_comparison(upper, lower, shift, touch):
     if touch:
@@ -459,26 +445,22 @@ def test_interlacing_passes_touching_brackets_at_470():
     assert not _overlaps(_nums(upper), _nums(lower))
 
 
-def test_duality_on_the_edge_of_the_widths():
-    # root [1, 3]/4 and lambda [5, 7]/4 at N = 4: N - 2 mid(root) = 3 and
-    # mid(lambda) = 3/2, a distance of 3/2 against the widths 2 (1/2) + 1/2
-    assert not _duality_gap(4, (1, 3, 2), (5, 7, 2))
-    assert _duality_gap(4, (1, 3, 2), (11, 13, 3))  # same mid, width 1/4: 3/2 > 5/4
-    assert not _duality_gap(4, (1, 1, 0), (2, 2, 0))  # points on lambda = N - 2 d
-    assert _duality_gap(4, (1, 1, 0), (3, 3, 1))
-
-
 def test_duality_reports_a_shifted_eigen_bracket(monkeypatch):
-    # lambda_4 at N = 10 moved up by one: the suite must stop there
-    eigen = semireg.roots._RootChain.eigen
+    # lambda_4 at N = 10 moved up by one in the minor signs that check it:
+    # both ends of the mirrored root bracket then read negative, and the
+    # suite must stop there
+    eigen_sign = semireg.roots._eigen_sign
 
-    def shifted(chain, k):
-        br = eigen(chain, k)
-        if (chain.N, k) != (10, 4):
-            return br
-        return DyadicBracket(None, br.num_lo + (1 << br.e), br.num_hi + (1 << br.e), br.e)
+    def shifted(N, k, p, e):
+        return eigen_sign(N, k, p - (((N, k) == (10, 4)) << e), e)
 
-    monkeypatch.setattr(semireg.roots._RootChain, "eigen", shifted)
+    monkeypatch.setattr(semireg.roots, "_eigen_sign", shifted)
     res = check_eigenvalue_root_duality(12)
     assert (res.passed, res.detail) == (False, "duality gap at N=10, k=4")
-    assert res.checked == sum(range(2, 10)) + 3
+    assert res.checked == sum(range(2, 10))  # a chain that fails counts no case
+    # the library routes that read that bracket raise the same gap
+    for route in (lambda: semireg.roots.largest_eigenvalue(10, 4),
+                  lambda: semireg.roots.dreg_via_eigenvalues(SystemShape(9, 8))):
+        with pytest.raises(AssertionError, match=r"^duality gap at N=10, k=4$"):
+            route()
+    assert semireg.roots.dreg_via_eigenvalues(SystemShape(7, 4)) == 3  # decided below k = 4
