@@ -133,7 +133,11 @@ class AiryConstant(namedtuple("AiryConstant", "i1 precision_radius")):
 
     def __new__(cls, i1: Fraction = Fraction("3.37213"),
                 precision_radius: Fraction = Fraction(1, 100_000)) -> "AiryConstant":
-        i1, precision_radius = Fraction(i1), Fraction(precision_radius)
+        try:
+            i1, precision_radius = Fraction(i1), Fraction(precision_radius)
+        except OverflowError:  # an infinite float; a NaN raises ValueError itself
+            raise ValueError(f"i1 and precision_radius must be finite; "
+                             f"got {i1}, {precision_radius}") from None
         if i1 <= 0:
             raise ValueError("i1 must be positive")
         if precision_radius < 0:
@@ -292,15 +296,16 @@ def ls_lower_asymptotic_case(family: str, n: int, parameter: float | None = None
     and n_pow_2_minus_gamma (m = n^(2-gamma), gamma in (0, 1]; gamma = 1 is
     the boundary case kept as a documented limit).
     """
-    if n < 2:
-        raise ValueError(f"requires n >= 2; got n={n}")
+    # each test is false for a NaN, and the upper end < inf refuses an infinity
+    if not 2 <= n < math.inf:
+        raise ValueError(f"requires finite n >= 2; got n={n}")
     if family == "n_plus_alpha":
-        if parameter is None or parameter <= 0:
-            raise ValueError(f"alpha must be positive; got {parameter}")
+        if parameter is None or not 0 < parameter < math.inf:
+            raise ValueError(f"alpha must be positive and finite; got {parameter}")
         return n / (4 * (1 + 2 * parameter / n))
     if family == "beta_n":
-        if parameter is None or parameter <= 1:
-            raise ValueError(f"beta must exceed 1; got {parameter}")
+        if parameter is None or not 1 < parameter < math.inf:
+            raise ValueError(f"beta must exceed 1 and be finite; got {parameter}")
         return n / (4 * (2 * parameter - 1))
     if family == "n_log_n":
         if parameter is not None:

@@ -415,6 +415,8 @@ def f5_cost_log2(shape: SystemShape, dreg: int, omega: float = 2.373) -> float:
     """
     if dreg < 1:
         raise ValueError(f"requires dreg >= 1; got {dreg}")
+    if not -math.inf < omega < math.inf:  # false for a NaN too
+        raise ValueError(f"omega must be finite; got {omega}")
     try:
         v, r = _f5_estimate(shape, dreg, omega)
     except OverflowError:  # n + dreg beyond a float: nan fails the test below

@@ -365,12 +365,14 @@ def test_airy_constant_takes_its_fields_exactly():
         assert airy == exact and all(type(x) is Fraction for x in airy)
         assert [ls_lower(s, airy) for s in shapes] == [ls_lower(s, exact) for s in shapes]
     assert ls_lower(SystemShape(24, 12), AiryConstant(i1=3.37213)).value == 4
+
+
+@pytest.mark.parametrize("field", ["i1", "precision_radius"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_airy_constant_refuses_non_finite_fields(field, value):
+    # a NaN and an infinity alike are a ValueError, not an OverflowError
     with pytest.raises(ValueError):
-        AiryConstant(i1=math.nan)
-    with pytest.raises(ValueError):
-        AiryConstant(precision_radius=math.nan)
-    with pytest.raises(OverflowError):
-        AiryConstant(i1=math.inf)
+        AiryConstant(**{field: value})
 
 
 @pytest.mark.parametrize("airy", [
@@ -420,6 +422,19 @@ def test_asymptotic_case_rejects_bad_parameters():
         ls_lower_asymptotic_case("n_log_n", 1024, 2.0)
     with pytest.raises(ValueError):
         ls_lower_asymptotic_case("nope", 1024, 1)
+
+
+@pytest.mark.parametrize("family,n,parameter", [
+    ("beta_n", 4, math.nan), ("beta_n", 4, math.inf),
+    ("n_plus_alpha", 16, math.nan), ("n_plus_alpha", 16, math.inf),
+    ("n_pow_2_minus_gamma", 16, math.nan),
+    ("n_log_n", math.nan, None), ("n_log_n", math.inf, None),
+    ("beta_n", math.nan, 2), ("n_plus_alpha", math.inf, 100),
+])
+def test_asymptotic_case_refuses_non_finite_inputs(family, n, parameter):
+    # each returned nan, inf or 0.0 before it was refused
+    with pytest.raises(ValueError):
+        ls_lower_asymptotic_case(family, n, parameter)
 
 
 # ---------------------------------------------------------------- LS upper

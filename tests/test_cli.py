@@ -290,6 +290,20 @@ def test_table_refuses_unread_option(capsys, argv, unread):
     assert err.startswith("error:") and f"does not read {unread}" in err
 
 
+def test_table_precision_is_gone(capsys):
+    # no computation read it, so the option is refused like any unknown one;
+    # the JSON keeps its default's echo, "1/1000000", for the recorded goldens
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--family", "2n", "--n-values", "64", "--precision", "1/3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("semireg: error: unrecognized arguments: --precision 1/3\n")
+    code, out, _ = run_cli(capsys, "table", "--family", "2n", "--n-values", "64",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["metadata"]["precision"] == "1/1000000"
+
+
 def test_table_output_deterministic_all_formats(capsys):
     for fmt in ("md", "csv", "json"):
         args = ("table", "--family", "8n", "--n-values", "256,512", "--format", fmt)
@@ -609,6 +623,7 @@ _PARSER_ARGVS = [
     [], ["frobnicate"],
     ["exact", "x", "12"], ["bounds", "24", "12", "--frobnicate"], ["exact", "24"],
     ["verify", "10", "--precision", "-1"], ["verify", "10", "--precision", "1/3"],
+    ["table", "--family", "2n", "--n-values", "64", "--precision", "1/3"],
     ["bounds", "24", "12", "-h"], ["table", "--help"], ["verify", "10", "--ceiling", "x"],
     # argv[0] names no subcommand, so every subparser gets its arguments
     ["--", "bounds", "24", "12"], ["-h", "bounds"], ["bound", "24", "12"],
@@ -654,7 +669,7 @@ def test_build_parser_adds_the_arguments_of_the_command_argv_names():
     every = {"exact": ["help", "m", "n", "coefficients"],
              "bounds": ["help", "m", "n", "curve", "airy_i1", "airy_radius"],
              "table": ["help", "family", "n_values", "pairs", "columns", "format",
-                       "precision", "airy_i1", "airy_radius"],
+                       "airy_i1", "airy_radius"],
              "verify": ["help", "max_N", "ceiling"]}
     parser = semireg.cli.build_parser(["bounds", "24", "12"])
     assert dests(parser) == {name: every[name] if name == "bounds" else ["help"]

@@ -553,6 +553,13 @@ def test_f5_cost_rejects_bad_dreg():
         f5_cost_log2(SystemShape(24, 12), 0)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_f5_cost_refuses_a_non_finite_omega(omega):
+    # a NaN or an infinity came back as the cost itself
+    with pytest.raises(ValueError):
+        f5_cost_log2(SystemShape(24, 12), 4, omega=omega)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 30_000), st.integers(1, 20_000), st.integers(1, 100))
 def test_f5_cost_cell_matches_exact_binomial(n, dreg, extra):
