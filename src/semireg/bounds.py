@@ -343,12 +343,8 @@ def ls_upper(shape: SystemShape) -> BoundOutcome:
     def accepts(k: int) -> bool:
         return (N - k + 2) * (k - 1) >= n * n
 
-    s = math.isqrt(disc)
-    k = max(2, (N + 3 - s) // 2 - 2)
-    while not accepts(k):
-        k += 1
-    if accepts(k - 1):
-        raise AssertionError("integer ceiling certificate failed")
+    # accepts rises on [1, (N + 3) // 2], refuses 1 and, as disc >= 0, takes the top
+    k = integer_gallop(1, (N + 3) // 2, accepts, (N + 3 - math.isqrt(disc)) // 2)
     return BoundOutcome(
         kind=BoundKind.LS_UPPER,
         value=1 + k,

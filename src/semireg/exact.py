@@ -36,7 +36,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
 
-from .intervals import integer_gallop
+from .intervals import DEFAULT_WIDTH, integer_gallop
 
 __all__ = [
     "SystemShape",
@@ -301,6 +301,9 @@ def _transposed_dreg(N: int, t: int, first: tuple[int, tuple[bool, int]] | None 
 # Steps between the power-of-two rescalings of `_krawtchouk_ratios`.
 _RESCALE_BLOCK = 64
 
+# `_root_seed`'s default relative accuracy: the root chain's window width.
+_SEED_ACCURACY = float(DEFAULT_WIDTH)
+
 
 def _krawtchouk_ratios(N: int, k: int, x: float) -> tuple[float, float] | None:
     """(p'/p, p''/p) for p = K_k^N at x, k >= 1, or None if K_j(x) <= 0 for some j <= k.
@@ -364,8 +367,9 @@ def _root_seed(N: int, k: int, lo: Fraction | float = 0,
     the first step's end and asks for infinity, one float evaluation: a
     second costs about as much as an exact probe, and would save one only
     where the floor is d - 2.  By default, for the root chain, it stops right
-    after a step of at most 2^-20 max(1, |x|): a further step would move x
-    by about the cube of that, below a float's rounding.  Every float is
+    after a step of at most DEFAULT_WIDTH max(1, |x|) (`_SEED_ACCURACY`): a
+    further step would move x by about the cube of that, below a float's
+    rounding.  Every float is
     formed here, so N or an end past the float range gives NaN.  Only a
     seed: nothing is decided from this value.
     """
@@ -388,7 +392,7 @@ def _root_seed(N: int, k: int, lo: Fraction | float = 0,
                 return x
             size = step
             x += step
-            if step <= (2.0 ** -20 * max(1.0, abs(x)) if accuracy is None else accuracy):
+            if step <= (_SEED_ACCURACY * max(1.0, abs(x)) if accuracy is None else accuracy):
                 return x
     except (ArithmeticError, ValueError):
         return math.nan

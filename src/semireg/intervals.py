@@ -3,11 +3,12 @@
 Everything here manipulates pairs of exact rationals [lo, hi] guaranteed to
 contain the target real number.  Widths shrink as the `bits` argument grows;
 nothing is ever rounded in an uncontrolled direction.  Every certified root
-is located by DyadicBracket, every edge of a monotone integer predicate by
-`integer_bisect`, cold, or by `integer_gallop` from a caller's start, which
-then bisects with `integer_bisect`.  A start only picks where the search
-looks, and a float enters only as a guess, which `DyadicBracket.narrow`
-tries as a window and two exact signs accept or refuse.
+is located by DyadicBracket, to the one width DEFAULT_WIDTH, and every edge
+of a monotone integer predicate by `integer_bisect`, cold, or by
+`integer_gallop` from a caller's start, which then bisects with
+`integer_bisect`.  A start only picks where the search looks, and a float
+enters only as a guess, which `DyadicBracket.narrow` tries as a window and
+two exact signs accept or refuse.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 
-__all__ = ["iroot", "integer_bisect", "integer_gallop", "Enclosure", "DyadicBracket",
-           "positive_width", "sqrt_enclosure", "nth_root_enclosure"]
+__all__ = ["iroot", "integer_bisect", "integer_gallop", "Enclosure", "WIDTH_BITS",
+           "DEFAULT_WIDTH", "DyadicBracket", "sqrt_enclosure", "nth_root_enclosure"]
 
 
 def iroot(x: int, r: int) -> int:
@@ -127,6 +128,12 @@ class Enclosure(namedtuple("Enclosure", "lo hi")):
         return self.lo == self.hi
 
 
+# Every certified bracket is refined to DEFAULT_WIDTH = 2^-WIDTH_BITS: `compare`
+# cuts a bracket exactly at an integer, so no caller needs another width.
+WIDTH_BITS = 20
+DEFAULT_WIDTH = Fraction(1, 1 << WIDTH_BITS)
+
+
 class DyadicBracket:
     """Sign-change bracket [num_lo, num_hi] / 2^e of an exact integer sign.
 
@@ -134,18 +141,20 @@ class DyadicBracket:
     function at p / 2^e (only its sign is read); the target must be negative
     at lo and positive at hi.  Each step evaluates the midpoint and keeps the
     half that still changes sign.  A zero sign at a midpoint is an exact
-    root: the bracket collapses to that point and `exact` is set.
+    root: the bracket collapses to that point, which `exact` reports.
     """
 
-    __slots__ = ("sign_at", "num_lo", "num_hi", "e", "exact")
+    __slots__ = ("sign_at", "num_lo", "num_hi", "e")
 
-    def __init__(self, sign_at: Callable[[int, int], int], num_lo: int,
-                 num_hi: int, e: int, exact: bool = False):
+    def __init__(self, sign_at: Callable[[int, int], int], num_lo: int, num_hi: int, e: int):
         self.sign_at = sign_at
         self.num_lo = num_lo
         self.num_hi = num_hi
         self.e = e
-        self.exact = exact
+
+    @property
+    def exact(self) -> bool:
+        return self.num_lo == self.num_hi
 
     @property
     def lo(self) -> Fraction:
@@ -158,30 +167,24 @@ class DyadicBracket:
     def enclosure(self) -> Enclosure:
         return Enclosure(self.lo, self.hi)
 
-    def _steps_to(self, width: Fraction) -> int:
-        """Bisection steps until the width is at most `width` (0 if it already is).
+    def _steps_to(self) -> int:
+        """Bisection steps until the width is at most DEFAULT_WIDTH (0 if it already is).
 
-        A step keeps num_hi - num_lo and raises e by one, so the count is
-        known before any step: the least s >= 0 with
-        (num_hi - num_lo) den <= num 2^(e + s), for width = num / den.
+        A step keeps d = num_hi - num_lo and raises e by one, so the count is
+        known before any step: the least s >= 0 with d <= 2^(e + s - WIDTH_BITS).
         """
-        a = (self.num_hi - self.num_lo) * width.denominator
-        b = width.numerator << self.e
-        s = max(a.bit_length() - b.bit_length(), 0)
-        return s + (a > b << s)
+        d = self.num_hi - self.num_lo
+        return max((d - 1).bit_length() + WIDTH_BITS - self.e, 0) if d else 0
 
     def _cut(self, num: int, sign: int) -> None:
-        """Move an endpoint to num / 2^e, a point where the target has `sign`."""
-        if sign == 0:
-            self.num_lo = self.num_hi = num
-            self.exact = True
-        elif sign < 0:
+        """Move an endpoint to num / 2^e, where the target has `sign`; both, at a zero."""
+        if sign <= 0:
             self.num_lo = num
-        else:
+        if sign >= 0:
             self.num_hi = num
 
     def step(self) -> None:
-        if self.exact:
+        if self.num_lo == self.num_hi:
             return
         mid = self.num_lo + self.num_hi  # numerator at exponent e + 1
         sign = self.sign_at(mid, self.e + 1)
@@ -190,38 +193,34 @@ class DyadicBracket:
         self.e += 1
         self._cut(mid, sign)
 
-    def refine(self, width: Fraction | float, guess: float = math.nan) -> None:
-        """Narrow until the width is at most `width` or the root is hit.
+    def refine(self, guess: float = math.nan) -> None:
+        """Narrow until the width is at most DEFAULT_WIDTH or the root is hit.
 
-        `width` is taken exactly as a Fraction and must be positive.  While
-        the bracket is wider than `width`, the float `guess` is tried first
-        through `narrow`; a refused guess (NaN, the default, always is)
-        leaves the work to bisection, whose step count `_steps_to` reads off
-        the bracket once.
+        While the bracket is wider, the float `guess` is tried first: the
+        window `narrow` accepts is narrow enough.  A refused guess (NaN, the
+        default, always is) leaves the work to bisection, whose step count
+        `_steps_to` reads off the bracket once.
         """
-        width = positive_width(width)
-        steps = self._steps_to(width)
-        if steps and self.narrow(guess, width):
-            steps = self._steps_to(width)
-        for _ in range(steps):
-            self.step()
+        steps = self._steps_to()
+        if steps and not self.narrow(guess):
+            for _ in range(steps):
+                self.step()
 
-    def narrow(self, guess: float, width: Fraction) -> bool:
-        """Jump to the dyadic window of width <= `width` holding a float guess.
+    def narrow(self, guess: float) -> bool:
+        """Jump to the dyadic window of width <= DEFAULT_WIDTH holding a float guess.
 
-        The window [a, a + 1] / 2^f, a = floor(guess 2^f), is accepted only
-        when it lies inside the bracket and sign_at is exactly negative at its
-        lo and positive at its hi; a zero at either end is an exact root and
-        collapses the bracket onto it.  Otherwise the bracket is left
-        untouched and False is returned, so the caller falls back to `step`:
-        the float only seeds the bracket, the two exact signs decide it.  A
-        non-finite guess, or a window outside the bracket, is rejected
+        The window [a, a + 1] / 2^f, a = floor(guess 2^f), f = max(e, WIDTH_BITS),
+        is accepted only when it lies inside the bracket and sign_at is exactly
+        negative at its lo and positive at its hi; a zero at either end is an
+        exact root and collapses the bracket onto it.  Otherwise the bracket is
+        left untouched and False is returned, so the caller falls back to
+        `step`: the float only seeds the bracket, the two exact signs decide
+        it.  A non-finite guess, or a window outside the bracket, is rejected
         without evaluating.
         """
         if self.exact or not math.isfinite(guess):
             return False
-        # the smallest f >= e with 2^-f <= width
-        e = max(self.e, ((width.denominator - 1) // width.numerator).bit_length())
+        e = max(self.e, WIDTH_BITS)
         num, den = guess.as_integer_ratio()
         lo = (num << e) // den
         shift = e - self.e
@@ -250,22 +249,10 @@ class DyadicBracket:
         x_num = x << self.e
         if self.num_lo < x_num < self.num_hi:
             self._cut(x_num, self.sign_at(x, 0))
-        if self.exact:
+        if self.num_lo == self.num_hi:
             root = self.num_lo - x_num
             return (root > 0) - (root < 0)
         return 1 if x_num <= self.num_lo else -1
-
-
-def positive_width(width: Fraction | float) -> Fraction:
-    """`width` taken exactly as a Fraction; ValueError unless it is positive and finite."""
-    if not isinstance(width, Fraction):
-        try:
-            width = Fraction(width)
-        except (OverflowError, ValueError):  # +-inf, NaN
-            raise ValueError(f"requires a positive width; got {width}") from None
-    if width.numerator <= 0:
-        raise ValueError(f"requires a positive width; got {width}")
-    return width
 
 
 def sqrt_enclosure(x: Fraction | int, bits: int) -> Enclosure:

@@ -29,9 +29,9 @@ the package's one Laguerre seed, estimates d_k(1) once, when its bracket is
 made (a tiny root takes C(N, k) / B0 of its integer bounds instead), and
 picks a short dyadic window (`DyadicBracket.narrow`), which is used only
 when two exact signs certify it; bisection takes over when they do not, and
-no decision reads a float.  Refining the bracket reuses that seed
-(`_RootChain.seeds`).  The chain of N starts Laguerre from
-the seeds of N - 1 and N - 2 (`_RootChain._seed`): d_k^(N-1)(1) is
+no decision reads a float.  Seeds are kept (`_RootChain.seeds`) only to
+warm-start later chains: the chain of N starts Laguerre from the seeds of
+N - 1 and N - 2 (`_RootChain._seed`): d_k^(N-1)(1) is
 provably left of d_k^N(1), and the extrapolation through both is tried
 first, so a seed takes about 1.9 float evaluations against 2.7 cold.
 A seed that cannot be formed is NaN, and bisection alone encloses the root.
@@ -40,11 +40,10 @@ A seed that cannot be formed is NaN, and bisection alone encloses the root.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from .exact import SystemShape, _root_seed
-from .intervals import DyadicBracket, Enclosure
+from .intervals import DEFAULT_WIDTH, WIDTH_BITS, DyadicBracket, Enclosure
 
 __all__ = [
     "DEFAULT_WIDTH",
@@ -55,8 +54,6 @@ __all__ = [
     "largest_eigenvalue",
     "dreg_via_eigenvalues",
 ]
-
-DEFAULT_WIDTH = Fraction(1, 1 << 20)
 
 # The root/eigenvalue paths exist to validate the coefficient stream, not to
 # replace it; refuse accidental huge sweeps beyond this family size.
@@ -167,7 +164,7 @@ class _RootChain:
         self.N = N
         self._brackets: list[DyadicBracket] = []
         self._eigen: dict[int, DyadicBracket] = {}
-        # the float seed of each d_k(1), kept to refine; the point d_1(1) has none
+        # the float seed of each d_k(1), kept to warm-start the chains of N + 1 and N + 2
         self.seeds: dict[int, float] = {1: math.nan}
         self.warm = (previous.seeds, previous.warm[0]) if previous else ({}, {})
 
@@ -178,40 +175,35 @@ class _RootChain:
             self._extend()
         return self._brackets[k - 1]
 
-    def refine(self, k: int, width: Fraction | float) -> DyadicBracket:
-        """Bracket k refined to `width`; lo > 0 certifies 0 < root.
-
-        Bracket k + 1 is made first, from bracket k at the exponent it was
-        made at: made from the refined bracket, it would start at that
-        exponent, and refining k by k would add the width's bits every k.
-        """
+    def enclosure(self, k: int) -> Enclosure:
+        """Bracket k's enclosure, read after bracket k + 1 is made, which can step it."""
         br = self.bracket(k)
         self.bracket(min(k + 1, self.N))
-        br.refine(width, self.seeds[k])
-        return br
+        return br.enclosure()
 
     def eigen(self, k: int) -> DyadicBracket:
         """The bracket of lambda_k: N - 2 bracket(k), checked by two minor signs.
 
         lambda_k = N - 2 d_k(1), so [N - 2 hi, N - 2 lo] of the root's
-        bracket holds it.  Where that is finer than the 2^-21 grid it is
-        rounded outward to the grid: a tiny root's bracket reaches exponents
-        up to N, and a minor sign there costs as much.  It is kept only if
+        bracket holds it.  Where that is finer than the grid of half
+        DEFAULT_WIDTH it is rounded outward to the grid: a tiny root's
+        bracket reaches exponents up to N, and a minor sign there costs as
+        much.  It is kept only if
         `_eigen_sign` is negative at its lower end and positive at its upper
         end, or zero at a point; else route 3 refutes route 2's bracket,
         and AssertionError names the duality gap.  Each end lies within
-        2^-21 of N - 2 bracket(k).
+        one grid step of N - 2 bracket(k).
         """
         br = self._eigen.get(k)
         if br is None:
             root, N = self.bracket(k), self.N
-            shift = max(root.e - 21, 0)  # onto the 2^-21 grid
+            shift = max(root.e - WIDTH_BITS - 1, 0)  # onto the grid
             lo = ((N << root.e) - 2 * root.num_hi) >> shift  # floor
             hi = -((2 * root.num_lo - (N << root.e)) >> shift)  # ceiling
             sign_at, e = partial(_eigen_sign, N, k), root.e - shift
             if not (sign_at(lo, e) == 0 if lo == hi else sign_at(lo, e) < 0 < sign_at(hi, e)):
                 raise AssertionError(f"duality gap at N={N}, k={k}")
-            br = self._eigen[k] = DyadicBracket(sign_at, lo, hi, e, exact=lo == hi)
+            br = self._eigen[k] = DyadicBracket(sign_at, lo, hi, e)
         return br
 
     def dreg(self, t: int) -> int:
@@ -233,7 +225,7 @@ class _RootChain:
         k = len(self._brackets) + 1
         if k == 1:
             # K_1(x) = N - 2x: the single root is the point N / 2
-            self._brackets.append(DyadicBracket(_root_sign(N, 1), N, N, 1, exact=True))
+            self._brackets.append(DyadicBracket(_root_sign(N, 1), N, N, 1))
             return
         prev = self._brackets[-1]
         # prev.lo <= d_{k-1}(1) < d_k(2), so a window below prev.lo where K_k
@@ -258,7 +250,7 @@ class _RootChain:
             pass
         if prev.e != e:
             br = DyadicBracket(sign_at, 0, prev.num_lo, prev.e)
-        if not br.narrow(seed, DEFAULT_WIDTH):
+        if not br.narrow(seed):
             # d_k(1) < d_(k-1)(1), so stepping prev lifts prev.lo past d_k(1)
             # once prev is narrower than their gap.  Over k, the least gap is
             # 26% of min(1, d_(k-1)(1)) at N = 32 and 6.9% at N = 512,
@@ -279,8 +271,7 @@ class _RootChain:
             # If K_k < 0 at prev.lo, the bracket (0, prev.lo) isolates
             # d_k(1); a root of K_k at or below d_{k-1}(1) can only be
             # d_k(1) itself.
-            br = DyadicBracket(sign_at, 0 if sign > 0 else prev.num_lo, prev.num_lo,
-                               prev.e, exact=sign == 0)
+            br = DyadicBracket(sign_at, 0 if sign > 0 else prev.num_lo, prev.num_lo, prev.e)
         # lo > 0 certifies 0 < root and leaves bracket k + 1 room below lo
         if not br.exact and br.num_lo == 0:
             for _ in range(_lift_off_steps(N, k, br.num_hi, br.e)):
@@ -293,7 +284,7 @@ class _RootChain:
                     "but K_k > 0 below min(1, C(N, k) / B0)"
                 )
         # a no-op where the seeded window was accepted
-        br.refine(DEFAULT_WIDTH, seed)
+        br.refine(seed)
         self._brackets.append(br)
 
     def _seed(self, k: int, br: DyadicBracket) -> float:
@@ -301,9 +292,9 @@ class _RootChain:
 
         Left of 1 the bounds of `_root_sign` put d_k(1) in [r, r / (1 - d H)],
         r = C(N, k) / B0 and H = H_{k-1}: from C(N, k) = d B(d) >=
-        d B0 (1 - d H).  Where br.hi < 1 and r H < 2^-20, the relative
-        accuracy `_root_seed` stops at, r itself is the seed, with no float
-        recurrence: past k = N/2 that recurrence is unstable left of tiny
+        d B0 (1 - d H).  Where br.hi < 1 and r H < DEFAULT_WIDTH, the
+        relative accuracy `_root_seed` stops at, r itself is the seed, with
+        no float recurrence: past k = N/2 that recurrence is unstable left of tiny
         roots, and its seeds there could land right of the root (refused
         windows: 493 of 65,280 at N <= 256 with Laguerre there, 1 with r).
         Elsewhere Laguerre runs.  K_k^N = K_k^(N-1) + K_(k-1)^(N-1), and both
@@ -317,7 +308,7 @@ class _RootChain:
         """
         if br.num_hi >> br.e == 0:
             c, L, b0, h = _tiny_terms(self.N, k)
-            if c * h << 20 < b0:  # r H < 2^-20, in integers
+            if c * h << WIDTH_BITS < b0:  # r H < DEFAULT_WIDTH, in integers
                 return c * L / b0  # correctly rounded, and below 1
         last = self.warm[0].get(k)
         if last is None:
@@ -347,33 +338,30 @@ def _lift_off_steps(N: int, k: int, num_hi: int, e: int) -> int:
     return (ratio - 1).bit_length() + 1
 
 
-def smallest_root(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) -> Enclosure:
-    """Certified enclosure of d_k^N(1), 1 <= k <= N, with 0 < lo and hi - lo <= width.
+def smallest_root(N: int, k: int) -> Enclosure:
+    """Certified enclosure of d_k^N(1), 1 <= k <= N: 0 < lo, hi - lo <= DEFAULT_WIDTH.
 
     K_k is positive at lo and negative at hi; an exact rational hit (for
     instance d_1 = N/2) collapses to a point enclosure instead of failing.
     """
-    return _RootChain(N).refine(k, width).enclosure()
+    return _RootChain(N).enclosure(k)
 
 
-def smallest_root_chain(
-    N: int, k_max: int, width: Fraction | float = DEFAULT_WIDTH
-) -> list[Enclosure]:
+def smallest_root_chain(N: int, k_max: int) -> list[Enclosure]:
     """Enclosures of d_k^N(1) for all k = 1..k_max off one shared chain."""
     chain = _RootChain(N)
-    return [chain.refine(k, width).enclosure() for k in range(1, k_max + 1)]
+    return [chain.enclosure(k) for k in range(1, k_max + 1)]
 
 
-def largest_eigenvalue(N: int, k: int, width: Fraction | float = DEFAULT_WIDTH) -> Enclosure:
-    """Certified enclosure of the largest eigenvalue lambda_k, 1 <= k <= N, width <= width.
+def largest_eigenvalue(N: int, k: int) -> Enclosure:
+    """Certified enclosure of the largest eigenvalue lambda_k, 1 <= k <= N, <= DEFAULT_WIDTH wide.
 
     An exact rational eigenvalue hit (for instance lambda_1 = 0) collapses to
     a point enclosure.  The bracket is made from those of d_1(1)..d_k(1)
-    (`_RootChain.eigen`) and bisected to `width`, so a coarser `width` gets
-    the bracket as made.
+    (`_RootChain.eigen`) and bisected to DEFAULT_WIDTH.
     """
     br = _RootChain(N).eigen(k)
-    br.refine(width)
+    br.refine()
     return br.enclosure()
 
 

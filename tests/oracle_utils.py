@@ -35,7 +35,7 @@ from semireg.bounds import DEFAULT_AIRY, AiryConstant, CertificationMethod, _l_a
 from semireg.exact import SystemShape, binomial, krawtchouk_stream
 from semireg.intervals import Enclosure, iroot, nth_root_enclosure, sqrt_enclosure
 from semireg.krawtchouk import integer_values
-from semireg.roots import DEFAULT_WIDTH, dreg_via_eigenvalues, dreg_via_roots, largest_eigenvalue
+from semireg.roots import dreg_via_eigenvalues, dreg_via_roots, largest_eigenvalue
 from semireg.verify import CheckResult, enumerate_shapes
 
 
@@ -607,12 +607,10 @@ class GolubKahanSpectrum:
     lambda_max: Enclosure
 
     @classmethod
-    def compute(
-        cls, N: int, k: int, width: Fraction = DEFAULT_WIDTH
-    ) -> "GolubKahanSpectrum":
+    def compute(cls, N: int, k: int) -> "GolubKahanSpectrum":
         return cls(
             N=N,
             k=k,
             squared_offdiagonals=tuple((i + 1) * (N - i) for i in range(k - 1)),
-            lambda_max=largest_eigenvalue(N, k, width),
+            lambda_max=largest_eigenvalue(N, k),
         )

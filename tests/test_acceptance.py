@@ -86,9 +86,9 @@ def test_criterion_2_figure_vectors():
     assert sextic_value(36, 12, Fraction("1.80")) < 0 < sextic_value(36, 12, Fraction("1.82"))
     assert l_upper(shape).value == 7
 
-    d3 = smallest_root(36, 3, Fraction(1, 10**4))
+    d3 = smallest_root(36, 3)
     assert Fraction("12.84") <= d3.lo and d3.hi <= Fraction("12.86")
-    d6 = smallest_root(36, 6, Fraction(1, 10**4))
+    d6 = smallest_root(36, 6)
     assert Fraction("8.44") <= d6.lo and d6.hi <= Fraction("8.46")
 
     assert 12.46 <= ls_lower_root_bound(36, 3) <= 12.48

@@ -1,6 +1,7 @@
 """Tests for the four closed-form bounds and their certification machinery."""
 
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from semireg.exact import SystemShape, degree_of_regularity_exact
-from semireg.krawtchouk import eval_integer
+from semireg.krawtchouk import eval_integer, integer_values
 from semireg.bounds import (
     AiryConstant,
     BoundKind,
@@ -697,7 +698,7 @@ def test_seeded_bounds_fall_back_to_bisection(monkeypatch, refuse):
     # `DyadicBracket.narrow` refused, each outcome over N <= 40 is the same
     shapes = list(enumerate_shapes(40))
     expected = [[bound(shape) for bound in CERTIFIED] for shape in shapes]
-    monkeypatch.setattr(DyadicBracket, refuse, lambda self, guess, width: False)
+    monkeypatch.setattr(DyadicBracket, refuse, lambda self, guess: False)
     assert [[bound(shape) for bound in CERTIFIED] for shape in shapes] == expected
 
 
@@ -714,9 +715,17 @@ def test_l_upper_root_bound_figure_value():
     assert 11.96 <= l_upper_root_bound(36, 6) <= 11.98
 
 
-def test_l_upper_root_bound_range():
-    with pytest.raises(ValueError):
-        l_upper_root_bound(36, 19)
+@pytest.mark.parametrize("function,args,message", [
+    (l_upper_root_bound, (36, 19), "requires 1 <= k <= N/2"),
+    (ls_lower_root_bound, (10, 0), "requires 1 <= k <= N; got k=0, N=10"),
+    (ls_upper_root_bound, (10, 11), "requires 1 <= k <= N; got k=11, N=10"),
+    (kz_root_bound, (10, 5), "requires 1 <= k < N/2; got k=5, N=10"),
+    (integer_values, (10, 2, 11), "requires 0 <= k_max <= N; got k_max=11, N=10"),
+], ids=["l_upper_root_bound", "ls_lower_root_bound", "ls_upper_root_bound", "kz_root_bound",
+        "integer_values"])
+def test_degree_outside_the_range_refused(function, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        function(*args)
 
 
 def test_sextic_derivative_factorization_identity():

@@ -429,10 +429,16 @@ def test_table_families_never_build_the_exact_binomial(capsys, monkeypatch):
     assert calls == []
 
 
-def test_table_rejects_bad_family(capsys):
-    code, _, err = run_cli(capsys, "table", "--family", "kn", "--n-values", "16")
-    assert code == 2
-    assert "family" in err
+@pytest.mark.parametrize("family,n_values,message", [
+    ("kn", "16", "unknown family 'kn'"),
+    ("n+0", "16", "affine family requires a positive offset"),
+    ("1n", "16", "multiple family requires a factor >= 2"),
+    ("nlog2n", "1", "requires n >= 2; got n=1"),
+], ids=["kn", "n+0", "1n", "nlog2n-1"])
+def test_table_rejects_bad_family(capsys, family, n_values, message):
+    code, out, err = run_cli(capsys, "table", "--family", family, "--n-values", n_values)
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err
 
 
 def test_table_rejects_invalid_generated_shape(capsys):

@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semireg.intervals import (
+    DEFAULT_WIDTH,
+    WIDTH_BITS,
     DyadicBracket,
     Enclosure,
     integer_bisect,
@@ -200,7 +202,7 @@ def _poly_sign(coeffs):
 def test_dyadic_bracket_hits_exact_root():
     # w^4 + w - 2 vanishes at w = 1, the first midpoint of [0, 2]
     br = DyadicBracket(_poly_sign([-2, 1, 0, 0, 1]), 0, 2, 0)
-    br.refine(Fraction(1, 1 << 30))
+    br.refine()
     assert br.exact
     assert (br.num_lo, br.num_hi, br.e) == (2, 2, 1)
     assert br.lo == br.hi == 1
@@ -225,42 +227,32 @@ def test_dyadic_bracket_keeps_sign_orientation(coeffs, root):
     assert br.hi - br.lo == Fraction(2, 1 << 40)
 
 
-@pytest.mark.parametrize("bits", [0, 1, 7, 33])
-def test_dyadic_bracket_refine_stops_at_width(bits):
-    br = DyadicBracket(_poly_sign([-2, 0, 1]), 0, 3, 0)
-    width = Fraction(1, 1 << bits)
-    br.refine(width)
-    assert br.hi - br.lo <= width < 2 * (br.hi - br.lo)
-    e = br.e
-    br.refine(width)  # already narrow enough: no further step
-    assert br.e == e
-
-
-def _width_target(data, width: Fraction, e: int) -> Fraction:
-    kind = data.draw(st.sampled_from(["millionth", "random", "equal", "near"]))
-    if kind == "millionth":
-        return Fraction(1, 10**6)
-    if kind == "random":
-        return data.draw(st.fractions(min_value=0, max_value=1 << 72,
-                                      max_denominator=10**30))
-    if kind == "equal":
-        return width
-    # a non-dyadic target a hair off the width, on either side
-    return width + data.draw(st.sampled_from([-1, 1])) * Fraction(1, 3 << (e + 4))
+@pytest.mark.parametrize("e", [0, 1, 7, 33])
+def test_dyadic_bracket_refine_stops_at_width(e):
+    # sqrt 2 in [a, a + 3] / 2^e: bisection keeps the span 3 and raises the
+    # exponent, so refine stops at 3 / 2^22 <= DEFAULT_WIDTH, and a bracket
+    # already that narrow takes no step
+    a = math.isqrt(2 << 2 * e) - 1
+    br = DyadicBracket(_poly_sign([-2, 0, 1]), a, a + 3, e)
+    br.refine()
+    assert br.hi - br.lo <= DEFAULT_WIDTH
+    assert br.e == max(e, WIDTH_BITS + 2)
+    br.refine()  # already narrow enough: no further step
+    assert br.e == max(e, WIDTH_BITS + 2)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 1 << 80),
-       st.integers(0, 300), st.data())
-def test_steps_to_matches_halving_the_fraction_width(num_lo, span, e, data):
+@given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 1 << 80), st.integers(0, 300))
+@example(0, 1, 20)  # exactly DEFAULT_WIDTH wide
+@example(0, 3, 21)  # a span that is no power of two, a hair under the width
+@example(0, 2, 19)  # and one four times the width
+def test_steps_to_matches_halving_the_fraction_width(num_lo, span, e):
     # refine counts its bisection steps up front: each step halves the width
     br = DyadicBracket(lambda p, e: 1, num_lo, num_lo + span, e)
-    width = _width_target(data, br.hi - br.lo, e)
-    assume(width > 0)
     w, steps = br.hi - br.lo, 0
-    while w > width:
+    while w > DEFAULT_WIDTH:
         w, steps = w / 2, steps + 1
-    assert br._steps_to(width) == steps
+    assert br._steps_to() == steps
 
 
 # ---------------------------------------------------------------- compare
@@ -348,16 +340,15 @@ def _encloses(br, num, den):
 @settings(max_examples=400, deadline=None)
 @given(
     st.sampled_from([(2, 1), (9, 4), (9, 1)]),  # sqrt 2, 3/2, 3 in [0, 4]
-    st.integers(0, 12),
+    st.integers(0, 30),  # steps from [0, 4]: the window is at 2^-max(steps, 20)
     st.one_of(
         st.floats(allow_nan=True, allow_infinity=True),
         st.floats(-1, 5),
         st.tuples(st.just("near"), st.floats(-1e-4, 1e-4)),
         st.tuples(st.just("near"), st.floats(-1e-12, 1e-12)),
     ),
-    st.integers(0, 60),
 )
-def test_narrow_keeps_the_root_and_evaluates_twice_at_most(root, steps, guess, bits):
+def test_narrow_keeps_the_root_and_evaluates_twice_at_most(root, steps, guess):
     num, den = root
     if isinstance(guess, tuple):  # an offset from the float root
         guess = (num / den) ** 0.5 + guess[1]
@@ -367,12 +358,11 @@ def test_narrow_keeps_the_root_and_evaluates_twice_at_most(root, steps, guess, b
         br.step()
     before = (br.num_lo, br.num_hi, br.e, br.exact)
     del points[:]
-    width = Fraction(1, 1 << bits)
-    accepted = br.narrow(guess, width)
+    accepted = br.narrow(guess)
     assert _encloses(br, num, den)
     assert len(points) <= 2
     if accepted:
-        assert br.hi - br.lo <= width
+        assert br.hi - br.lo <= DEFAULT_WIDTH
         assert br.exact == (br.lo == br.hi)
     else:
         assert (br.num_lo, br.num_hi, br.e, br.exact) == before
@@ -382,7 +372,7 @@ def test_narrow_keeps_the_root_and_evaluates_twice_at_most(root, steps, guess, b
 def test_narrow_rejects_unusable_guess_without_evaluating(guess):
     sign_at, points = _recording(_square_sign(2, 1))
     br = DyadicBracket(sign_at, 0, 4, 0)
-    assert not br.narrow(guess, Fraction(1, 1 << 20))
+    assert not br.narrow(guess)
     assert points == []
     assert (br.num_lo, br.num_hi, br.e) == (0, 4, 0)
 
@@ -390,9 +380,9 @@ def test_narrow_rejects_unusable_guess_without_evaluating(guess):
 def test_narrow_window_from_a_good_guess():
     sign_at, points = _recording(_square_sign(2, 1))
     br = DyadicBracket(sign_at, 0, 4, 0)
-    assert br.narrow(2 ** 0.5, Fraction(1, 10 ** 6))
+    assert br.narrow(2 ** 0.5)
     assert len(points) == 2 and not br.exact
-    assert br.e == 20 and br.num_hi - br.num_lo == 1  # 2^-20 <= 1e-6 < 2^-19
+    assert br.e == 20 and br.num_hi - br.num_lo == 1
     assert br.lo ** 2 < 2 < br.hi ** 2
 
 
@@ -400,7 +390,7 @@ def test_narrow_wrong_guess_leaves_bracket():
     # w^2 - 2 is already positive at 1.5, the window's lo: one sign rejects it
     sign_at, points = _recording(_square_sign(2, 1))
     br = DyadicBracket(sign_at, 0, 4, 0)
-    assert not br.narrow(1.5, Fraction(1, 1 << 20))
+    assert not br.narrow(1.5)
     assert points == [Fraction(3, 2)]
     assert (br.num_lo, br.num_hi, br.e) == (0, 4, 0)
 
@@ -409,7 +399,7 @@ def test_narrow_collapses_onto_an_exact_root():
     # 3/2 is dyadic: the window's lo lands on it and its zero collapses
     sign_at, points = _recording(_square_sign(9, 4))
     br = DyadicBracket(sign_at, 0, 4, 0)
-    assert br.narrow(1.5, Fraction(1, 1 << 20))
+    assert br.narrow(1.5)
     assert points == [Fraction(3, 2)]
     assert br.exact and br.lo == br.hi == Fraction(3, 2)
 
@@ -423,15 +413,16 @@ def test_narrow_collapses_onto_an_exact_root():
 def test_refine_tries_the_guess_then_bisects(guess, evaluations):
     sign_at, points = _recording(_square_sign(2, 1))
     br = DyadicBracket(sign_at, 0, 4, 0)
-    width = Fraction(1, 1 << 20)
-    br.refine(width, guess)
+    br.refine(guess)
     assert len(points) == evaluations
-    assert br.hi - br.lo == width and br.lo ** 2 < 2 < br.hi ** 2
+    assert br.hi - br.lo == DEFAULT_WIDTH and br.lo ** 2 < 2 < br.hi ** 2
 
 
 def test_refine_calls_no_seed_on_a_narrow_bracket():
-    # the guess 2 ** 0.5 would be accepted, but nothing is left to narrow
+    # the guess 2 ** 0.5 would be accepted, but nothing is left to narrow:
+    # [1, 2] / 2^20 holds sqrt 2 at twice the window's resolution
     sign_at, points = _recording(_square_sign(2, 1))
-    br = DyadicBracket(sign_at, 0, 4, 0)
-    br.refine(Fraction(4), 2 ** 0.5)
-    assert points == [] and (br.num_lo, br.num_hi, br.e) == (0, 4, 0)
+    lo = math.isqrt(2 << 40) - 1
+    br = DyadicBracket(sign_at, lo, lo + 1, 20)
+    br.refine(2 ** 0.5)
+    assert points == [] and (br.num_lo, br.num_hi, br.e) == (lo, lo + 1, 20)

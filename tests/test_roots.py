@@ -1,6 +1,7 @@
 """Tests for certified root enclosures and Golub-Kahan eigenvalue counting."""
 
 import functools
+import hashlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -27,41 +28,55 @@ from semireg.verify import check_three_way_agreement, enumerate_shapes, run_all
 from oracle_utils import (GolubKahanSpectrum, cleared_values, eigenvalue_count_below, eval_exact,
                           sturm_count_below, time_limit, wrong_root_sign)
 
-WIDTH = Fraction(1, 10**6)
-
-
 # ---------------------------------------------------------------- roots
 
 
 def test_smallest_root_k1_is_exact_half():
-    ri = smallest_root(36, 1, WIDTH)
+    ri = smallest_root(36, 1)
     assert ri.is_point
     assert ri.lo == 18
 
 
 def test_smallest_root_figure_values():
-    r3 = smallest_root(36, 3, Fraction(1, 100))
+    r3 = smallest_root(36, 3)
     assert Fraction("12.84") < r3.lo and r3.hi < Fraction("12.86")
-    r6 = smallest_root(36, 6, Fraction(1, 100))
+    r6 = smallest_root(36, 6)
     assert Fraction("8.44") < r6.lo and r6.hi < Fraction("8.46")
 
 
 def test_smallest_root_d3_closed_form():
-    # K_3^36 roots solve (36 - 2t)^2 = 106: smallest root (36 - sqrt(106)) / 2
-    ri = smallest_root(36, 3, Fraction(1, 10**9))
-    target = (36 - math.sqrt(106)) / 2
-    assert abs(float(ri.mid) - target) < 1e-8
+    # K_3^36 roots solve (36 - 2t)^2 = 106: smallest root (36 - sqrt(106)) / 2,
+    # so 36 - 2 hi <= sqrt(106) <= 36 - 2 lo
+    ri = smallest_root(36, 3)
+    assert (36 - 2 * ri.hi) ** 2 < 106 < (36 - 2 * ri.lo) ** 2
+    assert ri.width <= DEFAULT_WIDTH
 
 
 def test_smallest_root_width_and_signs():
     for N, k in [(20, 2), (36, 5), (47, 11), (61, 30)]:
-        ri = smallest_root(N, k, WIDTH)
-        assert ri.width <= WIDTH
+        ri = smallest_root(N, k)
+        assert ri.width <= DEFAULT_WIDTH
         if not ri.is_point:
             assert eval_exact(N, k, ri.lo) > 0
             assert eval_exact(N, k, ri.hi) < 0
         else:
             assert eval_exact(N, k, ri.lo) == 0
+
+
+def test_default_enclosures_are_pinned():
+    # every enclosure the library returns, by its one width: the md5 of the
+    # reprs of smallest_root_chain(N, N), then of smallest_root(N, k) and
+    # largest_eigenvalue(N, k) for k = 1..N, over N = 1..40
+    digest = hashlib.md5()
+    for N in range(1, 41):
+        digest.update(repr(smallest_root_chain(N, N)).encode())
+        for k in range(1, N + 1):
+            digest.update(repr(smallest_root(N, k)).encode())
+            digest.update(repr(largest_eigenvalue(N, k)).encode())
+    assert digest.hexdigest() == "1f44ac31b36e90752bb59b9e8ff228e1"
+    # making bracket 208 at N = 320 steps bracket 207 (a seed inside it), and
+    # the library reads a bracket only once the next one is made
+    assert smallest_root(320, 207) == Enclosure(Fraction(3, 1 << 21), Fraction(1, 1 << 19))
 
 
 def test_smallest_root_validates_k():
@@ -71,45 +86,13 @@ def test_smallest_root_validates_k():
         smallest_root(36, 37)
 
 
-@pytest.mark.parametrize("width", [0, Fraction(-1, 2), -1e-3, math.inf, -math.inf, math.nan],
-                         ids=["zero", "negative", "negative-float", "inf", "minus-inf", "nan"])
-def test_non_positive_width_refused(width):
-    with time_limit(30):
-        with pytest.raises(ValueError, match="positive width"):
-            smallest_root(36, 3, width)
-        with pytest.raises(ValueError, match="positive width"):
-            largest_eigenvalue(36, 3, width)
-        with pytest.raises(ValueError, match="positive width"):
-            largest_eigenvalue(36, 1, width)
-
-
-def test_float_width_taken_exactly():
-    with time_limit(60):
-        assert smallest_root(36, 3, 1e-3) == smallest_root(36, 3, Fraction(1e-3))
-        assert largest_eigenvalue(36, 3, 1e-3) == largest_eigenvalue(36, 3, Fraction(1e-3))
-
-
 def test_chain_is_strictly_decreasing():
     for N in (12, 36, 53):
-        chain = smallest_root_chain(N, N, Fraction(1, 4096))
+        chain = smallest_root_chain(N, N)
         for prev, cur in zip(chain, chain[1:]):
             assert cur.hi < prev.lo or (cur.is_point and prev.is_point and cur.lo < prev.lo)
         # every root lies in (0, N): the chain certifies lo > 0 at its smallest
         assert 0 < chain[-1].lo and chain[0].hi < N
-
-
-def test_refining_k_by_k_does_not_compound_the_exponent():
-    # each bracket is made before the one it is built from is refined, so
-    # refining k = 1, 2, ... to 2^-200 leaves every exponent near 200, not
-    # about 200 k
-    chain = roots_mod._RootChain(24)
-    width = Fraction(1, 1 << 200)
-    with time_limit(60):
-        for k in range(1, 25):
-            br = chain.refine(k, width)
-            assert br.hi - br.lo <= width
-    assert max(chain.bracket(k).e for k in range(1, 25)) <= 208
-    assert chain.bracket(1).exact and chain.bracket(1).lo == 12
 
 
 def test_extend_takes_an_exact_zero_at_the_previous_lo(monkeypatch):
@@ -140,20 +123,20 @@ def test_dreg_via_roots_respects_ceiling():
 
 
 def test_largest_eigenvalue_trivial_sizes():
-    # lambda_1 = 0 is made an exact point, at any N and width
-    for N, width in [(36, WIDTH), (1, 1e-30), (10**400, Fraction(1, 3))]:
-        assert largest_eigenvalue(N, 1, width) == Enclosure.point(0)
+    # lambda_1 = 0 is made an exact point, at any N
+    for N in (36, 1, 10**400):
+        assert largest_eigenvalue(N, 1) == Enclosure.point(0)
     assert roots_mod._RootChain(36).eigen(1).exact
-    e2 = largest_eigenvalue(36, 2, WIDTH)
+    e2 = largest_eigenvalue(36, 2)
     assert e2.lo <= 6 <= e2.hi  # eigenvalues of the 2x2 matrix are +-6
-    e2_16 = largest_eigenvalue(16, 2, WIDTH)
+    e2_16 = largest_eigenvalue(16, 2)
     assert e2_16.lo <= 4 <= e2_16.hi
 
 
 @pytest.mark.parametrize("k", [0, -1, 37])
 def test_eigen_refuses_k_outside_1_to_n(k):
     chain = roots_mod._RootChain(36)
-    for ask in (lambda: chain.eigen(k), lambda: largest_eigenvalue(36, k, 0)):
+    for ask in (lambda: chain.eigen(k), lambda: largest_eigenvalue(36, k)):
         with pytest.raises(ValueError, match=f"requires 1 <= k <= N=36; got k={k}"):
             ask()
 
@@ -200,18 +183,12 @@ def test_routes_make_brackets_only_up_to_the_degree_they_decide(monkeypatch):
 
 def test_largest_eigenvalue_hand_oracles():
     # k = 3: lambda^3 - 106 lambda = 0 -> sqrt(106)
-    e3 = largest_eigenvalue(36, 3, Fraction(1, 10**6))
+    e3 = largest_eigenvalue(36, 3)
     assert abs(float(e3.mid) - math.sqrt(106)) < 1e-5
     # k = 4: lambda^4 - 208 lambda^2 + 3672 = 0 -> sqrt((208 + sqrt(28576)) / 2)
-    e4 = largest_eigenvalue(36, 4, Fraction(1, 10**6))
+    e4 = largest_eigenvalue(36, 4)
     target = math.sqrt((208 + math.sqrt(208**2 - 4 * 3672)) / 2)
     assert abs(float(e4.mid) - target) < 1e-5
-
-
-def test_eigenvalue_width_honored():
-    for N, k in [(36, 5), (61, 13), (100, 40)]:
-        enc = largest_eigenvalue(N, k, WIDTH)
-        assert enc.width <= WIDTH
 
 
 def _dense_matrix(N, k):
@@ -243,10 +220,10 @@ def test_count_below_at_exact_eigenvalue_is_strict():
 
 
 def test_golub_kahan_spectrum_record():
-    gk = GolubKahanSpectrum.compute(36, 4, WIDTH)
+    gk = GolubKahanSpectrum.compute(36, 4)
     assert gk.squared_offdiagonals == (36, 70, 102)
     lam = gk.lambda_max
-    d4 = smallest_root(36, 4, WIDTH)
+    d4 = smallest_root(36, 4)
     # duality lambda = N - 2 d_k(1) within combined widths
     assert abs(float((36 - 2 * d4.mid) - lam.mid)) <= float(2 * d4.width + lam.width)
 
@@ -339,7 +316,6 @@ def test_shared_pass_decides_from_its_brackets_not_the_threshold(monkeypatch):
 
 # ---------------------------------------------------------------- float seeds
 
-SEED_WIDTH = Fraction(1, 1 << 20)
 # (suite, cases, passed) of run_all(20); bisection alone gives the same
 RUN_ALL_20 = [("interlacing", 190, True), ("gf_identity", 90, True),
               ("orthogonality", 1770, True), ("three_way_agreement", 90, True),
@@ -351,7 +327,7 @@ def _overlap(a, b):
 
 
 def _refuse_windows(mp):
-    mp.setattr(roots_mod.DyadicBracket, "narrow", lambda self, guess, width: False)
+    mp.setattr(roots_mod.DyadicBracket, "narrow", lambda self, guess: False)
 
 
 @pytest.fixture(scope="module")
@@ -359,8 +335,8 @@ def bisected():
     """Root and eigenvalue enclosures at N = 36 by bisection alone."""
     with pytest.MonkeyPatch.context() as mp:
         _refuse_windows(mp)
-        chain = smallest_root_chain(36, 36, SEED_WIDTH)
-        eigen = [largest_eigenvalue(36, k, SEED_WIDTH) for k in range(1, 37)]
+        chain = smallest_root_chain(36, 36)
+        eigen = [largest_eigenvalue(36, k) for k in range(1, 37)]
         assert [(r.name, r.checked, r.passed) for r in run_all(20)] == RUN_ALL_20
     return chain, eigen
 
@@ -375,19 +351,19 @@ def test_bad_float_seed_falls_back_to_bisection(monkeypatch, bisected, seed):
     accepted = []
     narrow = roots_mod.DyadicBracket.narrow
 
-    def recorded(self, guess, width):
-        accepted.append(narrow(self, guess, width))
+    def recorded(self, guess):
+        accepted.append(narrow(self, guess))
         return accepted[-1]
 
     monkeypatch.setattr(roots_mod, "_root_seed", seed)
     monkeypatch.setattr(roots_mod.DyadicBracket, "narrow", recorded)
     chain_ref, eigen_ref = bisected
-    chain = smallest_root_chain(36, 36, SEED_WIDTH)
+    chain = smallest_root_chain(36, 36)
     for ri, ref in zip(chain, chain_ref):
-        assert ri.width <= SEED_WIDTH and _overlap(ri, ref)
+        assert ri.width <= DEFAULT_WIDTH and _overlap(ri, ref)
     for k, ref in enumerate(eigen_ref, 1):
-        enc = largest_eigenvalue(36, k, SEED_WIDTH)
-        assert enc.width <= SEED_WIDTH and _overlap(enc, ref)
+        enc = largest_eigenvalue(36, k)
+        assert enc.width <= DEFAULT_WIDTH and _overlap(enc, ref)
     assert False in accepted  # the fallback path ran
     assert [(r.name, r.checked, r.passed) for r in run_all(20)] == RUN_ALL_20
 
@@ -405,24 +381,23 @@ def test_float_seed_settles_most_brackets(monkeypatch):
     monkeypatch.setattr(roots_mod, "_explicit_sum", counted)
     assert [(r.name, r.checked, r.passed) for r in run_all(20)] == RUN_ALL_20
     del evaluations[:]
-    smallest_root_chain(36, 36, SEED_WIDTH)
+    smallest_root_chain(36, 36)
     seeded = len(evaluations)
     _refuse_windows(monkeypatch)
     del evaluations[:]
-    smallest_root_chain(36, 36, SEED_WIDTH)
+    smallest_root_chain(36, 36)
     assert 3 * seeded < len(evaluations)
 
 
 def test_warm_start_right_of_the_root_restarts_at_the_last_root(monkeypatch):
     # an extrapolation just right of d_5^30(1) comes back from the seed
     # unmoved, so the seed restarts at d_5^29(1), which is left of it
-    def refined(chain):  # brackets 1..5, each refined before the next is made
-        for k in range(1, 6):
-            chain.refine(k, SEED_WIDTH)
+    def made(chain):  # brackets 1..6, so that bracket 5 is read as the library reads it
+        chain.bracket(6)
         return chain
 
-    last = refined(roots_mod._RootChain(29)).seeds[5]
-    root = refined(roots_mod._RootChain(30)).seeds[5]
+    last = made(roots_mod._RootChain(29)).seeds[5]
+    root = made(roots_mod._RootChain(30)).seeds[5]
     # a chain of N - 1 whose seeds start the extrapolation at root + 0.01
     previous = SimpleNamespace(seeds={5: last}, warm=({5: 2 * last - (root + 0.01)},))
     chain = roots_mod._RootChain(30, previous)
@@ -434,15 +409,16 @@ def test_warm_start_right_of_the_root_restarts_at_the_last_root(monkeypatch):
         return real(N, k, lo, hi)
 
     monkeypatch.setattr(roots_mod, "_root_seed", recorded)
-    br = refined(chain).bracket(5)
+    br = made(chain).bracket(5)
     assert [lo for k, lo in starts if k == 5] == [root + 0.01, last]
     assert abs(chain.seeds[5] - root) < 1e-9
-    assert br.hi - br.lo == SEED_WIDTH and br.lo < Fraction(root) < br.hi
+    assert br.hi - br.lo == DEFAULT_WIDTH and br.lo < Fraction(root) < br.hi
 
 
 def test_refining_a_made_bracket_runs_no_newton(monkeypatch):
-    # each bracket keeps the seed it was made with; refining past its 2^-20
-    # window tries that float again, so no float recurrence runs
+    # every root bracket is made at most DEFAULT_WIDTH wide, so refining it
+    # again evaluates nothing; the bracket of lambda_k, made from it, is
+    # bisected to DEFAULT_WIDTH by minor signs alone: no float seed, no root sign
     chain = roots_mod._RootChain(36)
     chain.bracket(36)
     evaluations = []
@@ -455,10 +431,14 @@ def test_refining_a_made_bracket_runs_no_newton(monkeypatch):
     monkeypatch.setattr(semireg.exact, "_krawtchouk_ratios",
                         lambda N, k, x: pytest.fail("a float seed ran"))
     monkeypatch.setattr(roots_mod, "_explicit_sum", counted)
-    width = Fraction(1, 1 << 40)
     for k in range(1, 37):
-        assert chain.refine(k, width).enclosure().width <= width
-    assert len(evaluations) <= 2 * 35  # the kept seeds' windows are accepted
+        br, before = chain.bracket(k), chain.bracket(k).enclosure()
+        br.refine(chain.seeds[k])
+        assert br.enclosure() == before and before.width <= DEFAULT_WIDTH
+        lam = chain.eigen(k)
+        lam.refine()
+        assert lam.hi - lam.lo <= DEFAULT_WIDTH
+    assert evaluations == []
 
 
 @pytest.mark.parametrize("max_N,accepted", [(60, 1770), (128, 8128)])
@@ -470,7 +450,7 @@ def test_every_seeded_window_is_accepted(monkeypatch, max_N, accepted):
     results = []
     narrow = roots_mod.DyadicBracket.narrow
     monkeypatch.setattr(roots_mod.DyadicBracket, "narrow",
-                        lambda self, guess, width: results.append(narrow(self, guess, width))
+                        lambda self, guess: results.append(narrow(self, guess))
                         or results[-1])
     run_all(max_N)
     assert (results.count(True), results.count(False)) == (accepted, 0)
@@ -491,7 +471,7 @@ def test_tiny_roots_are_seeded_by_the_tiny_root_bound(monkeypatch, N):
     results = []
     narrow = roots_mod.DyadicBracket.narrow
     monkeypatch.setattr(roots_mod.DyadicBracket, "narrow",
-                        lambda self, guess, width: results.append(narrow(self, guess, width))
+                        lambda self, guess: results.append(narrow(self, guess))
                         or results[-1])
     chain = roots_mod._RootChain(N, chain)
     chain.bracket(N)
@@ -525,12 +505,12 @@ def test_seed_at_the_previous_bracket_falls_back(monkeypatch, where):
     # outside; a seed that is wrong, or on or past its ends, is refused and
     # bisection takes over, and every bracket still encloses its root
     N = 40
-    reference = smallest_root_chain(N, N, SEED_WIDTH)
+    reference = smallest_root_chain(N, N)
     monkeypatch.setattr(roots_mod._RootChain, "_seed", _prev_point(where))
     chain = roots_mod._RootChain(N)
     for k, ref in enumerate(reference, 1):
-        enc = chain.refine(k, SEED_WIDTH).enclosure()
-        assert enc.width <= SEED_WIDTH and _overlap(enc, ref), k
+        enc = chain.enclosure(k)
+        assert enc.width <= DEFAULT_WIDTH and _overlap(enc, ref), k
 
 
 def test_seed_next_to_the_previous_root_ends_the_stepping(monkeypatch):
@@ -539,15 +519,15 @@ def test_seed_next_to_the_previous_root_ends_the_stepping(monkeypatch):
     # is narrower than the 2^-64 min(1, lo) budget; the window at the seed
     # is then refused, bisection takes over and nothing raises
     N, k = 40, 6
-    reference = smallest_root(N, k, SEED_WIDTH)
+    reference = smallest_root(N, k)
     chain = roots_mod._RootChain(N)
     prev = chain.bracket(k - 1)
     seed = float(prev.lo + (prev.hi - prev.lo) / 3)
     root = Fraction(seed) + Fraction(1, 1 << 100)
     prev.sign_at = lambda p, e: (Fraction(p, 1 << e) > root) - (Fraction(p, 1 << e) < root)
     monkeypatch.setattr(roots_mod._RootChain, "_seed", lambda self, k, br: seed)
-    enc = chain.refine(k, SEED_WIDTH).enclosure()
-    assert enc.width <= SEED_WIDTH and _overlap(enc, reference)
+    enc = chain.enclosure(k)
+    assert enc.width <= DEFAULT_WIDTH and _overlap(enc, reference)
     assert prev.lo == seed
     assert (prev.num_hi - prev.num_lo) << 64 > min(prev.num_lo, 1 << prev.e)
 
@@ -666,7 +646,11 @@ def test_smallest_root_chain_past_the_float_range():
 
 # ---------------------------------------------------------------- tiny-root signs
 
-BAND_WIDTH = Fraction(1, 1 << 100)
+def _band(br):
+    """br bisected 80 times: a root bracket, made at most 2^-20 wide, to 2^-100."""
+    for _ in range(80):
+        br.step()
+    return br
 
 
 def _sign(v):
@@ -680,16 +664,16 @@ def _recurrence_sign(N, k):
 
 @functools.lru_cache(maxsize=None)
 def _bracket_ends(N):
-    """(k, p, e) at both ends of each bracket of d_k^N(1) < 1 refined to 2^-100.
+    """(k, p, e) at both ends of each bracket of d_k^N(1) < 1 stepped to 2^-100.
 
     The ends lie within 2^-100 of a root, mostly in the band where neither
     bound decides the sign.
     """
     chain = roots_mod._RootChain(N)
-    chain.bracket(N)  # every bracket is made before any is refined past the seed
+    chain.bracket(N)  # every bracket is made before any is stepped
     ends = []
     for k in range(1, N + 1):
-        br = chain.refine(k, BAND_WIDTH)
+        br = _band(chain.bracket(k))
         if br.num_hi >> br.e == 0:
             ends += [(k, br.num_lo, br.e), (k, br.num_hi, br.e)]
     return tuple(ends)
@@ -716,7 +700,7 @@ def test_tiny_root_sign_falls_back_in_the_band(monkeypatch):
     calls = []
     real = roots_mod._explicit_sum
     monkeypatch.setattr(roots_mod, "_explicit_sum", lambda *a: calls.append(a) or real(*a))
-    br = roots_mod._RootChain(60).refine(40, BAND_WIDTH)
+    br = _band(roots_mod._RootChain(60).bracket(40))
     assert 0 < br.lo < br.hi < 1
     sign = roots_mod._root_sign(60, 40)
     calls.clear()
@@ -819,12 +803,14 @@ def test_root_kernel_at_integer_points_is_k_factorial_times_the_stream():
 
 @functools.lru_cache(maxsize=None)
 def _eigen_ends(N):
-    """(k, p, e) at both ends of each bracket of lambda_k^N refined to 2^-100."""
+    """(k, p, e) at both ends of each bracket of lambda_k^N, stepped to under 2^-98.
+
+    Each is made at most 2^-19 + 2^-20 wide, from its root's bracket.
+    """
     ends = []
     chain = roots_mod._RootChain(N)
     for k in range(2, N + 1):
-        br = chain.eigen(k)
-        br.refine(BAND_WIDTH)
+        br = _band(chain.eigen(k))
         ends += [(k, br.num_lo, br.e), (k, br.num_hi, br.e)]
     return tuple(ends)
 

@@ -301,8 +301,8 @@ def shared_pass_60():
             super().__init__(N, previous)
             chains[N] = self
 
-    def recorded_narrow(self, guess, width):
-        accepted = narrow(self, guess, width)
+    def recorded_narrow(self, guess):
+        accepted = narrow(self, guess)
         if _made_by(self, "_root_sign", "_eigen_sign"):
             narrows.append(accepted)
         return accepted
